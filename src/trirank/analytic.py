@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import BudgetExceeded
-from .fields import Field
+from .rankprofile import Contraction, point_block, rank_profile
 from .tensor import Tensor3, slices
 
 ENUM_BUDGET = 10 ** 8
@@ -65,40 +64,13 @@ class EntropyReport:
         return bool(self.histogram.argmax() == 0)
 
 
-def _x_block(q: int, n: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    X = np.empty((idx.size, n), dtype=np.int32)
-    for i in range(n):
-        X[:, i] = idx % q
-        idx //= q
-    return X
-
-
-def _contraction_stack(T: Tensor3, F: Field, X: np.ndarray) -> np.ndarray:
-    """Matrices sum_i x_i A_i for each row x of X, shape (N, n2, n3)."""
-    A = np.asarray(T.field.lift_codes(slices(T, "x"), F), dtype=np.int32)
-    out = np.zeros((X.shape[0],) + A.shape[1:], dtype=np.int32)
-    for i in range(A.shape[0]):
-        out = F.add[out, F.mul[X[:, i][:, None, None], A[i][None, :, :]]]
-    return out
-
-
 def zero_count(T: Tensor3, budget: int = ENUM_BUDGET) -> int:
     """Exact |{(x, y) : f(x, y) = 0}| over the tensor's own field."""
     F = T.field
     n1, n2, _ = T.dims
     if F.q ** (n1 + n2) > budget:
         raise BudgetExceeded(f"q^(n1+n2) = {F.q}^{n1 + n2} exceeds budget {budget}")
-    total = F.q ** n1
-    count = 0
-    chunk = 1 << 15
-    q_pows = F.q ** np.arange(n2 + 1, dtype=object)
-    for start in range(0, total, chunk):
-        X = _x_block(F.q, n1, start, min(start + chunk, total))
-        ranks = linalg.batched_rank(_contraction_stack(T, F, X), F)
-        binc = np.bincount(ranks, minlength=n2 + 1)
-        count += sum(int(binc[r]) * int(q_pows[n2 - r]) for r in range(n2 + 1))
-    return count
+    return rank_profile(T, 1, "x", budget=budget, allow_sampling=False).fiber_sum(n2)
 
 
 def analytic_rank(T: Tensor3, budget: int = ENUM_BUDGET) -> ARValue:
@@ -124,12 +96,13 @@ def bias_char_sum(T: Tensor3, budget: int = ENUM_BUDGET) -> complex:
         residues = F.trace_res[F.mul[c, codes]]
         S[c] = np.bincount(residues, minlength=F.p) @ roots
     total_x = F.q ** n1
-    Y = _x_block(F.q, n2, 0, F.q ** n2)
+    Y = point_block(F.q, n2, 0, F.q ** n2)
+    contract = Contraction(slices(T, "x"), F)
     acc = 0.0 + 0.0j
     chunk = 1 << 12
     for start in range(0, total_x, chunk):
-        X = _x_block(F.q, n1, start, min(start + chunk, total_x))
-        Ms = _contraction_stack(T, F, X)  # (C, n2, n3)
+        X = point_block(F.q, n1, start, min(start + chunk, total_x))
+        Ms = contract(X)  # (C, n2, n3)
         # f_k(x, y) for all y: (C, Ny, n3)
         vals = np.zeros((X.shape[0], Y.shape[0], n3), dtype=np.int32)
         for j in range(n2):
@@ -146,13 +119,14 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     if F.q ** (n1 + n2) > budget or F.q ** n3 > budget:
         raise BudgetExceeded("min-entropy budget exceeded")
     total_x = F.q ** n1
-    Y = _x_block(F.q, n2, 0, F.q ** n2)
+    Y = point_block(F.q, n2, 0, F.q ** n2)
+    contract = Contraction(slices(T, "x"), F)
     weights = (F.q ** np.arange(n3, dtype=np.int64)).astype(np.int64)
     hist = np.zeros(F.q ** n3, dtype=np.int64)
     chunk = 1 << 12
     for start in range(0, total_x, chunk):
-        X = _x_block(F.q, n1, start, min(start + chunk, total_x))
-        Ms = _contraction_stack(T, F, X)
+        X = point_block(F.q, n1, start, min(start + chunk, total_x))
+        Ms = contract(X)
         vals = np.zeros((X.shape[0], Y.shape[0], n3), dtype=np.int64)
         for j in range(n2):
             vals = F.add[vals.astype(np.int32), F.mul[Ms[:, j, :][:, None, :], Y[:, j][None, :, None]]].astype(np.int64)

@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import analytic, biascx, decomp, geometric, slicerank, tensor, variety
-from .errors import OutOfExactScope, TrirankError, UnstableEstimate
+from .errors import BadParams, TrirankError
 from .fields import parse_field
 
 SCHEMA = 1
@@ -29,7 +29,12 @@ EXIT_USAGE = 2
 
 def _default_budget() -> int:
     env = os.environ.get("TRIRANK_BUDGET")
-    return int(env) if env else analytic.ENUM_BUDGET
+    if not env:
+        return analytic.ENUM_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise BadParams(f"TRIRANK_BUDGET={env!r} is not an integer") from None
 
 
 def _tensor_id(T: tensor.Tensor3) -> str:
@@ -416,17 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code else EXIT_OK
         return args.func(args)
-    except (OutOfExactScope, UnstableEstimate, TrirankError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (TrirankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

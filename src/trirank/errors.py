@@ -66,6 +66,10 @@ class OutOfExactScope(TrirankError):
     pass
 
 
+class ContradictoryBounds(TrirankError):
+    """A lower bound exceeds an upper bound: one of the inputs is wrong."""
+
+
 class NotInTangentSpace(TrirankError):
     pass
 

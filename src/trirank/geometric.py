@@ -12,35 +12,30 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import linalg
 from .errors import BudgetExceeded
-from .fields import Field
-from .tensor import Tensor3, slices
+from .rankprofile import ELIM_BUDGET, MC_SAMPLES, RankProfile, rank_profile
+from .tensor import Tensor3
 from .variety import CountRecord, DimEstimate, estimate_from_counts, exact_estimate
 
-ELIM_BUDGET = 2 ** 21  # matrices eliminated per tower level, exact mode
-MC_SAMPLES = 10 ** 5
+
+def _strata_records(prof: RankProfile) -> list[CountRecord]:
+    cum = np.cumsum(prof.hist)
+    if prof.exact:
+        return [CountRecord(k=prof.k, count=int(c), exact=True) for c in cum]
+    cum = cum / prof.samples
+    return [
+        CountRecord(k=prof.k, count=float(c) * prof.total, exact=False, samples=prof.samples)
+        for c in cum
+    ]
 
 
-def _x_block(q: int, n: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    X = np.empty((idx.size, n), dtype=np.int32)
-    for i in range(n):
-        X[:, i] = idx % q
-        idx //= q
-    return X
-
-
-def _lifted_slices(T: Tensor3, axis: str, Fk: Field) -> np.ndarray:
-    return np.asarray(T.field.lift_codes(slices(T, axis), Fk), dtype=np.int32)
-
-
-def _rank_histogram(A: np.ndarray, Fk: Field, X: np.ndarray, rmax: int) -> np.ndarray:
-    Ms = np.zeros((X.shape[0],) + A.shape[1:], dtype=np.int32)
-    for i in range(A.shape[0]):
-        Ms = Fk.add[Ms, Fk.mul[X[:, i][:, None, None], A[i][None, :, :]]]
-    ranks = linalg.batched_rank(Ms, Fk)
-    return np.bincount(ranks, minlength=rmax + 1)
+def _kernel_record(prof: RankProfile, n2: int) -> CountRecord:
+    if prof.exact:
+        return CountRecord(k=prof.k, count=prof.fiber_sum(n2), exact=True)
+    mean_fiber = prof.fiber_sum(n2) / prof.samples
+    return CountRecord(
+        k=prof.k, count=mean_fiber * prof.total, exact=False, samples=prof.samples
+    )
 
 
 def rank_strata_counts(
@@ -56,34 +51,9 @@ def rank_strata_counts(
 
     Returns a list of CountRecord, one per r in [0, min of the other two dims].
     """
-    Fk = T.field.extension(k)
-    A = _lifted_slices(T, axis, Fk)
-    n_coeff = A.shape[0]
-    rmax = min(A.shape[1], A.shape[2])
-    total = Fk.q ** n_coeff
-    hist = np.zeros(rmax + 1, dtype=np.float64)
-    if total <= budget:
-        chunk = 1 << 15
-        exact_hist = np.zeros(rmax + 1, dtype=np.int64)
-        for start in range(0, total, chunk):
-            X = _x_block(Fk.q, n_coeff, start, min(start + chunk, total))
-            exact_hist += _rank_histogram(A, Fk, X, rmax)
-        cum = np.cumsum(exact_hist)
-        return [CountRecord(k=k, count=int(cum[r]), exact=True) for r in range(rmax + 1)]
-    if not allow_sampling:
-        raise BudgetExceeded(f"{Fk.q}^{n_coeff} contractions exceed budget {budget}")
-    rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
-    remaining = mc_samples
-    while remaining > 0:
-        m = min(remaining, 1 << 15)
-        X = rng.integers(0, Fk.q, size=(m, n_coeff), dtype=np.int64).astype(np.int32)
-        hist += _rank_histogram(A, Fk, X, rmax)
-        remaining -= m
-    cum = np.cumsum(hist) / mc_samples
-    return [
-        CountRecord(k=k, count=float(cum[r]) * total, exact=False, samples=mc_samples)
-        for r in range(rmax + 1)
-    ]
+    return _strata_records(
+        rank_profile(T, k, axis, budget, mc_samples, seed, allow_sampling)
+    )
 
 
 @dataclass
@@ -133,12 +103,10 @@ def geometric_rank(
             report.consistent = True
         return report
 
-    per_k = [
-        rank_strata_counts(
-            T, k, axis=axis, budget=budget, mc_samples=mc_samples, seed=seed
-        )
-        for k in range(1, kmax + 1)
+    profiles = [
+        rank_profile(T, k, axis, budget, mc_samples, seed) for k in range(1, kmax + 1)
     ]
+    per_k = [_strata_records(prof) for prof in profiles]
     d = slice_space(T, axis).dim
     strata: dict[int, DimEstimate] = {}
     for r in range(rmax + 1):
@@ -166,7 +134,8 @@ def geometric_rank(
     )
     if cross_check:
         report.kernel = kernel_codim(
-            T, kmax, budget=budget, mc_samples=mc_samples, seed=seed
+            T, kmax, budget=budget, mc_samples=mc_samples, seed=seed,
+            profiles=profiles if axis == "x" else None,
         )
         if report.kernel.status in ("stable", "empty") and best_stable:
             report.consistent = report.kernel.codim == report.gr
@@ -179,43 +148,19 @@ def kernel_codim(
     budget: int = ELIM_BUDGET,
     mc_samples: int = MC_SAMPLES,
     seed: int = 0,
+    profiles: list[RankProfile] | None = None,
 ) -> DimEstimate:
     """Dimension estimate of ker f = {(x, y) : f(x, y) = 0} in (n1+n2)-space.
 
     For fixed x the y-fiber is a linear kernel of exact size q^(n2 - rank), so
     the count over F_{q^k} is an exact sum over x (or a low-variance sampled
-    average in Monte Carlo mode).
+    average in Monte Carlo mode).  `profiles` are the x-axis rank profiles
+    for k = 1..kmax when the caller already has them.
     """
     n1, n2, _ = T.dims
-    counts = []
-    for k in range(1, kmax + 1):
-        Fk = T.field.extension(k)
-        A = _lifted_slices(T, "x", Fk)
-        rmax = min(n2, T.dims[2])
-        total = Fk.q ** n1
-        if total <= budget:
-            hist = np.zeros(rmax + 1, dtype=np.int64)
-            chunk = 1 << 15
-            for start in range(0, total, chunk):
-                X = _x_block(Fk.q, n1, start, min(start + chunk, total))
-                hist += _rank_histogram(A, Fk, X, rmax)
-            z = sum(int(hist[r]) * Fk.q ** (n2 - r) for r in range(rmax + 1))
-            counts.append(CountRecord(k=k, count=z, exact=True))
-        else:
-            rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
-            hist = np.zeros(rmax + 1, dtype=np.int64)
-            remaining = mc_samples
-            while remaining > 0:
-                m = min(remaining, 1 << 15)
-                X = rng.integers(0, Fk.q, size=(m, n1), dtype=np.int64).astype(np.int32)
-                hist += _rank_histogram(A, Fk, X, rmax)
-                remaining -= m
-            mean_fiber = sum(
-                int(hist[r]) * Fk.q ** (n2 - r) for r in range(rmax + 1)
-            ) / mc_samples
-            counts.append(
-                CountRecord(
-                    k=k, count=mean_fiber * total, exact=False, samples=mc_samples
-                )
-            )
+    if profiles is None:
+        profiles = [
+            rank_profile(T, k, "x", budget, mc_samples, seed) for k in range(1, kmax + 1)
+        ]
+    counts = [_kernel_record(prof, n2) for prof in profiles]
     return estimate_from_counts(T.field.q, n1 + n2, counts)

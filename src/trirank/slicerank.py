@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import analytic, geometric
-from .errors import OutOfExactScope
+from .errors import ContradictoryBounds, OutOfExactScope
 from .fields import Field
 from .tensor import Tensor3, slice_space
 
@@ -151,16 +151,24 @@ def check_witness(T: Tensor3, result: SRResult) -> bool:
 # ---------------------------------------------------------------------------
 
 def slice_rank_bounds(T: Tensor3, ar=None, gr=None) -> SRResult:
-    """Interval [max(ceil AR, GR), min axis slice-span dim]."""
+    """Interval [max(ceil AR, GR), min axis slice-span dim].
+
+    Raises ContradictoryBounds when the lower bound exceeds the upper one.
+    """
     lo = 0
     if ar is not None and math.isfinite(ar.value):
         lo = max(lo, math.ceil(ar.value - 1e-9))
     if gr is not None:
         lo = max(lo, gr.gr)
     hi = min(slice_space(T, axis).dim for axis in "xyz")
+    if hi < lo:
+        raise ContradictoryBounds(
+            f"slice-rank lower bound {lo} exceeds upper bound {hi}: "
+            "an AR or GR value is wrong"
+        )
     return SRResult(
         lo,
-        max(hi, lo) if hi < lo else hi,
+        hi,
         "bounds_only",
         three_gr_bound=3 * gr.gr if gr is not None else None,
     )

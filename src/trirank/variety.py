@@ -23,6 +23,7 @@ from .errors import (
     UnstableEstimate,
 )
 from .fields import Field
+from .rankprofile import point_block
 
 EXACT_POINT_BUDGET = 10 ** 8
 MC_SAMPLES = 10 ** 6
@@ -287,15 +288,6 @@ def _eval_zero_mask(S: PolySystem, Fk: Field, X: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _point_block(qk: int, n: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    X = np.empty((idx.size, n), dtype=np.int32)
-    for i in range(n):
-        X[:, i] = idx % qk
-        idx = idx // qk
-    return X
-
-
 def count_points(
     S: PolySystem,
     k: int,
@@ -312,7 +304,7 @@ def count_points(
         count = 0
         chunk = 1 << 18
         for start in range(0, total, chunk):
-            X = _point_block(Fk.q, n, start, min(start + chunk, total))
+            X = point_block(Fk.q, n, start, min(start + chunk, total))
             count += int(_eval_zero_mask(S, Fk, X).sum())
         return CountRecord(k=k, count=count, exact=True)
     if not allow_sampling:

@@ -118,6 +118,24 @@ def test_missing_file_and_bad_usage():
     assert cli.run([]) == 2
 
 
+def test_malformed_budget_env_is_a_usage_error(levi_path, monkeypatch, capsys):
+    monkeypatch.setenv("TRIRANK_BUDGET", "abc")
+    assert cli.run(["ar", "--tensor", levi_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "TRIRANK_BUDGET" in err
+    assert "Traceback" not in err
+    monkeypatch.setenv("TRIRANK_BUDGET", "10")
+    assert cli.run(["ar", "--tensor", levi_path]) == 2  # 3^6 pairs exceed it
+
+
+def test_contradictory_sr_bounds_exit_2(levi_path, tmp_path, capsys):
+    gr_path = tmp_path / "gr.json"
+    gr_path.write_text(json.dumps({"gr": {"gr": 5}}))
+    rc = cli.run(["sr", "--tensor", levi_path, "--bounds", "--gr-from", str(gr_path)])
+    assert rc == 2
+    assert "lower bound 5 exceeds upper bound 3" in capsys.readouterr().err
+
+
 def test_reports_are_byte_identical_for_fixed_seed(levi_path, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

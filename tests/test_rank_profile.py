@@ -1,0 +1,152 @@
+"""The rank-profile kernel against a table-lookup reference over all affine points."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from trirank import analytic, geometric, linalg, tensor
+from trirank.errors import BudgetExceeded
+from trirank.fields import make_field, parse_field
+from trirank.rankprofile import Contraction, rank_profile
+
+REF_POINTS = 20000  # largest affine point set the reference enumerates
+
+
+def table_contraction(A, F, X):
+    """sum_i x_i A_i by field-table lookups, one coordinate at a time."""
+    Ms = np.zeros((X.shape[0],) + A.shape[1:], dtype=np.int32)
+    for i in range(A.shape[0]):
+        Ms = F.add[Ms, F.mul[X[:, i][:, None, None], A[i][None, :, :]]]
+    return Ms
+
+
+def reference_hist(T, k, axis, X=None):
+    """Rank histogram over the points X (default: every affine point)."""
+    Fk = T.field.extension(k)
+    A = np.asarray(tensor.slices(T, axis), dtype=np.int32)
+    n = A.shape[0]
+    if X is None:
+        X = np.indices((Fk.q,) * n).reshape(n, -1).T
+    ranks = linalg.batched_rank(table_contraction(A, Fk, X), Fk)
+    return np.bincount(ranks, minlength=min(A.shape[1:]) + 1)
+
+
+def reference_sampled_hist(T, k, axis, mc_samples, seed):
+    """The same uniform draws the sampled path makes, contracted by table."""
+    Fk = T.field.extension(k)
+    n = tensor.slices(T, axis).shape[0]
+    rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
+    hist, remaining = 0, mc_samples
+    while remaining > 0:
+        m = min(remaining, 1 << 15)
+        X = rng.integers(0, Fk.q, size=(m, n), dtype=np.int64).astype(np.int32)
+        hist = hist + reference_hist(T, k, axis, X)
+        remaining -= m
+    return hist
+
+
+def draw_tensor(data, F, axis=None, max_axis_dim=3):
+    dims = [data.draw(st.integers(1, 3)) for _ in range(3)]
+    if axis is not None:
+        dims["xyz".index(axis)] = data.draw(st.integers(1, max_axis_dim))
+    size = int(np.prod(dims))
+    entries = data.draw(st.lists(st.integers(0, F.q - 1), min_size=size, max_size=size))
+    return tensor.Tensor3(F, np.array(entries, dtype=np.int32).reshape(dims))
+
+
+# towers are built over prime fields only, so F_9 appears at k = 1
+FIELD_LEVELS = [(f, k) for f in ("2^1", "3^1", "5^1") for k in (1, 2, 3)] + [("3^2", 1)]
+
+
+@pytest.mark.parametrize("axis", "xyz")
+@pytest.mark.parametrize("field,k", FIELD_LEVELS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_exact_profile_matches_reference(field, k, axis, data):
+    F = parse_field(field)
+    max_n = 1
+    while max_n < 3 and F.q ** (k * (max_n + 1)) <= REF_POINTS:
+        max_n += 1
+    T = draw_tensor(data, F, axis, max_n)
+    prof = rank_profile(T, k, axis)
+    assert prof.exact and prof.samples is None
+    assert prof.total == F.q ** (k * T.dims["xyz".index(axis)])
+    assert prof.hist.tolist() == reference_hist(T, k, axis).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    field=st.sampled_from(["2^1", "3^1", "5^1", "3^2"]),
+    k=st.integers(1, 3),
+    axis=st.sampled_from("xyz"),
+    samples=st.integers(1, 600),
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+def test_sampled_profile_uses_the_same_draws(data, field, k, axis, samples, seed):
+    F = parse_field(field)
+    assume(F.k == 1 or k == 1)
+    T = draw_tensor(data, F)
+    prof = rank_profile(T, k, axis, budget=0, mc_samples=samples, seed=seed)
+    assert not prof.exact and prof.samples == samples
+    ref = reference_sampled_hist(T, k, axis, samples, seed)
+    assert prof.hist.tolist() == ref.tolist()
+
+
+def test_sampled_profile_spans_several_draws():
+    T = tensor.random_tensor(make_field(3), (3, 2, 2), seed=5)
+    prof = rank_profile(T, 2, "x", budget=0, mc_samples=40000, seed=3)
+    ref = reference_sampled_hist(T, 2, "x", 40000, 3)
+    assert prof.hist.tolist() == ref.tolist()
+
+
+def test_budget_counts_affine_points():
+    T = tensor.identity_tensor(make_field(3), 2)
+    assert rank_profile(T, 2, budget=81, allow_sampling=False).exact
+    with pytest.raises(BudgetExceeded):
+        rank_profile(T, 2, budget=80, allow_sampling=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from(["2^1", "3^1", "7^1", "2^3", "3^2", "5^2"]),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+def test_contraction_matches_table_lookups(field, n, seed):
+    F = parse_field(field)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, F.q, size=(n, 2, 3)).astype(np.int32)
+    X = rng.integers(0, F.q, size=(50, n)).astype(np.int32)
+    assert np.array_equal(Contraction(A, F)(X), table_contraction(A, F, X))
+
+
+def test_zero_count_is_the_k1_kernel_count():
+    for seed in range(4):
+        T = tensor.random_tensor(make_field(3), (3, 2, 3), seed=seed)
+        est = geometric.kernel_codim(T, kmax=2)
+        assert est.counts[0].count == analytic.zero_count(T)
+
+
+@pytest.mark.parametrize("budget", [geometric.ELIM_BUDGET, 100])
+def test_cross_check_adds_no_eliminations(monkeypatch, budget):
+    eliminated = []
+    batched_rank = linalg.batched_rank
+
+    def counting(Ms, F, *args, **kwargs):
+        eliminated.append(len(Ms))
+        return batched_rank(Ms, F, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "batched_rank", counting)
+    T = tensor.random_tensor(make_field(3), (3, 3, 3), seed=8)
+    totals = {}
+    for cross_check in (False, True):
+        eliminated.clear()
+        rep = geometric.geometric_rank(
+            T, kmax=3, budget=budget, mc_samples=3000, cross_check=cross_check
+        )
+        totals[cross_check] = sum(eliminated)
+    assert totals[False] > 0
+    assert totals[True] == totals[False]
+    assert rep.kernel is not None

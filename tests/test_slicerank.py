@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from trirank import analytic, geometric, slicerank, tensor
-from trirank.errors import OutOfExactScope
+from trirank.errors import ContradictoryBounds, OutOfExactScope, TrirankError
 from trirank.fields import make_field
 
 F3 = make_field(3)
@@ -81,6 +83,16 @@ def test_bounds_bracket_exact_value():
         exact = slicerank.slice_rank_exact(T).value
         assert b.lo <= exact <= b.hi
         assert b.three_gr_bound == 3 * gr.gr
+
+
+def test_contradictory_bounds_raise():
+    T = tensor.levi_civita(F3)  # every slice span has dimension 3
+    for ar, gr in ((SimpleNamespace(value=3.5), None), (None, SimpleNamespace(gr=4))):
+        with pytest.raises(ContradictoryBounds, match=r"lower bound 4 exceeds upper bound 3"):
+            slicerank.slice_rank_bounds(T, ar=ar, gr=gr)
+    assert issubclass(ContradictoryBounds, TrirankError)
+    b = slicerank.slice_rank_bounds(T, ar=SimpleNamespace(value=3.0), gr=SimpleNamespace(gr=3))
+    assert (b.lo, b.hi) == (3, 3)
 
 
 def test_subadditivity_on_exact_scope_pairs():
