@@ -27,10 +27,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _default_budget() -> int:
+def _default_budget(fallback: int = analytic.ENUM_BUDGET) -> int:
     env = os.environ.get("TRIRANK_BUDGET")
     if not env:
-        return analytic.ENUM_BUDGET
+        return fallback
     try:
         return int(env)
     except ValueError:
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mc-samples", type=int, default=geometric.MC_SAMPLES)
     sp.add_argument("--cross-check", action="store_true")
     add_common(sp)
-    sp.set_defaults(func=_cmd_gr, budget=geometric.ELIM_BUDGET)
+    sp.set_defaults(func=_cmd_gr, budget=_default_budget(geometric.ELIM_BUDGET))
 
     sp = sub.add_parser("sr", help="slice rank (exact, vertex cover, or bounds)")
     sp.add_argument("--tensor", required=True)

@@ -2,8 +2,8 @@
 
 Exact slice rank uses the annihilator characterization: SR(T) <= c1 + c2 + c3
 iff T vanishes identically on some triple of subspaces of those codimensions.
-Subspace triples are searched in order of increasing codimension sum, so the
-first annihilating triple found is a witness of minimality.
+For fixed (U, V) the least codim W is the rank of the form matrix
+T(u_a, v_b, .), whose right kernel is the largest W: only pairs are searched.
 
 For antichain supports the vertex-cover route gives exact values beyond the
 subspace-search scope (identity tensors, Levi-Civita, and their direct sums).
@@ -18,13 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analytic, geometric
+from . import analytic, geometric, linalg
 from .errors import ContradictoryBounds, OutOfExactScope
 from .fields import Field
 from .tensor import Tensor3, slice_space
 
 EXACT_DIM_LIMIT = 4
 EXACT_Q_LIMIT = 3
+CHUNK = 1 << 8  # (U, V) pairs contracted and eliminated at once (bounds peak memory)
 
 
 # ---------------------------------------------------------------------------
@@ -61,20 +62,18 @@ def subspaces(F: Field, n: int):
     return by_dim
 
 
-def _restrict(T: Tensor3, U, V, W) -> np.ndarray:
-    """Values T(u_a, v_b, w_c) over all basis triples, shape (d1, d2, d3)."""
+def _forms(T: Tensor3, Us: np.ndarray, Vs: np.ndarray) -> np.ndarray:
+    """Form matrices T(u_a, v_b, .) of every pair in Us x Vs, U-major."""
     F = T.field
     E = T.entries
-    A = np.zeros((U.shape[0],) + E.shape[1:], dtype=np.int32)
+    (NU, d1), (NV, d2) = Us.shape[:2], Vs.shape[:2]
+    A = np.zeros((NU, d1) + E.shape[1:], dtype=np.int32)  # T(u_a, ., .)
     for i in range(E.shape[0]):
-        A = F.add[A, F.mul[U[:, i][:, None, None], E[i][None, :, :]]]
-    B = np.zeros((U.shape[0], V.shape[0], E.shape[2]), dtype=np.int32)
+        A = F.add[A, F.mul[Us[:, :, i, None, None], E[i]]]
+    B = np.zeros((NU, NV, d1, d2, E.shape[2]), dtype=np.int32)
     for j in range(E.shape[1]):
-        B = F.add[B, F.mul[V[:, j][None, :, None], A[:, j, :][:, None, :]]]
-    C = np.zeros((U.shape[0], V.shape[0], W.shape[0]), dtype=np.int32)
-    for k in range(E.shape[2]):
-        C = F.add[C, F.mul[W[:, k][None, None, :], B[:, :, k][:, :, None]]]
-    return C
+        B = F.add[B, F.mul[Vs[None, :, None, :, j, None], A[:, None, :, None, j]]]
+    return B.reshape(NU * NV, d1 * d2, E.shape[2])
 
 
 @dataclass
@@ -111,7 +110,12 @@ def slice_rank_exact(
     dim_limit: int = EXACT_DIM_LIMIT,
     q_limit: int = EXACT_Q_LIMIT,
 ) -> SRResult:
-    """Minimum codim sum over annihilating subspace triples, by exhaustion."""
+    """Minimum of c1 + c2 + rank T(U, V, .) over subspace pairs, by exhaustion.
+
+    The witness is the first minimal pair, codim blocks (c1, c2) in lexicographic
+    order and U-major within a block, with W the kernel of its form matrix.
+    `lower_bound` only stops the search; a block below it raises.
+    """
     n1, n2, n3 = T.dims
     if max(T.dims) > dim_limit or T.field.q > q_limit:
         raise OutOfExactScope(
@@ -119,22 +123,25 @@ def slice_rank_exact(
             f"(dims <= {dim_limit}, q <= {q_limit})"
         )
     F = T.field
-    subs = [subspaces(F, n) for n in T.dims]
-    max_c = n1 + n2 + n3
-    for total in range(max(lower_bound, 0), max_c + 1):
-        for c1 in range(min(total, n1) + 1):
-            for c2 in range(min(total - c1, n2) + 1):
-                c3 = total - c1 - c2
-                if c3 > n3:
-                    continue
-                for U in subs[0][n1 - c1]:
-                    for V in subs[1][n2 - c2]:
-                        for W in subs[2][n3 - c3]:
-                            if not _restrict(T, U, V, W).any():
-                                return SRResult(
-                                    total, total, "annihilator_exact", (U, V, W)
-                                )
-    raise AssertionError("zero subspaces always annihilate")  # cannot happen
+    subs_u, subs_v = subspaces(F, n1), subspaces(F, n2)
+    best = n1 + n2 + n3 + 1
+    for c1, c2 in itertools.product(range(n1 + 1), range(n2 + 1)):
+        if c1 + c2 >= best:
+            continue
+        Us, Vs = np.stack(subs_u[n1 - c1]), np.stack(subs_v[n2 - c2])
+        step = max(1, CHUNK // len(Vs))  # whole U rows of the block, U-major
+        Ms = (_forms(T, Us[s : s + step], Vs) for s in range(0, len(Us), step))
+        ranks = np.concatenate([linalg.batched_rank(M, F) for M in Ms])
+        i = int(ranks.argmin())
+        total = c1 + c2 + int(ranks[i])
+        if total < lower_bound:
+            raise ContradictoryBounds(f"slice rank {total} is below the lower bound {lower_bound}")
+        if total < best:
+            best, U, V = total, Us[i // len(Vs)], Vs[i % len(Vs)]
+        if total == lower_bound:
+            break
+    W = linalg.row_space_basis(linalg.kernel_basis(_forms(T, U[None], V[None])[0], F), F)
+    return SRResult(best, best, "annihilator_exact", (U, V, W))
 
 
 def check_witness(T: Tensor3, result: SRResult) -> bool:
@@ -143,7 +150,8 @@ def check_witness(T: Tensor3, result: SRResult) -> bool:
         return False
     U, V, W = result.witness
     codims = sum(n - B.shape[0] for n, B in zip(T.dims, (U, V, W)))
-    return codims == result.value and not _restrict(T, U, V, W).any()
+    M = _forms(T, U[None], V[None])[0]
+    return codims == result.value and not linalg.mat_mul(M, W.T, T.field).any()
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +185,6 @@ def slice_rank_bounds(T: Tensor3, ar=None, gr=None) -> SRResult:
 # ---------------------------------------------------------------------------
 # vertex-cover method for antichain supports
 # ---------------------------------------------------------------------------
-
-class NotAntichain:
-    """Sentinel: the support is not (recognizably) an antichain."""
-
-    def __repr__(self):
-        return "NotAntichain"
-
-
-NOT_ANTICHAIN = NotAntichain()
-
 
 def _support_components(support):
     """Connected components of the support hypergraph (vertices = (axis, idx))."""
@@ -255,7 +253,7 @@ def _min_vertex_cover(edges) -> int:
 
 
 def vertex_cover_sr(T: Tensor3):
-    """SR via the cover number, valid when the support is an antichain.
+    """SR via the cover number when the support is an antichain, else None.
 
     The support is accepted when every connected component is an antichain in
     the product order: components occupy disjoint index sets per axis, so the
@@ -266,7 +264,7 @@ def vertex_cover_sr(T: Tensor3):
         return 0
     components = _support_components(support)
     if not all(_is_antichain(c) for c in components):
-        return NOT_ANTICHAIN
+        return None
     return sum(_min_vertex_cover(c) for c in components)
 
 
@@ -321,7 +319,7 @@ def slice_rank(T: Tensor3, ar=None, gr=None) -> SRResult:
     """Best available slice-rank determination: exact, vertex cover, or bounds."""
     bounds = slice_rank_bounds(T, ar=ar, gr=gr)
     vc = vertex_cover_sr(T)
-    if not isinstance(vc, NotAntichain):
+    if vc is not None:
         return SRResult(vc, vc, "vertex_cover", three_gr_bound=bounds.three_gr_bound)
     try:
         res = slice_rank_exact(T, lower_bound=bounds.lo)

@@ -128,6 +128,19 @@ def test_malformed_budget_env_is_a_usage_error(levi_path, monkeypatch, capsys):
     assert cli.run(["ar", "--tensor", levi_path]) == 2  # 3^6 pairs exceed it
 
 
+def test_gr_honours_budget_env(levi_path, tmp_path, monkeypatch):
+    def exact_by_level():
+        out = tmp_path / "gr.json"
+        assert cli.run(["gr", "--tensor", levi_path, "--kmax", "2", "--mc-samples", "2000",
+                        "--out", str(out)]) == 0
+        strata = read_json(out)["gr"]["strata"].values()
+        return {c["k"]: c["exact"] for est in strata for c in est["counts"]}
+
+    assert exact_by_level() == {1: True, 2: True}
+    monkeypatch.setenv("TRIRANK_BUDGET", "100")  # 3^3 points at k = 1, 9^3 at k = 2
+    assert exact_by_level() == {1: True, 2: False}
+
+
 def test_contradictory_sr_bounds_exit_2(levi_path, tmp_path, capsys):
     gr_path = tmp_path / "gr.json"
     gr_path.write_text(json.dumps({"gr": {"gr": 5}}))

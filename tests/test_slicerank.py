@@ -1,13 +1,62 @@
+import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trirank import analytic, geometric, slicerank, tensor
 from trirank.errors import ContradictoryBounds, OutOfExactScope, TrirankError
 from trirank.fields import make_field
 
 F3 = make_field(3)
+
+
+def restrict(T, U, V, W):
+    """Values T(u_a, v_b, w_c) over all basis triples, shape (d1, d2, d3)."""
+    F = T.field
+    E = T.entries
+    A = np.zeros((U.shape[0],) + E.shape[1:], dtype=np.int32)
+    for i in range(E.shape[0]):
+        A = F.add[A, F.mul[U[:, i][:, None, None], E[i][None, :, :]]]
+    B = np.zeros((U.shape[0], V.shape[0], E.shape[2]), dtype=np.int32)
+    for j in range(E.shape[1]):
+        B = F.add[B, F.mul[V[:, j][None, :, None], A[:, j, :][:, None, :]]]
+    C = np.zeros((U.shape[0], V.shape[0], W.shape[0]), dtype=np.int32)
+    for k in range(E.shape[2]):
+        C = F.add[C, F.mul[W[:, k][None, None, :], B[:, :, k][:, :, None]]]
+    return C
+
+
+def reference_slice_rank(T, lower_bound=0):
+    """(value, (U, V, W)): the first annihilating triple by codim sum, c1, c2, U, V, W."""
+    n1, n2, n3 = T.dims
+    subs = [slicerank.subspaces(T.field, n) for n in T.dims]
+    for total in range(lower_bound, n1 + n2 + n3 + 1):
+        for c1 in range(min(total, n1) + 1):
+            for c2 in range(min(total - c1, n2) + 1):
+                c3 = total - c1 - c2
+                if c3 > n3:
+                    continue
+                for U, V, W in itertools.product(
+                    subs[0][n1 - c1], subs[1][n2 - c2], subs[2][n3 - c3]
+                ):
+                    if not restrict(T, U, V, W).any():
+                        return total, (U, V, W)
+    raise AssertionError("zero subspaces always annihilate")
+
+
+def witness_bytes(witness):
+    return [(B.shape, B.dtype.str, B.tobytes()) for B in witness]
+
+
+def draw_tensor(data, dims):
+    F = make_field(data.draw(st.sampled_from([2, 3])))
+    size = int(np.prod(dims))
+    entries = data.draw(st.lists(st.integers(0, F.q - 1), min_size=size, max_size=size))
+    return tensor.Tensor3(F, np.array(entries, dtype=np.int32).reshape(dims))
 
 
 def test_subspace_enumeration_counts():
@@ -65,7 +114,7 @@ def test_vertex_cover_rejects_chain_supports():
     e[1, 1, 1] = 1
     e[0, 0, 1] = 1  # comparable to (0,0,0)
     res = slicerank.vertex_cover_sr(tensor.Tensor3(F3, e))
-    assert isinstance(res, slicerank.NotAntichain)
+    assert res is None
 
 
 def test_vertex_cover_agrees_with_exact_on_diagonals():
@@ -93,6 +142,49 @@ def test_contradictory_bounds_raise():
     assert issubclass(ContradictoryBounds, TrirankError)
     b = slicerank.slice_rank_bounds(T, ar=SimpleNamespace(value=3.0), gr=SimpleNamespace(gr=3))
     assert (b.lo, b.hi) == (3, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pair_search_matches_triple_search(data):
+    T = draw_tensor(data, [data.draw(st.integers(1, 3)) for _ in range(3)])
+    for lower_bound in range(reference_slice_rank(T)[0] + 1):
+        value, witness = reference_slice_rank(T, lower_bound)
+        res = slicerank.slice_rank_exact(T, lower_bound=lower_bound)
+        assert (res.lo, res.hi, res.method) == (value, value, "annihilator_exact")
+        assert witness_bytes(res.witness) == witness_bytes(witness)
+        assert slicerank.check_witness(T, res)
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_exact_search_within_bounds_on_4x4x4(data):
+    T = draw_tensor(data, (4, 4, 4))
+    res = slicerank.slice_rank_exact(T)
+    assert slicerank.check_witness(T, res)
+    ar = analytic.analytic_rank(T).value
+    lower = geometric.geometric_rank(T, kmax=3).gr
+    if math.isfinite(ar):
+        lower = max(lower, math.ceil(ar - 1e-9))
+    assert lower <= res.value <= min(tensor.slice_space(T, ax).dim for ax in "xyz")
+
+
+def test_lower_bound_above_slice_rank_raises():
+    T = tensor.identity_tensor(F3, 2)
+    assert slicerank.slice_rank_exact(T, lower_bound=2).value == 2
+    with pytest.raises(ContradictoryBounds, match=r"slice rank 2 is below the lower bound 3"):
+        slicerank.slice_rank_exact(T, lower_bound=3)
+
+
+def test_check_witness_rejects_a_wrong_witness():
+    T = tensor.levi_civita(F3)
+    res = slicerank.slice_rank_exact(T)
+    subs = slicerank.subspaces(F3, 3)
+    U, V, W = subs[2][0], subs[3][0], subs[1][0]  # codims 1 + 0 + 2 = 3
+    assert restrict(T, U, V, W).any()
+    assert not slicerank.check_witness(T, slicerank.SRResult(3, 3, res.method, (U, V, W)))
+    assert not slicerank.check_witness(T, slicerank.SRResult(2, 2, res.method, res.witness))
+    assert not slicerank.check_witness(T, slicerank.SRResult(3, 3, "bounds_only"))
 
 
 def test_subadditivity_on_exact_scope_pairs():
