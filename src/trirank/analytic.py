@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
+from .linalg import mat_mul
 from .rankprofile import Contraction, point_block, rank_profile
 from .tensor import Tensor3, slices
 
@@ -78,6 +79,18 @@ def analytic_rank(T: Tensor3, budget: int = ENUM_BUDGET) -> ARValue:
     return ARValue(zero_count(T, budget=budget), n1 + n2, T.field.q)
 
 
+def _values(T: Tensor3):
+    """f(x, y) for every y, one chunk of x at a time: int32 (chunk, q^n2, n3)."""
+    F = T.field
+    n1, n2, _ = T.dims
+    Y = point_block(F.q, n2, 0, F.q ** n2)
+    contract = Contraction(slices(T, "x"), F)
+    total_x, chunk = F.q ** n1, 1 << 12
+    for start in range(0, total_x, chunk):
+        X = point_block(F.q, n1, start, min(start + chunk, total_x))
+        yield mat_mul(Y[None], contract(X), F)
+
+
 def bias_char_sum(T: Tensor3, budget: int = ENUM_BUDGET) -> complex:
     """Exp_{x,y,z} chi(T(x,y,z)), with the z-average taken analytically.
 
@@ -95,20 +108,9 @@ def bias_char_sum(T: Tensor3, budget: int = ENUM_BUDGET) -> complex:
     for c in range(F.q):
         residues = F.trace_res[F.mul[c, codes]]
         S[c] = np.bincount(residues, minlength=F.p) @ roots
-    total_x = F.q ** n1
-    Y = point_block(F.q, n2, 0, F.q ** n2)
-    contract = Contraction(slices(T, "x"), F)
     acc = 0.0 + 0.0j
-    chunk = 1 << 12
-    for start in range(0, total_x, chunk):
-        X = point_block(F.q, n1, start, min(start + chunk, total_x))
-        Ms = contract(X)  # (C, n2, n3)
-        # f_k(x, y) for all y: (C, Ny, n3)
-        vals = np.zeros((X.shape[0], Y.shape[0], n3), dtype=np.int32)
-        for j in range(n2):
-            vals = F.add[vals, F.mul[Ms[:, j, :][:, None, :], Y[:, j][None, :, None]]]
-        prod = S[vals].prod(axis=2) / (F.q ** n3)
-        acc += prod.sum()
+    for vals in _values(T):
+        acc += (S[vals].prod(axis=2) / (F.q ** n3)).sum()
     return complex(acc / (F.q ** (n1 + n2)))
 
 
@@ -118,18 +120,8 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     n1, n2, n3 = T.dims
     if F.q ** (n1 + n2) > budget or F.q ** n3 > budget:
         raise BudgetExceeded("min-entropy budget exceeded")
-    total_x = F.q ** n1
-    Y = point_block(F.q, n2, 0, F.q ** n2)
-    contract = Contraction(slices(T, "x"), F)
-    weights = (F.q ** np.arange(n3, dtype=np.int64)).astype(np.int64)
+    weights = F.q ** np.arange(n3, dtype=np.int64)
     hist = np.zeros(F.q ** n3, dtype=np.int64)
-    chunk = 1 << 12
-    for start in range(0, total_x, chunk):
-        X = point_block(F.q, n1, start, min(start + chunk, total_x))
-        Ms = contract(X)
-        vals = np.zeros((X.shape[0], Y.shape[0], n3), dtype=np.int64)
-        for j in range(n2):
-            vals = F.add[vals.astype(np.int32), F.mul[Ms[:, j, :][:, None, :], Y[:, j][None, :, None]]].astype(np.int64)
-        packed = (vals * weights).sum(axis=2)
-        hist += np.bincount(packed.ravel(), minlength=hist.size)
+    for vals in _values(T):
+        hist += np.bincount((vals * weights).sum(axis=2).ravel(), minlength=hist.size)
     return EntropyReport(histogram=hist, log_domain=n1 + n2, q=F.q, n3=n3)

@@ -96,25 +96,15 @@ def _cmd_gr(args) -> int:
     return EXIT_OK
 
 
-class _ARShim:
-    def __init__(self, value):
-        self.value = value
-
-
-class _GRShim:
-    def __init__(self, gr):
-        self.gr = gr
-
-
 def _cmd_sr(args) -> int:
     T = _load_tensor(args.tensor)
     ar = gr = None
     if args.ar_from:
         with open(args.ar_from, encoding="utf-8") as fh:
-            ar = _ARShim(json.load(fh)["ar"]["value"])
+            ar = json.load(fh)["ar"]["value"]
     if args.gr_from:
         with open(args.gr_from, encoding="utf-8") as fh:
-            gr = _GRShim(json.load(fh)["gr"]["gr"])
+            gr = json.load(fh)["gr"]["gr"]
     if args.exact:
         res = slicerank.slice_rank_exact(T)
     elif args.bounds:

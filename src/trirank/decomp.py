@@ -114,11 +114,7 @@ def rank_factorize(A, F: Field) -> RankFactorization:
 
 
 def check_factorization(A, fact: RankFactorization, F: Field) -> bool:
-    A = linalg.as_matrix(A)
-    acc = np.zeros_like(A)
-    for i in range(fact.r):
-        acc = F.add[acc, F.mul[fact.left[i][:, None], fact.right[i][None, :]]]
-    if not np.array_equal(acc, A):
+    if not np.array_equal(linalg.mat_mul(fact.left.T, fact.right, F), A):
         return False
     return (
         linalg.rank(fact.left, F) == fact.r and linalg.rank(fact.right, F) == fact.r
@@ -177,17 +173,15 @@ def sample_rank_point(
     if r > min(L.shape):
         raise NoPointFound(f"rank {r} exceeds min shape {min(L.shape)}")
     Fk = L.field if k == 1 else L.field.extension(k)
-    basis = np.asarray(L.field.lift_codes(L.basis, Fk), dtype=np.int32)
     if r == 0:
         return np.zeros(L.shape, dtype=np.int32)
     if L.dim == 0:
         raise NoPointFound("zero space contains no nonzero-rank point")
     rng = np.random.default_rng(seed)
+    basis = L.flat_basis()  # base-field codes are valid codes of F_{q^k}
     for _ in range(budget):
         coeffs = rng.integers(0, Fk.q, size=L.dim).astype(np.int32)
-        A = np.zeros(L.shape, dtype=np.int32)
-        for j in range(L.dim):
-            A = Fk.add[A, Fk.mul[coeffs[j], basis[j]]]
+        A = linalg.mat_mul(coeffs[None], basis, Fk).reshape(L.shape)
         if linalg.rank(A, Fk) == r:
             return A
     raise NoPointFound(f"no rank-{r} point in {budget} samples")
@@ -244,20 +238,18 @@ def _tangent_decomposition(
     mu = coords[:, P.shape[0]:]  # (n1, codim)
     fact = rank_factorize(A, F)
     pairs = [sylvester_solve(B.reshape(n2, n3), A, F) for B in P]
+    Cs = np.array([pair.C for pair in pairs], dtype=np.int32).reshape(len(pairs), n2, n2)
+    Cps = np.array([pair.Cp for pair in pairs], dtype=np.int32).reshape(len(pairs), n3, n3)
+    # H[i] = sum_j lam_j (C_j f_i) and Hp[i] = sum_j lam_j (g_i Cp_j), for every i at once
+    H = linalg.mat_mul(lam, linalg.mat_mul(Cs, fact.left.T, F).transpose(2, 0, 1), F)
+    Hp = linalg.mat_mul(lam, linalg.mat_mul(fact.right, Cps, F).transpose(1, 0, 2), F)
     terms = []
     for i in range(fact.r):
         f_i, g_i = fact.left[i], fact.right[i]
-        H = np.zeros((n1, n2), dtype=np.int32)
-        Hp = np.zeros((n1, n3), dtype=np.int32)
-        for j, pair in enumerate(pairs):
-            cf = linalg.mat_vec(pair.C, f_i, F)
-            H = F.add[H, F.mul[lam[:, j][:, None], cf[None, :]]]
-            gc = linalg.vec_mat(g_i, pair.Cp, F)
-            Hp = F.add[Hp, F.mul[lam[:, j][:, None], gc[None, :]]]
-        if H.any() and g_i.any():
-            terms.append(SliceTerm(F, "z", g_i, H, source="tangent_z_slice"))
-        if Hp.any() and f_i.any():
-            terms.append(SliceTerm(F, "y", f_i, Hp, source="tangent_y_slice"))
+        if H[i].any() and g_i.any():
+            terms.append(SliceTerm(F, "z", g_i, H[i], source="tangent_z_slice"))
+        if Hp[i].any() and f_i.any():
+            terms.append(SliceTerm(F, "y", f_i, Hp[i], source="tangent_y_slice"))
     for m, D_m in enumerate(complement):
         if mu[:, m].any():
             terms.append(

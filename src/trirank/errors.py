@@ -50,10 +50,6 @@ class UnknownVariable(TrirankError):
     pass
 
 
-class CoefficientOutOfField(TrirankError):
-    pass
-
-
 class NotOnVariety(TrirankError):
     pass
 

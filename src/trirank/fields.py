@@ -15,7 +15,6 @@ import itertools
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     DegreeOutOfBudget,
     DivisionByZero,
     FieldMismatch,
@@ -207,31 +206,11 @@ class Field:
 
     # -- element-level API --------------------------------------------------
 
-    def elem(self, coeffs) -> "Elem":
-        if isinstance(coeffs, int):
-            coeffs = (coeffs,) + (0,) * (self.k - 1)
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            raise FieldMismatch(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return Elem(self, self._coeffs_to_code(coeffs))
-
-    def from_code(self, code: int) -> "Elem":
-        return Elem(self, int(code))
-
     def coeffs(self, code: int):
         return self._code_to_coeffs(int(code))
 
-    def zero(self):
-        return Elem(self, 0)
-
-    def one(self):
-        return Elem(self, 1)
-
     def add_codes(self, a, b):
         return int(self.add[a, b])
-
-    def sub_codes(self, a, b):
-        return int(self.add[a, self.neg[b]])
 
     def mul_codes(self, a, b):
         return int(self.mul[a, b])
@@ -262,26 +241,9 @@ class Field:
             self._pow_cache[max_exp] = tbl
         return self._pow_cache[max_exp]
 
-    def elements(self, budget: int | None = None):
-        """All q elements in a fixed deterministic order, 0 first."""
-        if budget is not None and self.q > budget:
-            raise BudgetExceeded(f"q = {self.q} exceeds enumeration budget {budget}")
-        return [Elem(self, c) for c in range(self.q)]
-
     def trace_code(self, a) -> int:
         """Absolute trace to F_p, as a residue in [0, p)."""
         return int(self.trace_res[a])
-
-    def char_eval_code(self, a) -> complex:
-        """chi(a) = exp(2*pi*i * trace(a) / p)."""
-        return np.exp(2j * np.pi * self.trace_code(a) / self.p)
-
-    def char_sum(self, codes) -> complex:
-        """Sum of chi over an array of codes, via an exact residue histogram."""
-        residues = self.trace_res[np.asarray(codes, dtype=np.int64)]
-        counts = np.bincount(residues.ravel(), minlength=self.p)
-        roots = np.exp(2j * np.pi * np.arange(self.p) / self.p)
-        return complex(counts @ roots)
 
     # -- relationships ------------------------------------------------------
 
@@ -292,16 +254,6 @@ class Field:
         if self.k != 1:
             raise FieldMismatch("extension towers are only built over prime fields")
         return make_field(self.p, m, max_q=max_q)
-
-    def lift_codes(self, codes, target: "Field"):
-        """Re-express codes of this field as codes of target (base-field lift)."""
-        if target is self or (target.p, target.k) == (self.p, self.k):
-            return np.asarray(codes, dtype=np.int32)
-        if self.k != 1 or target.p != self.p:
-            raise FieldMismatch(
-                f"cannot embed F_{self.p}^{self.k} into F_{target.p}^{target.k}"
-            )
-        return np.asarray(codes, dtype=np.int32)  # residues are valid codes
 
     def designation(self) -> str:
         return f"{self.p}^{self.k}"
@@ -317,71 +269,6 @@ class Field:
 
     def __repr__(self):
         return f"Field({self.p}^{self.k})"
-
-
-class Elem:
-    """A field element: thin wrapper over an integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        if not 0 <= code < field.q:
-            raise FieldMismatch(f"code {code} out of range for {field!r}")
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.code)
-
-    def _check(self, other):
-        if not isinstance(other, Elem) or other.field != self.field:
-            raise FieldMismatch("operands from different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return Elem(self.field, self.field.add_codes(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Elem(self.field, self.field.sub_codes(self.code, other.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Elem(self.field, self.field.mul_codes(self.code, other.code))
-
-    def __neg__(self):
-        return Elem(self.field, self.field.neg_code(self.code))
-
-    def inverse(self):
-        return Elem(self.field, self.field.inv_code(self.code))
-
-    def __pow__(self, e):
-        return Elem(self.field, self.field.pow_code(self.code, e))
-
-    def trace(self) -> int:
-        return self.field.trace_code(self.code)
-
-    def char(self) -> complex:
-        return self.field.char_eval_code(self.code)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Elem)
-            and other.field == self.field
-            and other.code == self.code
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        if self.field.k == 1:
-            return f"{self.code}"
-        return f"Elem{self.coeffs}"
 
 
 @functools.lru_cache(maxsize=None)

@@ -96,19 +96,19 @@ def row_space_basis(rows, F: Field) -> np.ndarray:
 
 
 def mat_mul(A, B, F: Field) -> np.ndarray:
-    A, B = as_matrix(A), as_matrix(B)
-    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
-    for t in range(A.shape[1]):
-        acc = F.add[acc, F.mul[A[:, t][:, None], B[t][None, :]]]
+    """A @ B over F by table lookup, with np.matmul shape rules.
+
+    Both operands are at least 2-D; leading batch axes broadcast, and an empty
+    inner axis gives zeros.
+    """
+    A, B = np.asarray(A, dtype=np.int32), np.asarray(B, dtype=np.int32)
+    if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
+        raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+    acc = np.zeros(shape, dtype=np.int32)
+    for t in range(A.shape[-1]):
+        acc = F.add[acc, F.mul[A[..., :, t, None], B[..., None, t, :]]]
     return acc
-
-
-def mat_vec(A, v, F: Field) -> np.ndarray:
-    return mat_mul(A, np.asarray(v, dtype=np.int32).reshape(-1, 1), F)[:, 0]
-
-
-def vec_mat(v, A, F: Field) -> np.ndarray:
-    return mat_mul(np.asarray(v, dtype=np.int32).reshape(1, -1), A, F)[0]
 
 
 def in_row_space(v, basis_rref, F: Field) -> bool:

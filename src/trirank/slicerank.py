@@ -64,16 +64,11 @@ def subspaces(F: Field, n: int):
 
 def _forms(T: Tensor3, Us: np.ndarray, Vs: np.ndarray) -> np.ndarray:
     """Form matrices T(u_a, v_b, .) of every pair in Us x Vs, U-major."""
-    F = T.field
-    E = T.entries
+    (n1, n2, n3), F = T.dims, T.field
     (NU, d1), (NV, d2) = Us.shape[:2], Vs.shape[:2]
-    A = np.zeros((NU, d1) + E.shape[1:], dtype=np.int32)  # T(u_a, ., .)
-    for i in range(E.shape[0]):
-        A = F.add[A, F.mul[Us[:, :, i, None, None], E[i]]]
-    B = np.zeros((NU, NV, d1, d2, E.shape[2]), dtype=np.int32)
-    for j in range(E.shape[1]):
-        B = F.add[B, F.mul[Vs[None, :, None, :, j, None], A[:, None, :, None, j]]]
-    return B.reshape(NU * NV, d1 * d2, E.shape[2])
+    A = linalg.mat_mul(Us, T.entries.reshape(n1, n2 * n3), F).reshape(NU, d1, n2, n3)
+    B = linalg.mat_mul(Vs[None, :, None], A[:, None], F)  # (NU, NV, d1, d2, n3)
+    return B.reshape(NU * NV, d1 * d2, n3)
 
 
 @dataclass
@@ -104,12 +99,7 @@ class SRResult:
         }
 
 
-def slice_rank_exact(
-    T: Tensor3,
-    lower_bound: int = 0,
-    dim_limit: int = EXACT_DIM_LIMIT,
-    q_limit: int = EXACT_Q_LIMIT,
-) -> SRResult:
+def slice_rank_exact(T: Tensor3, lower_bound: int = 0) -> SRResult:
     """Minimum of c1 + c2 + rank T(U, V, .) over subspace pairs, by exhaustion.
 
     The witness is the first minimal pair, codim blocks (c1, c2) in lexicographic
@@ -117,10 +107,10 @@ def slice_rank_exact(
     `lower_bound` only stops the search; a block below it raises.
     """
     n1, n2, n3 = T.dims
-    if max(T.dims) > dim_limit or T.field.q > q_limit:
+    if max(T.dims) > EXACT_DIM_LIMIT or T.field.q > EXACT_Q_LIMIT:
         raise OutOfExactScope(
             f"dims {T.dims} / q = {T.field.q} outside exact scope "
-            f"(dims <= {dim_limit}, q <= {q_limit})"
+            f"(dims <= {EXACT_DIM_LIMIT}, q <= {EXACT_Q_LIMIT})"
         )
     F = T.field
     subs_u, subs_v = subspaces(F, n1), subspaces(F, n2)
@@ -158,28 +148,24 @@ def check_witness(T: Tensor3, result: SRResult) -> bool:
 # bounds
 # ---------------------------------------------------------------------------
 
-def slice_rank_bounds(T: Tensor3, ar=None, gr=None) -> SRResult:
-    """Interval [max(ceil AR, GR), min axis slice-span dim].
+def _ar_bound(ar: float | None) -> int:
+    """ceil AR, the lower bound proven by the exact zero count (0 without AR)."""
+    return math.ceil(ar - 1e-9) if ar is not None and math.isfinite(ar) else 0
+
+
+def slice_rank_bounds(T: Tensor3, ar: float | None = None, gr: int | None = None) -> SRResult:
+    """Interval [max(ceil AR, GR), min axis slice-span dim] from an AR value and a GR.
 
     Raises ContradictoryBounds when the lower bound exceeds the upper one.
     """
-    lo = 0
-    if ar is not None and math.isfinite(ar.value):
-        lo = max(lo, math.ceil(ar.value - 1e-9))
-    if gr is not None:
-        lo = max(lo, gr.gr)
+    lo = max(_ar_bound(ar), gr or 0)
     hi = min(slice_space(T, axis).dim for axis in "xyz")
     if hi < lo:
         raise ContradictoryBounds(
             f"slice-rank lower bound {lo} exceeds upper bound {hi}: "
             "an AR or GR value is wrong"
         )
-    return SRResult(
-        lo,
-        hi,
-        "bounds_only",
-        three_gr_bound=3 * gr.gr if gr is not None else None,
-    )
+    return SRResult(lo, hi, "bounds_only", three_gr_bound=3 * gr if gr is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +301,26 @@ class ChainReport:
         }
 
 
-def slice_rank(T: Tensor3, ar=None, gr=None) -> SRResult:
-    """Best available slice-rank determination: exact, vertex cover, or bounds."""
+def slice_rank(T: Tensor3, ar: float | None = None, gr: int | None = None) -> SRResult:
+    """Best available slice-rank determination: exact, vertex cover, or bounds.
+
+    Only ceil AR, which the exact zero count proves, stops the exact search
+    early; a GR estimate can be too high.  A value below max(ceil AR, GR)
+    raises ContradictoryBounds.
+    """
     bounds = slice_rank_bounds(T, ar=ar, gr=gr)
     vc = vertex_cover_sr(T)
     if vc is not None:
-        return SRResult(vc, vc, "vertex_cover", three_gr_bound=bounds.three_gr_bound)
-    try:
-        res = slice_rank_exact(T, lower_bound=bounds.lo)
-        res.three_gr_bound = bounds.three_gr_bound
-        return res
-    except OutOfExactScope:
-        return bounds
+        res = SRResult(vc, vc, "vertex_cover")
+    else:
+        try:
+            res = slice_rank_exact(T, lower_bound=_ar_bound(ar))
+        except OutOfExactScope:
+            return bounds
+    if res.value < bounds.lo:
+        raise ContradictoryBounds(f"slice rank {res.value} is below the lower bound {bounds.lo}")
+    res.three_gr_bound = bounds.three_gr_bound
+    return res
 
 
 def verify_rank_chain(
@@ -345,7 +339,7 @@ def verify_rank_chain(
     )
     ar_skipped = T.field.q == 2
     ar = None if ar_skipped else analytic.analytic_rank(T, budget=ar_budget)
-    sr = slice_rank(T, ar=ar, gr=gr)
+    sr = slice_rank(T, ar=ar.value if ar is not None else None, gr=gr.gr)
     if T.is_zero():
         return ChainReport(sr, gr, ar, True, True, True, True, True, None, ar_skipped)
     holds_sr_3gr = sr.hi <= 3 * gr.gr

@@ -59,7 +59,10 @@ class Tensor3:
         return not self.entries.any()
 
     def lift(self, target: Field) -> "Tensor3":
-        return Tensor3(target, self.field.lift_codes(self.entries, target))
+        """The same tensor over an extension of a prime field; codes are unchanged."""
+        if target != self.field and (self.field.k != 1 or target.p != self.field.p):
+            raise FieldMismatch(f"cannot embed {self.field!r} into {target!r}")
+        return Tensor3(target, self.entries)
 
 
 class MatrixSpace:
@@ -81,15 +84,6 @@ class MatrixSpace:
 
     def flat_basis(self) -> np.ndarray:
         return self.basis.reshape(self.dim, -1)
-
-    def combine(self, coeffs) -> np.ndarray:
-        """The matrix sum_j coeffs_j * B_j."""
-        coeffs = np.asarray(coeffs, dtype=np.int32)
-        acc = np.zeros(self.shape, dtype=np.int32)
-        F = self.field
-        for j in range(self.dim):
-            acc = F.add[acc, F.mul[coeffs[j], self.basis[j]]]
-        return acc
 
     def contains(self, M) -> bool:
         return linalg.in_row_space(
@@ -145,13 +139,7 @@ def contract(T: Tensor3, axis: str, v) -> np.ndarray:
     """The matrix sum_i v_i A_i, slicing along the given axis."""
     idx = AXES.index(axis)
     v = _check_vec(v, T.dims[idx], T.field)
-    moved = np.moveaxis(T.entries, idx, 0)
-    F = T.field
-    acc = np.zeros(moved.shape[1:], dtype=np.int32)
-    for i in range(moved.shape[0]):
-        if v[i]:
-            acc = F.add[acc, F.mul[v[i], moved[i]]]
-    return acc
+    return linalg.mat_mul(v[None], np.moveaxis(T.entries, idx, 1), T.field)[:, 0]
 
 
 def contract_x(T: Tensor3, x) -> np.ndarray:
@@ -163,12 +151,7 @@ def eval_trilinear(T: Tensor3, x, y, z) -> int:
     M = contract_x(T, x)
     y = _check_vec(y, T.dims[1], T.field)
     z = _check_vec(z, T.dims[2], T.field)
-    row = linalg.vec_mat(y, M, T.field)
-    F = T.field
-    acc = 0
-    for j in range(len(z)):
-        acc = F.add_codes(acc, F.mul_codes(int(row[j]), int(z[j])))
-    return acc
+    return int(linalg.mat_mul(linalg.mat_mul(y[None], M, T.field), z[:, None], T.field)[0, 0])
 
 
 def slices(T: Tensor3, axis: str) -> np.ndarray:
@@ -193,14 +176,8 @@ def gl_act(T: Tensor3, axis: str, M) -> Tensor3:
         raise DimensionMismatch(f"matrix shape {M.shape} does not match axis dim {n}")
     if linalg.inverse(M, T.field) is None:
         raise SingularMatrix("gl_act requires an invertible matrix")
-    moved = np.moveaxis(T.entries, idx, 0)
-    F = T.field
-    out = np.zeros_like(moved)
-    for i in range(n):
-        for l in range(n):
-            if M[i, l]:
-                out[i] = F.add[out[i], F.mul[M[i, l], moved[l]]]
-    return Tensor3(T.field, np.moveaxis(out, 0, idx))
+    out = linalg.mat_mul(M, np.moveaxis(T.entries, idx, 1), T.field)
+    return Tensor3(T.field, np.moveaxis(out, 1, idx))
 
 
 def direct_sum(T: Tensor3, S: Tensor3) -> Tensor3:
@@ -239,7 +216,6 @@ def identity_tensor(field: Field, n: int) -> Tensor3:
 
 
 def diagonal_tensor(field: Field, values) -> Tensor3:
-    values = [v if isinstance(v, int) else v.code for v in values]
     n = len(values)
     e = np.zeros((n, n, n), dtype=np.int32)
     for i, v in enumerate(values):
@@ -273,22 +249,6 @@ def tk_family(field: Field, k: int) -> Tensor3:
     for _ in range(k - 1):
         out = direct_sum(out, T)
     return out
-
-
-def gen_named(field: Field, name: str, **params) -> Tensor3:
-    if name == "identity":
-        return identity_tensor(field, int(params["n"]))
-    if name == "levi_civita":
-        return levi_civita(field)
-    if name == "diagonal":
-        return diagonal_tensor(field, params["values"])
-    if name == "random":
-        return random_tensor(field, tuple(params["dims"]), int(params["seed"]))
-    if name == "tk_family":
-        return tk_family(field, int(params["k"]))
-    if name == "zero":
-        return zero_tensor(field, tuple(params["dims"]))
-    raise BadParams(f"unknown generator {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +299,7 @@ def loads(text: str) -> Tensor3:
         seen.add((i, j, k))
         if len(coeffs) > field.k:
             raise TensorFormatError(f"too many coefficients: {ln!r}")
-        coeffs += [0] * (field.k - len(coeffs))
-        entries[i, j, k] = field.elem(tuple(coeffs)).code
+        entries[i, j, k] = field._coeffs_to_code(coeffs)
     return Tensor3(field, entries)
 
 

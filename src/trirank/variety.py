@@ -277,7 +277,7 @@ def _eval_zero_mask(S: PolySystem, Fk: Field, X: np.ndarray) -> np.ndarray:
     for p in S.polys:
         acc = np.zeros(X.shape[0], dtype=np.int32)
         for e, c in p.items():
-            term = np.full(X.shape[0], int(S.field.lift_codes([c], Fk)[0]), dtype=np.int32)
+            term = np.full(X.shape[0], c, dtype=np.int32)  # base-field codes embed as-is
             for i, ei in enumerate(e):
                 if ei:
                     term = Fk.mul[term, powtbl[X[:, i], ei]]
@@ -445,39 +445,31 @@ def sz_check(S: PolySystem, est: DimEstimate) -> SZReport:
 # Jacobian tangent space
 # ---------------------------------------------------------------------------
 
-def jacobian_tangent(S: PolySystem, point, point_field: Field | None = None) -> np.ndarray:
+def jacobian_tangent(S: PolySystem, point) -> np.ndarray:
     """Kernel of the Jacobian of the given generators at a common zero.
 
-    Returns a basis (rows) of the tangent space at the point, over the point's
-    field.  Uses the supplied generators, which can overestimate the tangent
-    space at non-radical presentations.
+    Returns a basis (rows) of the tangent space at the point, over the
+    system's field.  Uses the supplied generators, which can overestimate the
+    tangent space at non-radical presentations.
     """
-    Fk = point_field if point_field is not None else S.field
+    F = S.field
     point = np.asarray(point, dtype=np.int32).reshape(1, -1)
     if point.shape[1] != S.nvars:
         raise NotOnVariety("point has wrong number of coordinates")
-    lifted = PolySystem(
-        Fk,
-        S.nvars,
-        [
-            {e: int(S.field.lift_codes([c], Fk)[0]) for e, c in p.items()}
-            for p in S.polys
-        ],
-    )
-    if not bool(_eval_zero_mask(lifted, Fk, point)[0]):
+    if not bool(_eval_zero_mask(S, F, point)[0]):
         raise NotOnVariety("point is not a common zero of the system")
-    J = np.zeros((len(lifted.polys), S.nvars), dtype=np.int32)
-    for r, p in enumerate(lifted.polys):
+    J = np.zeros((len(S.polys), S.nvars), dtype=np.int32)
+    for r, p in enumerate(S.polys):
         for i in range(S.nvars):
-            dp = poly_partial(p, i, Fk)
+            dp = poly_partial(p, i, F)
             if dp:
-                powtbl = Fk.pow_table(max(1, poly_degree(dp)))
+                powtbl = F.pow_table(max(1, poly_degree(dp)))
                 acc = 0
                 for e, c in dp.items():
                     term = c
                     for j, ej in enumerate(e):
                         if ej:
-                            term = Fk.mul_codes(term, int(powtbl[point[0, j], ej]))
-                    acc = Fk.add_codes(acc, term)
+                            term = F.mul_codes(term, int(powtbl[point[0, j], ej]))
+                    acc = F.add_codes(acc, term)
                 J[r, i] = acc
-    return linalg.kernel_basis(J, Fk)
+    return linalg.kernel_basis(J, F)

@@ -85,6 +85,19 @@ def test_bias_cross_checks_ar_on_random_tensors():
         assert abs(bias.imag) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "F,dims",
+    [(F3, (2, 3, 2)), (F3, (3, 2, 1)), (make_field(3, 2), (2, 2, 2)), (make_field(3, 2), (1, 2, 3))],
+)
+def test_histogram_zero_count_and_bias_agree(F, dims):
+    n1, n2, _ = dims
+    for seed in range(3):
+        T = tensor.random_tensor(F, dims, seed=seed)
+        zc = analytic.zero_count(T)
+        assert analytic.min_entropy(T).histogram[0] == zc
+        assert round(analytic.bias_char_sum(T).real * F.q ** (n1 + n2)) == zc
+
+
 def test_min_entropy_argmax_at_zero():
     T = tensor.identity_tensor(F3, 2)
     rep = analytic.min_entropy(T)

@@ -85,6 +85,17 @@ def test_decompose_and_verify_round_trip(levi_path, tmp_path):
     assert cli.run(["verify", "--tensor", str(other), "--decomp", str(dpath)]) == 1
 
 
+def test_verify_rejects_a_decomposition_over_a_foreign_field(tmp_path):
+    # the one term reproduces the entry code 1 over F_5, but F_3 does not embed there
+    tpath = tmp_path / "i1.t"
+    tensor.dump(tensor.identity_tensor(F3, 1), str(tpath))
+    term = {"direction": "x", "linear": [1], "bilinear": [[1]]}
+    dpath = tmp_path / "d.json"
+    for field, rc in (("3^2", 0), ("5^1", 1)):
+        dpath.write_text(json.dumps({"field": field, "dims": [1, 1, 1], "terms": [term]}))
+        assert cli.run(["verify", "--tensor", str(tpath), "--decomp", str(dpath)]) == rc
+
+
 def test_szcheck_subcommand(tmp_path):
     spath = tmp_path / "sys.txt"
     spath.write_text("x1*x2")

@@ -1,10 +1,9 @@
-import cmath
-
 import numpy as np
 import pytest
 
 from trirank.errors import DegreeOutOfBudget, DivisionByZero, FieldMismatch, NotPrime
 from trirank.fields import make_field, parse_field
+from trirank.tensor import Tensor3
 
 
 def test_prime_field_matches_modular_arithmetic():
@@ -20,8 +19,9 @@ def test_f9_modulus_is_lex_least():
     F = make_field(3, 2)
     # t^2 + 1 is the first monic irreducible quadratic over F_3
     assert F.modulus == (1, 0, 1)
-    t = F.elem((0, 1))
-    assert (t * t).coeffs == (2, 0)  # t^2 = -1
+    t = 3  # the code of coefficients (0, 1)
+    assert F.coeffs(t) == (0, 1)
+    assert F.coeffs(F.mul_codes(t, t)) == (2, 0)  # t^2 = -1
 
 
 def test_base_field_embeds_code_identically():
@@ -73,16 +73,8 @@ def test_trace_surjective_with_equal_fibers():
 def test_character_sum_vanishes_over_full_field():
     for p, k in [(3, 1), (3, 2), (5, 1), (2, 3)]:
         F = make_field(p, k)
-        total = F.char_sum(np.arange(F.q))
+        total = np.exp(2j * np.pi * F.trace_res / p).sum()
         assert abs(total) < 1e-12
-
-
-def test_char_eval_is_root_of_unity():
-    F = make_field(3, 2)
-    for a in range(F.q):
-        val = F.char_eval_code(a)
-        assert abs(abs(val) - 1) < 1e-12
-        assert abs(val - cmath.exp(2j * cmath.pi * F.trace_code(a) / 3)) < 1e-12
 
 
 def test_pow_table_matches_pow_code():
@@ -98,12 +90,15 @@ def test_extension_and_lift():
     F27 = F3.extension(3)
     assert F27.q == 27
     assert F3.extension(1) is F3
-    lifted = F3.lift_codes([0, 1, 2], F27)
+    lifted = Tensor3(F3, [[[0, 1, 2]]]).lift(F27)
     # residues stay code-identical and arithmetic agrees on them
-    assert lifted.tolist() == [0, 1, 2]
+    assert lifted.field == F27 and lifted.entries.tolist() == [[[0, 1, 2]]]
     assert F27.mul_codes(2, 2) == F3.mul_codes(2, 2)
     with pytest.raises(FieldMismatch):
         make_field(3, 2).extension(2)
+    for source, target in ((make_field(3, 2), F27), (F3, make_field(5))):
+        with pytest.raises(FieldMismatch):
+            Tensor3(source, [[[1]]]).lift(target)
 
 
 def test_budget_and_validation_errors():

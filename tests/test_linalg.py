@@ -1,16 +1,58 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trirank import linalg
 from trirank.fields import make_field
 
+F2 = make_field(2)
 F3 = make_field(3)
+F8 = make_field(2, 3)
 F9 = make_field(3, 2)
 
 
 def random_matrix(F, m, n, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, F.q, size=(m, n)).astype(np.int32)
+
+
+def loop_mat_mul(A, B, F):
+    """2-D product over F, one inner index at a time: the reference for mat_mul."""
+    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
+    for t in range(A.shape[1]):
+        acc = F.add[acc, F.mul[A[:, t][:, None], B[t][None, :]]]
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mat_mul_broadcasts_like_matmul(data):
+    F = data.draw(st.sampled_from([F2, F3, F8, F9]))
+    m, k, n = (data.draw(st.integers(0, 3), label=s) for s in "mkn")  # k = 0: empty inner axis
+    batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
+    # the other operand's batch axes: a suffix of these, each kept or set to 1
+    suffix = batch[data.draw(st.integers(0, len(batch)), label="cut"):]
+    other = tuple(d if data.draw(st.booleans()) else 1 for d in suffix)
+    batch_a, batch_b = (batch, other) if data.draw(st.booleans(), label="swap") else (other, batch)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    A = rng.integers(0, F.q, size=batch_a + (m, k)).astype(np.int32)
+    B = rng.integers(0, F.q, size=batch_b + (k, n)).astype(np.int32)
+    out = linalg.mat_mul(A, B, F)
+    assert out.shape == np.broadcast_shapes(batch_a, batch_b) + (m, n)
+    assert out.dtype == np.int32
+    A, B = np.broadcast_to(A, batch + (m, k)), np.broadcast_to(B, batch + (k, n))
+    for idx in np.ndindex(batch):
+        assert np.array_equal(out[idx], loop_mat_mul(A[idx], B[idx], F))
+    if F.k == 1:
+        assert np.array_equal(out, (A.astype(np.int64) @ B) % F.p)
+
+
+def test_mat_mul_rejects_mismatched_inner_axes():
+    with pytest.raises(ValueError):
+        linalg.mat_mul(np.zeros((2, 3), np.int32), np.zeros((2, 3), np.int32), F3)
+    with pytest.raises(ValueError):
+        linalg.mat_mul(np.zeros(3, np.int32), np.zeros((3, 1), np.int32), F3)
 
 
 def test_rref_known_matrix():

@@ -1,6 +1,5 @@
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,7 +127,7 @@ def test_bounds_bracket_exact_value():
         T = tensor.random_tensor(F3, (3, 3, 3), seed=seed)
         ar = analytic.analytic_rank(T)
         gr = geometric.geometric_rank(T, kmax=3)
-        b = slicerank.slice_rank_bounds(T, ar=ar, gr=gr)
+        b = slicerank.slice_rank_bounds(T, ar=ar.value, gr=gr.gr)
         exact = slicerank.slice_rank_exact(T).value
         assert b.lo <= exact <= b.hi
         assert b.three_gr_bound == 3 * gr.gr
@@ -136,11 +135,11 @@ def test_bounds_bracket_exact_value():
 
 def test_contradictory_bounds_raise():
     T = tensor.levi_civita(F3)  # every slice span has dimension 3
-    for ar, gr in ((SimpleNamespace(value=3.5), None), (None, SimpleNamespace(gr=4))):
+    for ar, gr in ((3.5, None), (None, 4)):
         with pytest.raises(ContradictoryBounds, match=r"lower bound 4 exceeds upper bound 3"):
             slicerank.slice_rank_bounds(T, ar=ar, gr=gr)
     assert issubclass(ContradictoryBounds, TrirankError)
-    b = slicerank.slice_rank_bounds(T, ar=SimpleNamespace(value=3.0), gr=SimpleNamespace(gr=3))
+    b = slicerank.slice_rank_bounds(T, ar=3.0, gr=3)
     assert (b.lo, b.hi) == (3, 3)
 
 
@@ -174,6 +173,25 @@ def test_lower_bound_above_slice_rank_raises():
     assert slicerank.slice_rank_exact(T, lower_bound=2).value == 2
     with pytest.raises(ContradictoryBounds, match=r"slice rank 2 is below the lower bound 3"):
         slicerank.slice_rank_exact(T, lower_bound=3)
+
+
+def test_overestimated_gr_does_not_stop_the_search():
+    # an x-term plus a y-term has SR 2, yet every slice span has dimension 3, so
+    # a GR of 3 passes the bounds check; the search must not stop at total 3
+    rng = np.random.default_rng(0)
+    checked = 0
+    while checked < 5:
+        a, b = rng.integers(0, 3, (2, 3))
+        B, C = rng.integers(0, 3, (2, 3, 3))
+        T = tensor.Tensor3(F3, F3.add[F3.mul[a[:, None, None], B], F3.mul[b[:, None], C[:, None]]])
+        if min(tensor.slice_space(T, ax).dim for ax in "xyz") < 3:
+            continue
+        ar = analytic.analytic_rank(T).value
+        res = slicerank.slice_rank(T, ar=ar, gr=2)
+        assert (res.value, res.method) == (2, "annihilator_exact")
+        with pytest.raises(ContradictoryBounds, match=r"slice rank 2 is below the lower bound 3"):
+            slicerank.slice_rank(T, ar=ar, gr=3)
+        checked += 1
 
 
 def test_check_witness_rejects_a_wrong_witness():

@@ -112,6 +112,9 @@ def test_file_format_header_and_coeffs():
     lines = text.strip().splitlines()
     assert lines[0] == "tensor 3^1 2 2 2"
     assert lines[1] == "0 0 0 1"
+    # coefficients are reduced mod p, negative ones too; missing high ones are 0
+    T = tensor.loads("tensor 3^2 1 1 3\n0 0 0 -1,2\n0 0 1 4\n0 0 2 0,-2\n")
+    assert T.entries.tolist() == [[[2 + 2 * 3, 1, 1 * 3]]]
 
 
 def test_file_format_errors():
@@ -136,9 +139,3 @@ def test_slice_term_dense_orientations():
     with pytest.raises(DimensionMismatch):
         term.dense((3, 2, 2))
 
-
-def test_gen_named_dispatch():
-    assert tensor.gen_named(F3, "identity", n=2) == tensor.identity_tensor(F3, 2)
-    assert tensor.gen_named(F3, "tk_family", k=1) == tensor.levi_civita(F3)
-    assert tensor.gen_named(F3, "random", dims=(2, 2, 2), seed=9) == \
-        tensor.random_tensor(F3, (2, 2, 2), seed=9)
