@@ -55,6 +55,18 @@ def _load_tensor(path: str) -> tensor.Tensor3:
     return tensor.load(path)
 
 
+def _report_value(path: str, section: str, key: str, kinds):
+    """report[section][key] of a JSON report, checked to be of the given number type."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)[section][key]
+        except (ValueError, KeyError, TypeError):
+            raise BadParams(f"{path}: not a JSON report with {section}.{key}") from None
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise BadParams(f"{path}: {section}.{key} = {value!r} is not a number")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -100,11 +112,9 @@ def _cmd_sr(args) -> int:
     T = _load_tensor(args.tensor)
     ar = gr = None
     if args.ar_from:
-        with open(args.ar_from, encoding="utf-8") as fh:
-            ar = json.load(fh)["ar"]["value"]
+        ar = _report_value(args.ar_from, "ar", "value", (int, float))
     if args.gr_from:
-        with open(args.gr_from, encoding="utf-8") as fh:
-            gr = json.load(fh)["gr"]["gr"]
+        gr = _report_value(args.gr_from, "gr", "gr", int)
     if args.exact:
         res = slicerank.slice_rank_exact(T)
     elif args.bounds:
@@ -324,10 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analytic, geometric, and slice rank of 3-tensors over finite fields.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    budget = _default_budget()
+    enum_budget = _default_budget()
 
-    def add_common(sp, seed=True):
-        sp.add_argument("--budget", type=int, default=budget)
+    def add_common(sp, seed=True, budget=None):
+        if budget is not None:
+            sp.add_argument("--budget", type=int, default=budget)
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
@@ -335,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ar", help="exact analytic rank by enumeration")
     sp.add_argument("--tensor", required=True)
     sp.add_argument("--histogram", default=None, help="output-histogram CSV path")
-    add_common(sp, seed=False)
+    add_common(sp, seed=False, budget=enum_budget)
     sp.set_defaults(func=_cmd_ar)
 
     sp = sub.add_parser("gr", help="geometric rank via rank strata over a tower")
@@ -344,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--axis", choices=("x", "y", "z"), default="x")
     sp.add_argument("--mc-samples", type=int, default=geometric.MC_SAMPLES)
     sp.add_argument("--cross-check", action="store_true")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_gr, budget=_default_budget(geometric.ELIM_BUDGET))
+    add_common(sp, budget=_default_budget(geometric.ELIM_BUDGET))
+    sp.set_defaults(func=_cmd_gr)
 
     sp = sub.add_parser("sr", help="slice rank (exact, vertex cover, or bounds)")
     sp.add_argument("--tensor", required=True)
@@ -362,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", default=None, help="assert the tensor field, e.g. 3^1")
     sp.add_argument("--kmax", type=int, default=3)
     sp.add_argument("--cross-check", action="store_true")
-    add_common(sp)
+    add_common(sp, budget=enum_budget)
     sp.set_defaults(func=_cmd_chain)
 
     sp = sub.add_parser("decompose", help="explicit slice decomposition")
@@ -382,13 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", required=True)
     sp.add_argument("--nvars", type=int, required=True)
     sp.add_argument("--kmax", type=int, default=3)
-    add_common(sp)
+    add_common(sp, budget=enum_budget)
     sp.set_defaults(func=_cmd_szcheck)
 
     sp = sub.add_parser("closeness", help="delta-closeness trade-off report")
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
-    add_common(sp, seed=False)
+    add_common(sp, seed=False, budget=enum_budget)
     sp.set_defaults(func=_cmd_closeness)
 
     sp = sub.add_parser("extremal", help="write a sharp closeness pair to files")

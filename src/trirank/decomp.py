@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
     NoPointFound,
-    NotInTangentSpace,
     VerificationFailed,
 )
 from .fields import Field
@@ -34,14 +33,6 @@ class RankFactorization:
     r: int
     left: np.ndarray  # (r, m)
     right: np.ndarray  # (r, n)
-
-
-@dataclass
-class CongruencePair:
-    """Witness of tangency: B = C A + A Cp."""
-
-    C: np.ndarray
-    Cp: np.ndarray
 
 
 @dataclass
@@ -121,47 +112,18 @@ def check_factorization(A, fact: RankFactorization, F: Field) -> bool:
     )
 
 
+def _sylvester_matrix(A) -> np.ndarray:
+    """The map (C, Cp) -> CA + ACp on row-major flattenings: [kron(I_m, A^T) | kron(A, I_n)]."""
+    m, n = A.shape
+    I_m, I_n = np.eye(m, dtype=np.int32), np.eye(n, dtype=np.int32)
+    return np.hstack([np.kron(I_m, A.T), np.kron(A, I_n)])
+
+
 def tangent_space_at(A, F: Field) -> MatrixSpace:
     """Span of {E_ab A} union {A E_ab}: the tangent {CA + AC'} at A."""
     A = linalg.as_matrix(A)
-    m, n = A.shape
-    rows = []
-    for a in range(m):
-        for b in range(m):
-            M = np.zeros((m, n), dtype=np.int32)
-            M[a] = A[b]
-            rows.append(M.ravel())
-    for a in range(n):
-        for b in range(n):
-            M = np.zeros((m, n), dtype=np.int32)
-            M[:, b] = A[:, a]
-            rows.append(M.ravel())
-    basis = linalg.row_space_basis(np.array(rows, dtype=np.int32), F)
-    return MatrixSpace(F, (m, n), basis.reshape(-1, m, n))
-
-
-def sylvester_solve(B, A, F: Field) -> CongruencePair:
-    """A solution (C, Cp) of B = CA + ACp, deterministic (free variables 0)."""
-    A = linalg.as_matrix(A)
-    B = linalg.as_matrix(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch("B and A must have equal shape")
-    m, n = A.shape
-    nvars = m * m + n * n
-    M = np.zeros((m * n, nvars), dtype=np.int32)
-    for a in range(m):
-        for b in range(n):
-            eq = a * n + b
-            for c in range(m):
-                M[eq, a * m + c] = A[c, b]  # C[a, c] coefficient
-            for d in range(n):
-                M[eq, m * m + d * n + b] = A[a, d]  # Cp[d, b] coefficient
-    x = linalg.solve(M, B.ravel(), F)
-    if x is None:
-        raise NotInTangentSpace("target is outside {CA + AC'}")
-    C = x[: m * m].reshape(m, m)
-    Cp = x[m * m:].reshape(n, n)
-    return CongruencePair(C=C, Cp=Cp)
+    basis = linalg.row_space_basis(_sylvester_matrix(A).T, F)
+    return MatrixSpace(F, A.shape, basis.reshape(-1, *A.shape))
 
 
 def sample_rank_point(
@@ -191,17 +153,21 @@ def sample_rank_point(
 # the decomposition algorithm
 # ---------------------------------------------------------------------------
 
+def _slice_coords(M, Tw: Tensor3) -> np.ndarray:
+    """Row l solves M x = (x-slice l, flattened), free variables 0; one elimination."""
+    x = linalg.solve(M, Tw.entries.reshape(Tw.dims[0], -1).T, Tw.field)
+    if x is None:
+        raise VerificationFailed("a slice lies outside the span it is solved in")
+    return x.T
+
+
 def _base_decomposition(Tw: Tensor3, gr: int | None, retries: int) -> SliceDecomposition:
     """One x-direction term per basis slice: the SR(L) <= dim L base case."""
     F = Tw.field
     L = slice_space(Tw, "x")
-    S = L.flat_basis()
     terms = []
     if L.dim:
-        coords = np.array(
-            [linalg.solve(S.T, Tw.entries[l].ravel(), F) for l in range(Tw.dims[0])],
-            dtype=np.int32,
-        )
+        coords = _slice_coords(L.flat_basis().T, Tw)
         for m in range(L.dim):
             terms.append(
                 SliceTerm(F, "x", coords[:, m], L.basis[m], source="base_x_slice")
@@ -217,7 +183,14 @@ def _base_decomposition(Tw: Tensor3, gr: int | None, retries: int) -> SliceDecom
 def _tangent_decomposition(
     Tw: Tensor3, r: int, seed: int, sample_budget: int
 ) -> SliceDecomposition | None:
-    """One attempt at the 2r + codim construction; None if no rank-r point."""
+    """One attempt at the 2r + codim construction; None if no rank-r point.
+
+    One solve of [S | L basis] x = slice for every slice at once, S the map
+    (C, Cp) -> CA + ACp, splits slice l into C_l A + A Cp_l (the tangent part)
+    plus sum_m mu_lm L_m.  A basis matrix L_m gets a pivot exactly when it
+    extends T_A + span(L_0 .. L_{m-1}), so the L_m with nonzero mu are the
+    complement terms.
+    """
     F = Tw.field
     n1, n2, n3 = Tw.dims
     L = slice_space(Tw, "x")
@@ -225,24 +198,14 @@ def _tangent_decomposition(
         A = sample_rank_point(L, r, budget=sample_budget, seed=seed)
     except NoPointFound:
         return None
-    tangent = tangent_space_at(A, F)
-    P = linalg.intersect_row_spaces(L.flat_basis(), tangent.flat_basis(), F)
-    complement = linalg.extend_basis(P, list(L.flat_basis()), F)
-    stack = np.vstack([P, np.array(complement, dtype=np.int32).reshape(-1, n2 * n3)])
-    # coordinates of every slice in the [tangent part; complement part] basis
-    coords = np.array(
-        [linalg.solve(stack.T, Tw.entries[l].ravel(), F) for l in range(n1)],
-        dtype=np.int32,
-    )
-    lam = coords[:, : P.shape[0]]  # (n1, dim P)
-    mu = coords[:, P.shape[0]:]  # (n1, codim)
+    x = _slice_coords(np.hstack([_sylvester_matrix(A), L.flat_basis().T]), Tw)
+    Cs = x[:, : n2 * n2].reshape(n1, n2, n2)
+    Cps = x[:, n2 * n2 : n2 * n2 + n3 * n3].reshape(n1, n3, n3)
+    mu = x[:, n2 * n2 + n3 * n3 :]  # (n1, dim L)
     fact = rank_factorize(A, F)
-    pairs = [sylvester_solve(B.reshape(n2, n3), A, F) for B in P]
-    Cs = np.array([pair.C for pair in pairs], dtype=np.int32).reshape(len(pairs), n2, n2)
-    Cps = np.array([pair.Cp for pair in pairs], dtype=np.int32).reshape(len(pairs), n3, n3)
-    # H[i] = sum_j lam_j (C_j f_i) and Hp[i] = sum_j lam_j (g_i Cp_j), for every i at once
-    H = linalg.mat_mul(lam, linalg.mat_mul(Cs, fact.left.T, F).transpose(2, 0, 1), F)
-    Hp = linalg.mat_mul(lam, linalg.mat_mul(fact.right, Cps, F).transpose(1, 0, 2), F)
+    # H[i][l] = C_l f_i and Hp[i][l] = g_i Cp_l, for every i at once
+    H = linalg.mat_mul(Cs, fact.left.T, F).transpose(2, 0, 1)
+    Hp = linalg.mat_mul(fact.right, Cps, F).transpose(1, 0, 2)
     terms = []
     for i in range(fact.r):
         f_i, g_i = fact.left[i], fact.right[i]
@@ -250,12 +213,10 @@ def _tangent_decomposition(
             terms.append(SliceTerm(F, "z", g_i, H[i], source="tangent_z_slice"))
         if Hp[i].any() and f_i.any():
             terms.append(SliceTerm(F, "y", f_i, Hp[i], source="tangent_y_slice"))
-    for m, D_m in enumerate(complement):
+    for m in range(L.dim):
         if mu[:, m].any():
             terms.append(
-                SliceTerm(
-                    F, "x", mu[:, m], D_m.reshape(n2, n3), source="complement_x_slice"
-                )
+                SliceTerm(F, "x", mu[:, m], L.basis[m], source="complement_x_slice")
             )
     D = SliceDecomposition(
         working_field=F, dims=Tw.dims, terms=terms, r_used=r, sampled_point=A

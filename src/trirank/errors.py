@@ -17,10 +17,6 @@ class BudgetExceeded(TrirankError):
     pass
 
 
-class DivisionByZero(TrirankError):
-    pass
-
-
 class FieldMismatch(TrirankError):
     pass
 
@@ -64,10 +60,6 @@ class OutOfExactScope(TrirankError):
 
 class ContradictoryBounds(TrirankError):
     """A lower bound exceeds an upper bound: one of the inputs is wrong."""
-
-
-class NotInTangentSpace(TrirankError):
-    pass
 
 
 class NoPointFound(TrirankError):

@@ -14,12 +14,7 @@ import itertools
 
 import numpy as np
 
-from .errors import (
-    DegreeOutOfBudget,
-    DivisionByZero,
-    FieldMismatch,
-    NotPrime,
-)
+from .errors import DegreeOutOfBudget, FieldMismatch, NotPrime
 
 DEFAULT_MAX_Q = 3 ** 6
 
@@ -157,8 +152,6 @@ class Field:
             exp[i] = self._mul_codes_slow(int(exp[i - 1]), g)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        self._exp = exp
-        self._log = log
         lsum = (log[1:, None] + log[None, 1:]) % (q - 1)
         mul = np.zeros((q, q), dtype=np.int32)
         mul[1:, 1:] = exp[lsum]
@@ -218,18 +211,6 @@ class Field:
     def neg_code(self, a):
         return int(self.neg[a])
 
-    def inv_code(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        return int(self.inv[a])
-
-    def pow_code(self, a, e):
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
-
     def pow_table(self, max_exp: int) -> np.ndarray:
         """(q, max_exp+1) table of a^e for all codes a and 0 <= e <= max_exp."""
         if max_exp not in self._pow_cache:
@@ -240,10 +221,6 @@ class Field:
             tbl.setflags(write=False)
             self._pow_cache[max_exp] = tbl
         return self._pow_cache[max_exp]
-
-    def trace_code(self, a) -> int:
-        """Absolute trace to F_p, as a residue in [0, p)."""
-        return int(self.trace_res[a])
 
     # -- relationships ------------------------------------------------------
 

@@ -61,29 +61,29 @@ def kernel_basis(M, F: Field) -> np.ndarray:
 
 
 def solve(M, b, F: Field):
-    """One solution of Mx = b (free variables set to 0), or None."""
+    """One solution of Mx = b (free variables set to 0), or None.
+
+    A 2-D b is solved column by column in one elimination; None if any
+    column has no solution.
+    """
     M = as_matrix(M)
-    b = np.asarray(b, dtype=np.int32).reshape(-1, 1)
-    R, pivots = rref(np.hstack([M, b]), F)
+    b = np.asarray(b, dtype=np.int32)
+    B = b[:, None] if b.ndim == 1 else b
+    R, pivots = rref(np.hstack([M, B]), F)
     n = M.shape[1]
-    if n in pivots:
+    if pivots and pivots[-1] >= n:  # a pivot in the right-hand side
         return None
-    x = np.zeros(n, dtype=np.int32)
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, n]
-    return x
+    x = np.zeros((n, B.shape[1]), dtype=np.int32)
+    x[pivots] = R[: len(pivots), n:]
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def inverse(M, F: Field):
     """Matrix inverse, or None if singular."""
     M = as_matrix(M)
-    m, n = M.shape
-    if m != n:
+    if M.shape[0] != M.shape[1]:
         return None
-    R, pivots = rref(np.hstack([M, np.eye(n, dtype=np.int32)]), F)
-    if pivots[:n] != list(range(n)):  # a pivot escaped into the augmented block
-        return None
-    return R[:, n:].copy()
+    return solve(M, np.eye(M.shape[0], dtype=np.int32), F)
 
 
 def row_space_basis(rows, F: Field) -> np.ndarray:
@@ -114,36 +114,6 @@ def mat_mul(A, B, F: Field) -> np.ndarray:
 def in_row_space(v, basis_rref, F: Field) -> bool:
     stacked = np.vstack([basis_rref, np.asarray(v, dtype=np.int32)])
     return rank(stacked, F) == basis_rref.shape[0]
-
-
-def intersect_row_spaces(U, V, F: Field) -> np.ndarray:
-    """Basis of the intersection of two row spaces."""
-    U, V = as_matrix(U), as_matrix(V)
-    if U.shape[0] == 0 or V.shape[0] == 0:
-        return np.zeros((0, U.shape[1]), dtype=np.int32)
-    S = np.vstack([U, V])
-    left_null = kernel_basis(S.T, F)  # rows (a | b) with aU + bV = 0
-    if left_null.shape[0] == 0:
-        return np.zeros((0, U.shape[1]), dtype=np.int32)
-    combos = mat_mul(left_null[:, : U.shape[0]], U, F)
-    return row_space_basis(combos, F)
-
-
-def extend_basis(rows, candidates, F: Field):
-    """Candidates (in order) that extend the span of rows; returns the list."""
-    rows = as_matrix(rows)
-    current = row_space_basis(rows, F) if rows.shape[0] else rows
-    r = current.shape[0]
-    added = []
-    for cand in candidates:
-        cand = np.asarray(cand, dtype=np.int32)
-        stacked = np.vstack([current, cand.reshape(1, -1)]) if r else cand.reshape(1, -1)
-        new_rank = rank(stacked, F)
-        if new_rank > r:
-            added.append(cand)
-            current = row_space_basis(stacked, F)
-            r = new_rank
-    return added
 
 
 # ---------------------------------------------------------------------------

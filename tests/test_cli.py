@@ -160,6 +160,34 @@ def test_contradictory_sr_bounds_exit_2(levi_path, tmp_path, capsys):
     assert "lower bound 5 exceeds upper bound 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,report", [
+    ("--gr-from", {"gr": {}}),  # the key is missing
+    ("--gr-from", {"gr": {"gr": "2"}}),  # not a number
+    ("--gr-from", {"gr": {"gr": True}}),
+    ("--gr-from", ["gr"]),
+    ("--ar-from", {"gr": {"gr": 2}}),
+    ("--ar-from", {"ar": {"value": None}}),
+])
+def test_sr_rejects_a_malformed_bound_report(levi_path, tmp_path, capsys, flag, report):
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(report))
+    assert cli.run(["sr", "--tensor", levi_path, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    path.write_text("{not json")
+    assert cli.run(["sr", "--tensor", levi_path, flag, str(path)]) == 2
+
+
+def test_budget_only_on_subcommands_that_read_it(levi_path, capsys):
+    tensor_arg = ["--tensor", levi_path]
+    for argv in (["sr"] + tensor_arg, ["decompose"] + tensor_arg, ["corpus"],
+                 ["verify", "--decomp", "d.json"] + tensor_arg):
+        assert cli.run(argv + ["--budget", "10"]) == 2
+        assert "unrecognized arguments: --budget 10" in capsys.readouterr().err
+    assert cli.run(["ar", "--tensor", levi_path, "--budget", "10"]) == 2  # 3^6 pairs exceed it
+    assert "unrecognized" not in capsys.readouterr().err
+
+
 def test_reports_are_byte_identical_for_fixed_seed(levi_path, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

@@ -1,11 +1,188 @@
+from dataclasses import dataclass
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trirank import decomp, geometric, linalg, tensor, variety
-from trirank.errors import NoPointFound, NotInTangentSpace
+from trirank.errors import NoPointFound, VerificationFailed
 from trirank.fields import make_field
+from trirank.tensor import SliceTerm, slice_space
 
 F3 = make_field(3)
+
+
+# ---------------------------------------------------------------------------
+# reference pipeline: the tangent-space decomposition built step by step
+# (tangent space, its intersection with L, a basis extension, one solve per
+# slice and one Sylvester solve per intersection basis matrix)
+# ---------------------------------------------------------------------------
+
+class NotInTangentSpace(Exception):
+    pass
+
+
+@dataclass
+class CongruencePair:
+    """Witness of tangency: B = C A + A Cp."""
+
+    C: np.ndarray
+    Cp: np.ndarray
+
+
+def intersect_row_spaces(U, V, F):
+    """Basis of the intersection of two row spaces."""
+    U, V = linalg.as_matrix(U), linalg.as_matrix(V)
+    if U.shape[0] == 0 or V.shape[0] == 0:
+        return np.zeros((0, U.shape[1]), dtype=np.int32)
+    S = np.vstack([U, V])
+    left_null = linalg.kernel_basis(S.T, F)  # rows (a | b) with aU + bV = 0
+    if left_null.shape[0] == 0:
+        return np.zeros((0, U.shape[1]), dtype=np.int32)
+    combos = linalg.mat_mul(left_null[:, : U.shape[0]], U, F)
+    return linalg.row_space_basis(combos, F)
+
+
+def extend_basis(rows, candidates, F):
+    """Candidates (in order) that extend the span of rows; returns the list."""
+    rows = linalg.as_matrix(rows)
+    current = linalg.row_space_basis(rows, F) if rows.shape[0] else rows
+    r = current.shape[0]
+    added = []
+    for cand in candidates:
+        cand = np.asarray(cand, dtype=np.int32)
+        stacked = np.vstack([current, cand.reshape(1, -1)]) if r else cand.reshape(1, -1)
+        new_rank = linalg.rank(stacked, F)
+        if new_rank > r:
+            added.append(cand)
+            current = linalg.row_space_basis(stacked, F)
+            r = new_rank
+    return added
+
+
+def tangent_space_at(A, F):
+    """Span of {E_ab A} union {A E_ab}: the tangent {CA + AC'} at A."""
+    A = linalg.as_matrix(A)
+    m, n = A.shape
+    rows = []
+    for a in range(m):
+        for b in range(m):
+            M = np.zeros((m, n), dtype=np.int32)
+            M[a] = A[b]
+            rows.append(M.ravel())
+    for a in range(n):
+        for b in range(n):
+            M = np.zeros((m, n), dtype=np.int32)
+            M[:, b] = A[:, a]
+            rows.append(M.ravel())
+    basis = linalg.row_space_basis(np.array(rows, dtype=np.int32), F)
+    return tensor.MatrixSpace(F, (m, n), basis.reshape(-1, m, n))
+
+
+def sylvester_solve(B, A, F):
+    """A solution (C, Cp) of B = CA + ACp, deterministic (free variables 0)."""
+    A = linalg.as_matrix(A)
+    B = linalg.as_matrix(B)
+    m, n = A.shape
+    nvars = m * m + n * n
+    M = np.zeros((m * n, nvars), dtype=np.int32)
+    for a in range(m):
+        for b in range(n):
+            eq = a * n + b
+            for c in range(m):
+                M[eq, a * m + c] = A[c, b]  # C[a, c] coefficient
+            for d in range(n):
+                M[eq, m * m + d * n + b] = A[a, d]  # Cp[d, b] coefficient
+    x = linalg.solve(M, B.ravel(), F)
+    if x is None:
+        raise NotInTangentSpace("target is outside {CA + AC'}")
+    C = x[: m * m].reshape(m, m)
+    Cp = x[m * m:].reshape(n, n)
+    return CongruencePair(C=C, Cp=Cp)
+
+
+def reference_base_decomposition(Tw, gr, retries):
+    F = Tw.field
+    L = slice_space(Tw, "x")
+    S = L.flat_basis()
+    terms = []
+    if L.dim:
+        coords = np.array(
+            [linalg.solve(S.T, Tw.entries[l].ravel(), F) for l in range(Tw.dims[0])],
+            dtype=np.int32,
+        )
+        for m in range(L.dim):
+            terms.append(
+                SliceTerm(F, "x", coords[:, m], L.basis[m], source="base_x_slice")
+            )
+    D = decomp.SliceDecomposition(
+        working_field=F, dims=Tw.dims, terms=terms, r_used=0, gr=gr, retries=retries
+    )
+    if not decomp.verify_decomposition(Tw, D):
+        raise VerificationFailed("base decomposition does not reconstruct the tensor")
+    return D
+
+
+def reference_tangent_decomposition(Tw, r, seed, sample_budget):
+    F = Tw.field
+    n1, n2, n3 = Tw.dims
+    L = slice_space(Tw, "x")
+    try:
+        A = decomp.sample_rank_point(L, r, budget=sample_budget, seed=seed)
+    except NoPointFound:
+        return None
+    tangent = tangent_space_at(A, F)
+    P = intersect_row_spaces(L.flat_basis(), tangent.flat_basis(), F)
+    complement = extend_basis(P, list(L.flat_basis()), F)
+    stack = np.vstack([P, np.array(complement, dtype=np.int32).reshape(-1, n2 * n3)])
+    # coordinates of every slice in the [tangent part; complement part] basis
+    coords = np.array(
+        [linalg.solve(stack.T, Tw.entries[l].ravel(), F) for l in range(n1)],
+        dtype=np.int32,
+    )
+    lam = coords[:, : P.shape[0]]  # (n1, dim P)
+    mu = coords[:, P.shape[0]:]  # (n1, codim)
+    fact = decomp.rank_factorize(A, F)
+    pairs = [sylvester_solve(B.reshape(n2, n3), A, F) for B in P]
+    Cs = np.array([pair.C for pair in pairs], dtype=np.int32).reshape(len(pairs), n2, n2)
+    Cps = np.array([pair.Cp for pair in pairs], dtype=np.int32).reshape(len(pairs), n3, n3)
+    # H[i] = sum_j lam_j (C_j f_i) and Hp[i] = sum_j lam_j (g_i Cp_j), for every i at once
+    H = linalg.mat_mul(lam, linalg.mat_mul(Cs, fact.left.T, F).transpose(2, 0, 1), F)
+    Hp = linalg.mat_mul(lam, linalg.mat_mul(fact.right, Cps, F).transpose(1, 0, 2), F)
+    terms = []
+    for i in range(fact.r):
+        f_i, g_i = fact.left[i], fact.right[i]
+        if H[i].any() and g_i.any():
+            terms.append(SliceTerm(F, "z", g_i, H[i], source="tangent_z_slice"))
+        if Hp[i].any() and f_i.any():
+            terms.append(SliceTerm(F, "y", f_i, Hp[i], source="tangent_y_slice"))
+    for m, D_m in enumerate(complement):
+        if mu[:, m].any():
+            terms.append(
+                SliceTerm(
+                    F, "x", mu[:, m], D_m.reshape(n2, n3), source="complement_x_slice"
+                )
+            )
+    D = decomp.SliceDecomposition(
+        working_field=F, dims=Tw.dims, terms=terms, r_used=r, sampled_point=A
+    )
+    if not decomp.verify_decomposition(Tw, D):
+        raise VerificationFailed("tangent decomposition does not reconstruct the tensor")
+    return D
+
+
+def reference_slice_decompose(T, **kwargs):
+    """decomp.slice_decompose with both construction steps swapped for the reference."""
+    with mock.patch.object(decomp, "_tangent_decomposition", reference_tangent_decomposition), \
+            mock.patch.object(decomp, "_base_decomposition", reference_base_decomposition):
+        return decomp.slice_decompose(T, **kwargs)
+
+
+def decomposition_bytes(D):
+    point = b"" if D.sampled_point is None else D.sampled_point.astype(np.int32).tobytes()
+    return repr(D.to_dict()).encode(), point
 
 E11 = np.array([[1, 0], [0, 0]], dtype=np.int32)
 E12 = np.array([[0, 1], [0, 0]], dtype=np.int32)
@@ -74,13 +251,14 @@ def test_tangent_space_matches_jacobian_of_minors():
 
 
 def test_sylvester_solve_examples():
-    pair = decomp.sylvester_solve(E12, E11, F3)
+    # the reference's per-matrix solve
+    pair = sylvester_solve(E12, E11, F3)
     assert pair.C.tolist() == [[0, 0], [0, 0]]
     assert pair.Cp.tolist() == [[0, 1], [0, 0]]
-    pair = decomp.sylvester_solve(E11, E11, F3)
+    pair = sylvester_solve(E11, E11, F3)
     assert np.array_equal(reconstruct_congruence(pair, E11, F3), E11)
     with pytest.raises(NotInTangentSpace):
-        decomp.sylvester_solve(E22, E11, F3)
+        sylvester_solve(E22, E11, F3)
 
 
 def test_sylvester_solve_is_deterministic():
@@ -88,8 +266,8 @@ def test_sylvester_solve_is_deterministic():
     A = rng.integers(0, 3, size=(3, 3)).astype(np.int32)
     ts = decomp.tangent_space_at(A, F3)
     B = ts.basis[0]
-    p1 = decomp.sylvester_solve(B, A, F3)
-    p2 = decomp.sylvester_solve(B, A, F3)
+    p1 = sylvester_solve(B, A, F3)
+    p2 = sylvester_solve(B, A, F3)
     assert np.array_equal(p1.C, p2.C) and np.array_equal(p1.Cp, p2.Cp)
     assert np.array_equal(reconstruct_congruence(p1, A, F3), B)
 
@@ -146,3 +324,39 @@ def test_decomposition_json_round_trip():
     D2 = decomp.decomposition_from_dict(D.to_dict())
     assert decomp.verify_decomposition(T, D2)
     assert D2.term_count == D.term_count
+
+
+def test_tangent_space_matches_reference_rows():
+    rng = np.random.default_rng(11)
+    for F in (F3, make_field(3, 2)):
+        for m, n in ((1, 3), (2, 2), (3, 4)):
+            for _ in range(10):
+                A = rng.integers(0, F.q, size=(m, n)).astype(np.int32)
+                assert np.array_equal(
+                    decomp.tangent_space_at(A, F).basis, tangent_space_at(A, F).basis
+                )
+
+
+NAMED = {
+    "levi_civita": tensor.levi_civita,
+    "t2_direct_sum": lambda F: tensor.tk_family(F, 2),
+    "identity_3": lambda F: tensor.identity_tensor(F, 3),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_slice_decompose_matches_reference_pipeline(data):
+    F = make_field(data.draw(st.sampled_from([2, 3, 5]), label="p"))
+    name = data.draw(st.sampled_from(sorted(NAMED) + ["random"]), label="tensor")
+    if name == "random":
+        dims = tuple(data.draw(st.integers(1, 3), label=f"n{i}") for i in range(3))
+        T = tensor.random_tensor(F, dims, seed=data.draw(st.integers(0, 999), label="tseed"))
+    else:
+        T = NAMED[name](F)
+    k_work = data.draw(st.integers(1, 3), label="k_work")
+    seed = data.draw(st.integers(0, 9), label="seed")
+    rep = geometric.geometric_rank(T, kmax=2, seed=seed)
+    kwargs = dict(k_work=k_work, seed=seed, gr_report=rep)
+    D = decomp.slice_decompose(T, **kwargs)
+    assert decomposition_bytes(D) == decomposition_bytes(reference_slice_decompose(T, **kwargs))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trirank.errors import DegreeOutOfBudget, DivisionByZero, FieldMismatch, NotPrime
+from trirank.errors import DegreeOutOfBudget, FieldMismatch, NotPrime
 from trirank.fields import make_field, parse_field
 from trirank.tensor import Tensor3
 
@@ -42,7 +42,7 @@ def test_field_axioms_exhaustive(p, k):
         assert F.mul_codes(a, 1) == a
         assert F.add_codes(a, F.neg_code(a)) == 0
         if a:
-            assert F.mul_codes(a, F.inv_code(a)) == 1
+            assert F.mul_codes(a, int(F.inv[a])) == 1
     # spot-check associativity and distributivity on a grid
     sample = list(codes)[:: max(1, F.q // 7)]
     for a in sample:
@@ -56,17 +56,16 @@ def test_field_axioms_exhaustive(p, k):
 
 def test_frobenius_fixes_prime_subfield():
     F = make_field(3, 3)
+    tbl = F.pow_table(27)
     for a in range(F.q):
-        apk = F.pow_code(a, 27)
-        assert apk == a  # x^(q) = x
-        ap = F.pow_code(a, 3)
+        assert tbl[a, 27] == a  # x^(q) = x
         if a < 3:
-            assert ap == a
+            assert tbl[a, 3] == a
 
 
 def test_trace_surjective_with_equal_fibers():
     F = make_field(3, 3)
-    fibers = np.bincount([F.trace_code(a) for a in range(F.q)], minlength=3)
+    fibers = np.bincount(F.trace_res, minlength=3)
     assert fibers.tolist() == [9, 9, 9]
 
 
@@ -77,12 +76,14 @@ def test_character_sum_vanishes_over_full_field():
         assert abs(total) < 1e-12
 
 
-def test_pow_table_matches_pow_code():
+def test_pow_table_matches_repeated_mul():
     F = make_field(3, 2)
     tbl = F.pow_table(4)
     for a in range(F.q):
+        power = 1
         for e in range(5):
-            assert tbl[a, e] == F.pow_code(a, e)
+            assert tbl[a, e] == power
+            power = F.mul_codes(power, a)
 
 
 def test_extension_and_lift():
@@ -108,8 +109,6 @@ def test_budget_and_validation_errors():
         make_field(3, 7)
     with pytest.raises(DegreeOutOfBudget):
         make_field(31, 2)  # 961 > 729
-    with pytest.raises(DivisionByZero):
-        make_field(3).inv_code(0)
 
 
 def test_parse_field_round_trip():

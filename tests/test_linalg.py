@@ -75,6 +75,19 @@ def test_solve_consistent_and_inconsistent():
     x = linalg.solve(M, [2, 0], F3)
     assert x.tolist() == [2, 0]  # free variable set to 0
     assert linalg.solve(M, [0, 1], F3) is None
+    # a 2-D right-hand side: every column in one elimination
+    for F in (F3, F9):
+        for seed in range(20):
+            M = random_matrix(F, 4, 3, seed)
+            B = linalg.mat_mul(M, random_matrix(F, 3, 5, seed + 50), F)  # consistent columns
+            X = linalg.solve(M, B, F)
+            assert X.shape == (3, 5)
+            for j in range(5):
+                assert np.array_equal(X[:, j], linalg.solve(M, B[:, j], F))
+            if linalg.rank(M, F) < 4:
+                e = next(e for e in np.eye(4, dtype=np.int32) if linalg.solve(M, e, F) is None)
+                B[:, 2] = e  # one inconsistent column
+                assert linalg.solve(M, B, F) is None
 
 
 def test_inverse_round_trip():
@@ -91,34 +104,6 @@ def test_row_space_basis_is_canonical():
     A = np.array([[1, 2, 0], [2, 1, 0]], dtype=np.int32)
     B = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 0]], dtype=np.int32)
     assert np.array_equal(linalg.row_space_basis(A, F3), linalg.row_space_basis(B, F3))
-
-
-def test_intersect_row_spaces():
-    U = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int32)
-    V = np.array([[0, 1, 0], [0, 0, 1]], dtype=np.int32)
-    W = linalg.intersect_row_spaces(U, V, F3)
-    assert W.shape == (1, 3)
-    assert W[0].tolist() == [0, 1, 0]
-
-
-def test_intersect_is_contained_in_both():
-    for seed in range(10):
-        U = random_matrix(F9, 2, 4, seed)
-        V = random_matrix(F9, 2, 4, seed + 100)
-        W = linalg.intersect_row_spaces(U, V, F9)
-        for row in W:
-            assert linalg.in_row_space(row, linalg.row_space_basis(U, F9), F9)
-            assert linalg.in_row_space(row, linalg.row_space_basis(V, F9), F9)
-        # dimension formula check against the stacked rank
-        dim_sum = linalg.rank(np.vstack([U, V]), F9)
-        assert W.shape[0] == linalg.rank(U, F9) + linalg.rank(V, F9) - dim_sum
-
-
-def test_extend_basis_completes_dimension():
-    rows = np.array([[1, 0, 0]], dtype=np.int32)
-    cands = [np.array(v, dtype=np.int32) for v in ([2, 0, 0], [1, 1, 0], [0, 0, 1])]
-    added = linalg.extend_basis(rows, cands, F3)
-    assert [a.tolist() for a in added] == [[1, 1, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize("F", [F3, F9])
