@@ -154,8 +154,13 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     T = _load_tensor(args.tensor)
     with open(args.decomp, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    D = decomp.decomposition_from_dict(payload.get("decomposition", payload))
+        try:
+            payload = json.load(fh)
+        except ValueError:
+            raise BadParams(f"{args.decomp}: not a JSON file") from None
+    if isinstance(payload, dict):
+        payload = payload.get("decomposition", payload)
+    D = decomp.decomposition_from_dict(payload)
     ok = decomp.verify_decomposition(T, D)
     _emit({"tensor": _tensor_id(T), "verified": ok}, args.out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -22,7 +22,7 @@ from .errors import (
     NoPointFound,
     VerificationFailed,
 )
-from .fields import Field
+from .fields import Field, parse_field
 from .tensor import MatrixSpace, SliceTerm, Tensor3, slice_space
 
 
@@ -72,22 +72,27 @@ class SliceDecomposition:
 
 
 def decomposition_from_dict(d) -> SliceDecomposition:
-    from .fields import parse_field
-
-    F = parse_field(d["field"])
-    terms = [
-        SliceTerm(F, t["direction"], t["linear"], t["bilinear"], t.get("source", ""))
-        for t in d["terms"]
-    ]
-    return SliceDecomposition(
-        working_field=F,
-        dims=tuple(d["dims"]),
-        terms=terms,
-        r_used=d.get("r_used", 0),
-        gr=d.get("gr"),
-        flagged=d.get("flagged", False),
-        retries=d.get("retries", 0),
-    )
+    """The inverse of `to_dict`; a missing or ill-typed key raises BadParams."""
+    try:
+        F = parse_field(d["field"])
+        terms = [
+            SliceTerm(F, t["direction"], t["linear"], t["bilinear"], t.get("source", ""))
+            for t in d["terms"]
+        ]
+        codes = [c for t in terms for c in (t.linear, t.bilinear) if c.size]
+        if any(c.min() < 0 or c.max() >= F.q for c in codes):
+            raise ValueError(f"coefficient codes outside [0, {F.q})")
+        return SliceDecomposition(
+            working_field=F,
+            dims=tuple(d["dims"]),
+            terms=terms,
+            r_used=d.get("r_used", 0),
+            gr=d.get("gr"),
+            flagged=d.get("flagged", False),
+            retries=d.get("retries", 0),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise BadParams(f"not a decomposition: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +107,6 @@ def rank_factorize(A, F: Field) -> RankFactorization:
     right = R[:r].copy()  # rows are independent (echelon)
     left = A[:, pivots].T.copy()  # A = A[:, pivots] @ R[:r] since R[:r, pivots] = I
     return RankFactorization(r=r, left=left, right=right)
-
-
-def check_factorization(A, fact: RankFactorization, F: Field) -> bool:
-    if not np.array_equal(linalg.mat_mul(fact.left.T, fact.right, F), A):
-        return False
-    return (
-        linalg.rank(fact.left, F) == fact.r and linalg.rank(fact.right, F) == fact.r
-    )
 
 
 def _sylvester_matrix(A) -> np.ndarray:

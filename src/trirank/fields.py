@@ -159,15 +159,8 @@ class Field:
         inv = np.zeros(q, dtype=np.int32)
         inv[1:] = exp[(-log[1:]) % (q - 1)]
         self.inv = inv
-        # absolute trace, as a residue mod p
-        tr = np.zeros(q, dtype=np.int64)
-        for i in range(k):
-            frob = np.zeros(q, dtype=np.int64)
-            frob[1:] = exp[(log[1:] * pow(p, i)) % (q - 1)]
-            tr = self.add[tr, frob]
-        self.trace_res = (tr % p).astype(np.int32)  # prime-subfield codes are residues
         self._digits = digits
-        for t in (self.add, self.neg, self.mul, self.inv, self.trace_res):
+        for t in (self.add, self.neg, self.mul, self.inv):
             t.setflags(write=False)
         self._pow_cache = {}
 

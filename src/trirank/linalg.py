@@ -111,11 +111,6 @@ def mat_mul(A, B, F: Field) -> np.ndarray:
     return acc
 
 
-def in_row_space(v, basis_rref, F: Field) -> bool:
-    stacked = np.vstack([basis_rref, np.asarray(v, dtype=np.int32)])
-    return rank(stacked, F) == basis_rref.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # batched elimination
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The rank-profile kernel: the histogram of rank(sum_i x_i A_i) over F_{q^k}.
 
-AR (k = 1), the GR strata and the kernel-variety count all read it.  The
-exact path eliminates one matrix per projective point, since rank(c x) =
-rank(x) for c != 0.  The contraction is one matrix product mod p on base-p
-digits, since digits(sum_i x_i a_i) is F_p-linear in digits(x).  The budget
-compares the affine count q^(k n); above it, uniform affine points are drawn.
+AR (k = 1), the GR strata and the kernel-variety count all read it, and the
+bias and min-entropy read its z-axis ranks at k = 1.  The exact path
+eliminates one matrix per projective point, since rank(c x) = rank(x) for
+c != 0.  The contraction is one matrix product mod p on base-p digits, since
+digits(sum_i x_i a_i) is F_p-linear in digits(x).  The budget compares the
+affine count q^(k n); above it, uniform affine points are drawn.
 """
 
 from __future__ import annotations
@@ -91,8 +92,20 @@ class RankProfile:
         return sum(int(c) * self.q ** (n2 - r) for r, c in enumerate(self.hist))
 
 
-def _histogram(Ms: np.ndarray, F: Field, rmax: int) -> np.ndarray:
-    return np.bincount(linalg.batched_rank(Ms, F), minlength=rmax + 1)
+def projective_ranks(T: Tensor3, k: int, axis: str):
+    """Yield (start, ranks) for each block of projective points of F_{q^k}^n.
+
+    ranks[j] is rank(sum_i x_i A_i) at the point x with base-q index start + j.
+    Base-q indices [q^i, 2 q^i) are the points whose last nonzero coordinate
+    is x_i = 1; as base-p indices they are the points' digit rows.
+    """
+    Fk = T.field.extension(k)
+    C = Contraction(np.asarray(slices(T, axis), dtype=np.int32), Fk)
+    for i in range(C.n_digits // Fk.k):
+        lo = Fk.q ** i
+        for start in range(lo, 2 * lo, CHUNK):
+            D = point_block(Fk.p, C.n_digits, start, min(start + CHUNK, 2 * lo))
+            yield start, linalg.batched_rank(C.from_digits(D), Fk)
 
 
 def rank_profile(
@@ -109,29 +122,25 @@ def rank_profile(
     A = np.asarray(slices(T, axis), dtype=np.int32)
     n = A.shape[0]
     rmax = min(A.shape[1:])
-    C = Contraction(A, Fk)
     total = Fk.q ** n
     hist = np.zeros(rmax + 1, dtype=np.int64)
     if total <= budget:
-        # base-q indices [q^i, 2 q^i) are the points whose last nonzero
-        # coordinate is x_i = 1; as base-p indices they are digit rows
-        for i in range(n):
-            lo = Fk.q ** i
-            for start in range(lo, 2 * lo, CHUNK):
-                D = point_block(Fk.p, C.n_digits, start, min(start + CHUNK, 2 * lo))
-                hist += _histogram(C.from_digits(D), Fk, rmax)
+        for _, ranks in projective_ranks(T, k, axis):
+            hist += np.bincount(ranks, minlength=rmax + 1)
         hist *= Fk.q - 1
         hist[0] += 1  # x = 0
         return RankProfile(k=k, q=Fk.q, hist=hist, exact=True, total=total)
     if not allow_sampling:
         raise BudgetExceeded(f"{Fk.q}^{n} contractions exceed budget {budget}")
+    C = Contraction(A, Fk)
     rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
     remaining = mc_samples
     while remaining > 0:
         m = min(remaining, _DRAW)
         X = rng.integers(0, Fk.q, size=(m, n), dtype=np.int64)
         for start in range(0, m, CHUNK):
-            hist += _histogram(C(X[start : start + CHUNK]), Fk, rmax)
+            ranks = linalg.batched_rank(C(X[start : start + CHUNK]), Fk)
+            hist += np.bincount(ranks, minlength=rmax + 1)
         remaining -= m
     return RankProfile(
         k=k, q=Fk.q, hist=hist, exact=False, total=total, samples=mc_samples

@@ -85,13 +85,6 @@ class MatrixSpace:
     def flat_basis(self) -> np.ndarray:
         return self.basis.reshape(self.dim, -1)
 
-    def contains(self, M) -> bool:
-        return linalg.in_row_space(
-            np.asarray(M, dtype=np.int32).ravel(),
-            linalg.row_space_basis(self.flat_basis(), self.field),
-            self.field,
-        )
-
 
 class SliceTerm:
     """One slice-rank-1 summand: linear(direction) * bilinear(other two)."""
@@ -140,18 +133,6 @@ def contract(T: Tensor3, axis: str, v) -> np.ndarray:
     idx = AXES.index(axis)
     v = _check_vec(v, T.dims[idx], T.field)
     return linalg.mat_mul(v[None], np.moveaxis(T.entries, idx, 1), T.field)[:, 0]
-
-
-def contract_x(T: Tensor3, x) -> np.ndarray:
-    return contract(T, "x", x)
-
-
-def eval_trilinear(T: Tensor3, x, y, z) -> int:
-    """Exact value of sum a_{ijk} x_i y_j z_k, as a field code."""
-    M = contract_x(T, x)
-    y = _check_vec(y, T.dims[1], T.field)
-    z = _check_vec(z, T.dims[2], T.field)
-    return int(linalg.mat_mul(linalg.mat_mul(y[None], M, T.field), z[:, None], T.field)[0, 0])
 
 
 def slices(T: Tensor3, axis: str) -> np.ndarray:

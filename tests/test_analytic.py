@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from trirank import analytic, tensor
 from trirank.errors import BudgetExceeded
 from trirank.fields import make_field
+from trirank.linalg import mat_mul
+from trirank.rankprofile import Contraction, point_block
 
 F3 = make_field(3)
 
@@ -17,7 +20,7 @@ def brute_zero_count(T):
     count = 0
     for xc in range(F.q ** n1):
         x = [(xc // F.q ** i) % F.q for i in range(n1)]
-        M = tensor.contract_x(T, x)
+        M = tensor.contract(T, "x", x)
         for yc in range(F.q ** n2):
             y = np.array([(yc // F.q ** i) % F.q for i in range(n2)], dtype=np.int32)
             row = np.zeros(T.dims[2], dtype=np.int32)
@@ -26,6 +29,22 @@ def brute_zero_count(T):
             if not row.any():
                 count += 1
     return count
+
+
+def brute_min_entropy(T):
+    """Output histogram over every (x, y): f(x, y) for all y, 4096 x at a time."""
+    F = T.field
+    n1, n2, n3 = T.dims
+    Y = point_block(F.q, n2, 0, F.q ** n2)
+    contract = Contraction(tensor.slices(T, "x"), F)
+    weights = F.q ** np.arange(n3, dtype=np.int64)
+    hist = np.zeros(F.q ** n3, dtype=np.int64)
+    total_x, chunk = F.q ** n1, 1 << 12
+    for start in range(0, total_x, chunk):
+        X = point_block(F.q, n1, start, min(start + chunk, total_x))
+        vals = mat_mul(Y[None], contract(X), F)
+        hist += np.bincount((vals * weights).sum(axis=2).ravel(), minlength=hist.size)
+    return hist
 
 
 @pytest.mark.parametrize(
@@ -87,15 +106,31 @@ def test_bias_cross_checks_ar_on_random_tensors():
 
 @pytest.mark.parametrize(
     "F,dims",
-    [(F3, (2, 3, 2)), (F3, (3, 2, 1)), (make_field(3, 2), (2, 2, 2)), (make_field(3, 2), (1, 2, 3))],
+    [
+        (F3, (2, 3, 2)),
+        (F3, (3, 2, 1)),
+        (make_field(3, 2), (2, 2, 2)),
+        (make_field(3, 2), (1, 2, 3)),
+        (make_field(2), (3, 2, 4)),
+        (make_field(2, 2), (2, 3, 1)),
+        (make_field(5), (2, 2, 3)),
+        (make_field(2, 3), (2, 1, 2)),
+    ],
 )
 def test_histogram_zero_count_and_bias_agree(F, dims):
+    # x-axis zero count vs the z-axis histogram and bias, and the histogram
+    # vs enumeration of every (x, y), on random tensors and the zero tensor
     n1, n2, _ = dims
-    for seed in range(3):
-        T = tensor.random_tensor(F, dims, seed=seed)
+    cases = [tensor.random_tensor(F, dims, seed=seed) for seed in range(3)]
+    for T in cases + [tensor.zero_tensor(F, dims)]:
         zc = analytic.zero_count(T)
-        assert analytic.min_entropy(T).histogram[0] == zc
-        assert round(analytic.bias_char_sum(T).real * F.q ** (n1 + n2)) == zc
+        hist = analytic.min_entropy(T).histogram
+        assert hist.dtype == np.int64
+        assert hist.tobytes() == brute_min_entropy(T).tobytes()
+        assert hist[0] == zc
+        bias = analytic.bias_char_sum(T)
+        assert round(bias.real * F.q ** (n1 + n2)) == zc
+        assert bias == complex(Fraction(zc, F.q ** (n1 + n2)))
 
 
 def test_min_entropy_argmax_at_zero():
@@ -121,3 +156,13 @@ def test_budget_errors():
         analytic.zero_count(T, budget=10)
     with pytest.raises(BudgetExceeded):
         analytic.min_entropy(T, budget=10)
+
+
+def test_min_entropy_budget_bounds_the_z_side():
+    # 3^8 input pairs exceed the budget; 1 projective z times 3 outputs do not
+    T = tensor.random_tensor(F3, (4, 4, 1), seed=0)
+    with pytest.raises(BudgetExceeded):
+        analytic.zero_count(T, budget=100)
+    hist = analytic.min_entropy(T, budget=100).histogram
+    assert hist.sum() == 3 ** 8
+    assert hist.tobytes() == brute_min_entropy(T).tobytes()

@@ -18,8 +18,8 @@ def brute_agreement(f, g):
     agree = 0
     for xc in range(F.q ** n1):
         x = [(xc // F.q ** i) % F.q for i in range(n1)]
-        Mf = tensor.contract_x(f, x)
-        Mg = tensor.contract_x(g, x)
+        Mf = tensor.contract(f, "x", x)
+        Mg = tensor.contract(g, "x", x)
         for yc in range(F.q ** n2):
             y = [(yc // F.q ** i) % F.q for i in range(n2)]
             vf = np.zeros(f.dims[2], dtype=np.int32)

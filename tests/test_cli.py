@@ -96,6 +96,19 @@ def test_verify_rejects_a_decomposition_over_a_foreign_field(tmp_path):
         assert cli.run(["verify", "--tensor", str(tpath), "--decomp", str(dpath)]) == rc
 
 
+OUT_OF_FIELD = {"field": "3^1", "dims": [1, 1, 1],
+                "terms": [{"direction": "x", "linear": [7], "bilinear": [[1]]}]}
+
+
+@pytest.mark.parametrize("text", ["{}", "[1, 2]", "{not json", json.dumps(OUT_OF_FIELD)])
+def test_verify_rejects_a_malformed_decomposition(levi_path, tmp_path, capsys, text):
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    assert cli.run(["verify", "--tensor", levi_path, "--decomp", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_szcheck_subcommand(tmp_path):
     spath = tmp_path / "sys.txt"
     spath.write_text("x1*x2")

@@ -63,19 +63,6 @@ def test_frobenius_fixes_prime_subfield():
             assert tbl[a, 3] == a
 
 
-def test_trace_surjective_with_equal_fibers():
-    F = make_field(3, 3)
-    fibers = np.bincount(F.trace_res, minlength=3)
-    assert fibers.tolist() == [9, 9, 9]
-
-
-def test_character_sum_vanishes_over_full_field():
-    for p, k in [(3, 1), (3, 2), (5, 1), (2, 3)]:
-        F = make_field(p, k)
-        total = np.exp(2j * np.pi * F.trace_res / p).sum()
-        assert abs(total) < 1e-12
-
-
 def test_pow_table_matches_repeated_mul():
     F = make_field(3, 2)
     tbl = F.pow_table(4)
