@@ -25,12 +25,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded
-from .linalg import mat_mul
-from .rankprofile import point_block, projective_ranks, rank_profile
+from .rankprofile import projective_ranks, rank_profile
 from .tensor import Tensor3
 
 ENUM_BUDGET = 10 ** 8
-_B_ROWS = 1 << 9  # outputs b tested against one block of points z at once
 
 
 @dataclass(frozen=True)
@@ -106,25 +104,28 @@ def bias_char_sum(T: Tensor3, budget: int = ENUM_BUDGET) -> complex:
 def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     """Exact output histogram of the bilinear map under uniform inputs.
 
-    Counts N(b) by the module's formula from the z-axis ranks.  The budget
-    bounds the incidence [z].b = 0 of every projective point [z] with every
-    output b: (q^n3 - 1) / (q - 1) * q^n3 entries.
+    Counts N(b) by the module's formula from the z-axis ranks.  W[b, r], the
+    number of projective points [z] with [z].b = 0 and rank A_z = r, comes
+    from a hyperplane-sum transform over the coordinates of z: one
+    representative z per point starts at s = 0, and each coordinate z_i in
+    turn is replaced by b_i, moving the count from s to s + z_i b_i.  The
+    budget bounds the q^(n3 + 1) entries (s, b) of the transform.
     """
     F = T.field
     n1, n2, n3 = T.dims
     q = F.q
-    if (q ** n3 - 1) // (q - 1) * q ** n3 > budget:
-        raise BudgetExceeded(f"min-entropy: {q}^{n3} outputs x points exceed budget {budget}")
-    B = point_block(q, n3, 0, q ** n3)  # every output b, in histogram order
+    if q ** (n3 + 1) > budget:
+        raise BudgetExceeded(f"min-entropy: {q}^{n3 + 1} transform entries exceed budget {budget}")
     rmax = min(n1, n2)
-    onehot = np.eye(rmax + 1, dtype=np.int64)
-    # W[b, r]: projective points [z] with [z].b = 0 and rank A_z = r
-    W = np.zeros((B.shape[0], rmax + 1), dtype=np.int64)
+    X = np.zeros((q, q ** n3, rmax + 1), dtype=np.int64)  # [s, z or b, rank]
     for start, ranks in projective_ranks(T, 1, "z"):
-        Zt = point_block(q, n3, start, start + ranks.size).T
-        for b0 in range(0, B.shape[0], _B_ROWS):
-            orthogonal = mat_mul(B[b0 : b0 + _B_ROWS], Zt, F) == 0
-            W[b0 : b0 + _B_ROWS] += orthogonal @ onehot[ranks]
+        X[0, np.arange(start, start + ranks.size), ranks] = 1
+    sub = F.add[:, F.neg[F.mul]]  # sub[s, z, b] = s - z b
+    for _ in range(n3):
+        X = X.reshape(q, q, -1, rmax + 1)  # [s, most significant coordinate, the rest, rank]
+        X = sum(X[sub[:, z], z] for z in range(q))
+        X = X.transpose(0, 2, 1, 3)  # the coordinate done becomes the least significant
+    W = X.reshape(q, q ** n3, rmax + 1)[0]  # in histogram order: coordinate 0 lowest
     G = W @ np.array([q ** (n1 - r) for r in range(rmax + 1)], dtype=object)
     scaled = q ** n2 * (q ** n1 - G[0] + q * G)  # b = 0 is orthogonal to every [z]
     if (scaled % q ** n3).any():

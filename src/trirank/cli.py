@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import analytic, biascx, decomp, geometric, slicerank, tensor, variety
 from .errors import BadParams, TrirankError
 from .fields import parse_field
+from .rankprofile import point_block
 
 SCHEMA = 1
 
@@ -80,13 +81,8 @@ def _cmd_ar(args) -> int:
             w = csv.writer(fh)
             w.writerow(["b_vector", "count"])
             n3, q = T.dims[2], T.field.q
-            for code, count in enumerate(me.histogram):
-                digits = []
-                c = code
-                for _ in range(n3):
-                    digits.append(str(c % q))
-                    c //= q
-                w.writerow([":".join(digits), int(count)])
+            for b, count in zip(point_block(q, n3, 0, q ** n3), me.histogram):
+                w.writerow([":".join(map(str, b)), int(count)])
     _emit({"tensor": _tensor_id(T), "ar": ar.to_dict()}, args.out)
     return EXIT_OK
 

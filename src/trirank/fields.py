@@ -5,6 +5,13 @@ with power-basis coefficients (c0, c1, ..., c_{k-1}) (low degree first) is
 sum(c_i * p**i), so base-field scalars embed as their own residues.  All bulk
 arithmetic goes through precomputed numpy tables, which keeps the enumeration
 kernels in the rest of the package vectorizable.
+
+The tables follow from the modulus by linear algebra over F_p.  The modulus
+is the lex-least monic irreducible of degree k, found by trial division.
+Addition is digitwise mod p.  Multiplication by alpha, the class of t, maps
+digit rows by b -> b C, where C is the companion matrix of the modulus, so
+digits(a b) = sum_i a_i digits(b) C^i mod p (the regular representation).
+The inverse of a != 0 is the code b with a b = 1.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import DegreeOutOfBudget, FieldMismatch, NotPrime
 
-DEFAULT_MAX_Q = 3 ** 6
+MAX_Q = 3 ** 6  # largest field order; keeps the q x q tables small
 
 
 def _is_prime(n: int) -> bool:
@@ -38,15 +45,6 @@ def _poly_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a, m, p):
@@ -92,14 +90,14 @@ class Field:
     Immutable after construction; safe to share across workers.
     """
 
-    def __init__(self, p: int, k: int, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, k: int):
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if not 1 <= k <= 6:
             raise DegreeOutOfBudget(f"extension degree {k} outside [1, 6]")
         q = p ** k
-        if q > max_q:
-            raise DegreeOutOfBudget(f"q = {p}^{k} = {q} exceeds budget {max_q}")
+        if q > MAX_Q:
+            raise DegreeOutOfBudget(f"q = {p}^{k} = {q} exceeds budget {MAX_Q}")
         self.p = p
         self.k = k
         self.q = q
@@ -111,31 +109,16 @@ class Field:
 
     # -- construction of arithmetic tables ---------------------------------
 
-    def _code_to_coeffs(self, code):
-        c = []
-        for _ in range(self.k):
-            code, r = divmod(code, self.p)
-            c.append(r)
-        return tuple(c)
-
     def _coeffs_to_code(self, coeffs):
         code = 0
         for c in reversed(coeffs):
             code = code * self.p + (c % self.p)
         return code
 
-    def _mul_codes_slow(self, a, b):
-        pa = list(self._code_to_coeffs(a))
-        pb = list(self._code_to_coeffs(b))
-        prod = _poly_mod(_poly_mul(pa, pb, self.p), list(self.modulus), self.p)
-        prod += [0] * (self.k - len(prod))
-        return self._coeffs_to_code(prod)
-
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
         digits = np.zeros((q, k), dtype=np.int64)
-        codes = np.arange(q)
-        rem = codes.copy()
+        rem = np.arange(q)
         for i in range(k):
             digits[:, i] = rem % p
             rem //= p
@@ -144,56 +127,26 @@ class Field:
         summed = (digits[:, None, :] + digits[None, :, :]) % p
         self.add = (summed * weights).sum(axis=2).astype(np.int32)
         self.neg = (((-digits) % p) * weights).sum(axis=1).astype(np.int32)
-        # multiplication via a generator of the cyclic group
-        g = self._find_generator()
-        exp = np.zeros(q - 1, dtype=np.int64)
-        exp[0] = 1
-        for i in range(1, q - 1):
-            exp[i] = self._mul_codes_slow(int(exp[i - 1]), g)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        lsum = (log[1:, None] + log[None, 1:]) % (q - 1)
-        mul = np.zeros((q, q), dtype=np.int32)
-        mul[1:, 1:] = exp[lsum]
-        self.mul = mul
-        inv = np.zeros(q, dtype=np.int32)
-        inv[1:] = exp[(-log[1:]) % (q - 1)]
-        self.inv = inv
+        # multiplication: digits(a b) = sum_i a_i digits(alpha^i b) mod p, where
+        # digits(alpha b) = digits(b) C for the companion matrix C of the modulus
+        C = np.eye(k, k, 1, dtype=np.int32)
+        C[-1] = (-np.asarray(self.modulus[:k])) % p
+        shifted = [digits.astype(np.int32)]  # shifted[i][b] = digits(alpha^i b)
+        for _ in range(k - 1):
+            shifted.append(shifted[-1] @ C % p)
+        # prod[a, (b, digit)]; int32 halves this (q, q k) transient
+        prod = shifted[0] @ np.stack(shifted).reshape(k, q * k)
+        self.mul = ((prod.reshape(q, q, k) % p) @ weights).astype(np.int32)
+        self.inv = np.argmax(self.mul == 1, axis=1).astype(np.int32)  # inv[0] = 0
         self._digits = digits
         for t in (self.add, self.neg, self.mul, self.inv):
             t.setflags(write=False)
         self._pow_cache = {}
 
-    def _find_generator(self):
-        q = self.q
-        order = q - 1
-        prime_factors = set()
-        n, d = order, 2
-        while d * d <= n:
-            while n % d == 0:
-                prime_factors.add(d)
-                n //= d
-            d += 1
-        if n > 1:
-            prime_factors.add(n)
-        for g in range(1, q):
-            if all(self._pow_slow(g, order // f) != 1 for f in prime_factors):
-                return g
-        raise AssertionError("no generator found")
-
-    def _pow_slow(self, a, e):
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_codes_slow(result, base)
-            base = self._mul_codes_slow(base, base)
-            e >>= 1
-        return result
-
     # -- element-level API --------------------------------------------------
 
     def coeffs(self, code: int):
-        return self._code_to_coeffs(int(code))
+        return tuple(int(c) for c in self._digits[int(code)])
 
     def add_codes(self, a, b):
         return int(self.add[a, b])
@@ -217,13 +170,13 @@ class Field:
 
     # -- relationships ------------------------------------------------------
 
-    def extension(self, m: int, max_q: int = DEFAULT_MAX_Q) -> "Field":
+    def extension(self, m: int) -> "Field":
         """The degree-m extension.  Only prime base fields can be extended."""
         if m == 1:
             return self
         if self.k != 1:
             raise FieldMismatch("extension towers are only built over prime fields")
-        return make_field(self.p, m, max_q=max_q)
+        return make_field(self.p, m)
 
     def designation(self) -> str:
         return f"{self.p}^{self.k}"
@@ -242,16 +195,16 @@ class Field:
 
 
 @functools.lru_cache(maxsize=None)
-def _make_field_cached(p, k, max_q):
-    return Field(p, k, max_q=max_q)
+def _make_field_cached(p, k):
+    return Field(p, k)
 
 
-def make_field(p: int, k: int = 1, max_q: int = DEFAULT_MAX_Q) -> Field:
+def make_field(p: int, k: int = 1) -> Field:
     """F_{p^k} with the lex-least monic irreducible modulus (deterministic)."""
-    return _make_field_cached(p, k, max_q)
+    return _make_field_cached(p, k)
 
 
-def parse_field(designation: str, max_q: int = DEFAULT_MAX_Q) -> Field:
+def parse_field(designation: str) -> Field:
     """Parse a 'p^k' (or bare 'p') field designation string."""
     text = designation.strip()
     if "^" in text:
@@ -262,4 +215,4 @@ def parse_field(designation: str, max_q: int = DEFAULT_MAX_Q) -> Field:
         p, k = int(p_str), int(k_str)
     except ValueError:
         raise FieldMismatch(f"bad field designation {designation!r}") from None
-    return make_field(p, k, max_q=max_q)
+    return make_field(p, k)

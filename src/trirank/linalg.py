@@ -11,6 +11,8 @@ import numpy as np
 
 from .fields import Field
 
+RANK_CHUNK = 1 << 15  # matrices eliminated at once by batched_rank (bounds peak memory)
+
 
 def as_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=np.int32)
@@ -115,13 +117,13 @@ def mat_mul(A, B, F: Field) -> np.ndarray:
 # batched elimination
 # ---------------------------------------------------------------------------
 
-def batched_rank(Ms, F: Field, chunk: int = 1 << 15) -> np.ndarray:
+def batched_rank(Ms, F: Field) -> np.ndarray:
     """Ranks of a stack of matrices, shape (N, m, n) -> (N,)."""
     Ms = np.asarray(Ms, dtype=np.int32)
     N = Ms.shape[0]
     out = np.empty(N, dtype=np.int64)
-    for start in range(0, N, chunk):
-        out[start : start + chunk] = _batched_rank_chunk(Ms[start : start + chunk], F)
+    for start in range(0, N, RANK_CHUNK):
+        out[start : start + RANK_CHUNK] = _batched_rank_chunk(Ms[start : start + RANK_CHUNK], F)
     return out
 
 

@@ -83,7 +83,7 @@ class MatrixSpace:
         return self.basis.shape[0]
 
     def flat_basis(self) -> np.ndarray:
-        return self.basis.reshape(self.dim, -1)
+        return self.basis.reshape(self.dim, int(np.prod(self.shape)))
 
 
 class SliceTerm:

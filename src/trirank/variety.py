@@ -16,7 +16,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    BudgetExceeded,
     NotOnVariety,
     PolySyntaxError,
     UnknownVariable,
@@ -101,9 +100,6 @@ class PolySystem:
     @property
     def maxdeg(self) -> int:
         return max((poly_degree(p) for p in self.polys), default=0)
-
-    def with_poly(self, p) -> "PolySystem":
-        return PolySystem(self.field, self.nvars, self.polys + [p])
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +290,6 @@ def count_points(
     budget: int = EXACT_POINT_BUDGET,
     mc_samples: int = MC_SAMPLES,
     seed: int = 0,
-    allow_sampling: bool = True,
 ) -> CountRecord:
     """Count common zeros in F_{q^k}^n, exactly if within budget."""
     Fk = S.field.extension(k)
@@ -307,8 +302,6 @@ def count_points(
             X = point_block(Fk.q, n, start, min(start + chunk, total))
             count += int(_eval_zero_mask(S, Fk, X).sum())
         return CountRecord(k=k, count=count, exact=True)
-    if not allow_sampling:
-        raise BudgetExceeded(f"{Fk.q}^{n} points exceed exact budget {budget}")
     rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
     hits = 0
     remaining = mc_samples

@@ -115,6 +115,8 @@ def test_bias_cross_checks_ar_on_random_tensors():
         (make_field(2, 2), (2, 3, 1)),
         (make_field(5), (2, 2, 3)),
         (make_field(2, 3), (2, 1, 2)),
+        (F3, (2, 2, 7)),
+        (F3, (1, 1, 10)),
     ],
 )
 def test_histogram_zero_count_and_bias_agree(F, dims):

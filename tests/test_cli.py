@@ -38,6 +38,14 @@ def test_ar_histogram_csv(levi_path, tmp_path):
     assert len(lines) == 1 + 27
     counts = [int(l.rsplit(",", 1)[1]) for l in lines[1:]]
     assert sum(counts) == 729 and counts[0] == 105
+    # over F_9 with n3 = 2, b vectors list coordinate 0 first and lowest
+    path = tmp_path / "f9.t"
+    tensor.dump(tensor.random_tensor(make_field(3, 2), (2, 2, 2), seed=0), str(path))
+    assert cli.run(["ar", "--tensor", str(path), "--histogram", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 1 + 81
+    assert lines[2].startswith("1:0,") and lines[10].startswith("0:1,")
+    assert lines[81].startswith("8:8,")
 
 
 def test_gr_subcommand(levi_path, tmp_path):

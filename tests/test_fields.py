@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trirank.errors import DegreeOutOfBudget, FieldMismatch, NotPrime
-from trirank.fields import make_field, parse_field
+from trirank.fields import MAX_Q, Field, make_field, parse_field
 from trirank.tensor import Tensor3
 
 
@@ -107,4 +107,69 @@ def test_parse_field_round_trip():
 
 def test_make_field_is_cached_and_deterministic():
     assert make_field(3, 2) is make_field(3, 2)
+    assert make_field(3) is make_field(3, 1) is parse_field("3")
+    assert make_field(3, 2) is parse_field("3^2") is make_field(3).extension(2)
     assert make_field(3, 2).modulus == make_field(3, 2).modulus
+
+
+def _reference_tables(F):
+    """add, neg, mul, inv and coeffs of F by the generator construction.
+
+    add and neg are digitwise mod p.  mul and inv come from exp/log tables of
+    a generator of F_q^*, found by square-and-multiply over polynomial
+    products reduced mod the modulus one pair at a time.
+    """
+    p, k, q = F.p, F.k, F.q
+    coeffs = [tuple((a // p ** i) % p for i in range(k)) for a in range(q)]
+
+    def mul(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, ai in enumerate(coeffs[a]):
+            for j, bj in enumerate(coeffs[b]):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+        for d in range(2 * k - 2, k - 1, -1):  # reduce by the monic modulus
+            c, prod[d] = prod[d], 0
+            for i in range(k):
+                prod[d - k + i] = (prod[d - k + i] - c * F.modulus[i]) % p
+        return sum(c * p ** i for i, c in enumerate(prod[:k]))
+
+    def power(a, e):
+        result = 1
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            a, e = mul(a, a), e >> 1
+        return result
+
+    order = q - 1
+    primes = [f for f in range(2, order + 1) if order % f == 0 and all(f % d for d in range(2, f))]
+    g = next(g for g in range(1, q) if all(power(g, order // f) != 1 for f in primes))
+    exp = [1]
+    for _ in range(order - 1):
+        exp.append(mul(exp[-1], g))
+    exp = np.array(exp, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(order)
+    mul_tbl = np.zeros((q, q), dtype=np.int32)
+    mul_tbl[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % order]
+    inv = np.zeros(q, dtype=np.int32)
+    inv[1:] = exp[-log[1:] % order]
+    digits = np.array(coeffs, dtype=np.int64).reshape(q, k)
+    weights = p ** np.arange(k)
+    add = (((digits[:, None] + digits[None]) % p) @ weights).astype(np.int32)
+    neg = ((-digits % p) @ weights).astype(np.int32)
+    return add, neg, mul_tbl, inv, coeffs
+
+
+def test_tables_match_generator_construction():
+    # every field with q <= MAX_Q, built outside the make_field cache so that
+    # each field's tables are freed after its check
+    primes = [p for p in range(2, MAX_Q + 1) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    fields = [(p, k) for p in primes for k in range(1, 7) if p ** k <= MAX_Q]
+    for p, k in fields:
+        F = Field(p, k)
+        add, neg, mul, inv, coeffs = _reference_tables(F)
+        for name, table, ref in (("add", F.add, add), ("neg", F.neg, neg),
+                                 ("mul", F.mul, mul), ("inv", F.inv, inv)):
+            assert table.dtype == ref.dtype and table.tobytes() == ref.tobytes(), (F, name)
+        assert [F.coeffs(a) for a in range(F.q)] == coeffs, F

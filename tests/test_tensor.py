@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trirank import linalg, tensor
+from trirank import decomp, linalg, tensor
 from trirank.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -63,6 +63,15 @@ def test_slice_space_drops_dependent_slices():
     assert S.dim == 1
     assert in_space(S, np.array([[2, 0], [0, 0]]))
     assert not in_space(S, np.array([[0, 1], [0, 0]]))
+
+
+def test_zero_space_flat_basis():
+    for S in (
+        tensor.slice_space(tensor.zero_tensor(F3, (2, 2, 3)), "x"),
+        decomp.tangent_space_at(np.zeros((2, 3)), F3),
+    ):
+        assert S.dim == 0 and S.flat_basis().shape == (0, 6)
+        assert in_space(S, np.zeros((2, 3))) and not in_space(S, np.eye(2, 3))
 
 
 def test_gl_act_preserves_rank_data_and_rejects_singular():
