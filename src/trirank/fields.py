@@ -122,21 +122,21 @@ class Field:
         for i in range(k):
             digits[:, i] = rem % p
             rem //= p
-        weights = p ** np.arange(k)
+        # int32 digits halve the (q, q, k) transients; codes are weighted by one product
+        d = digits.astype(np.int32)
+        weights = p ** np.arange(k, dtype=np.int32)
         # addition: digitwise mod p
-        summed = (digits[:, None, :] + digits[None, :, :]) % p
-        self.add = (summed * weights).sum(axis=2).astype(np.int32)
-        self.neg = (((-digits) % p) * weights).sum(axis=1).astype(np.int32)
+        self.add = ((d[:, None, :] + d[None, :, :]) % p) @ weights
+        self.neg = ((-d) % p) @ weights
         # multiplication: digits(a b) = sum_i a_i digits(alpha^i b) mod p, where
         # digits(alpha b) = digits(b) C for the companion matrix C of the modulus
         C = np.eye(k, k, 1, dtype=np.int32)
         C[-1] = (-np.asarray(self.modulus[:k])) % p
-        shifted = [digits.astype(np.int32)]  # shifted[i][b] = digits(alpha^i b)
+        shifted = [d]  # shifted[i][b] = digits(alpha^i b)
         for _ in range(k - 1):
             shifted.append(shifted[-1] @ C % p)
-        # prod[a, (b, digit)]; int32 halves this (q, q k) transient
-        prod = shifted[0] @ np.stack(shifted).reshape(k, q * k)
-        self.mul = ((prod.reshape(q, q, k) % p) @ weights).astype(np.int32)
+        prod = d @ np.stack(shifted).reshape(k, q * k)  # prod[a, (b, digit)]
+        self.mul = (prod.reshape(q, q, k) % p) @ weights
         self.inv = np.argmax(self.mul == 1, axis=1).astype(np.int32)  # inv[0] = 0
         self._digits = digits
         for t in (self.add, self.neg, self.mul, self.inv):

@@ -1,8 +1,8 @@
 """Gaussian elimination and subspace operations over table-driven finite fields.
 
-Matrices are 2-D numpy arrays of field codes.  The batched variants run
-elimination on a whole stack of matrices at once, which is what makes
-exhaustive rank-stratum counting affordable.
+Matrices are 2-D numpy arrays of field codes.  ``batched_rank`` eliminates a
+whole stack of matrices at once and swaps no rows (a rank needs no echelon
+form), which is what makes exhaustive rank-stratum counting affordable.
 """
 
 from __future__ import annotations
@@ -118,7 +118,14 @@ def mat_mul(A, B, F: Field) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def batched_rank(Ms, F: Field) -> np.ndarray:
-    """Ranks of a stack of matrices, shape (N, m, n) -> (N,)."""
+    """Ranks of a stack of matrices, shape (N, m, n) -> (N,).
+
+    Runs min(m, n) steps over the shorter axis.  A step takes, in each matrix,
+    the first row with a nonzero entry in the first column as the pivot,
+    scales it to a leading 1, adds -a_j times it to every row j (a_j being
+    row j's first entry), and drops the first column; the rank is the number
+    of steps that found a pivot.  The input is not written.
+    """
     Ms = np.asarray(Ms, dtype=np.int32)
     N = Ms.shape[0]
     out = np.empty(N, dtype=np.int64)
@@ -128,27 +135,19 @@ def batched_rank(Ms, F: Field) -> np.ndarray:
 
 
 def _batched_rank_chunk(Ms, F: Field) -> np.ndarray:
-    Ms = Ms.copy()
+    if Ms.shape[1] < Ms.shape[2]:
+        Ms = Ms.transpose(0, 2, 1)  # loop over the shorter axis
     N, m, n = Ms.shape
+    q, mul, add = F.q, F.mul.ravel(), F.add.ravel()
+    stack = np.arange(N)
     r = np.zeros(N, dtype=np.int64)
-    rows = np.arange(m)
-    for c in range(n):
-        cand = (Ms[:, :, c] != 0) & (rows[None, :] >= r[:, None])
-        idx = np.nonzero(cand.any(axis=1))[0]
-        if idx.size == 0:
-            continue
-        piv = np.argmax(cand[idx], axis=1)
-        rr = r[idx]
-        pivot_rows = Ms[idx, piv].copy()
-        Ms[idx, piv] = Ms[idx, rr]
-        pivot_rows = F.mul[F.inv[pivot_rows[:, c]][:, None], pivot_rows]
-        Ms[idx, rr] = pivot_rows
-        factors = Ms[idx, :, c]
-        delta = F.mul[F.neg[factors][:, :, None], pivot_rows[:, None, :]]
-        updated = F.add[Ms[idx], delta]
-        below = rows[None, :] > rr[:, None]
-        Ms[idx] = np.where(below[:, :, None], updated, Ms[idx])
-        r[idx] = rr + 1
-        if (r == m).all():
-            break
+    for _ in range(n):
+        col = Ms[:, :, 0]
+        pivot = Ms[stack, np.argmax(col != 0, axis=1)]  # first nonzero row, or row 0
+        lead = pivot[:, 0]
+        # a matrix with no pivot has lead = 0 and inv[0] = 0, so its update is zero
+        pivot_row = mul.take(F.inv.take(lead)[:, None] * q + pivot[:, 1:])
+        delta = mul.take(F.neg.take(col)[:, :, None] * q + pivot_row[:, None, :])
+        Ms = add.take(Ms[:, :, 1:] * q + delta)  # zeroes the pivot row; column 0 is done
+        r += lead != 0
     return r

@@ -8,8 +8,10 @@ from trirank.fields import make_field
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
+F27 = make_field(3, 3)
 
 
 def random_matrix(F, m, n, seed):
@@ -118,3 +120,33 @@ def test_batched_rank_matches_scalar_rank(F):
 def test_batched_rank_handles_zero_and_identity():
     Ms = np.stack([np.zeros((3, 3), np.int32), np.eye(3, dtype=np.int32)])
     assert linalg.batched_rank(Ms, F3).tolist() == [0, 3]
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F8, F9, F27], ids=repr)
+def test_batched_rank_of_products_matches_scalar_rank(F):
+    # A (m x r) B (r x n) has rank at most r: low ranks, which uniform random
+    # matrices almost never have, come up in every shape
+    rng = np.random.default_rng(F.q)
+    for m in range(6):
+        for n in range(6):
+            for r in range(min(m, n) + 1):
+                A = rng.integers(0, F.q, size=(8, m, r)).astype(np.int32)
+                B = rng.integers(0, F.q, size=(8, r, n)).astype(np.int32)
+                Ms = linalg.mat_mul(A, B, F)
+                before = Ms.copy()
+                ranks = linalg.batched_rank(Ms, F)
+                assert np.array_equal(Ms, before)  # the input is not written
+                assert ranks.tolist() == [linalg.rank(M, F) for M in Ms], (m, n, r)
+                assert (ranks <= r).all()
+
+
+def test_batched_rank_of_empty_stack():
+    for shape in ((0, 3, 4), (0, 0, 2), (0, 2, 0)):
+        assert linalg.batched_rank(np.zeros(shape, np.int32), F9).shape == (0,)
+
+
+def test_batched_rank_runs_the_chunk_loop():
+    rng = np.random.default_rng(3)
+    Ms = rng.integers(0, F9.q, size=(linalg.RANK_CHUNK + 5, 1, 1)).astype(np.int32)
+    Ms[-3:] = 0  # zeros in the last chunk
+    assert np.array_equal(linalg.batched_rank(Ms, F9), (Ms[:, 0, 0] != 0).astype(np.int64))

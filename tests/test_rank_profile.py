@@ -101,6 +101,15 @@ def test_sampled_profile_spans_several_draws():
     assert prof.hist.tolist() == ref.tolist()
 
 
+def test_t2_profiles_are_pinned():
+    # the heaviest stacks of the benchmark: 6x6 over F_9 (exact) and F_27 (sampled)
+    T = tensor.tk_family(make_field(3), 2)
+    exact = rank_profile(T, 2)
+    assert exact.exact and exact.hist.tolist() == [1, 0, 1456, 0, 529984, 0, 0]
+    sampled = rank_profile(T, 3, seed=7)
+    assert not sampled.exact and sampled.hist.tolist() == [0, 0, 10, 0, 99990, 0, 0]
+
+
 def test_budget_counts_affine_points():
     T = tensor.identity_tensor(make_field(3), 2)
     assert rank_profile(T, 2, budget=81, allow_sampling=False).exact
