@@ -177,9 +177,7 @@ def _base_decomposition(Tw: Tensor3, gr: int | None, retries: int) -> SliceDecom
     return D
 
 
-def _tangent_decomposition(
-    Tw: Tensor3, r: int, seed: int, sample_budget: int
-) -> SliceDecomposition | None:
+def _tangent_decomposition(Tw: Tensor3, r: int, seed: int) -> SliceDecomposition | None:
     """One attempt at the 2r + codim construction; None if no rank-r point.
 
     One solve of [S | L basis] x = slice for every slice at once, S the map
@@ -192,7 +190,7 @@ def _tangent_decomposition(
     n1, n2, n3 = Tw.dims
     L = slice_space(Tw, "x")
     try:
-        A = sample_rank_point(L, r, budget=sample_budget, seed=seed)
+        A = sample_rank_point(L, r, budget=SAMPLE_BUDGET, seed=seed)
     except NoPointFound:
         return None
     x = _slice_coords(np.hstack([_sylvester_matrix(A), L.flat_basis().T]), Tw)
@@ -224,21 +222,20 @@ def _tangent_decomposition(
 
 
 MAX_RETRIES = 5
+SAMPLE_BUDGET = 1000  # rank-r point draws per tangent attempt
 
 
 def slice_decompose(
     T: Tensor3,
     k_work: int = 3,
-    kmax: int = 3,
     seed: int = 0,
-    sample_budget: int = 1000,
     gr_report=None,
 ) -> SliceDecomposition:
     """Explicit slice decomposition over F_{q^k_work} with <= 2r + codim terms."""
     Fw = T.field if k_work == 1 else T.field.extension(k_work)
     Tw = T.lift(Fw)
     if gr_report is None:
-        gr_report = geometric.geometric_rank(T, kmax=kmax, seed=seed)
+        gr_report = geometric.geometric_rank(T, seed=seed)
     gr = gr_report.gr if gr_report.stable else None
     if T.is_zero():
         return SliceDecomposition(
@@ -248,9 +245,7 @@ def slice_decompose(
     for retry in range(MAX_RETRIES):
         D = None
         for r in range(gr_report.argmin_r, 0, -1):
-            D = _tangent_decomposition(
-                Tw, r, seed=seed + 0x517CC1B7 * retry + r, sample_budget=sample_budget
-            )
+            D = _tangent_decomposition(Tw, r, seed=seed + 0x517CC1B7 * retry + r)
             if D is not None:
                 break
         if D is None:

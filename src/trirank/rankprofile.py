@@ -3,9 +3,9 @@
 AR (k = 1), the GR strata and the kernel-variety count all read it, and the
 bias and min-entropy read its z-axis ranks at k = 1.  The exact path
 eliminates one matrix per projective point, since rank(c x) = rank(x) for
-c != 0.  The contraction is one matrix product mod p on base-p digits, since
-digits(sum_i x_i a_i) is F_p-linear in digits(x).  The budget compares the
-affine count q^(k n); above it, uniform affine points are drawn.
+c != 0.  Both paths contract field codes by table lookups (``Contraction``).
+The budget compares the affine count q^(k n); above it, uniform affine
+points are drawn.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BudgetExceeded
+from .errors import BadParams, BudgetExceeded
 from .fields import Field
 from .tensor import Tensor3, slices
 
@@ -36,40 +36,38 @@ def point_block(q: int, n: int, start: int, stop: int) -> np.ndarray:
 
 
 class Contraction:
-    """The stack sum_i x_i A_i for batches of points x, as a matrix product mod p.
+    """The stack sum_i x_i A_i for batches of points x given as field codes.
 
-    Row (i, t) of the product matrix holds digit s of A_i * alpha^t in column
-    block s, where alpha^t (code p^t) is the t-th power-basis element of F.
-    The digit sums are reduced mod p, and weighted by p^s, by table lookup.
+    The sums over the first j coordinates are tabulated once, for the largest
+    j with q^j <= CHUNK; each further coordinate adds its term c A_i by a row
+    gather from a (q, m1 m2) table of the multiples of A_i and one add lookup.
     """
 
     def __init__(self, A: np.ndarray, F: Field):
         n, m1, m2 = A.shape
-        e, p = F.k, F.p
         self.field = F
-        self.n_digits = n * e
         self.shape = (m1, m2)
-        basis = p ** np.arange(e)
-        W = F._digits[F.mul[A[:, None], basis[None, :, None, None]]]  # (i, t, j, l, s)
-        bound = n * e * (p - 1) ** 2  # largest digit sum
-        self._dtype = np.float32 if bound < 2 ** 24 else np.float64
-        self._W = W.transpose(0, 1, 4, 2, 3).reshape(n * e, e * m1 * m2).astype(self._dtype)
-        residues = np.arange(bound + 1, dtype=np.int32) % p
-        self._digit_codes = [residues * int(w) for w in basis]
-
-    def from_digits(self, D: np.ndarray) -> np.ndarray:
-        """Matrices for points given as (N, n*e) base-p digit rows."""
-        m1, m2 = self.shape
-        sums = (D.astype(self._dtype) @ self._W).astype(np.int32)
-        sums = sums.reshape(D.shape[0], len(self._digit_codes), m1 * m2)
-        codes = self._digit_codes[0].take(sums[:, 0])
-        for s in range(1, len(self._digit_codes)):
-            codes += self._digit_codes[s].take(sums[:, s])
-        return codes.reshape(D.shape[0], *self.shape)
+        # multiples[i, c] = c A_i, flattened; intp, since add.take is several
+        # times faster on intp indices than on int32 ones
+        multiples = F.mul[np.arange(F.q)[:, None], A.reshape(n, 1, m1 * m2)]
+        self._multiples = multiples.astype(np.intp)
+        add = F.add.ravel()
+        j, low = 0, np.zeros((1, m1 * m2), dtype=np.int32)
+        while j < n and F.q ** (j + 1) <= CHUNK:
+            # low[x] = sum_{i <= j} x_i A_i, with coordinate j the most significant
+            low = add.take(self._multiples[j][:, None] * F.q + low[None])
+            low = low.reshape(F.q ** (j + 1), m1 * m2)
+            j += 1
+        self._j, self._low = j, low
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Matrices for points given as (N, n) field codes."""
-        return self.from_digits(self.field._digits[X].reshape(X.shape[0], self.n_digits))
+        F, j = self.field, self._j
+        add = F.add.ravel()
+        Ms = self._low[X[:, :j] @ F.q ** np.arange(j)]
+        for i in range(j, len(self._multiples)):
+            Ms = add.take(Ms * F.q + self._multiples[i][X[:, i]])
+        return Ms.reshape(X.shape[0], *self.shape)
 
 
 @dataclass(frozen=True)
@@ -97,15 +95,16 @@ def projective_ranks(T: Tensor3, k: int, axis: str):
 
     ranks[j] is rank(sum_i x_i A_i) at the point x with base-q index start + j.
     Base-q indices [q^i, 2 q^i) are the points whose last nonzero coordinate
-    is x_i = 1; as base-p indices they are the points' digit rows.
+    is x_i = 1.
     """
     Fk = T.field.extension(k)
-    C = Contraction(np.asarray(slices(T, axis), dtype=np.int32), Fk)
-    for i in range(C.n_digits // Fk.k):
+    A = np.asarray(slices(T, axis), dtype=np.int32)
+    C = Contraction(A, Fk)
+    for i in range(A.shape[0]):
         lo = Fk.q ** i
         for start in range(lo, 2 * lo, CHUNK):
-            D = point_block(Fk.p, C.n_digits, start, min(start + CHUNK, 2 * lo))
-            yield start, linalg.batched_rank(C.from_digits(D), Fk)
+            X = point_block(Fk.q, A.shape[0], start, min(start + CHUNK, 2 * lo))
+            yield start, linalg.batched_rank(C(X), Fk)
 
 
 def rank_profile(
@@ -132,6 +131,8 @@ def rank_profile(
         return RankProfile(k=k, q=Fk.q, hist=hist, exact=True, total=total)
     if not allow_sampling:
         raise BudgetExceeded(f"{Fk.q}^{n} contractions exceed budget {budget}")
+    if mc_samples < 1:
+        raise BadParams(f"{Fk.q}^{n} points exceed budget {budget}; mc_samples must be >= 1")
     C = Contraction(A, Fk)
     rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
     remaining = mc_samples

@@ -326,17 +326,12 @@ def slice_rank(T: Tensor3, ar: float | None = None, gr: int | None = None) -> SR
 def verify_rank_chain(
     T: Tensor3,
     kmax: int = 3,
-    budget: int = geometric.ELIM_BUDGET,
     ar_budget: int = analytic.ENUM_BUDGET,
-    mc_samples: int = geometric.MC_SAMPLES,
     seed: int = 0,
     cross_check: bool = False,
 ) -> ChainReport:
     """Compute AR, GR, SR and evaluate the inequality chain with its constants."""
-    gr = geometric.geometric_rank(
-        T, kmax=kmax, budget=budget, mc_samples=mc_samples, seed=seed,
-        cross_check=cross_check,
-    )
+    gr = geometric.geometric_rank(T, kmax=kmax, seed=seed, cross_check=cross_check)
     ar_skipped = T.field.q == 2
     ar = None if ar_skipped else analytic.analytic_rank(T, budget=ar_budget)
     sr = slice_rank(T, ar=ar.value if ar is not None else None, gr=gr.gr)

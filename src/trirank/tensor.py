@@ -262,7 +262,10 @@ def loads(text: str) -> Tensor3:
         raise TensorFormatError(f"bad dims in header: {lines[0]!r}") from None
     if any(d < 0 for d in dims):
         raise TensorFormatError("negative dimension")
-    entries = np.zeros(dims, dtype=np.int32)
+    try:
+        entries = np.zeros(dims, dtype=np.int32)
+    except (ValueError, MemoryError) as exc:  # numpy's limits on array size
+        raise TensorFormatError(f"dims {dims} too large: {exc}") from None
     seen = set()
     for ln in lines[1:]:
         parts = ln.split()

@@ -8,7 +8,7 @@ from trirank import analytic, tensor
 from trirank.errors import BudgetExceeded
 from trirank.fields import make_field
 from trirank.linalg import mat_mul
-from trirank.rankprofile import Contraction, point_block
+from trirank.rankprofile import point_block
 
 F3 = make_field(3)
 
@@ -36,13 +36,13 @@ def brute_min_entropy(T):
     F = T.field
     n1, n2, n3 = T.dims
     Y = point_block(F.q, n2, 0, F.q ** n2)
-    contract = Contraction(tensor.slices(T, "x"), F)
+    A = tensor.slices(T, "x").reshape(n1, n2 * n3)
     weights = F.q ** np.arange(n3, dtype=np.int64)
     hist = np.zeros(F.q ** n3, dtype=np.int64)
     total_x, chunk = F.q ** n1, 1 << 12
     for start in range(0, total_x, chunk):
         X = point_block(F.q, n1, start, min(start + chunk, total_x))
-        vals = mat_mul(Y[None], contract(X), F)
+        vals = mat_mul(Y[None], mat_mul(X, A, F).reshape(-1, n2, n3), F)
         hist += np.bincount((vals * weights).sum(axis=2).ravel(), minlength=hist.size)
     return hist
 

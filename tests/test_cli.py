@@ -150,6 +150,29 @@ def test_missing_file_and_bad_usage():
     assert cli.run([]) == 2
 
 
+@pytest.mark.parametrize("header", [
+    "tensor 3^1 4000000000 4000000000 1",  # too many bytes
+    "tensor 3^1 100000000000000000000 2 2",  # a dimension past the index range
+])
+def test_huge_tensor_dims_are_a_format_error(tmp_path, capsys, header):
+    path = tmp_path / "huge.t"
+    path.write_text(header + "\n")
+    assert cli.run(["ar", "--tensor", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too large" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_gr_needs_a_sample_where_it_must_sample(tmp_path, capsys, samples):
+    path, out = tmp_path / "t.t", tmp_path / "gr.json"
+    tensor.dump(tensor.random_tensor(F3, (2, 2, 2), seed=0), str(path))
+    rc = cli.run(["gr", "--tensor", str(path), "--kmax", "3", "--mc-samples", samples,
+                  "--budget", "1", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mc_samples" in err
+
+
 def test_malformed_budget_env_is_a_usage_error(levi_path, monkeypatch, capsys):
     monkeypatch.setenv("TRIRANK_BUDGET", "abc")
     assert cli.run(["ar", "--tensor", levi_path]) == 2

@@ -138,7 +138,7 @@ def reference_base_decomposition(Tw, gr, retries):
     return D
 
 
-def reference_tangent_decomposition(Tw, r, seed, sample_budget):
+def reference_tangent_decomposition(Tw, r, seed, sample_budget=decomp.SAMPLE_BUDGET):
     F = Tw.field
     n1, n2, n3 = Tw.dims
     L = slice_space(Tw, "x")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trirank import analytic, geometric, linalg, tensor
@@ -120,13 +120,18 @@ def test_budget_counts_affine_points():
 @settings(max_examples=40, deadline=None)
 @given(
     field=st.sampled_from(["2^1", "3^1", "7^1", "2^3", "3^2", "5^2"]),
-    n=st.integers(1, 4),
+    n=st.integers(0, 4),
+    shape=st.sampled_from([(2, 3), (0, 3), (2, 0)]),
     seed=st.integers(0, 2 ** 31 - 1),
 )
-def test_contraction_matches_table_lookups(field, n, seed):
+# q^n > CHUNK: coordinates past the tabulated ones are added one at a time
+@example(field="3^3", n=4, shape=(2, 3), seed=1)
+@example(field="3^6", n=2, shape=(2, 3), seed=2)
+@example(field="2^1", n=14, shape=(2, 3), seed=3)
+def test_contraction_matches_table_lookups(field, n, shape, seed):
     F = parse_field(field)
     rng = np.random.default_rng(seed)
-    A = rng.integers(0, F.q, size=(n, 2, 3)).astype(np.int32)
+    A = rng.integers(0, F.q, size=(n,) + shape).astype(np.int32)
     X = rng.integers(0, F.q, size=(50, n)).astype(np.int32)
     assert np.array_equal(Contraction(A, F)(X), table_contraction(A, F, X))
 
