@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded
-from .rankprofile import projective_ranks, rank_profile
+from .rankprofile import projective_ranks, rank_profile, within_budget
 from .tensor import Tensor3
 
 ENUM_BUDGET = 10 ** 8
@@ -79,7 +79,7 @@ def zero_count(T: Tensor3, budget: int = ENUM_BUDGET) -> int:
     """Exact |{(x, y) : f(x, y) = 0}| over the tensor's own field."""
     F = T.field
     n1, n2, _ = T.dims
-    if F.q ** (n1 + n2) > budget:
+    if not within_budget(F.q, n1 + n2, budget):
         raise BudgetExceeded(f"q^(n1+n2) = {F.q}^{n1 + n2} exceeds budget {budget}")
     return rank_profile(T, 1, "x", budget=budget, allow_sampling=False).fiber_sum(n2)
 
@@ -114,18 +114,24 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     F = T.field
     n1, n2, n3 = T.dims
     q = F.q
-    if q ** (n3 + 1) > budget:
+    if not within_budget(q, n3 + 1, budget):
         raise BudgetExceeded(f"min-entropy: {q}^{n3 + 1} transform entries exceed budget {budget}")
     rmax = min(n1, n2)
-    X = np.zeros((q, q ** n3, rmax + 1), dtype=np.int64)  # [s, z or b, rank]
+    rank_of = np.full(q ** n3, -1, dtype=np.int64)  # -1 off the representatives
     for start, ranks in projective_ranks(T, 1, "z"):
-        X[0, np.arange(start, start + ranks.size), ranks] = 1
+        rank_of[start : start + ranks.size] = ranks
+    # entries count projective points, fewer than q^n3
+    dtype = np.int32 if q ** n3 < 2 ** 31 else np.int64
     sub = F.add[:, F.neg[F.mul]]  # sub[s, z, b] = s - z b
-    for _ in range(n3):
-        X = X.reshape(q, q, -1, rmax + 1)  # [s, most significant coordinate, the rest, rank]
-        X = sum(X[sub[:, z], z] for z in range(q))
-        X = X.transpose(0, 2, 1, 3)  # the coordinate done becomes the least significant
-    W = X.reshape(q, q ** n3, rmax + 1)[0]  # in histogram order: coordinate 0 lowest
+    W = np.empty((q ** n3, rmax + 1), dtype=np.int64)
+    for r in range(rmax + 1):  # one rank at a time keeps the transform small
+        X = np.zeros((q, q ** n3), dtype=dtype)  # [s, z or b]
+        X[0] = rank_of == r
+        for _ in range(n3):
+            X = X.reshape(q, q, -1)  # [s, most significant coordinate, the rest]
+            X = sum(X[sub[:, z], z] for z in range(q))
+            X = X.transpose(0, 2, 1)  # the coordinate done becomes the least significant
+        W[:, r] = X.reshape(q, q ** n3)[0]  # in histogram order: coordinate 0 lowest
     G = W @ np.array([q ** (n1 - r) for r in range(rmax + 1)], dtype=object)
     scaled = q ** n2 * (q ** n1 - G[0] + q * G)  # b = 0 is orthogonal to every [z]
     if (scaled % q ** n3).any():

@@ -120,7 +120,7 @@ def tangent_space_at(A, F: Field) -> MatrixSpace:
     """Span of {E_ab A} union {A E_ab}: the tangent {CA + AC'} at A."""
     A = linalg.as_matrix(A)
     basis = linalg.row_space_basis(_sylvester_matrix(A).T, F)
-    return MatrixSpace(F, A.shape, basis.reshape(-1, *A.shape))
+    return MatrixSpace(F, A.shape, basis)
 
 
 def sample_rank_point(

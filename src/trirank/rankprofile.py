@@ -3,9 +3,14 @@
 AR (k = 1), the GR strata and the kernel-variety count all read it, and the
 bias and min-entropy read its z-axis ranks at k = 1.  The exact path
 eliminates one matrix per projective point, since rank(c x) = rank(x) for
-c != 0.  Both paths contract field codes by table lookups (``Contraction``).
-The budget compares the affine count q^(k n); above it, uniform affine
-points are drawn.
+c != 0.  A direct sum splits the work: up to permutations every matrix
+sum_i x_i A_i is block-diagonal, one block per direct summand of T
+(``tensor.direct_summands``), so ``SummandRanks`` contracts and eliminates
+each summand's block on its own coordinates and adds the ranks.  Both paths
+contract field codes by table lookups (``Contraction``) and map the very
+points they did before the split, so histograms and sampled counts are
+unchanged.  The budget compares the affine count q^(k n); above it, uniform
+affine points are drawn.
 """
 
 from __future__ import annotations
@@ -17,12 +22,17 @@ import numpy as np
 from . import linalg
 from .errors import BadParams, BudgetExceeded
 from .fields import Field
-from .tensor import Tensor3, slices
+from .tensor import AXES, Tensor3, direct_summands, slices
 
 ELIM_BUDGET = 2 ** 21  # most affine points per tower level that are counted exactly
 MC_SAMPLES = 10 ** 5
 CHUNK = 1 << 13  # points contracted and eliminated at once (bounds peak memory)
 _DRAW = 1 << 15  # Monte Carlo points per rng draw (fixes the sample stream)
+
+
+def within_budget(q: int, n: int, budget: int) -> bool:
+    """q^n <= budget, without forming q^n when n alone exceeds it (q >= 2)."""
+    return n < budget.bit_length() and q ** n <= budget
 
 
 def point_block(q: int, n: int, start: int, stop: int) -> np.ndarray:
@@ -90,6 +100,34 @@ class RankProfile:
         return sum(int(c) * self.q ** (n2 - r) for r, c in enumerate(self.hist))
 
 
+class SummandRanks:
+    """rank(sum_i x_i A_i) for batches of points x, summed over direct summands.
+
+    Each summand keeps only its own coordinates, rows and columns and has its
+    own Contraction; coordinates in no summand do not change the rank.
+    """
+
+    def __init__(self, T: Tensor3, k: int, axis: str):
+        self.field = T.field.extension(k)
+        a = AXES.index(axis)
+        A = slices(T, axis)
+        self._parts = []
+        for sets in direct_summands(T):
+            coords = sets[a]
+            rows, cols = (s for i, s in enumerate(sets) if i != a)
+            C = Contraction(A[np.ix_(coords, rows, cols)], self.field)
+            if coords[-1] - coords[0] == len(coords) - 1:  # a run: take X[:, coords] as a view
+                coords = slice(coords[0], coords[-1] + 1)
+            self._parts.append((coords, C))
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """Ranks for points given as (N, n) field codes."""
+        ranks = np.zeros(X.shape[0], dtype=np.int64)
+        for coords, C in self._parts:
+            ranks += linalg.batched_rank(C(X[:, coords]), self.field)
+        return ranks
+
+
 def projective_ranks(T: Tensor3, k: int, axis: str):
     """Yield (start, ranks) for each block of projective points of F_{q^k}^n.
 
@@ -97,14 +135,12 @@ def projective_ranks(T: Tensor3, k: int, axis: str):
     Base-q indices [q^i, 2 q^i) are the points whose last nonzero coordinate
     is x_i = 1.
     """
-    Fk = T.field.extension(k)
-    A = np.asarray(slices(T, axis), dtype=np.int32)
-    C = Contraction(A, Fk)
-    for i in range(A.shape[0]):
-        lo = Fk.q ** i
+    ranks_at = SummandRanks(T, k, axis)
+    q, n = ranks_at.field.q, T.dims[AXES.index(axis)]
+    for i in range(n):
+        lo = q ** i
         for start in range(lo, 2 * lo, CHUNK):
-            X = point_block(Fk.q, A.shape[0], start, min(start + CHUNK, 2 * lo))
-            yield start, linalg.batched_rank(C(X), Fk)
+            yield start, ranks_at(point_block(q, n, start, min(start + CHUNK, 2 * lo)))
 
 
 def rank_profile(
@@ -118,31 +154,28 @@ def rank_profile(
 ) -> RankProfile:
     """Rank histogram of the slices along `axis`, contracted over F_{q^k}."""
     Fk = T.field.extension(k)
-    A = np.asarray(slices(T, axis), dtype=np.int32)
-    n = A.shape[0]
-    rmax = min(A.shape[1:])
-    total = Fk.q ** n
+    n, *shape = slices(T, axis).shape
+    rmax = min(shape)
     hist = np.zeros(rmax + 1, dtype=np.int64)
-    if total <= budget:
+    if within_budget(Fk.q, n, budget):
         for _, ranks in projective_ranks(T, k, axis):
             hist += np.bincount(ranks, minlength=rmax + 1)
         hist *= Fk.q - 1
         hist[0] += 1  # x = 0
-        return RankProfile(k=k, q=Fk.q, hist=hist, exact=True, total=total)
+        return RankProfile(k=k, q=Fk.q, hist=hist, exact=True, total=Fk.q ** n)
     if not allow_sampling:
         raise BudgetExceeded(f"{Fk.q}^{n} contractions exceed budget {budget}")
     if mc_samples < 1:
         raise BadParams(f"{Fk.q}^{n} points exceed budget {budget}; mc_samples must be >= 1")
-    C = Contraction(A, Fk)
+    ranks_at = SummandRanks(T, k, axis)
     rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
     remaining = mc_samples
     while remaining > 0:
         m = min(remaining, _DRAW)
         X = rng.integers(0, Fk.q, size=(m, n), dtype=np.int64)
         for start in range(0, m, CHUNK):
-            ranks = linalg.batched_rank(C(X[start : start + CHUNK]), Fk)
-            hist += np.bincount(ranks, minlength=rmax + 1)
+            hist += np.bincount(ranks_at(X[start : start + CHUNK]), minlength=rmax + 1)
         remaining -= m
     return RankProfile(
-        k=k, q=Fk.q, hist=hist, exact=False, total=total, samples=mc_samples
+        k=k, q=Fk.q, hist=hist, exact=False, total=Fk.q ** n, samples=mc_samples
     )

@@ -21,7 +21,7 @@ import numpy as np
 from . import analytic, geometric, linalg
 from .errors import ContradictoryBounds, OutOfExactScope
 from .fields import Field
-from .tensor import Tensor3, slice_space
+from .tensor import Tensor3, direct_summands, slice_space
 
 EXACT_DIM_LIMIT = 4
 EXACT_Q_LIMIT = 3
@@ -172,33 +172,6 @@ def slice_rank_bounds(T: Tensor3, ar: float | None = None, gr: int | None = None
 # vertex-cover method for antichain supports
 # ---------------------------------------------------------------------------
 
-def _support_components(support):
-    """Connected components of the support hypergraph (vertices = (axis, idx))."""
-    parent = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for e in support:
-        verts = [(ax, e[ax]) for ax in range(3)]
-        for v in verts:
-            parent.setdefault(v, v)
-        union(verts[0], verts[1])
-        union(verts[1], verts[2])
-    groups: dict = {}
-    for e in support:
-        groups.setdefault(find((0, e[0])), []).append(e)
-    return list(groups.values())
-
-
 def _is_antichain(triples) -> bool:
     for a in triples:
         for b in triples:
@@ -241,17 +214,14 @@ def _min_vertex_cover(edges) -> int:
 def vertex_cover_sr(T: Tensor3):
     """SR via the cover number when the support is an antichain, else None.
 
-    The support is accepted when every connected component is an antichain in
-    the product order: components occupy disjoint index sets per axis, so the
-    axes can always be reordered to make the union an antichain.
+    The support is accepted when the support of every direct summand is an
+    antichain in the product order: summands occupy disjoint index sets per
+    axis, so the axes can always be reordered to make the union an antichain.
     """
-    support = [tuple(int(v) for v in idx) for idx in zip(*np.nonzero(T.entries))]
-    if not support:
-        return 0
-    components = _support_components(support)
-    if not all(_is_antichain(c) for c in components):
+    supports = [np.argwhere(T.entries[np.ix_(I, J, K)]).tolist() for I, J, K in direct_summands(T)]
+    if not all(_is_antichain(c) for c in supports):
         return None
-    return sum(_min_vertex_cover(c) for c in components)
+    return sum(_min_vertex_cover(c) for c in supports)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,8 @@ class MatrixSpace:
     def __init__(self, field: Field, shape, basis):
         self.field = field
         self.shape = tuple(shape)
-        basis = np.asarray(basis, dtype=np.int32).reshape(-1, *self.shape)
+        basis = np.asarray(basis, dtype=np.int32)
+        basis = basis.reshape(len(basis), *self.shape)  # len, not -1: a shape may hold a 0
         flat = basis.reshape(basis.shape[0], int(np.prod(self.shape)))
         if linalg.rank(flat, field) != basis.shape[0]:
             raise BadParams("basis matrices are not linearly independent")
@@ -143,9 +144,43 @@ def slices(T: Tensor3, axis: str) -> np.ndarray:
 def slice_space(T: Tensor3, axis: str) -> MatrixSpace:
     """Span of the slices along an axis, with redundant slices removed."""
     sl = slices(T, axis)
-    flat = sl.reshape(sl.shape[0], -1)
+    flat = sl.reshape(sl.shape[0], int(np.prod(sl.shape[1:])))
     basis = linalg.row_space_basis(flat, T.field)
-    return MatrixSpace(T.field, sl.shape[1:], basis.reshape(-1, *sl.shape[1:]))
+    return MatrixSpace(T.field, sl.shape[1:], basis)
+
+
+def direct_summands(T: Tensor3) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Index sets (I, J, K) on x, y and z of the direct summands of T.
+
+    The summands are the connected blocks of the support: T is zero outside
+    the boxes I x J x K, which are disjoint on every axis.  Union-find joins
+    each x index to the y indices (vertices n1 + j) and z indices (vertices
+    n1 + n2 + k) of the support's projections onto (x, y) and (x, z).
+    Indices outside the support are in no summand, so the zero tensor has
+    none; the order is by least x index.
+    """
+    n1, n2, n3 = T.dims
+    xy, xz = np.nonzero(T.entries.any(axis=2)), np.nonzero(T.entries.any(axis=1))
+    xs = xy[0].tolist() + xz[0].tolist()
+    others = (xy[1] + n1).tolist() + (xz[1] + n1 + n2).tolist()
+    root = list(range(n1 + n2 + n3))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]  # path halving
+            v = root[v]
+        return v
+
+    for i, v in zip(xs, others):
+        root[find(v)] = find(i)
+    blocks: dict = {}
+    for v in sorted({*xs, *others}):  # x vertices first, so blocks open by least x index
+        blocks.setdefault(find(v), ([], [], []))[(v >= n1) + (v >= n1 + n2)].append(v)
+    return [
+        (np.array(I, dtype=np.intp), np.array(J, dtype=np.intp) - n1,
+         np.array(K, dtype=np.intp) - (n1 + n2))
+        for I, J, K in blocks.values()
+    ]
 
 
 def gl_act(T: Tensor3, axis: str, M) -> Tensor3:

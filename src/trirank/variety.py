@@ -22,7 +22,7 @@ from .errors import (
     UnstableEstimate,
 )
 from .fields import Field
-from .rankprofile import point_block
+from .rankprofile import point_block, within_budget
 
 EXACT_POINT_BUDGET = 10 ** 8
 MC_SAMPLES = 10 ** 6
@@ -294,8 +294,8 @@ def count_points(
     """Count common zeros in F_{q^k}^n, exactly if within budget."""
     Fk = S.field.extension(k)
     n = S.nvars
-    total = Fk.q ** n
-    if total <= budget:
+    if within_budget(Fk.q, n, budget):
+        total = Fk.q ** n
         count = 0
         chunk = 1 << 18
         for start in range(0, total, chunk):
@@ -310,7 +310,7 @@ def count_points(
         X = rng.integers(0, Fk.q, size=(m, n), dtype=np.int64).astype(np.int32)
         hits += int(_eval_zero_mask(S, Fk, X).sum())
         remaining -= m
-    estimate = hits / mc_samples * total
+    estimate = hits / mc_samples * Fk.q ** n
     return CountRecord(k=k, count=estimate, exact=False, samples=mc_samples)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +9,7 @@ from trirank import cli, tensor
 from trirank.fields import make_field
 
 F3 = make_field(3)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 @pytest.fixture
@@ -160,6 +164,37 @@ def test_huge_tensor_dims_are_a_format_error(tmp_path, capsys, header):
     assert cli.run(["ar", "--tensor", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "too large" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("header", ["tensor 3^1 2 0 3", "tensor 3^1 0 2 2", "tensor 2^1 3 3 0"])
+def test_zero_size_axis_has_slice_rank_zero(tmp_path, header):
+    path, out = tmp_path / "empty.t", tmp_path / "out.json"
+    path.write_text(header + "\n")
+    assert cli.run(["sr", "--tensor", str(path), "--out", str(out)]) == 0
+    sr = read_json(out)["sr"]
+    assert (sr["lo"], sr["hi"], sr["method"]) == (0, 0, "vertex_cover")
+    assert cli.run(["chain", "--tensor", str(path), "--kmax", "2", "--out", str(out)]) == 0
+    chain_sr = read_json(out)["chain"]["sr"]
+    assert (chain_sr["lo"], chain_sr["hi"], chain_sr["method"]) == (0, 0, "vertex_cover")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ar", "--tensor", "wide.t"],
+    ["chain", "--tensor", "wide.t"],
+    ["closeness", "--f", "wide.t", "--g", "wide.t"],
+    ["ar", "--tensor", "tall.t", "--histogram", "h.csv"],
+])
+def test_budget_rejects_a_huge_empty_axis_at_once(tmp_path, argv):
+    # q^n with n = 10^8 must not be formed; a subprocess turns a stall into a failure
+    (tmp_path / "wide.t").write_text("tensor 3^1 0 100000000 1\n")
+    (tmp_path / "tall.t").write_text("tensor 3^1 0 1 100000000\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trirank.cli", *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "exceed" in proc.stderr
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

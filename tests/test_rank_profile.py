@@ -101,6 +101,42 @@ def test_sampled_profile_spans_several_draws():
     assert prof.hist.tolist() == ref.tolist()
 
 
+def draw_direct_sum(data, F, limit):
+    """1-3 random summands, zero-padded and permuted on every axis, no axis past limit."""
+    count = data.draw(st.integers(1, min(3, limit)))
+    used, blocks = [0, 0, 0], []
+    for left in reversed(range(count)):  # `left` summands still need an index per axis
+        shape = [data.draw(st.integers(1, min(3, limit - used[a] - left))) for a in range(3)]
+        size = int(np.prod(shape))
+        entries = data.draw(st.lists(st.integers(0, F.q - 1), min_size=size, max_size=size))
+        blocks.append((list(used), np.array(entries, dtype=np.int32).reshape(shape)))
+        used = [u + n for u, n in zip(used, shape)]
+    dims = [u + data.draw(st.integers(0, min(1, limit - u))) for u in used]  # zero slices
+    e = np.zeros(dims, dtype=np.int32)
+    for (i, j, k), B in blocks:
+        e[i : i + B.shape[0], j : j + B.shape[1], k : k + B.shape[2]] = B
+    for a, n in enumerate(dims):
+        e = np.take(e, data.draw(st.permutations(range(n))), axis=a)
+    return tensor.Tensor3(F, e)
+
+
+@pytest.mark.parametrize("field,k", FIELD_LEVELS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), samples=st.integers(1, 300), seed=st.integers(0, 2 ** 31 - 1))
+def test_direct_sums_match_the_unsplit_reference(field, k, data, samples, seed):
+    F = parse_field(field)
+    limit = 1
+    while limit < 5 and F.q ** (k * (limit + 1)) <= REF_POINTS:
+        limit += 1
+    T = draw_direct_sum(data, F, limit)
+    for axis in "xyz":
+        prof = rank_profile(T, k, axis)
+        assert prof.exact and prof.hist.tolist() == reference_hist(T, k, axis).tolist()
+        prof = rank_profile(T, k, axis, budget=0, mc_samples=samples, seed=seed)
+        ref = reference_sampled_hist(T, k, axis, samples, seed)
+        assert prof.hist.tolist() == ref.tolist()
+
+
 def test_t2_profiles_are_pinned():
     # the heaviest stacks of the benchmark: 6x6 over F_9 (exact) and F_27 (sampled)
     T = tensor.tk_family(make_field(3), 2)

@@ -104,6 +104,43 @@ def test_direct_sum_block_structure():
     assert not D.entries[:2, 2:, :].any()
 
 
+def test_direct_summand_counts():
+    counts = {
+        "T_2": tensor.tk_family(F3, 2),
+        "identity_4": tensor.identity_tensor(F3, 4),
+        "levi_civita": tensor.levi_civita(F3),
+        "zero": tensor.zero_tensor(F3, (2, 3, 2)),
+        "zero dim": tensor.zero_tensor(F3, (2, 0, 3)),
+    }
+    assert {name: len(tensor.direct_summands(T)) for name, T in counts.items()} == {
+        "T_2": 2, "identity_4": 4, "levi_civita": 1, "zero": 0, "zero dim": 0,
+    }
+    I, J, K = tensor.direct_summands(tensor.tk_family(F3, 2))[1]
+    assert I.tolist() == J.tolist() == K.tolist() == [3, 4, 5]
+
+
+def summand_lists(e):
+    return [tuple(s.tolist() for s in part) for part in tensor.direct_summands(tensor.Tensor3(F3, e))]
+
+
+def test_direct_summands_join_through_either_projection():
+    # x0 and x1 share only z2, then only y2; the other y and z indices split them
+    e = np.zeros((2, 3, 3), dtype=np.int32)
+    e[0, 0, 2] = e[1, 1, 2] = 1
+    assert summand_lists(e) == [([0, 1], [0, 1], [2])]
+    assert summand_lists(e.transpose(0, 2, 1)) == [([0, 1], [2], [0, 1])]
+    # blocks come in order of least x index, whatever their y and z indices
+    e = np.zeros((3, 3, 3), dtype=np.int32)
+    e[0, 2, 1] = e[2, 0, 0] = 1
+    assert summand_lists(e) == [([0], [2], [1]), ([2], [0], [0])]
+
+
+def test_zero_size_axis_has_a_slice_space():
+    T = tensor.zero_tensor(F3, (2, 0, 3))
+    assert [tensor.slice_space(T, axis).dim for axis in "xyz"] == [0, 0, 0]
+    assert tensor.slice_space(T, "x").basis.shape == (0, 0, 3)
+
+
 def test_sub_and_zero():
     T = tensor.random_tensor(F3, (2, 2, 2), seed=4)
     assert tensor.sub(T, T).is_zero()
