@@ -92,13 +92,13 @@ def analytic_rank(T: Tensor3, budget: int = ENUM_BUDGET) -> ARValue:
 def bias_char_sum(T: Tensor3, budget: int = ENUM_BUDGET) -> complex:
     """Exp_{x,y,z} chi(T(x,y,z)) = Exp_z q^(-rank A_z), from the z-axis rank profile.
 
-    The value is the exact fraction (zero count) / q^(n1+n2), returned as a
+    The value is the exact fraction (zero count) / q^(n1+n2), summed as
+    hist[r] / q^(n3 + r) so that q^(n1+n2) is never formed, and returned as a
     complex number; the budget bounds the q^n3 points z.
     """
-    n1, n2, n3 = T.dims
-    q = T.field.q
+    n3, q = T.dims[2], T.field.q
     prof = rank_profile(T, 1, "z", budget=budget, allow_sampling=False)
-    return complex(Fraction(prof.fiber_sum(n1 + n2), q ** (n1 + n2 + n3)))
+    return complex(sum(Fraction(int(c), q ** (n3 + r)) for r, c in enumerate(prof.hist)))
 
 
 def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:

@@ -17,9 +17,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import analytic, biascx, decomp, geometric, slicerank, tensor, variety
-from .errors import BadParams, TrirankError
+from .errors import BadParams, BudgetExceeded, TrirankError
 from .fields import parse_field
-from .rankprofile import point_block
+from .rankprofile import point_block, within_budget
 
 SCHEMA = 1
 
@@ -164,6 +164,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_szcheck(args) -> int:
     F = parse_field(args.field)
+    if not within_budget(F.q, args.nvars, args.budget):  # sz_check needs the exact k = 1 count
+        raise BudgetExceeded(f"szcheck: {F.q}^{args.nvars} points exceed budget {args.budget}")
     with open(args.system, encoding="utf-8") as fh:
         S = variety.parse_poly_system(fh.read(), F, args.nvars)
     est = variety.estimate_dim(S, kmax=args.kmax, budget=args.budget, seed=args.seed)

@@ -1,16 +1,19 @@
 """The rank-profile kernel: the histogram of rank(sum_i x_i A_i) over F_{q^k}.
 
 AR (k = 1), the GR strata and the kernel-variety count all read it, and the
-bias and min-entropy read its z-axis ranks at k = 1.  The exact path
-eliminates one matrix per projective point, since rank(c x) = rank(x) for
-c != 0.  A direct sum splits the work: up to permutations every matrix
-sum_i x_i A_i is block-diagonal, one block per direct summand of T
-(``tensor.direct_summands``), so ``SummandRanks`` contracts and eliminates
-each summand's block on its own coordinates and adds the ranks.  Both paths
-contract field codes by table lookups (``Contraction``) and map the very
-points they did before the split, so histograms and sampled counts are
-unchanged.  The budget compares the affine count q^(k n); above it, uniform
-affine points are drawn.
+bias and min-entropy read its z-axis ranks at k = 1.  Up to permutations
+every matrix sum_i x_i A_i is block-diagonal, one block per direct summand of
+T (``tensor.direct_summands``), so a point's rank is the sum of its summands'
+ranks, and each summand is ranked once, on the projective points of its own
+coordinates (rank(c x) = rank(x) for c != 0).  The exact path convolves the
+summands' affine histograms and multiplies by q^k for every coordinate in no
+summand.  The sampled path draws the same uniform affine points as ever and
+reads each summand's rank at a draw from a table over its affine points
+(``SummandRanks``), unless that table would have more entries than there are
+draws: such a summand is eliminated at the draws.  Either way the ranks,
+histograms and sampled counts are those of the whole tensor at the same
+points.  The budget compares the whole tensor's affine count q^(k n); above
+it, points are drawn.
 """
 
 from __future__ import annotations
@@ -100,47 +103,115 @@ class RankProfile:
         return sum(int(c) * self.q ** (n2 - r) for r, c in enumerate(self.hist))
 
 
+def _projective_blocks(q: int, n: int):
+    """(start, stop) base-q index ranges, at most CHUNK long, of the projective points of F_q^n.
+
+    Base-q indices [q^i, 2 q^i) are the points whose last nonzero coordinate
+    is x_i = 1.
+    """
+    for i in range(n):
+        lo = q ** i
+        for start in range(lo, 2 * lo, CHUNK):
+            yield start, min(start + CHUNK, 2 * lo)
+
+
+def _summands(T: Tensor3, k: int, axis: str) -> list[tuple[np.ndarray, Contraction]]:
+    """(coordinates, Contraction of its block) for each direct summand of T along `axis`."""
+    Fk = T.field.extension(k)
+    a = AXES.index(axis)
+    A = slices(T, axis)
+    parts = []
+    for sets in direct_summands(T):
+        rows, cols = (s for i, s in enumerate(sets) if i != a)
+        parts.append((sets[a], Contraction(A[np.ix_(sets[a], rows, cols)], Fk)))
+    return parts
+
+
+def _own_projective_ranks(C: Contraction, n: int):
+    """Yield (start, ranks) over the projective points of C's own n coordinates."""
+    q = C.field.q
+    for start, stop in _projective_blocks(q, n):
+        yield start, linalg.batched_rank(C(point_block(q, n, start, stop)), C.field)
+
+
+def _affine_hist(C: Contraction, n: int) -> np.ndarray:
+    """Rank histogram of one summand over the q^n affine points of its coordinates."""
+    hist = np.zeros(min(C.shape) + 1, dtype=np.int64)
+    for _, ranks in _own_projective_ranks(C, n):
+        hist += np.bincount(ranks, minlength=hist.size)
+    hist *= C.field.q - 1
+    hist[0] += 1  # x = 0
+    return hist
+
+
+def _rank_table(C: Contraction, n: int) -> np.ndarray:
+    """Rank at every affine point of F_q^n, by base-q index.
+
+    The projective points are eliminated; every other point x != 0 reads the
+    rank of its representative x / x_last, where x_last is its last nonzero
+    coordinate, whose index is at most x's.
+    """
+    F, q = C.field, C.field.q
+    table = np.zeros(q ** n, dtype=np.min_scalar_type(min(C.shape)))
+    for start, ranks in _own_projective_ranks(C, n):
+        table[start : start + ranks.size] = ranks
+    powers = q ** np.arange(n, dtype=np.int64)
+    for start in range(1, q ** n, CHUNK):
+        stop = min(start + CHUNK, q ** n)
+        idx = np.arange(start, stop, dtype=np.int64)
+        lead = idx // powers[np.searchsorted(powers, idx, side="right") - 1]  # x_last
+        rep = F.mul[F.inv[lead][:, None], point_block(q, n, start, stop)] @ powers
+        table[start:stop] = table[rep]
+    return table
+
+
 class SummandRanks:
     """rank(sum_i x_i A_i) for batches of points x, summed over direct summands.
 
-    Each summand keeps only its own coordinates, rows and columns and has its
-    own Contraction; coordinates in no summand do not change the rank.
+    Each summand keeps only its own coordinates, rows and columns.  A summand
+    with at most `points` affine points (`points` being the number of points
+    the caller ranks) is read from its ``_rank_table``, so tabulating never
+    eliminates more matrices, nor fills more table entries, than there are
+    points; any other is contracted and eliminated at the points.  Coordinates
+    in no summand do not change the rank.
     """
 
-    def __init__(self, T: Tensor3, k: int, axis: str):
+    def __init__(self, T: Tensor3, k: int, axis: str, points: int):
         self.field = T.field.extension(k)
-        a = AXES.index(axis)
-        A = slices(T, axis)
+        q = self.field.q
         self._parts = []
-        for sets in direct_summands(T):
-            coords = sets[a]
-            rows, cols = (s for i, s in enumerate(sets) if i != a)
-            C = Contraction(A[np.ix_(coords, rows, cols)], self.field)
-            if coords[-1] - coords[0] == len(coords) - 1:  # a run: take X[:, coords] as a view
+        for coords, C in _summands(T, k, axis):
+            n = coords.size
+            if coords[-1] - coords[0] == n - 1:  # a run: take X[:, coords] as a view
                 coords = slice(coords[0], coords[-1] + 1)
-            self._parts.append((coords, C))
+            if within_budget(q, n, points):
+                self._parts.append((coords, q ** np.arange(n, dtype=np.int64), _rank_table(C, n)))
+            else:
+                self._parts.append((coords, None, C))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Ranks for points given as (N, n) field codes."""
         ranks = np.zeros(X.shape[0], dtype=np.int64)
-        for coords, C in self._parts:
-            ranks += linalg.batched_rank(C(X[:, coords]), self.field)
+        for coords, powers, part in self._parts:
+            if powers is None:
+                ranks += linalg.batched_rank(part(X[:, coords]), self.field)
+            else:
+                ranks += part.take(X[:, coords] @ powers)
         return ranks
 
 
 def projective_ranks(T: Tensor3, k: int, axis: str):
     """Yield (start, ranks) for each block of projective points of F_{q^k}^n.
 
-    ranks[j] is rank(sum_i x_i A_i) at the point x with base-q index start + j.
-    Base-q indices [q^i, 2 q^i) are the points whose last nonzero coordinate
-    is x_i = 1.
+    ranks[j] is rank(sum_i x_i A_i) at the point x with base-q index start + j
+    (see ``_projective_blocks``).  Since q^m <= (q^n - 1) / (q - 1) for
+    m < n, every summand on fewer than all n coordinates is read from its
+    table, and one on all n is eliminated at the points.
     """
-    ranks_at = SummandRanks(T, k, axis)
-    q, n = ranks_at.field.q, T.dims[AXES.index(axis)]
-    for i in range(n):
-        lo = q ** i
-        for start in range(lo, 2 * lo, CHUNK):
-            yield start, ranks_at(point_block(q, n, start, min(start + CHUNK, 2 * lo)))
+    q, n = T.field.extension(k).q, T.dims[AXES.index(axis)]
+    ranks_at = SummandRanks(T, k, axis, (q ** n - 1) // (q - 1))
+    for start, stop in _projective_blocks(q, n):
+        yield start, ranks_at(point_block(q, n, start, stop))
 
 
 def rank_profile(
@@ -156,19 +227,25 @@ def rank_profile(
     Fk = T.field.extension(k)
     n, *shape = slices(T, axis).shape
     rmax = min(shape)
-    hist = np.zeros(rmax + 1, dtype=np.int64)
     if within_budget(Fk.q, n, budget):
-        for _, ranks in projective_ranks(T, k, axis):
-            hist += np.bincount(ranks, minlength=rmax + 1)
-        hist *= Fk.q - 1
-        hist[0] += 1  # x = 0
-        return RankProfile(k=k, q=Fk.q, hist=hist, exact=True, total=Fk.q ** n)
+        total = Fk.q ** n
+        if total >= 2 ** 63:
+            raise BudgetExceeded(f"{Fk.q}^{n} points overflow the int64 histogram")
+        # a point's rank is the sum of its summands' ranks: convolve their histograms
+        hist, free = np.zeros(rmax + 1, dtype=np.int64), n
+        hist[0] = 1
+        for coords, C in _summands(T, k, axis):  # the summands' ranks add up to at most rmax
+            hist = np.convolve(hist, _affine_hist(C, coords.size))[: rmax + 1]
+            free -= coords.size
+        hist *= Fk.q ** free
+        return RankProfile(k=k, q=Fk.q, hist=hist, exact=True, total=total)
     if not allow_sampling:
         raise BudgetExceeded(f"{Fk.q}^{n} contractions exceed budget {budget}")
     if mc_samples < 1:
         raise BadParams(f"{Fk.q}^{n} points exceed budget {budget}; mc_samples must be >= 1")
-    ranks_at = SummandRanks(T, k, axis)
+    ranks_at = SummandRanks(T, k, axis, mc_samples)
     rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
+    hist = np.zeros(rmax + 1, dtype=np.int64)
     remaining = mc_samples
     while remaining > 0:
         m = min(remaining, _DRAW)

@@ -159,11 +159,11 @@ def direct_summands(T: Tensor3) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     Indices outside the support are in no summand, so the zero tensor has
     none; the order is by least x index.
     """
-    n1, n2, n3 = T.dims
+    n1, n2, _ = T.dims
     xy, xz = np.nonzero(T.entries.any(axis=2)), np.nonzero(T.entries.any(axis=1))
     xs = xy[0].tolist() + xz[0].tolist()
     others = (xy[1] + n1).tolist() + (xz[1] + n1 + n2).tolist()
-    root = list(range(n1 + n2 + n3))
+    root = {v: v for v in xs + others}  # support vertices only: a dim may be huge
 
     def find(v):
         while root[v] != v:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,7 @@ from trirank.linalg import mat_mul
 from trirank.rankprofile import point_block
 
 F3 = make_field(3)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(analytic.__file__)))
 
 
 def brute_zero_count(T):
@@ -95,6 +99,21 @@ def test_bias_matches_zero_count():
     assert abs(bias.real - analytic.zero_count(T) / 81) < 1e-9
 
 
+def test_bias_of_a_huge_empty_axis_returns_at_once():
+    # the bias is 1 and q^(n1 + n2) = 3^(10^8) must not be formed; a
+    # subprocess turns a stall into a failure
+    code = (
+        "from trirank import analytic, tensor; "
+        "print(analytic.bias_char_sum(tensor.loads('tensor 3^1 0 100000000 1')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert complex(proc.stdout) == 1
+
+
 def test_bias_cross_checks_ar_on_random_tensors():
     for seed in range(5):
         T = tensor.random_tensor(F3, (2, 3, 2), seed=seed)
@@ -133,6 +152,16 @@ def test_histogram_zero_count_and_bias_agree(F, dims):
         bias = analytic.bias_char_sum(T)
         assert round(bias.real * F.q ** (n1 + n2)) == zc
         assert bias == complex(Fraction(zc, F.q ** (n1 + n2)))
+
+
+@pytest.mark.parametrize("F", [F3, make_field(2, 2)])
+def test_min_entropy_of_a_direct_sum_matches_enumeration(F):
+    # each summand lies on part of the z coordinates, and one z coordinate is
+    # in none, so projective_ranks reads every summand from its rank table
+    T = tensor.direct_sum(tensor.levi_civita(F), tensor.random_tensor(F, (1, 2, 2), seed=0))
+    T = tensor.direct_sum(T, tensor.zero_tensor(F, (0, 0, 1)))
+    assert [len(z) for _, _, z in tensor.direct_summands(T)] == [3, 2]
+    assert analytic.min_entropy(T).histogram.tobytes() == brute_min_entropy(T).tobytes()
 
 
 def test_min_entropy_argmax_at_zero():

@@ -183,11 +183,15 @@ def test_zero_size_axis_has_slice_rank_zero(tmp_path, header):
     ["chain", "--tensor", "wide.t"],
     ["closeness", "--f", "wide.t", "--g", "wide.t"],
     ["ar", "--tensor", "tall.t", "--histogram", "h.csv"],
+    # sz_check needs an exact k = 1 count: 3^nvars points, checked before parsing
+    ["szcheck", "--system", "sys.txt", "--field", "3^1", "--nvars", "100000000", "--kmax", "2"],
+    ["szcheck", "--system", "sys.txt", "--field", "3^1", "--nvars", "30", "--kmax", "2"],
 ])
 def test_budget_rejects_a_huge_empty_axis_at_once(tmp_path, argv):
     # q^n with n = 10^8 must not be formed; a subprocess turns a stall into a failure
     (tmp_path / "wide.t").write_text("tensor 3^1 0 100000000 1\n")
     (tmp_path / "tall.t").write_text("tensor 3^1 0 1 100000000\n")
+    (tmp_path / "sys.txt").write_text("x1*x2 - 1\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "trirank.cli", *argv], cwd=tmp_path, env=env,

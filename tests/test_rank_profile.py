@@ -137,6 +137,85 @@ def test_direct_sums_match_the_unsplit_reference(field, k, data, samples, seed):
         assert prof.hist.tolist() == ref.tolist()
 
 
+def counting_eliminations(mp):
+    """Patch linalg.batched_rank to record the size of every stack; return the list."""
+    eliminated = []
+    batched_rank = linalg.batched_rank
+
+    def counting(Ms, F, *args, **kwargs):
+        eliminated.append(len(Ms))
+        return batched_rank(Ms, F, *args, **kwargs)
+
+    mp.setattr(linalg, "batched_rank", counting)
+    return eliminated
+
+
+TABLE_SHAPES = [(2, 2, 3), (3, 3, 2)]  # coordinate counts differ on every axis, none below 2
+
+
+@pytest.mark.parametrize("field,k", [("2^1", 1), ("2^1", 3), ("3^1", 1), ("3^1", 2), ("5^1", 1)])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1))
+def test_tabulated_and_eliminated_summands_match_the_reference(field, k, seed):
+    # two connected summands and one zero slice (a free coordinate) on every
+    # axis, sampled with every, some and no summand read from its table
+    F = parse_field(field)
+    q = F.q ** k
+    rng = np.random.default_rng(seed)
+    e = np.zeros((6, 6, 6), dtype=np.int32)
+    at = np.zeros(3, dtype=int)
+    for shape in TABLE_SHAPES:
+        B = rng.integers(0, F.q, size=shape)
+        # nonzero on the three lines through B[0, 0, 0]: the block is connected
+        B[:, 0, 0], B[0, :, 0], B[0, 0, :] = (rng.integers(1, F.q, size=m) for m in shape)
+        e[tuple(slice(a, a + m) for a, m in zip(at, shape))] = B
+        at += shape
+    for a in range(3):
+        e = np.take(e, rng.permutation(6), axis=a)
+    T = tensor.Tensor3(F, e)
+    assert len(tensor.direct_summands(T)) == 2
+    for a, axis in enumerate("xyz"):
+        # a summand is tabulated when its affine points are at most the draws:
+        # then its projective points are eliminated, else the draws
+        small, large = sorted(q ** shape[a] for shape in TABLE_SHAPES)
+        proj = {m: (m - 1) // (q - 1) for m in (small, large)}
+        cases = {large: proj[small] + proj[large], small: proj[small] + small,
+                 small - 1: 2 * (small - 1)}
+        for samples, matrices in cases.items():
+            with pytest.MonkeyPatch.context() as mp:
+                eliminated = counting_eliminations(mp)
+                prof = rank_profile(T, k, axis, budget=0, mc_samples=samples, seed=seed)
+            assert sum(eliminated) == matrices
+            ref = reference_sampled_hist(T, k, axis, samples, seed)
+            assert prof.hist.tolist() == ref.tolist()
+
+
+def test_eliminations_are_pinned(monkeypatch):
+    F3 = make_field(3)
+    t2, identity = tensor.tk_family(F3, 2), tensor.identity_tensor(F3, 4)
+    # one summand of 81 affine points and a zero slice, sampled 80 times
+    big = np.zeros((5, 3, 3), dtype=np.int32)
+    big[:4] = tensor.random_tensor(F3, (4, 3, 3), seed=1).entries
+    big = tensor.Tensor3(F3, big)
+    assert len(tensor.direct_summands(big)) == 1
+    eliminated = counting_eliminations(monkeypatch)
+    for T, k, kwargs, exact, matrices in [
+        (t2, 2, {}, True, 2 * 91),  # each summand's projective points of F_9^3
+        (t2, 3, {"seed": 7}, False, 2 * 757),  # each summand tabulated: 27^3 <= 10^5
+        (identity, 3, {}, True, 4),
+        (big, 1, {"budget": 0, "mc_samples": 80}, False, 80),  # 81 > 80: at the draws
+    ]:
+        eliminated.clear()
+        assert rank_profile(T, k, **kwargs).exact == exact
+        assert sum(eliminated) == matrices
+
+
+def test_exact_counts_past_int64_are_refused():
+    T = tensor.identity_tensor(make_field(3), 50)  # 3^50 points, each summand one
+    with pytest.raises(BudgetExceeded):
+        rank_profile(T, 1, budget=3 ** 50)
+
+
 def test_t2_profiles_are_pinned():
     # the heaviest stacks of the benchmark: 6x6 over F_9 (exact) and F_27 (sampled)
     T = tensor.tk_family(make_field(3), 2)
@@ -181,14 +260,7 @@ def test_zero_count_is_the_k1_kernel_count():
 
 @pytest.mark.parametrize("budget", [geometric.ELIM_BUDGET, 100])
 def test_cross_check_adds_no_eliminations(monkeypatch, budget):
-    eliminated = []
-    batched_rank = linalg.batched_rank
-
-    def counting(Ms, F, *args, **kwargs):
-        eliminated.append(len(Ms))
-        return batched_rank(Ms, F, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "batched_rank", counting)
+    eliminated = counting_eliminations(monkeypatch)
     T = tensor.random_tensor(make_field(3), (3, 3, 3), seed=8)
     totals = {}
     for cross_check in (False, True):
