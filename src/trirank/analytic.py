@@ -81,7 +81,7 @@ def zero_count(T: Tensor3, budget: int = ENUM_BUDGET) -> int:
     n1, n2, _ = T.dims
     if not within_budget(F.q, n1 + n2, budget):
         raise BudgetExceeded(f"q^(n1+n2) = {F.q}^{n1 + n2} exceeds budget {budget}")
-    return rank_profile(T, 1, "x", budget=budget, allow_sampling=False).fiber_sum(n2)
+    return rank_profile(T, 1, "x", budget=budget).fiber_sum(n2)
 
 
 def analytic_rank(T: Tensor3, budget: int = ENUM_BUDGET) -> ARValue:
@@ -97,7 +97,9 @@ def bias_char_sum(T: Tensor3, budget: int = ENUM_BUDGET) -> complex:
     complex number; the budget bounds the q^n3 points z.
     """
     n3, q = T.dims[2], T.field.q
-    prof = rank_profile(T, 1, "z", budget=budget, allow_sampling=False)
+    if not within_budget(q, n3, budget):
+        raise BudgetExceeded(f"bias: {q}^{n3} points z exceed budget {budget}")
+    prof = rank_profile(T, 1, "z", budget=budget)
     return complex(sum(Fraction(int(c), q ** (n3 + r)) for r, c in enumerate(prof.hist)))
 
 

@@ -61,12 +61,12 @@ def closeness_report(
 ) -> ClosenessReport:
     """Both inequalities of the closeness trade-off with explicit constants."""
     diff = sub(f, g)
-    delta = closeness(f, g, budget=budget)
+    ar_diff = analytic.analytic_rank(diff, budget=budget)
+    delta = Fraction(ar_diff.zero_count, ar_diff.domain_size)
     log_term = -math.log(delta) / math.log(f.field.q)
     sr_f = slicerank.slice_rank(f)
     sr_g = slicerank.slice_rank(g)
     sr_diff = slicerank.slice_rank(diff)
-    ar_diff = analytic.analytic_rank(diff, budget=budget)
     exact = sr_f.exact and sr_g.exact and sr_diff.exact
     if exact:
         subadd = abs(sr_f.value - sr_g.value) <= sr_diff.value

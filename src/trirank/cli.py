@@ -52,10 +52,6 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_tensor(path: str) -> tensor.Tensor3:
-    return tensor.load(path)
-
-
 def _report_value(path: str, section: str, key: str, kinds):
     """report[section][key] of a JSON report, checked to be of the given number type."""
     with open(path, encoding="utf-8") as fh:
@@ -73,7 +69,7 @@ def _report_value(path: str, section: str, key: str, kinds):
 # ---------------------------------------------------------------------------
 
 def _cmd_ar(args) -> int:
-    T = _load_tensor(args.tensor)
+    T = tensor.load(args.tensor)
     ar = analytic.analytic_rank(T, budget=args.budget)
     if args.histogram:
         me = analytic.min_entropy(T, budget=args.budget)
@@ -88,7 +84,7 @@ def _cmd_ar(args) -> int:
 
 
 def _cmd_gr(args) -> int:
-    T = _load_tensor(args.tensor)
+    T = tensor.load(args.tensor)
     rep = geometric.geometric_rank(
         T,
         kmax=args.kmax,
@@ -105,7 +101,7 @@ def _cmd_gr(args) -> int:
 
 
 def _cmd_sr(args) -> int:
-    T = _load_tensor(args.tensor)
+    T = tensor.load(args.tensor)
     ar = gr = None
     if args.ar_from:
         ar = _report_value(args.ar_from, "ar", "value", (int, float))
@@ -122,7 +118,7 @@ def _cmd_sr(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    T = _load_tensor(args.tensor)
+    T = tensor.load(args.tensor)
     if args.field and parse_field(args.field) != T.field:
         raise TrirankError(
             f"--field {args.field} does not match tensor field "
@@ -137,7 +133,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    T = _load_tensor(args.tensor)
+    T = tensor.load(args.tensor)
     D = decomp.slice_decompose(T, k_work=args.kwork, seed=args.seed)
     verified = decomp.verify_decomposition(T, D)
     _emit(
@@ -148,7 +144,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    T = _load_tensor(args.tensor)
+    T = tensor.load(args.tensor)
     with open(args.decomp, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -188,8 +184,8 @@ def _cmd_szcheck(args) -> int:
 
 
 def _cmd_closeness(args) -> int:
-    f = _load_tensor(args.f)
-    g = _load_tensor(args.g)
+    f = tensor.load(args.f)
+    g = tensor.load(args.g)
     rep = biascx.closeness_report(f, g, budget=args.budget)
     _emit({"f": _tensor_id(f), "g": _tensor_id(g), "closeness": rep.to_dict()}, args.out)
     failed = rep.subadditivity_holds is False or rep.ar_bound_holds is False
@@ -198,12 +194,15 @@ def _cmd_closeness(args) -> int:
 
 def _cmd_extremal(args) -> int:
     F = parse_field(args.field)
+    budget = analytic.ENUM_BUDGET  # closeness counts the q^(2n) input pairs
+    if not within_budget(F.q, 2 * args.n, budget):  # checked before any file is written
+        raise BudgetExceeded(f"extremal: {F.q}^{2 * args.n} input pairs exceed budget {budget}")
     f, g = biascx.extremal_pair(F, args.r, args.t, args.n)
     f_path = args.out_prefix + "_f.t"
     g_path = args.out_prefix + "_g.t"
     tensor.dump(f, f_path)
     tensor.dump(g, g_path)
-    delta = biascx.closeness(f, g)
+    delta = biascx.closeness(f, g, budget=budget)
     closed = biascx.extremal_delta(F.q, args.r, args.t)
     _emit(
         {
@@ -268,6 +267,7 @@ def _corpus_item(name, T, seed, kwork):
 
 def _cmd_corpus(args) -> int:
     items = builtin_corpus(args.seed)
+    items[0][1].field.extension(args.kwork)  # build the working field: a bad --kwork fails here
     seeds = [args.seed ^ i for i in range(len(items))]
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:

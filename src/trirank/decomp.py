@@ -116,13 +116,6 @@ def _sylvester_matrix(A) -> np.ndarray:
     return np.hstack([np.kron(I_m, A.T), np.kron(A, I_n)])
 
 
-def tangent_space_at(A, F: Field) -> MatrixSpace:
-    """Span of {E_ab A} union {A E_ab}: the tangent {CA + AC'} at A."""
-    A = linalg.as_matrix(A)
-    basis = linalg.row_space_basis(_sylvester_matrix(A).T, F)
-    return MatrixSpace(F, A.shape, basis)
-
-
 def sample_rank_point(
     L: MatrixSpace, r: int, k: int = 1, budget: int = 1000, seed: int = 0
 ) -> np.ndarray:
@@ -131,7 +124,7 @@ def sample_rank_point(
         raise BadParams("rank must be >= 0")
     if r > min(L.shape):
         raise NoPointFound(f"rank {r} exceeds min shape {min(L.shape)}")
-    Fk = L.field if k == 1 else L.field.extension(k)
+    Fk = L.field.extension(k)
     if r == 0:
         return np.zeros(L.shape, dtype=np.int32)
     if L.dim == 0:
@@ -232,7 +225,7 @@ def slice_decompose(
     gr_report=None,
 ) -> SliceDecomposition:
     """Explicit slice decomposition over F_{q^k_work} with <= 2r + codim terms."""
-    Fw = T.field if k_work == 1 else T.field.extension(k_work)
+    Fw = T.field.extension(k_work)
     Tw = T.lift(Fw)
     if gr_report is None:
         gr_report = geometric.geometric_rank(T, seed=seed)

@@ -45,15 +45,12 @@ def rank_strata_counts(
     budget: int = ELIM_BUDGET,
     mc_samples: int = MC_SAMPLES,
     seed: int = 0,
-    allow_sampling: bool = True,
 ):
     """Per-r counts |X_r(F_{q^k})| (cumulative in r); exact when within budget.
 
     Returns a list of CountRecord, one per r in [0, min of the other two dims].
     """
-    return _strata_records(
-        rank_profile(T, k, axis, budget, mc_samples, seed, allow_sampling)
-    )
+    return _strata_records(rank_profile(T, k, axis, budget, mc_samples, seed))
 
 
 @dataclass

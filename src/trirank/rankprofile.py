@@ -221,7 +221,6 @@ def rank_profile(
     budget: int = ELIM_BUDGET,
     mc_samples: int = MC_SAMPLES,
     seed: int = 0,
-    allow_sampling: bool = True,
 ) -> RankProfile:
     """Rank histogram of the slices along `axis`, contracted over F_{q^k}."""
     Fk = T.field.extension(k)
@@ -239,8 +238,6 @@ def rank_profile(
             free -= coords.size
         hist *= Fk.q ** free
         return RankProfile(k=k, q=Fk.q, hist=hist, exact=True, total=total)
-    if not allow_sampling:
-        raise BudgetExceeded(f"{Fk.q}^{n} contractions exceed budget {budget}")
     if mc_samples < 1:
         raise BadParams(f"{Fk.q}^{n} points exceed budget {budget}; mc_samples must be >= 1")
     ranks_at = SummandRanks(T, k, axis, mc_samples)

@@ -66,17 +66,15 @@ class Tensor3:
 
 
 class MatrixSpace:
-    """A linear subspace of m x n matrices, given by an independent basis."""
+    """The span of some m x n matrices, stored as its RREF basis."""
 
-    def __init__(self, field: Field, shape, basis):
+    def __init__(self, field: Field, shape, rows):
         self.field = field
         self.shape = tuple(shape)
-        basis = np.asarray(basis, dtype=np.int32)
-        basis = basis.reshape(len(basis), *self.shape)  # len, not -1: a shape may hold a 0
-        flat = basis.reshape(basis.shape[0], int(np.prod(self.shape)))
-        if linalg.rank(flat, field) != basis.shape[0]:
-            raise BadParams("basis matrices are not linearly independent")
-        self.basis = basis
+        rows = np.asarray(rows, dtype=np.int32)
+        # len, not -1: a shape may hold a 0
+        basis = linalg.row_space_basis(rows.reshape(len(rows), int(np.prod(self.shape))), field)
+        self.basis = basis.reshape(len(basis), *self.shape)
         self.basis.setflags(write=False)
 
     @property
@@ -120,33 +118,15 @@ class SliceTerm:
 # core operations
 # ---------------------------------------------------------------------------
 
-def _check_vec(v, n, F: Field):
-    v = np.asarray(v, dtype=np.int32)
-    if v.shape != (n,):
-        raise DimensionMismatch(f"vector of length {v.shape} does not match {n}")
-    if v.size and (v.min() < 0 or v.max() >= F.q):
-        raise FieldMismatch("vector code out of field range")
-    return v
-
-
-def contract(T: Tensor3, axis: str, v) -> np.ndarray:
-    """The matrix sum_i v_i A_i, slicing along the given axis."""
-    idx = AXES.index(axis)
-    v = _check_vec(v, T.dims[idx], T.field)
-    return linalg.mat_mul(v[None], np.moveaxis(T.entries, idx, 1), T.field)[:, 0]
-
-
 def slices(T: Tensor3, axis: str) -> np.ndarray:
     idx = AXES.index(axis)
     return np.moveaxis(T.entries, idx, 0)
 
 
 def slice_space(T: Tensor3, axis: str) -> MatrixSpace:
-    """Span of the slices along an axis, with redundant slices removed."""
+    """Span of the slices along an axis."""
     sl = slices(T, axis)
-    flat = sl.reshape(sl.shape[0], int(np.prod(sl.shape[1:])))
-    basis = linalg.row_space_basis(flat, T.field)
-    return MatrixSpace(T.field, sl.shape[1:], basis)
+    return MatrixSpace(T.field, sl.shape[1:], sl)
 
 
 def direct_summands(T: Tensor3) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

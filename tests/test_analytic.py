@@ -17,6 +17,13 @@ F3 = make_field(3)
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(analytic.__file__)))
 
 
+def contract_x(T, x):
+    """sum_i x_i A_i over the x-axis slices, as a plain matrix product."""
+    n1, n2, n3 = T.dims
+    row = np.array([x], dtype=np.int32)
+    return mat_mul(row, T.entries.reshape(n1, n2 * n3), T.field).reshape(n2, n3)
+
+
 def brute_zero_count(T):
     """Direct enumeration of f(x, y) = 0, independent of the rank shortcut."""
     F = T.field
@@ -24,7 +31,7 @@ def brute_zero_count(T):
     count = 0
     for xc in range(F.q ** n1):
         x = [(xc // F.q ** i) % F.q for i in range(n1)]
-        M = tensor.contract(T, "x", x)
+        M = contract_x(T, x)
         for yc in range(F.q ** n2):
             y = np.array([(yc // F.q ** i) % F.q for i in range(n2)], dtype=np.int32)
             row = np.zeros(T.dims[2], dtype=np.int32)
@@ -187,6 +194,11 @@ def test_budget_errors():
         analytic.zero_count(T, budget=10)
     with pytest.raises(BudgetExceeded):
         analytic.min_entropy(T, budget=10)
+    # the bias reads the q^n3 points z: 27 fit a budget of 27, not one of 26
+    exact = complex(Fraction(analytic.zero_count(T), 3 ** 6))
+    assert analytic.bias_char_sum(T, budget=27) == exact
+    with pytest.raises(BudgetExceeded):
+        analytic.bias_char_sum(T, budget=26)
 
 
 def test_min_entropy_budget_bounds_the_z_side():

@@ -6,9 +6,17 @@ import pytest
 from trirank import analytic, biascx, tensor
 from trirank.errors import BadParams, DimensionMismatch
 from trirank.fields import make_field
+from trirank.linalg import mat_mul
 
 F3 = make_field(3)
 F5 = make_field(5)
+
+
+def contract_x(T, x):
+    """sum_i x_i A_i over the x-axis slices, as a plain matrix product."""
+    n1, n2, n3 = T.dims
+    row = np.array([x], dtype=np.int32)
+    return mat_mul(row, T.entries.reshape(n1, n2 * n3), T.field).reshape(n2, n3)
 
 
 def brute_agreement(f, g):
@@ -18,8 +26,8 @@ def brute_agreement(f, g):
     agree = 0
     for xc in range(F.q ** n1):
         x = [(xc // F.q ** i) % F.q for i in range(n1)]
-        Mf = tensor.contract(f, "x", x)
-        Mg = tensor.contract(g, "x", x)
+        Mf = contract_x(f, x)
+        Mg = contract_x(g, x)
         for yc in range(F.q ** n2):
             y = [(yc // F.q ** i) % F.q for i in range(n2)]
             vf = np.zeros(f.dims[2], dtype=np.int32)
@@ -71,6 +79,21 @@ def test_closeness_report_identical_maps():
     assert rep.delta == 1
     assert rep.sr_diff.value == 0
     assert rep.subadditivity_holds and rep.ar_bound_holds
+
+
+def test_closeness_report_counts_the_zeros_of_f_minus_g_once(monkeypatch):
+    calls, zero_count = [], analytic.zero_count
+
+    def counted(T, **kwargs):
+        calls.append(T)
+        return zero_count(T, **kwargs)
+
+    monkeypatch.setattr(analytic, "zero_count", counted)
+    f, g = biascx.extremal_pair(F5, 1, 2, 3)
+    rep = biascx.closeness_report(f, g)
+    assert calls == [tensor.sub(f, g)]
+    assert rep.delta == Fraction(rep.ar_diff.zero_count, rep.ar_diff.domain_size)
+    assert rep.delta == biascx.extremal_delta(5, 1, 2)
 
 
 def test_extremal_pair_validation():

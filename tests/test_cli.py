@@ -186,6 +186,9 @@ def test_zero_size_axis_has_slice_rank_zero(tmp_path, header):
     # sz_check needs an exact k = 1 count: 3^nvars points, checked before parsing
     ["szcheck", "--system", "sys.txt", "--field", "3^1", "--nvars", "100000000", "--kmax", "2"],
     ["szcheck", "--system", "sys.txt", "--field", "3^1", "--nvars", "30", "--kmax", "2"],
+    # closeness counts the 3^(2n) input pairs: checked before the pair is built or written
+    ["extremal", "--r", "1", "--t", "1", "--n", "100000", "--field", "3^1", "--out-prefix", "big"],
+    ["extremal", "--r", "1", "--t", "1", "--n", "9", "--field", "3^1", "--out-prefix", "big"],
 ])
 def test_budget_rejects_a_huge_empty_axis_at_once(tmp_path, argv):
     # q^n with n = 10^8 must not be formed; a subprocess turns a stall into a failure
@@ -199,6 +202,7 @@ def test_budget_rejects_a_huge_empty_axis_at_once(tmp_path, argv):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "exceed" in proc.stderr
+    assert not list(tmp_path.glob("*_f.t"))
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -302,6 +306,17 @@ def test_corpus_smoke(tmp_path, monkeypatch):
     csv_lines = (out_dir / "summary.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 6
     assert (out_dir / "levi_civita.json").exists()
+
+
+@pytest.mark.parametrize("kwork", ["0", "7"])
+def test_corpus_rejects_a_bad_working_degree_before_the_batch(tmp_path, monkeypatch, capsys, kwork):
+    ran = []
+    monkeypatch.setattr(cli, "_corpus_item", lambda *args: ran.append(args))
+    out_dir, out = tmp_path / "corpus", tmp_path / "summary.json"
+    rc = cli.run(["corpus", "--kwork", kwork, "--out-dir", str(out_dir), "--out", str(out)])
+    assert rc == 2 and ran == []
+    assert not out_dir.exists() and not out.exists()
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_builtin_corpus_contents():

@@ -75,7 +75,6 @@ def test_strata_counts_are_cumulative_and_seeded():
 def test_budget_errors():
     with pytest.raises(BudgetExceeded):
         geometric.geometric_rank(tensor.levi_civita(F3), kmax=1)
-    with pytest.raises(BudgetExceeded):
-        geometric.rank_strata_counts(
-            tensor.levi_civita(F3), k=3, budget=100, allow_sampling=False
-        )
+    # above the budget the strata are sampled, never silently counted as exact
+    counts = geometric.rank_strata_counts(tensor.levi_civita(F3), k=3, budget=100, mc_samples=50)
+    assert not any(c.exact for c in counts)

@@ -9,6 +9,7 @@ from trirank.errors import (
     TensorFormatError,
 )
 from trirank.fields import make_field
+from trirank.rankprofile import Contraction
 
 F3 = make_field(3)
 
@@ -38,10 +39,16 @@ def test_levi_civita_signs_and_eval():
     assert eval_trilinear(T, [1, 0, 0], [1, 0, 0], [0, 0, 1]) == 0
 
 
+def contract(T, axis, x):
+    """sum_i x_i A_i over the slices along an axis, through the one contraction."""
+    C = Contraction(tensor.slices(T, axis), T.field)
+    return C(np.array([x], dtype=np.int32))[0]
+
+
 def test_contract_matches_slice_sum():
     T = tensor.random_tensor(F3, (3, 2, 4), seed=1)
     x = np.array([1, 2, 0], dtype=np.int32)
-    M = tensor.contract(T, "x", x)
+    M = contract(T, "x", x)
     expected = F3.add[T.entries[0], F3.mul[2, T.entries[1]]]
     assert np.array_equal(M, expected)
     assert M.shape == (2, 4)
@@ -49,9 +56,9 @@ def test_contract_matches_slice_sum():
 
 def test_contract_other_axes():
     T = tensor.random_tensor(F3, (2, 3, 4), seed=2)
-    My = tensor.contract(T, "y", [0, 1, 0])
+    My = contract(T, "y", [0, 1, 0])
     assert np.array_equal(My, T.entries[:, 1, :])
-    Mz = tensor.contract(T, "z", [0, 0, 0, 1])
+    Mz = contract(T, "z", [0, 0, 0, 1])
     assert np.array_equal(Mz, T.entries[:, :, 3])
 
 
@@ -65,10 +72,32 @@ def test_slice_space_drops_dependent_slices():
     assert not in_space(S, np.array([[0, 1], [0, 0]]))
 
 
+def test_matrix_space_holds_the_span_in_rref():
+    rng = np.random.default_rng(8)
+    for F in (F3, make_field(5), make_field(3, 2)):
+        for shape in ((2, 3), (3, 3), (1, 4)):
+            size = int(np.prod(shape))
+            for _ in range(10):
+                rows = rng.integers(0, F.q, size=(3, size)).astype(np.int32)
+                combo = linalg.mat_mul(rng.integers(0, F.q, size=(2, 3)), rows, F)
+                given = np.vstack([rows, combo, rows[:1]])  # dependent and repeated
+                S = tensor.MatrixSpace(F, shape, given.reshape(-1, *shape))
+                R, pivots = linalg.rref(given, F)
+                assert S.dim == linalg.rank(given, F) == len(pivots)
+                assert np.array_equal(S.flat_basis(), R[: len(pivots)])
+                assert S.basis.shape == (S.dim, *shape)
+    for shape in ((0, 3), (2, 0)):  # zero-size: every matrix is the empty one
+        S = tensor.MatrixSpace(F3, shape, np.zeros((4, *shape), dtype=np.int32))
+        assert S.dim == 0 and S.basis.shape == (0, *shape)
+    S = tensor.MatrixSpace(F3, (2, 2), np.zeros((0, 2, 2), dtype=np.int32))
+    assert S.dim == 0 and S.flat_basis().shape == (0, 4)
+
+
 def test_zero_space_flat_basis():
+    zero = np.zeros((2, 3), dtype=np.int32)
     for S in (
         tensor.slice_space(tensor.zero_tensor(F3, (2, 2, 3)), "x"),
-        decomp.tangent_space_at(np.zeros((2, 3)), F3),
+        tensor.MatrixSpace(F3, zero.shape, decomp._sylvester_matrix(zero).T),
     ):
         assert S.dim == 0 and S.flat_basis().shape == (0, 6)
         assert in_space(S, np.zeros((2, 3))) and not in_space(S, np.eye(2, 3))
