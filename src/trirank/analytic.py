@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded
-from .rankprofile import projective_ranks, rank_profile, within_budget
+from .rankprofile import CHUNK, SummandRanks, point_block, rank_profile, within_budget
 from .tensor import Tensor3
 
 ENUM_BUDGET = 10 ** 8
@@ -70,10 +70,6 @@ class EntropyReport:
     def me(self) -> float:
         return math.log2(self.q ** self.log_domain / self.max_count)
 
-    @property
-    def argmax_is_zero(self) -> bool:
-        return bool(self.histogram.argmax() == 0)
-
 
 def zero_count(T: Tensor3, budget: int = ENUM_BUDGET) -> int:
     """Exact |{(x, y) : f(x, y) = 0}| over the tensor's own field."""
@@ -108,10 +104,11 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
 
     Counts N(b) by the module's formula from the z-axis ranks.  W[b, r], the
     number of projective points [z] with [z].b = 0 and rank A_z = r, comes
-    from a hyperplane-sum transform over the coordinates of z: one
-    representative z per point starts at s = 0, and each coordinate z_i in
-    turn is replaced by b_i, moving the count from s to s + z_i b_i.  The
-    budget bounds the q^(n3 + 1) entries (s, b) of the transform.
+    from a hyperplane-sum transform over the coordinates of z: every z != 0
+    starts at s = 0, and each coordinate z_i in turn is replaced by b_i,
+    moving the count from s to s + z_i b_i.  z.b = 0 does not change under
+    scaling, so each [z] is counted once per nonzero multiple, q - 1 times.
+    The budget bounds the q^(n3 + 1) entries (s, b) of the transform.
     """
     F = T.field
     n1, n2, n3 = T.dims
@@ -119,21 +116,24 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     if not within_budget(q, n3 + 1, budget):
         raise BudgetExceeded(f"min-entropy: {q}^{n3 + 1} transform entries exceed budget {budget}")
     rmax = min(n1, n2)
-    rank_of = np.full(q ** n3, -1, dtype=np.int64)  # -1 off the representatives
-    for start, ranks in projective_ranks(T, 1, "z"):
-        rank_of[start : start + ranks.size] = ranks
-    # entries count projective points, fewer than q^n3
+    ranks_at = SummandRanks(T, 1, "z", q ** n3)  # every summand is read from its table
+    rank_of = np.empty(q ** n3, dtype=np.int64)
+    for start in range(0, q ** n3, CHUNK):
+        stop = min(start + CHUNK, q ** n3)
+        rank_of[start:stop] = ranks_at(point_block(q, n3, start, stop))
+    # entries count affine points, fewer than q^n3
     dtype = np.int32 if q ** n3 < 2 ** 31 else np.int64
     sub = F.add[:, F.neg[F.mul]]  # sub[s, z, b] = s - z b
     W = np.empty((q ** n3, rmax + 1), dtype=np.int64)
     for r in range(rmax + 1):  # one rank at a time keeps the transform small
         X = np.zeros((q, q ** n3), dtype=dtype)  # [s, z or b]
         X[0] = rank_of == r
+        X[0, 0] = 0  # z = 0 is no projective point
         for _ in range(n3):
             X = X.reshape(q, q, -1)  # [s, most significant coordinate, the rest]
             X = sum(X[sub[:, z], z] for z in range(q))
             X = X.transpose(0, 2, 1)  # the coordinate done becomes the least significant
-        W[:, r] = X.reshape(q, q ** n3)[0]  # in histogram order: coordinate 0 lowest
+        W[:, r] = X.reshape(q, q ** n3)[0] // (q - 1)  # in histogram order: coordinate 0 lowest
     G = W @ np.array([q ** (n1 - r) for r in range(rmax + 1)], dtype=object)
     scaled = q ** n2 * (q ** n1 - G[0] + q * G)  # b = 0 is orthogonal to every [z]
     if (scaled % q ** n3).any():

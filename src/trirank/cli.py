@@ -38,6 +38,17 @@ def _default_budget(fallback: int = analytic.ENUM_BUDGET) -> int:
         raise BadParams(f"TRIRANK_BUDGET={env!r} is not an integer") from None
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative seeds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{seed} is negative")
+    return seed
+
+
 def _tensor_id(T: tensor.Tensor3) -> str:
     return hashlib.sha256(tensor.dumps(T).encode()).hexdigest()[:16]
 
@@ -53,7 +64,7 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _report_value(path: str, section: str, key: str, kinds):
-    """report[section][key] of a JSON report, checked to be of the given number type."""
+    """report[section][key] of a JSON report, checked to be a number >= 0 of the given type."""
     with open(path, encoding="utf-8") as fh:
         try:
             value = json.load(fh)[section][key]
@@ -61,6 +72,8 @@ def _report_value(path: str, section: str, key: str, kinds):
             raise BadParams(f"{path}: not a JSON report with {section}.{key}") from None
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise BadParams(f"{path}: {section}.{key} = {value!r} is not a number")
+    if not value >= 0:  # NaN fails every comparison
+        raise BadParams(f"{path}: {section}.{key} = {value!r} is negative or NaN")
     return value
 
 
@@ -344,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--budget", type=int, default=budget)
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
         if seed:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=_seed, default=0)
 
     sp = sub.add_parser("ar", help="exact analytic rank by enumeration")
     sp.add_argument("--tensor", required=True)

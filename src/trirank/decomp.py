@@ -116,25 +116,23 @@ def _sylvester_matrix(A) -> np.ndarray:
     return np.hstack([np.kron(I_m, A.T), np.kron(A, I_n)])
 
 
-def sample_rank_point(
-    L: MatrixSpace, r: int, k: int = 1, budget: int = 1000, seed: int = 0
-) -> np.ndarray:
-    """A matrix of rank exactly r in L (coefficients over F_{q^k}), by rejection."""
+def sample_rank_point(L: MatrixSpace, r: int, budget: int = 1000, seed: int = 0) -> np.ndarray:
+    """A matrix of rank exactly r in L (coefficients over L's field), by rejection."""
     if r < 0:
         raise BadParams("rank must be >= 0")
     if r > min(L.shape):
         raise NoPointFound(f"rank {r} exceeds min shape {min(L.shape)}")
-    Fk = L.field.extension(k)
+    F = L.field
     if r == 0:
         return np.zeros(L.shape, dtype=np.int32)
     if L.dim == 0:
         raise NoPointFound("zero space contains no nonzero-rank point")
     rng = np.random.default_rng(seed)
-    basis = L.flat_basis()  # base-field codes are valid codes of F_{q^k}
+    basis = L.flat_basis()
     for _ in range(budget):
-        coeffs = rng.integers(0, Fk.q, size=L.dim).astype(np.int32)
-        A = linalg.mat_mul(coeffs[None], basis, Fk).reshape(L.shape)
-        if linalg.rank(A, Fk) == r:
+        coeffs = rng.integers(0, F.q, size=L.dim).astype(np.int32)
+        A = linalg.mat_mul(coeffs[None], basis, F).reshape(L.shape)
+        if linalg.rank(A, F) == r:
             return A
     raise NoPointFound(f"no rank-{r} point in {budget} samples")
 

@@ -25,10 +25,6 @@ class DimensionMismatch(TrirankError):
     pass
 
 
-class SingularMatrix(TrirankError):
-    pass
-
-
 class BadParams(TrirankError):
     pass
 
@@ -43,10 +39,6 @@ class PolySyntaxError(TrirankError):
 
 
 class UnknownVariable(TrirankError):
-    pass
-
-
-class NotOnVariety(TrirankError):
     pass
 
 

@@ -111,11 +111,6 @@ def geometric_rank(
         if r == 0:
             # X_0 is the kernel of a linear map: exact codim, no estimation
             strata[0] = exact_estimate(n_coeff, n_coeff - d, counts)
-        elif all(
-            c.exact and c.count == T.field.extension(c.k).q ** n_coeff for c in counts
-        ):
-            # stratum is the whole space at every level: exact
-            strata[r] = exact_estimate(n_coeff, n_coeff, counts)
         else:
             strata[r] = estimate_from_counts(T.field.q, n_coeff, counts)
     best_r, best_val, best_stable = None, None, False

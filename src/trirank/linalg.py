@@ -80,14 +80,6 @@ def solve(M, b, F: Field):
     return x[:, 0] if b.ndim == 1 else x
 
 
-def inverse(M, F: Field):
-    """Matrix inverse, or None if singular."""
-    M = as_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        return None
-    return solve(M, np.eye(M.shape[0], dtype=np.int32), F)
-
-
 def row_space_basis(rows, F: Field) -> np.ndarray:
     """Independent spanning subset, in RREF (canonical for the row space)."""
     rows = as_matrix(rows)

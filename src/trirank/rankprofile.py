@@ -128,10 +128,11 @@ def _summands(T: Tensor3, k: int, axis: str) -> list[tuple[np.ndarray, Contracti
 
 
 def _own_projective_ranks(C: Contraction, n: int):
-    """Yield (start, ranks) over the projective points of C's own n coordinates."""
+    """Yield (points, ranks) over the projective points of C's own n coordinates."""
     q = C.field.q
     for start, stop in _projective_blocks(q, n):
-        yield start, linalg.batched_rank(C(point_block(q, n, start, stop)), C.field)
+        P = point_block(q, n, start, stop)
+        yield P, linalg.batched_rank(C(P), C.field)
 
 
 def _affine_hist(C: Contraction, n: int) -> np.ndarray:
@@ -147,21 +148,15 @@ def _affine_hist(C: Contraction, n: int) -> np.ndarray:
 def _rank_table(C: Contraction, n: int) -> np.ndarray:
     """Rank at every affine point of F_q^n, by base-q index.
 
-    The projective points are eliminated; every other point x != 0 reads the
-    rank of its representative x / x_last, where x_last is its last nonzero
-    coordinate, whose index is at most x's.
+    Each projective point x is eliminated once, and its rank is written at
+    its q - 1 nonzero multiples c x in one indexed assignment.
     """
     F, q = C.field, C.field.q
     table = np.zeros(q ** n, dtype=np.min_scalar_type(min(C.shape)))
-    for start, ranks in _own_projective_ranks(C, n):
-        table[start : start + ranks.size] = ranks
     powers = q ** np.arange(n, dtype=np.int64)
-    for start in range(1, q ** n, CHUNK):
-        stop = min(start + CHUNK, q ** n)
-        idx = np.arange(start, stop, dtype=np.int64)
-        lead = idx // powers[np.searchsorted(powers, idx, side="right") - 1]  # x_last
-        rep = F.mul[F.inv[lead][:, None], point_block(q, n, start, stop)] @ powers
-        table[start:stop] = table[rep]
+    c = np.arange(1, q)
+    for P, ranks in _own_projective_ranks(C, n):
+        table[F.mul[c[:, None, None], P] @ powers] = ranks
     return table
 
 
@@ -198,20 +193,6 @@ class SummandRanks:
             else:
                 ranks += part.take(X[:, coords] @ powers)
         return ranks
-
-
-def projective_ranks(T: Tensor3, k: int, axis: str):
-    """Yield (start, ranks) for each block of projective points of F_{q^k}^n.
-
-    ranks[j] is rank(sum_i x_i A_i) at the point x with base-q index start + j
-    (see ``_projective_blocks``).  Since q^m <= (q^n - 1) / (q - 1) for
-    m < n, every summand on fewer than all n coordinates is read from its
-    table, and one on all n is eliminated at the points.
-    """
-    q, n = T.field.extension(k).q, T.dims[AXES.index(axis)]
-    ranks_at = SummandRanks(T, k, axis, (q ** n - 1) // (q - 1))
-    for start, stop in _projective_blocks(q, n):
-        yield start, ranks_at(point_block(q, n, start, stop))
 
 
 def rank_profile(

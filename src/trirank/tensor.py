@@ -15,13 +15,7 @@ import random
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadParams,
-    DimensionMismatch,
-    FieldMismatch,
-    SingularMatrix,
-    TensorFormatError,
-)
+from .errors import BadParams, DimensionMismatch, FieldMismatch, TensorFormatError
 from .fields import Field, parse_field
 
 AXES = ("x", "y", "z")
@@ -163,19 +157,6 @@ def direct_summands(T: Tensor3) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     ]
 
 
-def gl_act(T: Tensor3, axis: str, M) -> Tensor3:
-    """Transform one axis by an invertible matrix: new slices A'_i = sum_l M_il A_l."""
-    idx = AXES.index(axis)
-    M = np.asarray(M, dtype=np.int32)
-    n = T.dims[idx]
-    if M.shape != (n, n):
-        raise DimensionMismatch(f"matrix shape {M.shape} does not match axis dim {n}")
-    if linalg.inverse(M, T.field) is None:
-        raise SingularMatrix("gl_act requires an invertible matrix")
-    out = linalg.mat_mul(M, np.moveaxis(T.entries, idx, 1), T.field)
-    return Tensor3(T.field, np.moveaxis(out, 1, idx))
-
-
 def direct_sum(T: Tensor3, S: Tensor3) -> Tensor3:
     if T.field != S.field:
         raise FieldMismatch("direct sum requires a common field")
@@ -208,14 +189,6 @@ def identity_tensor(field: Field, n: int) -> Tensor3:
     e = np.zeros((n, n, n), dtype=np.int32)
     for i in range(n):
         e[i, i, i] = 1
-    return Tensor3(field, e)
-
-
-def diagonal_tensor(field: Field, values) -> Tensor3:
-    n = len(values)
-    e = np.zeros((n, n, n), dtype=np.int32)
-    for i, v in enumerate(values):
-        e[i, i, i] = v % field.q
     return Tensor3(field, e)
 
 

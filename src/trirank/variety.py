@@ -14,13 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
-from .errors import (
-    NotOnVariety,
-    PolySyntaxError,
-    UnknownVariable,
-    UnstableEstimate,
-)
+from .errors import PolySyntaxError, UnknownVariable, UnstableEstimate
 from .fields import Field
 from .rankprofile import point_block, within_budget
 
@@ -63,24 +57,6 @@ def poly_mul(a, b, F: Field):
 
 def poly_degree(a) -> int:
     return max((sum(e) for e in a), default=0)
-
-
-def poly_partial(a, i: int, F: Field):
-    """Formal partial derivative; exponents reduce mod p (d(x^p)/dx = 0)."""
-    out = {}
-    for e, c in a.items():
-        if e[i] == 0:
-            continue
-        scalar = e[i] % F.p
-        if scalar == 0:
-            continue
-        coeff = F.mul_codes(c, scalar)  # small residues are valid codes
-        if not coeff:
-            continue
-        ne = list(e)
-        ne[i] -= 1
-        out[tuple(ne)] = coeff
-    return out
 
 
 class PolySystem:
@@ -432,37 +408,3 @@ def sz_check(S: PolySystem, est: DimEstimate) -> SZReport:
     vacuous = d >= q
     holds = True if vacuous else lhs <= rhs
     return SZReport(holds, lhs, rhs, vacuous, d, q, codim)
-
-
-# ---------------------------------------------------------------------------
-# Jacobian tangent space
-# ---------------------------------------------------------------------------
-
-def jacobian_tangent(S: PolySystem, point) -> np.ndarray:
-    """Kernel of the Jacobian of the given generators at a common zero.
-
-    Returns a basis (rows) of the tangent space at the point, over the
-    system's field.  Uses the supplied generators, which can overestimate the
-    tangent space at non-radical presentations.
-    """
-    F = S.field
-    point = np.asarray(point, dtype=np.int32).reshape(1, -1)
-    if point.shape[1] != S.nvars:
-        raise NotOnVariety("point has wrong number of coordinates")
-    if not bool(_eval_zero_mask(S, F, point)[0]):
-        raise NotOnVariety("point is not a common zero of the system")
-    J = np.zeros((len(S.polys), S.nvars), dtype=np.int32)
-    for r, p in enumerate(S.polys):
-        for i in range(S.nvars):
-            dp = poly_partial(p, i, F)
-            if dp:
-                powtbl = F.pow_table(max(1, poly_degree(dp)))
-                acc = 0
-                for e, c in dp.items():
-                    term = c
-                    for j, ej in enumerate(e):
-                        if ej:
-                            term = F.mul_codes(term, int(powtbl[point[0, j], ej]))
-                    acc = F.add_codes(acc, term)
-                J[r, i] = acc
-    return linalg.kernel_basis(J, F)

@@ -53,7 +53,7 @@ def brute_min_entropy(T):
     total_x, chunk = F.q ** n1, 1 << 12
     for start in range(0, total_x, chunk):
         X = point_block(F.q, n1, start, min(start + chunk, total_x))
-        vals = mat_mul(Y[None], mat_mul(X, A, F).reshape(-1, n2, n3), F)
+        vals = mat_mul(Y[None], mat_mul(X, A, F).reshape(len(X), n2, n3), F)
         hist += np.bincount((vals * weights).sum(axis=2).ravel(), minlength=hist.size)
     return hist
 
@@ -163,18 +163,26 @@ def test_histogram_zero_count_and_bias_agree(F, dims):
 
 @pytest.mark.parametrize("F", [F3, make_field(2, 2)])
 def test_min_entropy_of_a_direct_sum_matches_enumeration(F):
-    # each summand lies on part of the z coordinates, and one z coordinate is
-    # in none, so projective_ranks reads every summand from its rank table
-    T = tensor.direct_sum(tensor.levi_civita(F), tensor.random_tensor(F, (1, 2, 2), seed=0))
-    T = tensor.direct_sum(T, tensor.zero_tensor(F, (0, 0, 1)))
-    assert [len(z) for _, _, z in tensor.direct_summands(T)] == [3, 2]
-    assert analytic.min_entropy(T).histogram.tobytes() == brute_min_entropy(T).tobytes()
+    # min_entropy reads every summand from its rank table at every affine z,
+    # whether the summand lies on all z coordinates or on part of them
+    levi = tensor.levi_civita(F)
+    free_z = tensor.zero_tensor(F, (0, 0, 1))
+    cases = [
+        (tensor.direct_sum(tensor.direct_sum(levi, tensor.random_tensor(F, (1, 2, 2), seed=0)),
+                           free_z), [3, 2]),
+        (tensor.direct_sum(levi, free_z), [3]),
+        (tensor.identity_tensor(F, 3), [1, 1, 1]),  # one summand per z coordinate
+        (tensor.zero_tensor(F, (2, 2, 0)), []),
+    ]
+    for T, z_sizes in cases:
+        assert [len(z) for _, _, z in tensor.direct_summands(T)] == z_sizes
+        assert analytic.min_entropy(T).histogram.tobytes() == brute_min_entropy(T).tobytes()
 
 
 def test_min_entropy_argmax_at_zero():
     T = tensor.identity_tensor(F3, 2)
     rep = analytic.min_entropy(T)
-    assert rep.argmax_is_zero
+    assert rep.histogram.argmax() == 0
     assert rep.max_count == 25
     assert abs(rep.me - math.log2(81 / 25)) < 1e-12
 

@@ -216,6 +216,22 @@ def test_gr_needs_a_sample_where_it_must_sample(tmp_path, capsys, samples):
     assert err.startswith("error:") and "mc_samples" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gr", "--tensor", "t2.t"],  # T_2's k = 3 level is sampled
+    ["chain", "--tensor", "t2.t"],
+    ["decompose", "--tensor", "t2.t"],
+    ["corpus"],
+    ["szcheck", "--system", "sys.txt", "--field", "3^1", "--nvars", "2", "--kmax", "3",
+     "--budget", "100"],
+])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    tensor.dump(tensor.tk_family(F3, 2), "t2.t")
+    (tmp_path / "sys.txt").write_text("x1*x2 - 1\n")
+    assert cli.run(argv + ["--seed", "-1"]) == 2
+    assert "argument --seed: -1 is negative" in capsys.readouterr().err
+
+
 def test_malformed_budget_env_is_a_usage_error(levi_path, monkeypatch, capsys):
     monkeypatch.setenv("TRIRANK_BUDGET", "abc")
     assert cli.run(["ar", "--tensor", levi_path]) == 2
@@ -254,6 +270,9 @@ def test_contradictory_sr_bounds_exit_2(levi_path, tmp_path, capsys):
     ("--gr-from", ["gr"]),
     ("--ar-from", {"gr": {"gr": 2}}),
     ("--ar-from", {"ar": {"value": None}}),
+    ("--gr-from", {"gr": {"gr": -5}}),  # a rank is never negative
+    ("--ar-from", {"ar": {"value": -3.5}}),
+    ("--ar-from", {"ar": {"value": float("nan")}}),
 ])
 def test_sr_rejects_a_malformed_bound_report(levi_path, tmp_path, capsys, flag, report):
     path = tmp_path / "bound.json"

@@ -78,3 +78,11 @@ def test_budget_errors():
     # above the budget the strata are sampled, never silently counted as exact
     counts = geometric.rank_strata_counts(tensor.levi_civita(F3), k=3, budget=100, mc_samples=50)
     assert not any(c.exact for c in counts)
+
+
+@pytest.mark.parametrize("kmax", [2, 3])
+def test_whole_space_stratum_is_exact(kmax):
+    # 3x3 skew slices have rank at most 2, so X_2 is all of F^3 at every level
+    est = geometric.geometric_rank(tensor.levi_civita(F3), kmax=kmax).strata[2]
+    assert [c.count for c in est.counts] == [3 ** (3 * k) for k in range(1, kmax + 1)]
+    assert (est.dim, est.codim, est.status, est.method) == (3, 0, "stable", "exact_enumeration")

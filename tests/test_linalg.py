@@ -95,7 +95,7 @@ def test_solve_consistent_and_inconsistent():
 def test_inverse_round_trip():
     for seed in range(10):
         M = random_matrix(F3, 3, 3, seed)
-        inv = linalg.inverse(M, F3)
+        inv = linalg.solve(M, np.eye(3, dtype=np.int32), F3)
         if linalg.rank(M, F3) < 3:
             assert inv is None
         else:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from trirank import analytic, geometric, linalg, tensor
 from trirank.errors import BudgetExceeded
 from trirank.fields import make_field, parse_field
-from trirank.rankprofile import Contraction, rank_profile
+from trirank.rankprofile import Contraction, _rank_table, point_block, rank_profile
 
 REF_POINTS = 20000  # largest affine point set the reference enumerates
 
@@ -248,6 +248,17 @@ def test_contraction_matches_table_lookups(field, n, shape, seed):
     A = rng.integers(0, F.q, size=(n,) + shape).astype(np.int32)
     X = rng.integers(0, F.q, size=(50, n)).astype(np.int32)
     assert np.array_equal(Contraction(A, F)(X), table_contraction(A, F, X))
+
+
+@pytest.mark.parametrize("field,n", [("2^1", 3), ("3^1", 3), ("3^2", 2), ("311^1", 1), ("3^3", 3)])
+def test_rank_table_matches_every_affine_point(field, n):
+    # each projective point's rank is written at its q - 1 nonzero multiples
+    # (one over F_2), and x = 0 keeps rank 0
+    F = parse_field(field)
+    A = np.random.default_rng(n).integers(0, F.q, size=(n, 2, 3)).astype(np.int32)
+    X = point_block(F.q, n, 0, F.q ** n)
+    table = _rank_table(Contraction(A, F), n)
+    assert table.tolist() == linalg.batched_rank(table_contraction(A, F, X), F).tolist()
 
 
 def test_zero_count_is_the_k1_kernel_count():

@@ -117,8 +117,9 @@ def test_vertex_cover_rejects_chain_supports():
 
 
 def test_vertex_cover_agrees_with_exact_on_diagonals():
-    values = [1, 2, 1]
-    T = tensor.diagonal_tensor(F3, values)
+    e = np.zeros((3, 3, 3), dtype=np.int32)
+    e[range(3), range(3), range(3)] = [1, 2, 1]
+    T = tensor.Tensor3(F3, e)
     assert slicerank.vertex_cover_sr(T) == slicerank.slice_rank_exact(T).value == 3
 
 
