@@ -70,10 +70,7 @@ def closeness_report(
     exact = sr_f.exact and sr_g.exact and sr_diff.exact
     if exact:
         subadd = abs(sr_f.value - sr_g.value) <= sr_diff.value
-        if diff.is_zero():
-            ar_bound = sr_diff.value == 0
-        else:
-            ar_bound = sr_diff.value <= AR_DIFF_CONSTANT * ar_diff.value + 1e-12
+        ar_bound = sr_diff.value <= AR_DIFF_CONSTANT * ar_diff.value + 1e-12
     else:
         subadd = ar_bound = None
     return ClosenessReport(

@@ -38,15 +38,15 @@ def _default_budget(fallback: int = analytic.ENUM_BUDGET) -> int:
         raise BadParams(f"TRIRANK_BUDGET={env!r} is not an integer") from None
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy's generators take only non-negative seeds."""
+def _nonneg_int(text: str) -> int:
+    """A --seed or --nvars value: an integer >= 0 (numpy takes no negative seed)."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"{seed} is negative")
-    return seed
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def _tensor_id(T: tensor.Tensor3) -> str:
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--budget", type=int, default=budget)
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
         if seed:
-            sp.add_argument("--seed", type=_seed, default=0)
+            sp.add_argument("--seed", type=_nonneg_int, default=0)
 
     sp = sub.add_parser("ar", help="exact analytic rank by enumeration")
     sp.add_argument("--tensor", required=True)
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("szcheck", help="dimension estimate + Schwartz-Zippel check")
     sp.add_argument("--system", required=True)
     sp.add_argument("--field", required=True)
-    sp.add_argument("--nvars", type=int, required=True)
+    sp.add_argument("--nvars", type=_nonneg_int, required=True)
     sp.add_argument("--kmax", type=int, default=3)
     add_common(sp, budget=enum_budget)
     sp.set_defaults(func=_cmd_szcheck)

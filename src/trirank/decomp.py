@@ -228,10 +228,6 @@ def slice_decompose(
     if gr_report is None:
         gr_report = geometric.geometric_rank(T, seed=seed)
     gr = gr_report.gr if gr_report.stable else None
-    if T.is_zero():
-        return SliceDecomposition(
-            working_field=Fw, dims=Tw.dims, terms=[], r_used=0, gr=gr
-        )
     best = None
     for retry in range(MAX_RETRIES):
         D = None

@@ -305,8 +305,6 @@ def verify_rank_chain(
     ar_skipped = T.field.q == 2
     ar = None if ar_skipped else analytic.analytic_rank(T, budget=ar_budget)
     sr = slice_rank(T, ar=ar.value if ar is not None else None, gr=gr.gr)
-    if T.is_zero():
-        return ChainReport(sr, gr, ar, True, True, True, True, True, None, ar_skipped)
     holds_sr_3gr = sr.hi <= 3 * gr.gr
     holds_gr_le_sr = gr.gr <= sr.hi
     if ar is None:

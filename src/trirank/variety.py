@@ -9,6 +9,7 @@ counts and degrees) cancel in the ratio.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -82,149 +83,98 @@ class PolySystem:
 # parser: variables x1..xn, integer coefficients, + - * ^ ( ) ;
 # ---------------------------------------------------------------------------
 
-class _Tok:
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text):
-    toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in "+-*^();":
-            toks.append(_Tok(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("INT", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PolySyntaxError("variable needs an index", line, col)
-            toks.append(_Tok("VAR", int(text[i + 1 : j]), line, col))
-            col += j - i
-            i = j
-            continue
-        raise PolySyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("EOF", None, line, col))
-    return toks
-
-
-class _Parser:
-    def __init__(self, toks, field, nvars):
-        self.toks = toks
-        self.pos = 0
-        self.field = field
-        self.nvars = nvars
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self, kind=None):
-        tok = self.toks[self.pos]
-        if kind is not None and tok.kind != kind:
-            raise PolySyntaxError(f"expected {kind}, got {tok.kind}", tok.line, tok.col)
-        self.pos += 1
-        return tok
-
-    def const(self, value):
-        code = value % self.field.p  # integer coefficients live in the prime subfield
-        return {(0,) * self.nvars: code} if code else {}
-
-    def var(self, index, tok):
-        if not 1 <= index <= self.nvars:
-            raise UnknownVariable(
-                f"x{index} out of range 1..{self.nvars} (line {tok.line}, col {tok.col})"
-            )
-        e = [0] * self.nvars
-        e[index - 1] = 1
-        return {tuple(e): 1}
-
-    def parse_expr(self):
-        sign = 1
-        if self.peek().kind in "+-":
-            sign = -1 if self.take().kind == "-" else 1
-        acc = self.parse_term()
-        if sign < 0:
-            acc = poly_neg(acc, self.field)
-        while self.peek().kind in "+-":
-            op = self.take().kind
-            t = self.parse_term()
-            if op == "-":
-                t = poly_neg(t, self.field)
-            acc = poly_add(acc, t, self.field)
-        return acc
-
-    def parse_term(self):
-        acc = self.parse_factor()
-        while self.peek().kind == "*":
-            self.take()
-            acc = poly_mul(acc, self.parse_factor(), self.field)
-        return acc
-
-    def parse_factor(self):
-        base = self.parse_atom()
-        if self.peek().kind == "^":
-            self.take()
-            tok = self.take("INT")
-            out = self.const(1)
-            for _ in range(tok.value):
-                out = poly_mul(out, base, self.field)
-            return out
-        return base
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.take()
-            return self.const(tok.value)
-        if tok.kind == "VAR":
-            self.take()
-            return self.var(tok.value, tok)
-        if tok.kind == "(":
-            self.take()
-            e = self.parse_expr()
-            self.take(")")
-            return e
-        raise PolySyntaxError(f"unexpected token {tok.kind}", tok.line, tok.col)
+_TOKEN = re.compile(r"\s+|(\d+)|x(\d*)|([-+*^();])|(.)")
 
 
 def parse_poly_system(text: str, field: Field, nvars: int) -> PolySystem:
-    toks = _tokenize(text)
-    parser = _Parser(toks, field, nvars)
+    """Parse `;`-separated polynomials; every error names its line and column."""
+
+    def where(at):
+        return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+    toks, i = [], 0  # tokens (kind, value, offset): kind is INT, VAR, EOF or the operator
+    for m in _TOKEN.finditer(text):
+        num, index, op, bad = m.groups()
+        if bad is not None:
+            raise PolySyntaxError(f"unexpected character {bad!r}", *where(m.start()))
+        if index == "":
+            raise PolySyntaxError("variable needs an index", *where(m.start()))
+        if num is not None:
+            toks.append(("INT", int(num), m.start()))
+        elif index is not None:
+            toks.append(("VAR", int(index), m.start()))
+        elif op is not None:
+            toks.append((op, None, m.start()))
+    toks.append(("EOF", None, len(text)))
+
+    def expect(kind):
+        nonlocal i
+        got, value, at = toks[i]
+        if got != kind:
+            raise PolySyntaxError(f"expected {kind}, got {got}", *where(at))
+        i += 1
+        return value
+
+    def expression():
+        nonlocal i
+        acc, op = {}, "+"
+        if toks[i][0] in "+-":
+            op, i = toks[i][0], i + 1
+        while True:
+            t = term()
+            acc = poly_add(acc, t if op == "+" else poly_neg(t, field), field)
+            op = toks[i][0]
+            if op not in "+-":
+                return acc
+            i += 1
+
+    def term():
+        nonlocal i
+        acc = factor()
+        while toks[i][0] == "*":
+            i += 1
+            acc = poly_mul(acc, factor(), field)
+        return acc
+
+    def factor():
+        nonlocal i
+        base = atom()
+        if toks[i][0] != "^":
+            return base
+        i += 1
+        out = {(0,) * nvars: 1}
+        for _ in range(expect("INT")):
+            out = poly_mul(out, base, field)
+        return out
+
+    def atom():
+        nonlocal i
+        kind, value, at = toks[i]
+        i += 1
+        if kind == "INT":
+            code = value % field.p  # integer coefficients live in the prime subfield
+            return {(0,) * nvars: code} if code else {}
+        if kind == "VAR":
+            if not 1 <= value <= nvars:
+                line, col = where(at)
+                raise UnknownVariable(f"x{value} out of range 1..{nvars} (line {line}, col {col})")
+            return {tuple(int(j == value - 1) for j in range(nvars)): 1}
+        if kind == "(":
+            inner = expression()
+            expect(")")
+            return inner
+        raise PolySyntaxError(f"unexpected token {kind}", *where(at))
+
     polys = []
-    while parser.peek().kind != "EOF":
-        p = parser.parse_expr()
+    while toks[i][0] != "EOF":
+        p = expression()
         if p:
             polys.append(p)
-        if parser.peek().kind == ";":
-            parser.take()
-        elif parser.peek().kind != "EOF":
-            tok = parser.peek()
-            raise PolySyntaxError(f"unexpected token {tok.kind}", tok.line, tok.col)
+        kind, _, at = toks[i]
+        if kind == ";":
+            i += 1
+        elif kind != "EOF":
+            raise PolySyntaxError(f"unexpected token {kind}", *where(at))
     return PolySystem(field, nvars, polys)
 
 

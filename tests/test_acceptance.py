@@ -289,17 +289,21 @@ def _tangent_vs_jacobian():
             mats[:, i] = rem % 3
             rem //= 3
         ranks = linalg.batched_rank(mats.reshape(-1, m, n), F3)
-        for idx in range(codes.size):
-            r = int(ranks[idx])
-            if r not in (1, 2):
-                continue
-            A = mats[idx].reshape(m, n)
-            span = linalg.row_space_basis(decomp._sylvester_matrix(A).T, F3)
-            if r in systems:
-                jac = jacobian_tangent(systems[r], mats[idx])
-            else:
-                jac = np.eye(m * n, dtype=np.int32)  # M_r is the whole space
-            if not np.array_equal(span, linalg.row_space_basis(jac, F3)):
+        for r in (1, 2):
+            points = mats[ranks == r]  # every shape here has rank-1 and rank-2 matrices
+            S = np.stack([decomp._sylvester_matrix(A.reshape(m, n)).T for A in points])
+            J = np.zeros((len(points), m * n, m * n), dtype=np.int32)  # bases padded by zero rows
+            for j, A in enumerate(points):
+                if r in systems:
+                    jac = jacobian_tangent(systems[r], A)
+                else:
+                    jac = np.eye(m * n, dtype=np.int32)  # M_r is the whole space
+                J[j, : len(jac)] = jac
+            # span S = span J iff rank S = rank J = rank [S; J]
+            rank_s, rank_j, rank_sj = (
+                linalg.batched_rank(M, F3) for M in (S, J, np.concatenate([S, J], axis=1))
+            )
+            if not (np.array_equal(rank_s, rank_j) and np.array_equal(rank_s, rank_sj)):
                 return False, f"mismatch at a rank-{r} {m}x{n} matrix"
     return True, "exhaustive over F_3 up to 3x3"
 

@@ -232,6 +232,14 @@ def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert "argument --seed: -1 is negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("system", ["", "2", "x1*x2 - 1"])
+def test_negative_nvars_is_a_usage_error(tmp_path, capsys, system):
+    spath = tmp_path / "sys.txt"
+    spath.write_text(system)
+    assert cli.run(["szcheck", "--system", str(spath), "--field", "3^1", "--nvars", "-1"]) == 2
+    assert "argument --nvars: -1 is negative" in capsys.readouterr().err
+
+
 def test_malformed_budget_env_is_a_usage_error(levi_path, monkeypatch, capsys):
     monkeypatch.setenv("TRIRANK_BUDGET", "abc")
     assert cli.run(["ar", "--tensor", levi_path]) == 2

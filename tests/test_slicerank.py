@@ -238,3 +238,10 @@ def test_chain_report_zero_tensor():
     rep = slicerank.verify_rank_chain(tensor.zero_tensor(F3, (2, 2, 2)))
     assert rep.sr.value == 0 and rep.gr.gr == 0
     assert rep.all_hold
+
+
+def test_chain_report_zero_tensor_over_f2_leaves_the_ar_checks_open():
+    rep = slicerank.verify_rank_chain(tensor.zero_tensor(make_field(2), (2, 2, 2)))
+    assert rep.ar_skipped and rep.ar is None
+    assert (rep.holds_gr_271ar, rep.holds_sr_813ar, rep.holds_ar_le_sr) == (None, None, None)
+    assert rep.all_hold

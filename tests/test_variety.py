@@ -48,6 +48,26 @@ def test_parser_unknown_variable():
         system("x3 + 1", nvars=2)
 
 
+@pytest.mark.parametrize("text, error, message, line, col", [
+    ("a", PolySyntaxError, "unexpected character 'a'", 1, 1),
+    ("x1²", PolySyntaxError, "unexpected character '²'", 1, 3),  # a digit int() cannot read
+    ("x + 1", PolySyntaxError, "variable needs an index", 1, 1),
+    ("x1^x2", PolySyntaxError, "expected INT, got VAR", 1, 4),
+    ("(x1 + x2", PolySyntaxError, "expected ), got EOF", 1, 9),
+    ("x1 x2", PolySyntaxError, "unexpected token VAR", 1, 4),
+    ("x1;;x2", PolySyntaxError, "unexpected token ;", 1, 4),
+    ("x1 + x3", UnknownVariable, "x3 out of range 1..2", 1, 6),
+    ("x1*x2 +\n\tx1 ^ (2)", PolySyntaxError, "expected INT, got (", 2, 7),
+])
+def test_parser_errors_name_the_line_and_column(text, error, message, line, col):
+    with pytest.raises(error) as exc:
+        system(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} (line {line}, col {col})"
+    if error is PolySyntaxError:
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_poly_partial_frobenius_kills_pth_powers():
     S = system("x1^3 + x1^2*x2")
     p = S.polys[0]
