@@ -6,6 +6,9 @@ stratification.  At a rank-r point A of L the tangent space to the rank-<=-r
 locus is {CA + AC'}; every slice component inside that tangent space splits
 into 2r slice-rank-1 terms built from a rank factorization of A, and the
 complement contributes one term per basis matrix.  Total: 2r + codim terms.
+At r = 0 the point is A = 0 and its tangent space is {0}, so every basis
+matrix of L is a complement term: the SR(L) <= dim L base case is the same
+construction.
 """
 
 from __future__ import annotations
@@ -25,14 +28,8 @@ from .errors import (
 from .fields import Field, parse_field
 from .tensor import MatrixSpace, SliceTerm, Tensor3, slice_space
 
-
-@dataclass
-class RankFactorization:
-    """A = sum_i outer(left[i], right[i]) with independent factors."""
-
-    r: int
-    left: np.ndarray  # (r, m)
-    right: np.ndarray  # (r, n)
+MAX_RETRIES = 5
+SAMPLE_BUDGET = 1000  # rank-r point draws per tangent attempt
 
 
 @dataclass
@@ -99,14 +96,12 @@ def decomposition_from_dict(d) -> SliceDecomposition:
 # matrix-level building blocks
 # ---------------------------------------------------------------------------
 
-def rank_factorize(A, F: Field) -> RankFactorization:
-    """A = sum of r outer products, read off the reduced echelon form."""
+def rank_factorize(A, F: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) with A = left^T right, r independent rows each, read off the RREF."""
     A = linalg.as_matrix(A)
     R, pivots = linalg.rref(A, F)
-    r = len(pivots)
-    right = R[:r].copy()  # rows are independent (echelon)
-    left = A[:, pivots].T.copy()  # A = A[:, pivots] @ R[:r] since R[:r, pivots] = I
-    return RankFactorization(r=r, left=left, right=right)
+    # A = A[:, pivots] @ R[:r] since R[:r, pivots] = I; the rows of R[:r] are independent
+    return A[:, pivots].T.copy(), R[: len(pivots)].copy()
 
 
 def _sylvester_matrix(A) -> np.ndarray:
@@ -116,7 +111,7 @@ def _sylvester_matrix(A) -> np.ndarray:
     return np.hstack([np.kron(I_m, A.T), np.kron(A, I_n)])
 
 
-def sample_rank_point(L: MatrixSpace, r: int, budget: int = 1000, seed: int = 0) -> np.ndarray:
+def sample_rank_point(L: MatrixSpace, r: int, seed: int = 0) -> np.ndarray:
     """A matrix of rank exactly r in L (coefficients over L's field), by rejection."""
     if r < 0:
         raise BadParams("rank must be >= 0")
@@ -129,12 +124,12 @@ def sample_rank_point(L: MatrixSpace, r: int, budget: int = 1000, seed: int = 0)
         raise NoPointFound("zero space contains no nonzero-rank point")
     rng = np.random.default_rng(seed)
     basis = L.flat_basis()
-    for _ in range(budget):
+    for _ in range(SAMPLE_BUDGET):
         coeffs = rng.integers(0, F.q, size=L.dim).astype(np.int32)
         A = linalg.mat_mul(coeffs[None], basis, F).reshape(L.shape)
         if linalg.rank(A, F) == r:
             return A
-    raise NoPointFound(f"no rank-{r} point in {budget} samples")
+    raise NoPointFound(f"no rank-{r} point in {SAMPLE_BUDGET} samples")
 
 
 # ---------------------------------------------------------------------------
@@ -149,52 +144,34 @@ def _slice_coords(M, Tw: Tensor3) -> np.ndarray:
     return x.T
 
 
-def _base_decomposition(Tw: Tensor3, gr: int | None, retries: int) -> SliceDecomposition:
-    """One x-direction term per basis slice: the SR(L) <= dim L base case."""
-    F = Tw.field
-    L = slice_space(Tw, "x")
-    terms = []
-    if L.dim:
-        coords = _slice_coords(L.flat_basis().T, Tw)
-        for m in range(L.dim):
-            terms.append(
-                SliceTerm(F, "x", coords[:, m], L.basis[m], source="base_x_slice")
-            )
-    D = SliceDecomposition(
-        working_field=F, dims=Tw.dims, terms=terms, r_used=0, gr=gr, retries=retries
-    )
-    if not verify_decomposition(Tw, D):
-        raise VerificationFailed("base decomposition does not reconstruct the tensor")
-    return D
+def _tangent_decomposition(
+    Tw: Tensor3, L: MatrixSpace, r: int, seed: int
+) -> SliceDecomposition | None:
+    """One attempt at the 2r + codim construction; None if L has no rank-r point.
 
-
-def _tangent_decomposition(Tw: Tensor3, r: int, seed: int) -> SliceDecomposition | None:
-    """One attempt at the 2r + codim construction; None if no rank-r point.
-
-    One solve of [S | L basis] x = slice for every slice at once, S the map
-    (C, Cp) -> CA + ACp, splits slice l into C_l A + A Cp_l (the tangent part)
-    plus sum_m mu_lm L_m.  A basis matrix L_m gets a pivot exactly when it
-    extends T_A + span(L_0 .. L_{m-1}), so the L_m with nonzero mu are the
-    complement terms.
+    L is the span of Tw's x-slices.  One solve of [S | L basis] x = slice for
+    every slice at once, S the map (C, Cp) -> CA + ACp, splits slice l into
+    C_l A + A Cp_l (the tangent part) plus sum_m mu_lm L_m.  A basis matrix
+    L_m gets a pivot exactly when it extends T_A + span(L_0 .. L_{m-1}), so
+    the L_m with nonzero mu are the complement terms; at r = 0, S = 0 and
+    every L_m is one.
     """
     F = Tw.field
     n1, n2, n3 = Tw.dims
-    L = slice_space(Tw, "x")
     try:
-        A = sample_rank_point(L, r, budget=SAMPLE_BUDGET, seed=seed)
+        A = sample_rank_point(L, r, seed=seed)
     except NoPointFound:
         return None
     x = _slice_coords(np.hstack([_sylvester_matrix(A), L.flat_basis().T]), Tw)
     Cs = x[:, : n2 * n2].reshape(n1, n2, n2)
     Cps = x[:, n2 * n2 : n2 * n2 + n3 * n3].reshape(n1, n3, n3)
     mu = x[:, n2 * n2 + n3 * n3 :]  # (n1, dim L)
-    fact = rank_factorize(A, F)
+    left, right = rank_factorize(A, F)
     # H[i][l] = C_l f_i and Hp[i][l] = g_i Cp_l, for every i at once
-    H = linalg.mat_mul(Cs, fact.left.T, F).transpose(2, 0, 1)
-    Hp = linalg.mat_mul(fact.right, Cps, F).transpose(1, 0, 2)
+    H = linalg.mat_mul(Cs, left.T, F).transpose(2, 0, 1)
+    Hp = linalg.mat_mul(right, Cps, F).transpose(1, 0, 2)
     terms = []
-    for i in range(fact.r):
-        f_i, g_i = fact.left[i], fact.right[i]
+    for i, (f_i, g_i) in enumerate(zip(left, right)):
         if H[i].any() and g_i.any():
             terms.append(SliceTerm(F, "z", g_i, H[i], source="tangent_z_slice"))
         if Hp[i].any() and f_i.any():
@@ -212,10 +189,6 @@ def _tangent_decomposition(Tw: Tensor3, r: int, seed: int) -> SliceDecomposition
     return D
 
 
-MAX_RETRIES = 5
-SAMPLE_BUDGET = 1000  # rank-r point draws per tangent attempt
-
-
 def slice_decompose(
     T: Tensor3,
     k_work: int = 3,
@@ -228,15 +201,13 @@ def slice_decompose(
     if gr_report is None:
         gr_report = geometric.geometric_rank(T, seed=seed)
     gr = gr_report.gr if gr_report.stable else None
+    L = slice_space(Tw, "x")
     best = None
     for retry in range(MAX_RETRIES):
-        D = None
-        for r in range(gr_report.argmin_r, 0, -1):
-            D = _tangent_decomposition(Tw, r, seed=seed + 0x517CC1B7 * retry + r)
+        for r in range(gr_report.argmin_r, -1, -1):  # r = 0 always succeeds: A = 0
+            D = _tangent_decomposition(Tw, L, r, seed=seed + 0x517CC1B7 * retry + r)
             if D is not None:
                 break
-        if D is None:
-            D = _base_decomposition(Tw, gr, retry)
         D.gr = gr
         D.retries = retry
         if best is None or D.term_count < best.term_count:

@@ -82,9 +82,6 @@ def solve(M, b, F: Field):
 
 def row_space_basis(rows, F: Field) -> np.ndarray:
     """Independent spanning subset, in RREF (canonical for the row space)."""
-    rows = as_matrix(rows)
-    if rows.shape[0] == 0:
-        return rows.copy()
     R, pivots = rref(rows, F)
     return R[: len(pivots)].copy()
 

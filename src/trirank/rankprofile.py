@@ -3,7 +3,7 @@
 AR (k = 1), the GR strata and the kernel-variety count all read it, and the
 bias and min-entropy read its z-axis ranks at k = 1.  Up to permutations
 every matrix sum_i x_i A_i is block-diagonal, one block per direct summand of
-T (``tensor.direct_summands``), so a point's rank is the sum of its summands'
+T (``Tensor3.summands``), so a point's rank is the sum of its summands'
 ranks, and each summand is ranked once, on the projective points of its own
 coordinates (rank(c x) = rank(x) for c != 0).  The exact path convolves the
 summands' affine histograms and multiplies by q^k for every coordinate in no
@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import BadParams, BudgetExceeded
 from .fields import Field
-from .tensor import AXES, Tensor3, direct_summands, slices
+from .tensor import AXES, Tensor3, slices
 
 ELIM_BUDGET = 2 ** 21  # most affine points per tower level that are counted exactly
 MC_SAMPLES = 10 ** 5
@@ -121,7 +121,7 @@ def _summands(T: Tensor3, k: int, axis: str) -> list[tuple[np.ndarray, Contracti
     a = AXES.index(axis)
     A = slices(T, axis)
     parts = []
-    for sets in direct_summands(T):
+    for sets in T.summands:
         rows, cols = (s for i, s in enumerate(sets) if i != a)
         parts.append((sets[a], Contraction(A[np.ix_(sets[a], rows, cols)], Fk)))
     return parts

@@ -21,7 +21,7 @@ import numpy as np
 from . import analytic, geometric, linalg
 from .errors import ContradictoryBounds, OutOfExactScope
 from .fields import Field
-from .tensor import Tensor3, direct_summands, slice_space
+from .tensor import Tensor3, slice_space
 
 EXACT_DIM_LIMIT = 4
 EXACT_Q_LIMIT = 3
@@ -218,7 +218,7 @@ def vertex_cover_sr(T: Tensor3):
     antichain in the product order: summands occupy disjoint index sets per
     axis, so the axes can always be reordered to make the union an antichain.
     """
-    supports = [np.argwhere(T.entries[np.ix_(I, J, K)]).tolist() for I, J, K in direct_summands(T)]
+    supports = [np.argwhere(T.entries[np.ix_(I, J, K)]).tolist() for I, J, K in T.summands]
     if not all(_is_antichain(c) for c in supports):
         return None
     return sum(_min_vertex_cover(c) for c in supports)

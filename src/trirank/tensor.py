@@ -11,6 +11,7 @@ contracting with x gives the matrix sum_i x_i A_i.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,42 @@ class Tensor3:
 
     def is_zero(self) -> bool:
         return not self.entries.any()
+
+    @cached_property
+    def summands(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Index sets (I, J, K) on x, y and z of the direct summands, as read-only arrays.
+
+        The summands are the connected blocks of the support: T is zero outside
+        the boxes I x J x K, which are disjoint on every axis.  Union-find joins
+        each x index to the y indices (vertices n1 + j) and z indices (vertices
+        n1 + n2 + k) of the support's projections onto (x, y) and (x, z).
+        Indices outside the support are in no summand, so the zero tensor has
+        none; the order is by least x index.  Computed once per tensor.
+        """
+        n1, n2, _ = self.dims
+        xy, xz = np.nonzero(self.entries.any(axis=2)), np.nonzero(self.entries.any(axis=1))
+        xs = xy[0].tolist() + xz[0].tolist()
+        others = (xy[1] + n1).tolist() + (xz[1] + n1 + n2).tolist()
+        root = {v: v for v in xs + others}  # support vertices only: a dim may be huge
+
+        def find(v):
+            while root[v] != v:
+                root[v] = root[root[v]]  # path halving
+                v = root[v]
+            return v
+
+        for i, v in zip(xs, others):
+            root[find(v)] = find(i)
+        blocks: dict = {}
+        for v in sorted({*xs, *others}):  # x vertices first, so blocks open by least x index
+            blocks.setdefault(find(v), ([], [], []))[(v >= n1) + (v >= n1 + n2)].append(v)
+        parts = []
+        for sets in blocks.values():
+            part = tuple(np.array(s, dtype=np.intp) - off for s, off in zip(sets, (0, n1, n1 + n2)))
+            for a in part:
+                a.setflags(write=False)  # the tuple is cached: no caller may change it
+            parts.append(part)
+        return tuple(parts)
 
     def lift(self, target: Field) -> "Tensor3":
         """The same tensor over an extension of a prime field; codes are unchanged."""
@@ -121,40 +158,6 @@ def slice_space(T: Tensor3, axis: str) -> MatrixSpace:
     """Span of the slices along an axis."""
     sl = slices(T, axis)
     return MatrixSpace(T.field, sl.shape[1:], sl)
-
-
-def direct_summands(T: Tensor3) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Index sets (I, J, K) on x, y and z of the direct summands of T.
-
-    The summands are the connected blocks of the support: T is zero outside
-    the boxes I x J x K, which are disjoint on every axis.  Union-find joins
-    each x index to the y indices (vertices n1 + j) and z indices (vertices
-    n1 + n2 + k) of the support's projections onto (x, y) and (x, z).
-    Indices outside the support are in no summand, so the zero tensor has
-    none; the order is by least x index.
-    """
-    n1, n2, _ = T.dims
-    xy, xz = np.nonzero(T.entries.any(axis=2)), np.nonzero(T.entries.any(axis=1))
-    xs = xy[0].tolist() + xz[0].tolist()
-    others = (xy[1] + n1).tolist() + (xz[1] + n1 + n2).tolist()
-    root = {v: v for v in xs + others}  # support vertices only: a dim may be huge
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]  # path halving
-            v = root[v]
-        return v
-
-    for i, v in zip(xs, others):
-        root[find(v)] = find(i)
-    blocks: dict = {}
-    for v in sorted({*xs, *others}):  # x vertices first, so blocks open by least x index
-        blocks.setdefault(find(v), ([], [], []))[(v >= n1) + (v >= n1 + n2)].append(v)
-    return [
-        (np.array(I, dtype=np.intp), np.array(J, dtype=np.intp) - n1,
-         np.array(K, dtype=np.intp) - (n1 + n2))
-        for I, J, K in blocks.values()
-    ]
 
 
 def direct_sum(T: Tensor3, S: Tensor3) -> Tensor3:

@@ -99,10 +99,14 @@ def parse_poly_system(text: str, field: Field, nvars: int) -> PolySystem:
             raise PolySyntaxError(f"unexpected character {bad!r}", *where(m.start()))
         if index == "":
             raise PolySyntaxError("variable needs an index", *where(m.start()))
-        if num is not None:
-            toks.append(("INT", int(num), m.start()))
-        elif index is not None:
-            toks.append(("VAR", int(index), m.start()))
+        digits = num or index  # either is None or nonempty here
+        if digits:
+            try:
+                toks.append(("INT" if num else "VAR", int(digits), m.start()))
+            except ValueError:  # past Python's int-string conversion limit (4300 digits)
+                raise PolySyntaxError(
+                    f"integer too long: {len(digits)} digits", *where(m.start())
+                ) from None
         elif op is not None:
             toks.append((op, None, m.start()))
     toks.append(("EOF", None, len(text)))
@@ -192,8 +196,6 @@ class CountRecord:
 
 def _eval_zero_mask(S: PolySystem, Fk: Field, X: np.ndarray) -> np.ndarray:
     """Boolean mask of points (rows of X) where every polynomial vanishes."""
-    if not S.polys:
-        return np.ones(X.shape[0], dtype=bool)
     powtbl = Fk.pow_table(max(1, S.maxdeg))
     mask = np.ones(X.shape[0], dtype=bool)
     for p in S.polys:

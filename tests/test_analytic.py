@@ -175,7 +175,7 @@ def test_min_entropy_of_a_direct_sum_matches_enumeration(F):
         (tensor.zero_tensor(F, (2, 2, 0)), []),
     ]
     for T, z_sizes in cases:
-        assert [len(z) for _, _, z in tensor.direct_summands(T)] == z_sizes
+        assert [len(z) for _, _, z in T.summands] == z_sizes
         assert analytic.min_entropy(T).histogram.tobytes() == brute_min_entropy(T).tobytes()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trirank import decomp, geometric, linalg, tensor, variety
+from trirank import cli, decomp, geometric, linalg, tensor, variety
 from trirank.errors import NoPointFound, VerificationFailed
 from trirank.fields import make_field
 from trirank.tensor import SliceTerm, slice_space
@@ -16,11 +16,12 @@ from jacobian_reference import jacobian_tangent
 F3 = make_field(3)
 
 
-def check_factorization(A, fact, F):
+def check_factorization(A, left, right, F):
     """A = left^T right, with r independent rows on each side."""
-    if not np.array_equal(linalg.mat_mul(fact.left.T, fact.right, F), A):
+    if not np.array_equal(linalg.mat_mul(left.T, right, F), A):
         return False
-    return linalg.rank(fact.left, F) == fact.r and linalg.rank(fact.right, F) == fact.r
+    r = len(left)
+    return len(right) == r and linalg.rank(left, F) == r and linalg.rank(right, F) == r
 
 
 def in_space(S, M):
@@ -118,7 +119,8 @@ def sylvester_solve(B, A, F):
     return CongruencePair(C=C, Cp=Cp)
 
 
-def reference_base_decomposition(Tw, gr, retries):
+def reference_base_decomposition(Tw):
+    """The r = 0 construction as SR(L) <= dim L: one x-term per basis matrix of L."""
     F = Tw.field
     L = slice_space(Tw, "x")
     S = L.flat_basis()
@@ -130,22 +132,19 @@ def reference_base_decomposition(Tw, gr, retries):
         )
         for m in range(L.dim):
             terms.append(
-                SliceTerm(F, "x", coords[:, m], L.basis[m], source="base_x_slice")
+                SliceTerm(F, "x", coords[:, m], L.basis[m], source="complement_x_slice")
             )
-    D = decomp.SliceDecomposition(
-        working_field=F, dims=Tw.dims, terms=terms, r_used=0, gr=gr, retries=retries
-    )
+    D = decomp.SliceDecomposition(working_field=F, dims=Tw.dims, terms=terms, r_used=0)
     if not decomp.verify_decomposition(Tw, D):
         raise VerificationFailed("base decomposition does not reconstruct the tensor")
     return D
 
 
-def reference_tangent_decomposition(Tw, r, seed, sample_budget=decomp.SAMPLE_BUDGET):
+def reference_tangent_decomposition(Tw, L, r, seed):
     F = Tw.field
     n1, n2, n3 = Tw.dims
-    L = slice_space(Tw, "x")
     try:
-        A = decomp.sample_rank_point(L, r, budget=sample_budget, seed=seed)
+        A = decomp.sample_rank_point(L, r, seed=seed)
     except NoPointFound:
         return None
     tangent = tangent_space_at(A, F)
@@ -159,16 +158,16 @@ def reference_tangent_decomposition(Tw, r, seed, sample_budget=decomp.SAMPLE_BUD
     )
     lam = coords[:, : P.shape[0]]  # (n1, dim P)
     mu = coords[:, P.shape[0]:]  # (n1, codim)
-    fact = decomp.rank_factorize(A, F)
+    left, right = decomp.rank_factorize(A, F)
     pairs = [sylvester_solve(B.reshape(n2, n3), A, F) for B in P]
     Cs = np.array([pair.C for pair in pairs], dtype=np.int32).reshape(len(pairs), n2, n2)
     Cps = np.array([pair.Cp for pair in pairs], dtype=np.int32).reshape(len(pairs), n3, n3)
     # H[i] = sum_j lam_j (C_j f_i) and Hp[i] = sum_j lam_j (g_i Cp_j), for every i at once
-    H = linalg.mat_mul(lam, linalg.mat_mul(Cs, fact.left.T, F).transpose(2, 0, 1), F)
-    Hp = linalg.mat_mul(lam, linalg.mat_mul(fact.right, Cps, F).transpose(1, 0, 2), F)
+    H = linalg.mat_mul(lam, linalg.mat_mul(Cs, left.T, F).transpose(2, 0, 1), F)
+    Hp = linalg.mat_mul(lam, linalg.mat_mul(right, Cps, F).transpose(1, 0, 2), F)
     terms = []
-    for i in range(fact.r):
-        f_i, g_i = fact.left[i], fact.right[i]
+    for i in range(len(left)):
+        f_i, g_i = left[i], right[i]
         if H[i].any() and g_i.any():
             terms.append(SliceTerm(F, "z", g_i, H[i], source="tangent_z_slice"))
         if Hp[i].any() and f_i.any():
@@ -189,9 +188,8 @@ def reference_tangent_decomposition(Tw, r, seed, sample_budget=decomp.SAMPLE_BUD
 
 
 def reference_slice_decompose(T, **kwargs):
-    """decomp.slice_decompose with both construction steps swapped for the reference."""
-    with mock.patch.object(decomp, "_tangent_decomposition", reference_tangent_decomposition), \
-            mock.patch.object(decomp, "_base_decomposition", reference_base_decomposition):
+    """decomp.slice_decompose with its construction swapped for the reference."""
+    with mock.patch.object(decomp, "_tangent_decomposition", reference_tangent_decomposition):
         return decomp.slice_decompose(T, **kwargs)
 
 
@@ -215,26 +213,26 @@ def sylvester_span(A, F):
 
 
 def test_rank_factorize_e11():
-    f = decomp.rank_factorize(E11, F3)
-    assert f.r == 1
-    assert f.left.tolist() == [[1, 0]]
-    assert f.right.tolist() == [[1, 0]]
+    left, right = decomp.rank_factorize(E11, F3)
+    assert left.tolist() == [[1, 0]]
+    assert right.tolist() == [[1, 0]]
 
 
 def test_rank_factorize_cross_product_matrix():
     # matrix of x -> e1 x x over F_3
     cross = np.array([[0, 0, 0], [0, 0, 2], [0, 1, 0]], dtype=np.int32)
-    f = decomp.rank_factorize(cross, F3)
-    assert f.r == 2
-    assert check_factorization(cross, f, F3)
+    left, right = decomp.rank_factorize(cross, F3)
+    assert len(left) == 2
+    assert check_factorization(cross, left, right, F3)
 
 
 def test_rank_factorize_zero_and_random():
-    assert decomp.rank_factorize(np.zeros((2, 2), np.int32), F3).r == 0
+    left, right = decomp.rank_factorize(np.zeros((2, 2), np.int32), F3)
+    assert left.shape == right.shape == (0, 2)
     rng = np.random.default_rng(5)
     for _ in range(20):
         A = rng.integers(0, 3, size=(3, 4)).astype(np.int32)
-        assert check_factorization(A, decomp.rank_factorize(A, F3), F3)
+        assert check_factorization(A, *decomp.rank_factorize(A, F3), F3)
 
 
 def test_tangent_space_dimensions():
@@ -330,6 +328,41 @@ def test_slice_decompose_term_count_bounded_by_2gr():
         if rep.stable and not D.flagged:
             assert D.term_count <= 2 * rep.gr
             assert D.term_count >= rep.gr
+
+
+def test_slice_decompose_identity_3_is_the_r0_construction():
+    # GR's stratification min_r (r + codim X_r) = 3 is first reached at r = 0
+    T = tensor.identity_tensor(F3, 3)
+    D = decomp.slice_decompose(T, k_work=3, seed=7)
+    assert (D.r_used, D.term_count) == (0, 3)
+    assert [t.source for t in D.terms] == ["complement_x_slice"] * 3
+    assert decomp.verify_decomposition(T, D)
+
+
+# (p, dims) of the random tensors on which the r = 0 attempt meets the base case
+R0_RANDOM = [
+    (2, (2, 3, 4)), (2, (4, 4, 4)), (3, (3, 3, 3)), (3, (1, 4, 2)),
+    (5, (2, 2, 2)), (5, (4, 1, 3)), (7, (3, 4, 2)),
+]
+
+
+def r0_tensors():
+    """The seed-7 corpus over F_27, 30 random tensors per R0_RANDOM case and zero tensors."""
+    Ts = [T.lift(F3.extension(3)) for _, T in cli.builtin_corpus(7)]
+    for p, dims in R0_RANDOM:
+        Ts += [tensor.random_tensor(make_field(p), dims, seed=s) for s in range(30)]
+    for p in (2, 3):
+        Ts += [tensor.zero_tensor(make_field(p), d) for d in ((1, 1, 1), (2, 2, 2), (3, 1, 2))]
+    return Ts + [tensor.zero_tensor(F3, (2, 0, 3))]
+
+
+def test_r0_attempt_is_the_base_case():
+    Ts = r0_tensors()
+    assert len(Ts) == 273
+    for Tw in Ts:
+        D = decomp._tangent_decomposition(Tw, slice_space(Tw, "x"), 0, seed=0)
+        assert D.to_dict() == reference_base_decomposition(Tw).to_dict(), Tw
+        assert D.r_used == 0 and not D.sampled_point.any()
 
 
 def test_verify_rejects_wrong_tensor_or_dims():

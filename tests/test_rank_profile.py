@@ -173,7 +173,7 @@ def test_tabulated_and_eliminated_summands_match_the_reference(field, k, seed):
     for a in range(3):
         e = np.take(e, rng.permutation(6), axis=a)
     T = tensor.Tensor3(F, e)
-    assert len(tensor.direct_summands(T)) == 2
+    assert len(T.summands) == 2
     for a, axis in enumerate("xyz"):
         # a summand is tabulated when its affine points are at most the draws:
         # then its projective points are eliminated, else the draws
@@ -197,7 +197,7 @@ def test_eliminations_are_pinned(monkeypatch):
     big = np.zeros((5, 3, 3), dtype=np.int32)
     big[:4] = tensor.random_tensor(F3, (4, 3, 3), seed=1).entries
     big = tensor.Tensor3(F3, big)
-    assert len(tensor.direct_summands(big)) == 1
+    assert len(big.summands) == 1
     eliminated = counting_eliminations(monkeypatch)
     for T, k, kwargs, exact, matrices in [
         (t2, 2, {}, True, 2 * 91),  # each summand's projective points of F_9^3

@@ -141,15 +141,15 @@ def test_direct_summand_counts():
         "zero": tensor.zero_tensor(F3, (2, 3, 2)),
         "zero dim": tensor.zero_tensor(F3, (2, 0, 3)),
     }
-    assert {name: len(tensor.direct_summands(T)) for name, T in counts.items()} == {
+    assert {name: len(T.summands) for name, T in counts.items()} == {
         "T_2": 2, "identity_4": 4, "levi_civita": 1, "zero": 0, "zero dim": 0,
     }
-    I, J, K = tensor.direct_summands(tensor.tk_family(F3, 2))[1]
+    I, J, K = tensor.tk_family(F3, 2).summands[1]
     assert I.tolist() == J.tolist() == K.tolist() == [3, 4, 5]
 
 
 def summand_lists(e):
-    return [tuple(s.tolist() for s in part) for part in tensor.direct_summands(tensor.Tensor3(F3, e))]
+    return [tuple(s.tolist() for s in part) for part in tensor.Tensor3(F3, e).summands]
 
 
 def test_direct_summands_join_through_either_projection():
@@ -162,6 +162,18 @@ def test_direct_summands_join_through_either_projection():
     e = np.zeros((3, 3, 3), dtype=np.int32)
     e[0, 2, 1] = e[2, 0, 0] = 1
     assert summand_lists(e) == [([0], [2], [1]), ([2], [0], [0])]
+
+
+def test_summands_are_computed_once_and_read_only():
+    T = tensor.tk_family(F3, 2)
+    parts = T.summands
+    assert T.summands is parts
+    assert len(parts) == 2
+    for part in parts:
+        for s in part:
+            with pytest.raises(ValueError):
+                s[0] = 1
+    assert [p[0].tolist() for p in T.summands] == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_zero_size_axis_has_a_slice_space():

@@ -58,6 +58,11 @@ def test_parser_unknown_variable():
     ("x1;;x2", PolySyntaxError, "unexpected token ;", 1, 4),
     ("x1 + x3", UnknownVariable, "x3 out of range 1..2", 1, 6),
     ("x1*x2 +\n\tx1 ^ (2)", PolySyntaxError, "expected INT, got (", 2, 7),
+    # past Python's 4300-digit int-string conversion limit
+    pytest.param("x1 + " + "1" * 5000, PolySyntaxError, "integer too long: 5000 digits", 1, 6,
+                 id="5000-digit coefficient"),
+    pytest.param("x1^" + "2" * 5000, PolySyntaxError, "integer too long: 5000 digits", 1, 4,
+                 id="5000-digit exponent"),
 ])
 def test_parser_errors_name_the_line_and_column(text, error, message, line, col):
     with pytest.raises(error) as exc:
@@ -95,6 +100,15 @@ def test_estimate_dim_hyperplane_exact_slopes():
     est = variety.estimate_dim(S, kmax=2)
     assert (est.dim, est.status) == (2, "stable")
     assert [c.count for c in est.counts] == [9, 81]
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_a_system_with_no_polynomials_holds_every_point(text):
+    S = system(text)
+    assert S.polys == []
+    assert [variety.count_points(S, k).count for k in (1, 2)] == [9, 81]
+    est = variety.estimate_dim(S, kmax=2)
+    assert (est.dim, est.status) == (2, "stable")
 
 
 def test_estimate_dim_empty_variety():
