@@ -43,8 +43,6 @@ class ARValue:
 
     @property
     def value(self) -> float:
-        if self.zero_count == 0:
-            return float("inf")
         return self.log_domain - math.log(self.zero_count, self.q)
 
     def to_dict(self):
@@ -64,7 +62,7 @@ class EntropyReport:
 
     @property
     def max_count(self) -> int:
-        return int(self.histogram.max()) if self.histogram.size else 0
+        return int(self.histogram.max())
 
     @property
     def me(self) -> float:

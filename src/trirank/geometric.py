@@ -18,24 +18,17 @@ from .tensor import Tensor3
 from .variety import CountRecord, DimEstimate, estimate_from_counts, exact_estimate
 
 
-def _strata_records(prof: RankProfile) -> list[CountRecord]:
-    cum = np.cumsum(prof.hist)
+def _record(prof: RankProfile, count) -> CountRecord:
+    """A count over the profile's points: exact, or the mean per draw scaled to the space."""
     if prof.exact:
-        return [CountRecord(k=prof.k, count=int(c), exact=True) for c in cum]
-    cum = cum / prof.samples
-    return [
-        CountRecord(k=prof.k, count=float(c) * prof.total, exact=False, samples=prof.samples)
-        for c in cum
-    ]
-
-
-def _kernel_record(prof: RankProfile, n2: int) -> CountRecord:
-    if prof.exact:
-        return CountRecord(k=prof.k, count=prof.fiber_sum(n2), exact=True)
-    mean_fiber = prof.fiber_sum(n2) / prof.samples
+        return CountRecord(k=prof.k, count=int(count), exact=True)
     return CountRecord(
-        k=prof.k, count=mean_fiber * prof.total, exact=False, samples=prof.samples
+        k=prof.k, count=float(count / prof.samples) * prof.total, exact=False, samples=prof.samples
     )
+
+
+def _strata_records(prof: RankProfile) -> list[CountRecord]:
+    return [_record(prof, c) for c in np.cumsum(prof.hist)]
 
 
 def rank_strata_counts(
@@ -154,5 +147,5 @@ def kernel_codim(
         profiles = [
             rank_profile(T, k, "x", budget, mc_samples, seed) for k in range(1, kmax + 1)
         ]
-    counts = [_kernel_record(prof, n2) for prof in profiles]
+    counts = [_record(prof, prof.fiber_sum(n2)) for prof in profiles]
     return estimate_from_counts(T.field.q, n1 + n2, counts)

@@ -58,32 +58,26 @@ class Tensor3:
         """Index sets (I, J, K) on x, y and z of the direct summands, as read-only arrays.
 
         The summands are the connected blocks of the support: T is zero outside
-        the boxes I x J x K, which are disjoint on every axis.  Union-find joins
-        each x index to the y indices (vertices n1 + j) and z indices (vertices
-        n1 + n2 + k) of the support's projections onto (x, y) and (x, z).
-        Indices outside the support are in no summand, so the zero tensor has
-        none; the order is by least x index.  Computed once per tensor.
+        the boxes I x J x K, which are disjoint on every axis.  A block grows
+        from the least support x index not yet placed: I takes in every x index
+        that shares a y or z index with it until it stops growing, and J and K
+        are the y and z indices that I touches.  Indices outside the support are
+        in no summand, so the zero tensor has none; the order is by least x
+        index.  Computed once per tensor.
         """
-        n1, n2, _ = self.dims
-        xy, xz = np.nonzero(self.entries.any(axis=2)), np.nonzero(self.entries.any(axis=1))
-        xs = xy[0].tolist() + xz[0].tolist()
-        others = (xy[1] + n1).tolist() + (xz[1] + n1 + n2).tolist()
-        root = {v: v for v in xs + others}  # support vertices only: a dim may be huge
-
-        def find(v):
-            while root[v] != v:
-                root[v] = root[root[v]]  # path halving
-                v = root[v]
-            return v
-
-        for i, v in zip(xs, others):
-            root[find(v)] = find(i)
-        blocks: dict = {}
-        for v in sorted({*xs, *others}):  # x vertices first, so blocks open by least x index
-            blocks.setdefault(find(v), ([], [], []))[(v >= n1) + (v >= n1 + n2)].append(v)
+        xy, xz = self.entries.any(axis=2), self.entries.any(axis=1)
+        left = xy.any(axis=1)  # support x indices not yet placed
         parts = []
-        for sets in blocks.values():
-            part = tuple(np.array(s, dtype=np.intp) - off for s, off in zip(sets, (0, n1, n1 + n2)))
+        while left.any():
+            I = np.arange(len(left)) == left.argmax()
+            while True:
+                J, K = I @ xy, I @ xz  # boolean products: the y and z indices I touches
+                grown = xy @ J | xz @ K  # x indices sharing one; holds I (I is in the support)
+                if (grown == I).all():
+                    break
+                I = grown
+            left &= ~I
+            part = tuple(np.flatnonzero(s) for s in (I, J, K))
             for a in part:
                 a.setflags(write=False)  # the tuple is cached: no caller may change it
             parts.append(part)
@@ -130,19 +124,11 @@ class SliceTerm:
 
     def dense(self, dims) -> np.ndarray:
         """The (n1, n2, n3) coefficient array of this term."""
-        n1, n2, n3 = dims
-        F = self.field
-        if self.direction == "x":
-            if self.linear.shape != (n1,) or self.bilinear.shape != (n2, n3):
-                raise DimensionMismatch("slice term shape mismatch")
-            return F.mul[self.linear[:, None, None], self.bilinear[None, :, :]]
-        if self.direction == "y":
-            if self.linear.shape != (n2,) or self.bilinear.shape != (n1, n3):
-                raise DimensionMismatch("slice term shape mismatch")
-            return F.mul[self.linear[None, :, None], self.bilinear[:, None, :]]
-        if self.linear.shape != (n3,) or self.bilinear.shape != (n1, n2):
+        a = AXES.index(self.direction)
+        others = tuple(d for i, d in enumerate(dims) if i != a)
+        if self.linear.shape != (dims[a],) or self.bilinear.shape != others:
             raise DimensionMismatch("slice term shape mismatch")
-        return F.mul[self.linear[None, None, :], self.bilinear[:, :, None]]
+        return np.moveaxis(self.field.mul[self.linear[:, None, None], self.bilinear[None]], 0, a)
 
 
 # ---------------------------------------------------------------------------

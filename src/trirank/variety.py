@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PolySyntaxError, UnknownVariable, UnstableEstimate
-from .fields import Field
+from .fields import MAX_Q, Field
 from .rankprofile import point_block, within_budget
 
 EXACT_POINT_BUDGET = 10 ** 8
@@ -146,8 +146,11 @@ def parse_poly_system(text: str, field: Field, nvars: int) -> PolySystem:
         if toks[i][0] != "^":
             return base
         i += 1
+        at, e = toks[i][2], expect("INT")
+        if max(poly_degree(base), 1) * e > MAX_Q:  # beyond every field's q: SZ is vacuous
+            raise PolySyntaxError(f"power of degree above {MAX_Q}", *where(at))
         out = {(0,) * nvars: 1}
-        for _ in range(expect("INT")):
+        for _ in range(e):
             out = poly_mul(out, base, field)
         return out
 
@@ -271,13 +274,7 @@ class DimEstimate:
 
 def exact_estimate(nvars: int, dim: int, counts=()) -> DimEstimate:
     """A DimEstimate known exactly (linear algebra, no tower needed)."""
-    return DimEstimate(
-        nvars=nvars,
-        dim=dim,
-        codim=nvars - dim if dim >= 0 else nvars,
-        counts=list(counts),
-        status="stable" if dim >= 0 else "empty",
-    )
+    return DimEstimate(nvars, dim, nvars - dim, list(counts), status="stable")
 
 
 def estimate_from_counts(q: int, nvars: int, counts) -> DimEstimate:

@@ -72,6 +72,20 @@ def test_strata_counts_are_cumulative_and_seeded():
     assert not mc1[0].exact
 
 
+def test_sampled_records_scale_the_mean_draw_by_the_space():
+    # 27^6 points at k = 3 exceed the budget: 10^5 draws give hist [0, 0, 10, 0, 99990, 0, 0]
+    T = tensor.tk_family(F3, 2)
+    strata = geometric.rank_strata_counts(T, k=3, seed=7)
+    assert [c.count for c in strata] == [
+        float(c / 100000) * 27 ** 6 for c in (0, 0, 10, 10, 100000, 100000, 100000)
+    ]
+    kernel = geometric.kernel_codim(T, kmax=3, seed=7).counts[2]
+    fibers = 10 * 27 ** 4 + 99990 * 27 ** 2  # sum over the draws of q^(n2 - rank)
+    assert kernel.count == float(fibers / 100000) * 27 ** 6
+    assert not any(c.exact for c in strata + [kernel])
+    assert {c.samples for c in strata + [kernel]} == {100000}
+
+
 def test_budget_errors():
     with pytest.raises(BudgetExceeded):
         geometric.geometric_rank(tensor.levi_civita(F3), kmax=1)

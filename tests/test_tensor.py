@@ -1,5 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trirank import decomp, linalg, tensor
 from trirank.errors import DimensionMismatch, FieldMismatch, TensorFormatError
@@ -7,6 +11,7 @@ from trirank.fields import make_field
 from trirank.rankprofile import Contraction
 
 F3 = make_field(3)
+FIELDS = (make_field(2), F3, make_field(5))
 
 
 def eval_trilinear(T, x, y, z):
@@ -164,6 +169,57 @@ def test_direct_summands_join_through_either_projection():
     assert summand_lists(e) == [([0], [2], [1]), ([2], [0], [0])]
 
 
+@st.composite
+def permuted_direct_sums(draw):
+    """A direct sum of up to 4 random blocks (some 0-size), zero-padded, each axis permuted."""
+    F = draw(st.sampled_from(FIELDS))
+    blocks = draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=4))
+    pad = draw(st.tuples(*[st.integers(0, 2)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    e = np.zeros([sum(b[a] for b in blocks) + pad[a] for a in range(3)], dtype=np.int32)
+    corner = np.zeros(3, dtype=int)
+    for b in blocks:
+        density = rng.random()
+        e[tuple(slice(c, c + d) for c, d in zip(corner, b))] = np.where(
+            rng.random(b) < density, rng.integers(1, F.q, b), 0
+        )
+        corner += b
+    for a in range(3):
+        e = np.take(e, rng.permutation(e.shape[a]), axis=a)
+    return tensor.Tensor3(F, e)
+
+
+def connected_indices(triples):
+    """The x, y and z indices reached from the first triple through triples sharing an index."""
+    seen, todo = {0}, deque([0])
+    while todo:
+        t = triples[todo.popleft()]
+        for n, u in enumerate(triples):
+            if n not in seen and any(a == b for a, b in zip(t, u)):
+                seen.add(n)
+                todo.append(n)
+    return [sorted({triples[n][a] for n in seen}) for a in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=permuted_direct_sums())
+def test_summands_are_the_connected_blocks_of_the_support(T):
+    covered = np.zeros(T.dims, dtype=bool)
+    for I, J, K in T.summands:
+        box = np.zeros(T.dims, dtype=bool)
+        box[np.ix_(I, J, K)] = True
+        covered |= box
+        # connected, and every index of the block is reached through the support
+        triples = np.argwhere(box & (T.entries != 0)).tolist()
+        assert connected_indices(triples) == [I.tolist(), J.tolist(), K.tolist()]
+    assert not T.entries[~covered].any()
+    for a in range(3):  # disjoint boxes on every axis
+        placed = [int(i) for part in T.summands for i in part[a]]
+        assert len(placed) == len(set(placed))
+    firsts = [int(I[0]) for I, _, _ in T.summands]
+    assert firsts == sorted(firsts)
+
+
 def test_summands_are_computed_once_and_read_only():
     T = tensor.tk_family(F3, 2)
     parts = T.summands
@@ -241,3 +297,24 @@ def test_slice_term_dense_orientations():
     with pytest.raises(DimensionMismatch):
         term.dense((3, 2, 2))
 
+
+@pytest.mark.parametrize("direction", tensor.AXES)
+def test_slice_term_dense_is_linear_times_bilinear(direction):
+    rng = np.random.default_rng(11)
+    a = tensor.AXES.index(direction)
+    random_dims = [tuple(int(d) for d in rng.integers(1, 4, 3)) for _ in range(4)]
+    for F in (F3, make_field(5), make_field(3, 2)):
+        for dims in random_dims + [(2, 0, 3), (0, 2, 2)]:
+            others = [d for i, d in enumerate(dims) if i != a]
+            linear, bilinear = rng.integers(0, F.q, dims[a]), rng.integers(0, F.q, others)
+            term = tensor.SliceTerm(F, direction, linear, bilinear)
+            dense = term.dense(dims)
+            assert dense.shape == dims
+            for idx in np.ndindex(*dims):
+                rest = tuple(v for i, v in enumerate(idx) if i != a)
+                assert dense[idx] == F.mul[linear[idx[a]], bilinear[rest]]
+            for axis in range(3):  # one wrong dim, on the linear or the bilinear side
+                bad = list(dims)
+                bad[axis] += 1
+                with pytest.raises(DimensionMismatch):
+                    term.dense(tuple(bad))

@@ -63,6 +63,11 @@ def test_parser_unknown_variable():
                  id="5000-digit coefficient"),
     pytest.param("x1^" + "2" * 5000, PolySyntaxError, "integer too long: 5000 digits", 1, 4,
                  id="5000-digit exponent"),
+    # a power above degree 729 = MAX_Q is rejected at its exponent, before it is expanded
+    ("x1^99999999", PolySyntaxError, "power of degree above 729", 1, 4),
+    ("(x1^700)^700", PolySyntaxError, "power of degree above 729", 1, 10),
+    ("(x1*x2)^365", PolySyntaxError, "power of degree above 729", 1, 9),
+    ("2^99999999 + x1", PolySyntaxError, "power of degree above 729", 1, 3),
 ])
 def test_parser_errors_name_the_line_and_column(text, error, message, line, col):
     with pytest.raises(error) as exc:
@@ -71,6 +76,11 @@ def test_parser_errors_name_the_line_and_column(text, error, message, line, col)
     assert str(exc.value) == f"{message} (line {line}, col {col})"
     if error is PolySyntaxError:
         assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_parser_accepts_powers_up_to_degree_729():
+    assert system("x1^729 - 1").polys == [{(729, 0): 1, (0, 0): 2}]
+    assert system("(x1*x2)^364; 2^729").maxdeg == 728
 
 
 def test_poly_partial_frobenius_kills_pth_powers():
