@@ -307,10 +307,11 @@ def _cmd_corpus(args) -> int:
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         for row in rows:
+            text = json.dumps({"schema": SCHEMA, **row}, indent=2, sort_keys=True)
             with open(
                 os.path.join(args.out_dir, row["name"] + ".json"), "w", encoding="utf-8"
             ) as fh:
-                json.dump({"schema": SCHEMA, **row}, fh, indent=2, sort_keys=True)
+                fh.write(text)
         with open(
             os.path.join(args.out_dir, "summary.csv"), "w", newline="", encoding="utf-8"
         ) as fh:

@@ -5,6 +5,13 @@ iff T vanishes identically on some triple of subspaces of those codimensions.
 For fixed (U, V) the least codim W is the rank of the form matrix
 T(u_a, v_b, .), whose right kernel is the largest W: only pairs are searched.
 
+Each U is pruned by one element of T(U, ., .), M_U = sum_a t^a T(u_a, ., .)
+over F_{q^3}.  Any (V, W) with T(U, V, W) = 0 gives rank M_U <= codim V +
+codim W (the bound behind SR = min_U (codim U + ncrk T(U, ., .)), Fortin and
+Reutenauer 2004), so no pair with this U totals less than codim U + rank M_U.
+A U at or above the best total so far is never searched; it could not beat
+that total, so the first minimal pair, and the witness, are unchanged.
+
 For antichain supports the vertex-cover route gives exact values beyond the
 subspace-search scope (identity tensors, Levi-Civita, and their direct sums).
 """
@@ -36,13 +43,13 @@ _subspace_cache: dict = {}
 
 
 def subspaces(F: Field, n: int):
-    """All subspaces of F^n as {dim: [basis arrays in RREF]}."""
+    """All subspaces of F^n as {dim: read-only (N, dim, n) stack of RREF bases}."""
     key = (F, n)
     if key in _subspace_cache:
         return _subspace_cache[key]
-    by_dim = {0: [np.zeros((0, n), dtype=np.int32)]}
+    by_dim = {0: np.zeros((1, 0, n), dtype=np.int32)}
     for d in range(1, n + 1):
-        bases = []
+        blocks = []
         for pivots in itertools.combinations(range(n), d):
             free_pos = [
                 (i, c)
@@ -50,14 +57,15 @@ def subspaces(F: Field, n: int):
                 for c in range(n)
                 if c > pivots[i] and c not in pivots
             ]
-            for values in itertools.product(range(F.q), repeat=len(free_pos)):
-                B = np.zeros((d, n), dtype=np.int32)
-                for i, pc in enumerate(pivots):
-                    B[i, pc] = 1
-                for (i, c), v in zip(free_pos, values):
-                    B[i, c] = v
-                bases.append(B)
-        by_dim[d] = bases
+            rows, cols = np.array(free_pos, dtype=np.intp).reshape(-1, 2).T
+            values = list(itertools.product(range(F.q), repeat=len(free_pos)))
+            B = np.zeros((len(values), d, n), dtype=np.int32)
+            B[:, range(d), pivots] = 1
+            B[:, rows, cols] = values
+            blocks.append(B)
+        by_dim[d] = np.concatenate(blocks)
+    for stack in by_dim.values():
+        stack.setflags(write=False)
     _subspace_cache[key] = by_dim
     return by_dim
 
@@ -104,7 +112,14 @@ def slice_rank_exact(T: Tensor3, lower_bound: int = 0) -> SRResult:
 
     The witness is the first minimal pair, codim blocks (c1, c2) in lexicographic
     order and U-major within a block, with W the kernel of its form matrix.
-    `lower_bound` only stops the search; a block below it raises.
+    A block below `lower_bound` raises ContradictoryBounds.  Reaching the bound
+    does not stop the search: the rest of it is what proves no pair lies below.
+
+    Each U is pruned by the rank of M_U = sum_a t^a T(u_a, ., .) over F_{q^3}
+    (t the class of code p): a pair with T(U, V, W) = 0 has rank M_U <=
+    codim V + codim W, so no V can bring U below c1 + rank M_U.  Only U with
+    c1 + rank M_U < best are searched.  A pruned U cannot beat `best`, so
+    the first minimal pair, and with it the witness, is the unpruned one's.
     """
     n1, n2, n3 = T.dims
     if max(T.dims) > EXACT_DIM_LIMIT or T.field.q > EXACT_Q_LIMIT:
@@ -112,13 +127,20 @@ def slice_rank_exact(T: Tensor3, lower_bound: int = 0) -> SRResult:
             f"dims {T.dims} / q = {T.field.q} outside exact scope "
             f"(dims <= {EXACT_DIM_LIMIT}, q <= {EXACT_Q_LIMIT})"
         )
-    F = T.field
+    F, Fk = T.field, T.field.extension(3)
     subs_u, subs_v = subspaces(F, n1), subspaces(F, n2)
+    t = Fk.pow_table(n1)[F.p]  # t^0, ..., t^n1
+    w = np.concatenate([linalg.mat_mul(t[None, :d], Us, Fk) for d, Us in subs_u.items()])
+    M = linalg.mat_mul(w, T.entries.reshape(n1, n2 * n3), Fk).reshape(len(w), n2, n3)
+    ends = np.cumsum([len(Us) for Us in subs_u.values()])[:-1]
+    bound = dict(zip(subs_u, np.split(linalg.batched_rank(M, Fk), ends)))  # dim U -> rank M_U
     best = n1 + n2 + n3 + 1
     for c1, c2 in itertools.product(range(n1 + 1), range(n2 + 1)):
         if c1 + c2 >= best:
             continue
-        Us, Vs = np.stack(subs_u[n1 - c1]), np.stack(subs_v[n2 - c2])
+        Us, Vs = subs_u[n1 - c1][c1 + bound[n1 - c1] < best], subs_v[n2 - c2]
+        if not len(Us):
+            continue
         step = max(1, CHUNK // len(Vs))  # whole U rows of the block, U-major
         Ms = (_forms(T, Us[s : s + step], Vs) for s in range(0, len(Us), step))
         ranks = np.concatenate([linalg.batched_rank(M, F) for M in Ms])
@@ -128,8 +150,6 @@ def slice_rank_exact(T: Tensor3, lower_bound: int = 0) -> SRResult:
             raise ContradictoryBounds(f"slice rank {total} is below the lower bound {lower_bound}")
         if total < best:
             best, U, V = total, Us[i // len(Vs)], Vs[i % len(Vs)]
-        if total == lower_bound:
-            break
     W = linalg.row_space_basis(linalg.kernel_basis(_forms(T, U[None], V[None])[0], F), F)
     return SRResult(best, best, "annihilator_exact", (U, V, W))
 
@@ -274,9 +294,9 @@ class ChainReport:
 def slice_rank(T: Tensor3, ar: float | None = None, gr: int | None = None) -> SRResult:
     """Best available slice-rank determination: exact, vertex cover, or bounds.
 
-    Only ceil AR, which the exact zero count proves, stops the exact search
-    early; a GR estimate can be too high.  A value below max(ceil AR, GR)
-    raises ContradictoryBounds.
+    The exact search raises at the first block below ceil AR, which the exact
+    zero count proves; a value below max(ceil AR, GR) raises
+    ContradictoryBounds too (a GR estimate can be too high).
     """
     bounds = slice_rank_bounds(T, ar=ar, gr=gr)
     vc = vertex_cover_sr(T)

@@ -22,6 +22,7 @@ from .rankprofile import point_block, within_budget
 EXACT_POINT_BUDGET = 10 ** 8
 MC_SAMPLES = 10 ** 6
 SLOPE_MARGIN = 0.35
+POWER_BUDGET = 1 << 21  # term products one power may expand (about a second of poly_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +148,16 @@ def parse_poly_system(text: str, field: Field, nvars: int) -> PolySystem:
             return base
         i += 1
         at, e = toks[i][2], expect("INT")
-        if max(poly_degree(base), 1) * e > MAX_Q:  # beyond every field's q: SZ is vacuous
+        deg = poly_degree(base) * e
+        if max(deg, e) > MAX_Q:  # beyond every field's q: SZ is vacuous
             raise PolySyntaxError(f"power of degree above {MAX_Q}", *where(at))
+        # each of the e products below pairs len(base) terms with at most `terms`:
+        # monomials of degree <= deg, and products of e terms of the base
+        terms = min(math.comb(nvars + deg, nvars), math.comb(max(len(base), 1) + e - 1, e))
+        if e * len(base) * terms > POWER_BUDGET:
+            raise PolySyntaxError(
+                f"power expands to more than {POWER_BUDGET} term products", *where(at)
+            )
         out = {(0,) * nvars: 1}
         for _ in range(e):
             out = poly_mul(out, base, field)

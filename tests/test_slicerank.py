@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trirank import analytic, geometric, slicerank, tensor
+from trirank import analytic, geometric, linalg, slicerank, tensor
 from trirank.errors import ContradictoryBounds, OutOfExactScope, TrirankError
 from trirank.fields import make_field
 
@@ -47,6 +47,33 @@ def reference_slice_rank(T, lower_bound=0):
     raise AssertionError("zero subspaces always annihilate")
 
 
+def pair_search_slice_rank(T, lower_bound=0):
+    """(value, (U, V, W)) by the unpruned pair search: every (U, V) of each codim block.
+
+    It stops at the first block reaching `lower_bound`, so it is a reference only
+    for lower_bound <= SR.
+    """
+    n1, n2, n3 = T.dims
+    F = T.field
+    subs_u, subs_v = slicerank.subspaces(F, n1), slicerank.subspaces(F, n2)
+    best = n1 + n2 + n3 + 1
+    for c1, c2 in itertools.product(range(n1 + 1), range(n2 + 1)):
+        if c1 + c2 >= best:
+            continue
+        Us, Vs = subs_u[n1 - c1], subs_v[n2 - c2]
+        ranks = linalg.batched_rank(slicerank._forms(T, Us, Vs), F)
+        i = int(ranks.argmin())
+        total = c1 + c2 + int(ranks[i])
+        if total < best:
+            best, U, V = total, Us[i // len(Vs)], Vs[i % len(Vs)]
+        if total == lower_bound:
+            break
+    W = linalg.row_space_basis(
+        linalg.kernel_basis(slicerank._forms(T, U[None], V[None])[0], F), F
+    )
+    return best, (U, V, W)
+
+
 def witness_bytes(witness):
     return [(B.shape, B.dtype.str, B.tobytes()) for B in witness]
 
@@ -56,6 +83,21 @@ def draw_tensor(data, dims):
     size = int(np.prod(dims))
     entries = data.draw(st.lists(st.integers(0, F.q - 1), min_size=size, max_size=size))
     return tensor.Tensor3(F, np.array(entries, dtype=np.int32).reshape(dims))
+
+
+def draw_x_plus_y_term(data, dims):
+    """a_i B[j, k] + b_j C[i, k]: an x-term plus a y-term, so SR <= 2."""
+    F = make_field(data.draw(st.sampled_from([2, 3])))
+
+    def codes(shape):
+        size = int(np.prod(shape))
+        values = data.draw(st.lists(st.integers(0, F.q - 1), min_size=size, max_size=size))
+        return np.array(values, dtype=np.int32).reshape(shape)
+
+    n1, n2, n3 = dims
+    x_term = tensor.SliceTerm(F, "x", codes((n1,)), codes((n2, n3))).dense(dims)
+    y_term = tensor.SliceTerm(F, "y", codes((n2,)), codes((n1, n3))).dense(dims)
+    return tensor.Tensor3(F, F.add[x_term, y_term])
 
 
 def test_subspace_enumeration_counts():
@@ -154,6 +196,37 @@ def test_pair_search_matches_triple_search(data):
         assert (res.lo, res.hi, res.method) == (value, value, "annihilator_exact")
         assert witness_bytes(res.witness) == witness_bytes(witness)
         assert slicerank.check_witness(T, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pruned_search_matches_pair_search_on_4x4x4(data):
+    draw = data.draw(st.sampled_from([draw_tensor, draw_x_plus_y_term]))
+    T = draw(data, (4, 4, 4))
+    sr = pair_search_slice_rank(T)[0]
+    for lower_bound in range(sr + 1):
+        value, witness = pair_search_slice_rank(T, lower_bound)
+        res = slicerank.slice_rank_exact(T, lower_bound=lower_bound)
+        assert (res.value, witness_bytes(res.witness)) == (value, witness_bytes(witness))
+    with pytest.raises(ContradictoryBounds, match=rf"below the lower bound {sr + 1}"):
+        slicerank.slice_rank_exact(T, lower_bound=sr + 1)
+
+
+def test_pruning_eliminates_a_tenth_of_the_form_matrices(monkeypatch):
+    T = tensor.random_tensor(F3, (4, 4, 4), seed=0)
+    eliminated = []
+    batched_rank = linalg.batched_rank
+
+    def counting(Ms, F):
+        eliminated.append(len(Ms))
+        return batched_rank(Ms, F)
+
+    monkeypatch.setattr(linalg, "batched_rank", counting)
+    reference = pair_search_slice_rank(T)
+    unpruned, eliminated[:] = sum(eliminated), []
+    res = slicerank.slice_rank_exact(T)
+    assert (res.value, witness_bytes(res.witness)) == (reference[0], witness_bytes(reference[1]))
+    assert 0 < sum(eliminated) <= unpruned // 10
 
 
 @settings(max_examples=6, deadline=None)

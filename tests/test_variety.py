@@ -68,6 +68,9 @@ def test_parser_unknown_variable():
     ("(x1^700)^700", PolySyntaxError, "power of degree above 729", 1, 10),
     ("(x1*x2)^365", PolySyntaxError, "power of degree above 729", 1, 9),
     ("2^99999999 + x1", PolySyntaxError, "power of degree above 729", 1, 3),
+    # 266,815 terms possible (every monomial of degree <= 729): rejected before it is expanded
+    ("(1 + x1 + x2)^729", PolySyntaxError, "power expands to more than 2097152 term products",
+     1, 15),
 ])
 def test_parser_errors_name_the_line_and_column(text, error, message, line, col):
     with pytest.raises(error) as exc:
@@ -81,6 +84,14 @@ def test_parser_errors_name_the_line_and_column(text, error, message, line, col)
 def test_parser_accepts_powers_up_to_degree_729():
     assert system("x1^729 - 1").polys == [{(729, 0): 1, (0, 0): 2}]
     assert system("(x1*x2)^364; 2^729").maxdeg == 728
+    # at most 730 terms, x1^a x2^b with a + b = 729; over F_3 it is the Frobenius power
+    assert system("(x1 + x2)^729").polys == [{(729, 0): 1, (0, 729): 1}]
+
+
+def test_parser_rejects_a_power_of_many_terms_at_its_exponent():
+    with pytest.raises(PolySyntaxError) as exc:
+        system("(x1+x2+x3+x4+x5)^729", nvars=5)
+    assert (exc.value.line, exc.value.col) == (1, 18)
 
 
 def test_poly_partial_frobenius_kills_pth_powers():
