@@ -5,9 +5,13 @@ bias and min-entropy read its z-axis ranks at k = 1.  Up to permutations
 every matrix sum_i x_i A_i is block-diagonal, one block per direct summand of
 T (``Tensor3.summands``), so a point's rank is the sum of its summands'
 ranks, and each summand is ranked once, on the projective points of its own
-coordinates (rank(c x) = rank(x) for c != 0).  The exact path convolves the
-summands' affine histograms and multiplies by q^k for every coordinate in no
-summand.  The sampled path draws the same uniform affine points as ever and
+coordinates (rank(c x) = rank(x) for c != 0).  When the summand's entries lie
+in F_p, the Frobenius sigma(a) = a^p keeps every rank too, so only one point
+per sigma-orbit is eliminated: about a k-th of them over F_{p^k}.  An affine
+histogram weights its rank by the orbit's size, and a rank table writes it at
+every nonzero multiple of every point of the orbit.  The exact path convolves
+the summands' affine histograms and multiplies by q^k for every coordinate in
+no summand.  The sampled path draws the same uniform affine points as ever and
 reads each summand's rank at a draw from a table over its affine points
 (``SummandRanks``), unless that table would have more entries than there are
 draws: such a summand is eliminated at the draws.  Either way the ranks,
@@ -60,6 +64,9 @@ class Contraction:
         n, m1, m2 = A.shape
         self.field = F
         self.shape = (m1, m2)
+        # sigma(a) = a^p and its powers keep every rank when each A_i lies in F_p,
+        # whose elements are the codes below p
+        self.frobenius_order = F.k if (A < F.p).all() else 1
         # multiples[i, c] = c A_i, flattened; intp, since add.take is several
         # times faster on intp indices than on int32 ones
         multiples = F.mul[np.arange(F.q)[:, None], A.reshape(n, 1, m1 * m2)]
@@ -103,18 +110,6 @@ class RankProfile:
         return sum(int(c) * self.q ** (n2 - r) for r, c in enumerate(self.hist))
 
 
-def _projective_blocks(q: int, n: int):
-    """(start, stop) base-q index ranges, at most CHUNK long, of the projective points of F_q^n.
-
-    Base-q indices [q^i, 2 q^i) are the points whose last nonzero coordinate
-    is x_i = 1.
-    """
-    for i in range(n):
-        lo = q ** i
-        for start in range(lo, 2 * lo, CHUNK):
-            yield start, min(start + CHUNK, 2 * lo)
-
-
 def _summands(T: Tensor3, k: int, axis: str) -> list[tuple[np.ndarray, Contraction]]:
     """(coordinates, Contraction of its block) for each direct summand of T along `axis`."""
     Fk = T.field.extension(k)
@@ -127,19 +122,60 @@ def _summands(T: Tensor3, k: int, axis: str) -> list[tuple[np.ndarray, Contracti
     return parts
 
 
+def _ranked(C: Contraction, batch: list[np.ndarray]):
+    """(orbits, ranks) for a batch of orbits, if any: one contraction, one elimination."""
+    if batch:
+        orbits = np.concatenate(batch)
+        yield orbits, linalg.batched_rank(C(orbits[:, 0]), C.field)
+
+
 def _own_projective_ranks(C: Contraction, n: int):
-    """Yield (points, ranks) over the projective points of C's own n coordinates."""
-    q = C.field.q
-    for start, stop in _projective_blocks(q, n):
-        P = point_block(q, n, start, stop)
-        yield P, linalg.batched_rank(C(P), C.field)
+    """Yield (orbits, ranks) for one projective point x of C's own n coordinates per orbit.
+
+    The projective points are the base-q indices [q^i, 2 q^i): last nonzero
+    coordinate x_i = 1.  orbits[:, j] holds sigma^j(x) for sigma(a) = a^p and
+    j < C.frobenius_order, and x is the orbit's point of least index.  When
+    every A_i lies in F_p, sigma(sum_i x_i A_i) = sum_i sigma(x_i) A_i, so the
+    orbit shares x's rank; sigma fixes 0 and 1, so it maps each index range to
+    itself.  The representatives of consecutive ranges are gathered into
+    batches of up to CHUNK points, each contracted and eliminated in one call.
+    """
+    F, m = C.field, C.frobenius_order
+    q = F.q
+    if m > 1:
+        frob = F.pow_table(F.p)[:, F.p]
+        # sigma on base-q indices, digit by digit: i -> s[i % Q] + Q s[i // Q]
+        h = (n + 1) // 2
+        Q = q ** h
+        s = frob[point_block(q, h, 0, Q)] @ q ** np.arange(h, dtype=np.int64)
+    batch, size = [], 0
+    for i in range(n):
+        lo = q ** i
+        for start in range(lo, 2 * lo, CHUNK):
+            stop = min(start + CHUNK, 2 * lo)
+            least = image = idx = np.arange(start, stop)
+            for _ in range(1, m):  # keep each orbit's point of least index
+                image = s[image % Q] + Q * s[image // Q]
+                least = np.minimum(least, image)
+            orbit = [point_block(q, n, start, stop)[least == idx]]
+            for _ in range(1, m):
+                orbit.append(frob[orbit[-1]])
+            orbits = np.stack(orbit, axis=1)
+            if size + len(orbits) > CHUNK:
+                yield from _ranked(C, batch)
+                batch, size = [], 0
+            batch.append(orbits)
+            size += len(orbits)
+    yield from _ranked(C, batch)
 
 
 def _affine_hist(C: Contraction, n: int) -> np.ndarray:
     """Rank histogram of one summand over the q^n affine points of its coordinates."""
     hist = np.zeros(min(C.shape) + 1, dtype=np.int64)
-    for _, ranks in _own_projective_ranks(C, n):
-        hist += np.bincount(ranks, minlength=hist.size)
+    for orbits, ranks in _own_projective_ranks(C, n):
+        # an orbit holds m / #{j < m : sigma^j x = x} points
+        fixed = (orbits == orbits[:, :1]).all(axis=2).sum(axis=1)
+        np.add.at(hist, ranks, orbits.shape[1] // fixed)
     hist *= C.field.q - 1
     hist[0] += 1  # x = 0
     return hist
@@ -148,15 +184,15 @@ def _affine_hist(C: Contraction, n: int) -> np.ndarray:
 def _rank_table(C: Contraction, n: int) -> np.ndarray:
     """Rank at every affine point of F_q^n, by base-q index.
 
-    Each projective point x is eliminated once, and its rank is written at
-    its q - 1 nonzero multiples c x in one indexed assignment.
+    One projective point x per Frobenius orbit is eliminated, and its rank is
+    written at every c sigma^j(x), c != 0, in one indexed assignment.
     """
     F, q = C.field, C.field.q
     table = np.zeros(q ** n, dtype=np.min_scalar_type(min(C.shape)))
     powers = q ** np.arange(n, dtype=np.int64)
     c = np.arange(1, q)
-    for P, ranks in _own_projective_ranks(C, n):
-        table[F.mul[c[:, None, None], P] @ powers] = ranks
+    for orbits, ranks in _own_projective_ranks(C, n):
+        table[F.mul[c[:, None, None, None], orbits] @ powers] = ranks[:, None]
     return table
 
 

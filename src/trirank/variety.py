@@ -22,7 +22,7 @@ from .rankprofile import point_block, within_budget
 EXACT_POINT_BUDGET = 10 ** 8
 MC_SAMPLES = 10 ** 6
 SLOPE_MARGIN = 0.35
-POWER_BUDGET = 1 << 21  # term products one power may expand (about a second of poly_mul)
+POWER_BUDGET = 1 << 21  # term products one power, or the products of one term, may expand
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +135,18 @@ def parse_poly_system(text: str, field: Field, nvars: int) -> PolySystem:
 
     def term():
         nonlocal i
-        acc = factor()
+        acc, spent = factor(), 0  # term products of this term's products so far
         while toks[i][0] == "*":
-            i += 1
-            acc = poly_mul(acc, factor(), field)
+            at, i = toks[i][2], i + 1
+            f = factor()
+            if poly_degree(acc) + poly_degree(f) > MAX_Q:
+                raise PolySyntaxError(f"product of degree above {MAX_Q}", *where(at))
+            spent += len(acc) * len(f)
+            if spent > POWER_BUDGET:
+                raise PolySyntaxError(
+                    f"product of more than {POWER_BUDGET} term products", *where(at)
+                )
+            acc = poly_mul(acc, f, field)
         return acc
 
     def factor():

@@ -1,5 +1,7 @@
 """The rank-profile kernel against a table-lookup reference over all affine points."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +10,14 @@ from hypothesis import strategies as st
 from trirank import analytic, geometric, linalg, tensor
 from trirank.errors import BudgetExceeded
 from trirank.fields import make_field, parse_field
-from trirank.rankprofile import Contraction, _rank_table, point_block, rank_profile
+from trirank.rankprofile import (
+    CHUNK,
+    Contraction,
+    _own_projective_ranks,
+    _rank_table,
+    point_block,
+    rank_profile,
+)
 
 REF_POINTS = 20000  # largest affine point set the reference enumerates
 
@@ -150,6 +159,15 @@ def counting_eliminations(mp):
     return eliminated
 
 
+def frobenius_orbits(p, k, n):
+    """Orbits of a -> a^p on the projective points of F_{p^k}^n, by Burnside's lemma.
+
+    sigma^j fixes the points over F_{p^g}, g = gcd(j, k).
+    """
+    fixed = ((p ** (g * n) - 1) // (p ** g - 1) for g in (math.gcd(j, k) for j in range(k)))
+    return sum(fixed) // k
+
+
 TABLE_SHAPES = [(2, 2, 3), (3, 3, 2)]  # coordinate counts differ on every axis, none below 2
 
 
@@ -176,9 +194,9 @@ def test_tabulated_and_eliminated_summands_match_the_reference(field, k, seed):
     assert len(T.summands) == 2
     for a, axis in enumerate("xyz"):
         # a summand is tabulated when its affine points are at most the draws:
-        # then its projective points are eliminated, else the draws
+        # then one projective point per Frobenius orbit is eliminated, else the draws
         small, large = sorted(q ** shape[a] for shape in TABLE_SHAPES)
-        proj = {m: (m - 1) // (q - 1) for m in (small, large)}
+        proj = {q ** shape[a]: frobenius_orbits(F.p, k, shape[a]) for shape in TABLE_SHAPES}
         cases = {large: proj[small] + proj[large], small: proj[small] + small,
                  small - 1: 2 * (small - 1)}
         for samples, matrices in cases.items():
@@ -200,8 +218,8 @@ def test_eliminations_are_pinned(monkeypatch):
     assert len(big.summands) == 1
     eliminated = counting_eliminations(monkeypatch)
     for T, k, kwargs, exact, matrices in [
-        (t2, 2, {}, True, 2 * 91),  # each summand's projective points of F_9^3
-        (t2, 3, {"seed": 7}, False, 2 * 757),  # each summand tabulated: 27^3 <= 10^5
+        (t2, 2, {}, True, 2 * 52),  # each summand's Frobenius orbits on the 91 points of P^2(F_9)
+        (t2, 3, {"seed": 7}, False, 2 * 261),  # each summand tabulated (27^3 <= 10^5): 757 points
         (identity, 3, {}, True, 4),
         (big, 1, {"budget": 0, "mc_samples": 80}, False, 80),  # 81 > 80: at the draws
     ]:
@@ -259,6 +277,71 @@ def test_rank_table_matches_every_affine_point(field, n):
     X = point_block(F.q, n, 0, F.q ** n)
     table = _rank_table(Contraction(A, F), n)
     assert table.tolist() == linalg.batched_rank(table_contraction(A, F, X), F).tolist()
+
+
+# F_p entries over F_{p^k}: one projective point per Frobenius orbit is eliminated
+PRIME_ENTRY_LEVELS = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 2), (5, 2, 2), (5, 3, 2)]
+
+
+@pytest.mark.parametrize("p,k,n", PRIME_ENTRY_LEVELS)
+@pytest.mark.parametrize("seed", range(3))
+def test_prime_entries_match_every_affine_point(p, k, n, seed):
+    Fk = make_field(p, k)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, p, size=(n, 2, 3)).astype(np.int32)
+    C = Contraction(A, Fk)
+    assert C.frobenius_order == k
+    X = point_block(Fk.q, n, 0, Fk.q ** n)
+    assert _rank_table(C, n).tolist() == linalg.batched_rank(table_contraction(A, Fk, X), Fk).tolist()
+    T = tensor.random_tensor(make_field(p), (n, n, n), seed=seed)
+    for axis in "xyz":
+        assert rank_profile(T, k, axis).hist.tolist() == reference_hist(T, k, axis).tolist()
+
+
+@pytest.mark.parametrize("p,k,n", PRIME_ENTRY_LEVELS + [(3, 1, 3), (2, 4, 2)])
+def test_frobenius_orbits_partition_the_projective_points(p, k, n):
+    Fk = make_field(p, k)
+    q = Fk.q
+    C = Contraction(np.eye(n, dtype=np.int32)[:, None, :], Fk)  # the 1 x n matrix x: rank 1
+    powers = q ** np.arange(n)
+    seen, reps = [], 0
+    for orbits, ranks in _own_projective_ranks(C, n):
+        assert ranks.tolist() == [1] * len(orbits)
+        reps += len(orbits)
+        for orbit in orbits @ powers:
+            assert orbit[0] == orbit.min()  # the orbit's point of least index is eliminated
+            seen.extend(set(orbit.tolist()))  # its distinct points
+    # the orbit sizes sum to (q^n - 1) / (q - 1), and every normalised point is in one orbit
+    assert reps == frobenius_orbits(p, k, n)
+    assert sorted(seen) == [x for i in range(n) for x in range(q ** i, 2 * q ** i)]
+
+
+@pytest.mark.parametrize("n,calls", [(3, 1), (14, 2)])
+def test_a_level_is_one_elimination_per_batch(monkeypatch, n, calls):
+    # 13 points of P^2(F_3) in one call, not one per range [3^i, 2 3^i); the
+    # 16,383 points of P^13(F_2) in batches of at most CHUNK
+    eliminated = counting_eliminations(monkeypatch)
+    T = tensor.random_tensor(make_field(2 if n > 3 else 3), (n, 3, 3), seed=0)
+    assert len(T.summands) == 1
+    assert rank_profile(T, 1).exact
+    assert len(eliminated) == calls and max(eliminated) <= CHUNK
+    assert sum(eliminated) == (T.field.q ** n - 1) // (T.field.q - 1)
+
+
+def test_f9_entries_outside_f3_eliminate_every_projective_point(monkeypatch):
+    # at k = 1 over F_9 the Frobenius a -> a^3 keeps the ranks only when every
+    # entry lies in F_3 (codes 0, 1, 2): then 52 orbits stand for the 91 points
+    F9 = make_field(3, 2)
+    eliminated = counting_eliminations(monkeypatch)
+    lc = tensor.levi_civita(F9)
+    alpha = lc.entries.copy()
+    alpha[0, 1, 2] = 3  # the class of t, outside F_3
+    for T, matrices in [(lc, 52), (tensor.Tensor3(F9, alpha), 91)]:
+        assert len(T.summands) == 1
+        ref = reference_hist(T, 1, "x")
+        eliminated.clear()
+        assert rank_profile(T, 1).hist.tolist() == ref.tolist()
+        assert sum(eliminated) == matrices
 
 
 def test_zero_count_is_the_k1_kernel_count():

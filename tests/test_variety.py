@@ -94,6 +94,30 @@ def test_parser_rejects_a_power_of_many_terms_at_its_exponent():
     assert (exc.value.line, exc.value.col) == (1, 18)
 
 
+@pytest.mark.parametrize("text, message, col", [
+    # two 3,150-term powers over F_7, each within its own budget: 9,922,500 term products
+    ("(x1+x2+x3+x4+x5)^20 * (x1+x2+x3+x4+x5)^20", "product of more than 2097152 term products",
+     21),
+    ("x1^700 * x2^30", "product of degree above 729", 8),
+])
+def test_parser_rejects_a_large_product_at_its_star(text, message, col):
+    with pytest.raises(PolySyntaxError) as exc:
+        system(text, field=make_field(7), nvars=5)
+    assert str(exc.value) == f"{message} (line 1, col {col})"
+    # one factor fewer parses
+    assert system(text[: col - 1], field=make_field(7), nvars=5).polys
+
+
+def test_parser_bounds_a_chain_of_products_by_its_total(monkeypatch):
+    # 4 term products per `*x1` over F_5: the 26th passes a budget of 100 for the whole term
+    monkeypatch.setattr(variety, "POWER_BUDGET", 100)
+    text = "(x1+x2)^3" + "*x1" * 26
+    with pytest.raises(PolySyntaxError) as exc:
+        system(text, field=F5)
+    assert str(exc.value) == f"product of more than 100 term products (line 1, col {10 + 3 * 25})"
+    assert system(text[:-3], field=F5).maxdeg == 28
+
+
 def test_poly_partial_frobenius_kills_pth_powers():
     S = system("x1^3 + x1^2*x2")
     p = S.polys[0]
