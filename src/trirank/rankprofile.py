@@ -22,6 +22,7 @@ it, points are drawn.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,25 +123,18 @@ def _summands(T: Tensor3, k: int, axis: str) -> list[tuple[np.ndarray, Contracti
     return parts
 
 
-def _ranked(C: Contraction, batch: list[np.ndarray]):
-    """(orbits, ranks) for a batch of orbits, if any: one contraction, one elimination."""
-    if batch:
-        orbits = np.concatenate(batch)
-        yield orbits, linalg.batched_rank(C(orbits[:, 0]), C.field)
+_orbit_cache: dict = {}
 
 
-def _own_projective_ranks(C: Contraction, n: int):
-    """Yield (orbits, ranks) for one projective point x of C's own n coordinates per orbit.
+def _orbit_search(F: Field, n: int, m: int):
+    """Yield batches of orbits: one projective point x of F^n per sigma-orbit.
 
     The projective points are the base-q indices [q^i, 2 q^i): last nonzero
     coordinate x_i = 1.  orbits[:, j] holds sigma^j(x) for sigma(a) = a^p and
-    j < C.frobenius_order, and x is the orbit's point of least index.  When
-    every A_i lies in F_p, sigma(sum_i x_i A_i) = sum_i sigma(x_i) A_i, so the
-    orbit shares x's rank; sigma fixes 0 and 1, so it maps each index range to
-    itself.  The representatives of consecutive ranges are gathered into
-    batches of up to CHUNK points, each contracted and eliminated in one call.
+    j < m, and x is the orbit's point of least index (at m = 1, every point).
+    sigma fixes 0 and 1, so it maps each index range to itself.  The orbits of
+    consecutive ranges are gathered into batches of up to CHUNK.
     """
-    F, m = C.field, C.frobenius_order
     q = F.q
     if m > 1:
         frob = F.pow_table(F.p)[:, F.p]
@@ -157,25 +151,44 @@ def _own_projective_ranks(C: Contraction, n: int):
             for _ in range(1, m):  # keep each orbit's point of least index
                 image = s[image % Q] + Q * s[image // Q]
                 least = np.minimum(least, image)
-            orbit = [point_block(q, n, start, stop)[least == idx]]
+            X = point_block(q, n, start, stop)
+            orbit = [X[least == idx] if m > 1 else X]
             for _ in range(1, m):
                 orbit.append(frob[orbit[-1]])
             orbits = np.stack(orbit, axis=1)
             if size + len(orbits) > CHUNK:
-                yield from _ranked(C, batch)
+                yield np.concatenate(batch)
                 batch, size = [], 0
             batch.append(orbits)
             size += len(orbits)
-    yield from _ranked(C, batch)
+    if batch:
+        yield np.concatenate(batch)
+
+
+def _orbit_batches(F: Field, n: int, m: int):
+    """(codes, orbits, sizes) per batch of ``_orbit_search``; one batch is kept per (F, n, m).
+
+    codes = orbits[:, 0], and sizes = m / #{j < m : sigma^j x = x} counts an
+    orbit's points.  A search of one batch is cached read-only for every tensor
+    and level; a longer one is streamed, so its peak memory stays CHUNK-bounded.
+    """
+    if (F, n, m) in _orbit_cache:
+        return _orbit_cache[F, n, m]
+    search = ((o[:, 0], o, m // (o == o[:, :1]).all(2).sum(1)) for o in _orbit_search(F, n, m))
+    head = tuple(itertools.islice(search, 2))
+    if len(head) == 2:
+        return itertools.chain(head, search)
+    for a in itertools.chain(*head):
+        a.setflags(write=False)
+    _orbit_cache[F, n, m] = head
+    return head
 
 
 def _affine_hist(C: Contraction, n: int) -> np.ndarray:
     """Rank histogram of one summand over the q^n affine points of its coordinates."""
     hist = np.zeros(min(C.shape) + 1, dtype=np.int64)
-    for orbits, ranks in _own_projective_ranks(C, n):
-        # an orbit holds m / #{j < m : sigma^j x = x} points
-        fixed = (orbits == orbits[:, :1]).all(axis=2).sum(axis=1)
-        np.add.at(hist, ranks, orbits.shape[1] // fixed)
+    for codes, _, sizes in _orbit_batches(C.field, n, C.frobenius_order):
+        np.add.at(hist, linalg.batched_rank(C(codes), C.field), sizes)
     hist *= C.field.q - 1
     hist[0] += 1  # x = 0
     return hist
@@ -190,9 +203,9 @@ def _rank_table(C: Contraction, n: int) -> np.ndarray:
     F, q = C.field, C.field.q
     table = np.zeros(q ** n, dtype=np.min_scalar_type(min(C.shape)))
     powers = q ** np.arange(n, dtype=np.int64)
-    c = np.arange(1, q)
-    for orbits, ranks in _own_projective_ranks(C, n):
-        table[F.mul[c[:, None, None, None], orbits] @ powers] = ranks[:, None]
+    c = np.arange(1, q)[:, None, None, None]  # c != 0 against (N, m, n) orbits
+    for codes, orbits, _ in _orbit_batches(F, n, C.frobenius_order):
+        table[F.mul[c, orbits] @ powers] = linalg.batched_rank(C(codes), F)[:, None]
     return table
 
 

@@ -40,6 +40,7 @@ CHUNK = 1 << 8  # (U, V) pairs contracted and eliminated at once (bounds peak me
 # ---------------------------------------------------------------------------
 
 _subspace_cache: dict = {}
+_pruning_cache: dict = {}  # (F, n) -> the vectors w_U of slice_rank_exact, one per subspace
 
 
 def subspaces(F: Field, n: int):
@@ -129,8 +130,12 @@ def slice_rank_exact(T: Tensor3, lower_bound: int = 0) -> SRResult:
         )
     F, Fk = T.field, T.field.extension(3)
     subs_u, subs_v = subspaces(F, n1), subspaces(F, n2)
-    t = Fk.pow_table(n1)[F.p]  # t^0, ..., t^n1
-    w = np.concatenate([linalg.mat_mul(t[None, :d], Us, Fk) for d, Us in subs_u.items()])
+    if (F, n1) not in _pruning_cache:  # w_U = sum_a t^a u_a for every U, in subs_u order
+        t = Fk.pow_table(n1)[F.p]  # t^0, ..., t^n1
+        w = np.concatenate([linalg.mat_mul(t[None, :d], Us, Fk) for d, Us in subs_u.items()])
+        w.setflags(write=False)
+        _pruning_cache[F, n1] = w
+    w = _pruning_cache[F, n1]
     M = linalg.mat_mul(w, T.entries.reshape(n1, n2 * n3), Fk).reshape(len(w), n2, n3)
     ends = np.cumsum([len(Us) for Us in subs_u.values()])[:-1]
     bound = dict(zip(subs_u, np.split(linalg.batched_rank(M, Fk), ends)))  # dim U -> rank M_U

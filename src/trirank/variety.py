@@ -22,7 +22,7 @@ from .rankprofile import point_block, within_budget
 EXACT_POINT_BUDGET = 10 ** 8
 MC_SAMPLES = 10 ** 6
 SLOPE_MARGIN = 0.35
-POWER_BUDGET = 1 << 21  # term products one power, or the products of one term, may expand
+POWER_BUDGET = 1 << 21  # term products one power, or the products of one system, may expand
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,7 @@ def parse_poly_system(text: str, field: Field, nvars: int) -> PolySystem:
         return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
     toks, i = [], 0  # tokens (kind, value, offset): kind is INT, VAR, EOF or the operator
+    spent = 0  # term products of the system's products so far
     for m in _TOKEN.finditer(text):
         num, index, op, bad = m.groups()
         if bad is not None:
@@ -134,8 +135,8 @@ def parse_poly_system(text: str, field: Field, nvars: int) -> PolySystem:
             i += 1
 
     def term():
-        nonlocal i
-        acc, spent = factor(), 0  # term products of this term's products so far
+        nonlocal i, spent
+        acc = factor()
         while toks[i][0] == "*":
             at, i = toks[i][2], i + 1
             f = factor()

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trirank import analytic, geometric, linalg, tensor
+from trirank import analytic, geometric, linalg, rankprofile, tensor
 from trirank.errors import BudgetExceeded
 from trirank.fields import make_field, parse_field
 from trirank.rankprofile import (
     CHUNK,
     Contraction,
-    _own_projective_ranks,
+    _orbit_batches,
     _rank_table,
     point_block,
     rank_profile,
@@ -305,15 +305,53 @@ def test_frobenius_orbits_partition_the_projective_points(p, k, n):
     C = Contraction(np.eye(n, dtype=np.int32)[:, None, :], Fk)  # the 1 x n matrix x: rank 1
     powers = q ** np.arange(n)
     seen, reps = [], 0
-    for orbits, ranks in _own_projective_ranks(C, n):
-        assert ranks.tolist() == [1] * len(orbits)
+    for codes, orbits, sizes in _orbit_batches(Fk, n, C.frobenius_order):
+        assert linalg.batched_rank(C(codes), Fk).tolist() == [1] * len(orbits)
+        assert np.array_equal(codes, orbits[:, 0])
         reps += len(orbits)
-        for orbit in orbits @ powers:
+        for orbit, size in zip(orbits @ powers, sizes):
             assert orbit[0] == orbit.min()  # the orbit's point of least index is eliminated
+            assert size == len(set(orbit.tolist()))
             seen.extend(set(orbit.tolist()))  # its distinct points
     # the orbit sizes sum to (q^n - 1) / (q - 1), and every normalised point is in one orbit
     assert reps == frobenius_orbits(p, k, n)
     assert sorted(seen) == [x for i in range(n) for x in range(q ** i, 2 * q ** i)]
+
+
+def test_orbit_batches_are_cached_read_only():
+    F27 = make_field(3, 3)
+    batches = _orbit_batches(F27, 3, 3)
+    assert _orbit_batches(F27, 3, 3) is batches
+    assert rankprofile._orbit_cache[F27, 3, 3] is batches
+    (codes, orbits, sizes), = batches
+    for a in (codes, orbits, sizes):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_a_level_of_several_batches_is_not_cached():
+    # the 16,383 points of P^13(F_2) take two batches: they are streamed again on every call
+    F2 = make_field(2)
+    for _ in range(2):
+        batches = list(_orbit_batches(F2, 14, 1))
+        assert len(batches) == 2 and (F2, 14, 1) not in rankprofile._orbit_cache
+        assert sum(len(codes) for codes, _, _ in batches) == 2 ** 14 - 1
+        assert all(a.flags.writeable for batch in batches for a in batch)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_tensors_sharing_an_orbit_level_profile_in_either_order(monkeypatch, k):
+    # both random 3x3x3 F_3 tensors read the (F_{3^k}, 3, k) entry; whichever fills it
+    F3 = make_field(3)
+    a, b = (tensor.random_tensor(F3, (3, 3, 3), seed=s) for s in (1, 2))
+    refs = {T: reference_hist(T, k, "x").tolist() for T in (a, b)}
+    assert refs[a] != refs[b]
+    for order in [(a, b), (b, a)]:
+        monkeypatch.setattr(rankprofile, "_orbit_cache", {})
+        for T in order:
+            assert rank_profile(T, k).hist.tolist() == refs[T]
+        assert list(rankprofile._orbit_cache) == [(F3.extension(k), 3, k)]
 
 
 @pytest.mark.parametrize("n,calls", [(3, 1), (14, 2)])

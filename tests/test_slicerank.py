@@ -116,6 +116,24 @@ def test_subspace_bases_are_rref_and_distinct():
     assert len(seen) == sum(len(b) for b in subs.values())
 
 
+def test_pruning_vectors_are_built_once_per_field_and_dim(monkeypatch):
+    monkeypatch.setattr(slicerank, "_pruning_cache", {})
+    for seed in range(2):  # two 3x2x2 tensors share the (F_3, 3) entry
+        slicerank.slice_rank_exact(tensor.random_tensor(F3, (3, 2, 2), seed=seed))
+    (key, w), = slicerank._pruning_cache.items()
+    assert key == (F3, 3) and not w.flags.writeable
+    assert set(slicerank._subspace_cache[F3, 3]) == {0, 1, 2, 3}
+    # w_U = sum_a t^a u_a over F_27, t the class of code 3, one per subspace in order
+    F27 = F3.extension(3)
+    Us = [U for stack in slicerank.subspaces(F3, 3).values() for U in stack]
+    assert len(w) == len(Us)
+    for U, w_U in zip(Us, w):
+        expected = np.zeros(3, dtype=np.int32)
+        for a, u in enumerate(U):
+            expected = F27.add[expected, F27.mul[F27.pow_table(a)[3, a], u]]
+        assert w_U.ravel().tolist() == expected.tolist()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_identity_exact_slice_rank(n):
     res = slicerank.slice_rank_exact(tensor.identity_tensor(F3, n))

@@ -118,6 +118,19 @@ def test_parser_bounds_a_chain_of_products_by_its_total(monkeypatch):
     assert system(text[:-3], field=F5).maxdeg == 28
 
 
+def test_parser_bounds_the_products_of_a_system_by_one_total(monkeypatch):
+    # 40 term products per copy over F_5: two copies stay within a budget of 100
+    # for the whole system, the third passes it at its 6th `*x1`, in any equation
+    monkeypatch.setattr(variety, "POWER_BUDGET", 100)
+    copy = "(x1+x2)^3" + "*x1" * 10
+    assert system(" + ".join([copy] * 2), field=F5).polys
+    for sep in (" + ", "; "):
+        with pytest.raises(PolySyntaxError) as exc:
+            system(sep.join([copy] * 3), field=F5)
+        at = 2 * (len(copy) + len(sep)) + len("(x1+x2)^3") + 3 * 5
+        assert str(exc.value) == f"product of more than 100 term products (line 1, col {at + 1})"
+
+
 def test_poly_partial_frobenius_kills_pth_powers():
     S = system("x1^3 + x1^2*x2")
     p = S.polys[0]
