@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded
-from .rankprofile import CHUNK, SummandRanks, point_block, rank_profile, within_budget
+from .rankprofile import CHUNK, RankProfile, SummandRanks, point_block, rank_profile, within_budget
 from .tensor import Tensor3
 
 ENUM_BUDGET = 10 ** 8
@@ -69,18 +69,23 @@ class EntropyReport:
         return math.log2(self.q ** self.log_domain / self.max_count)
 
 
-def zero_count(T: Tensor3, budget: int = ENUM_BUDGET) -> int:
-    """Exact |{(x, y) : f(x, y) = 0}| over the tensor's own field."""
+def zero_count(T: Tensor3, budget: int = ENUM_BUDGET, profile: RankProfile | None = None) -> int:
+    """Exact |{(x, y) : f(x, y) = 0}| over the tensor's own field.
+
+    Reads `profile`, T's k = 1 x-axis rank profile, when given and exact.
+    """
     F = T.field
     n1, n2, _ = T.dims
     if not within_budget(F.q, n1 + n2, budget):
         raise BudgetExceeded(f"q^(n1+n2) = {F.q}^{n1 + n2} exceeds budget {budget}")
-    return rank_profile(T, 1, "x", budget=budget).fiber_sum(n2)
+    if profile is None or not profile.exact:
+        profile = rank_profile(T, 1, "x", budget=budget)
+    return profile.fiber_sum(n2)
 
 
-def analytic_rank(T: Tensor3, budget: int = ENUM_BUDGET) -> ARValue:
+def analytic_rank(T: Tensor3, budget: int = ENUM_BUDGET, profile=None) -> ARValue:
     n1, n2, _ = T.dims
-    return ARValue(zero_count(T, budget=budget), n1 + n2, T.field.q)
+    return ARValue(zero_count(T, budget=budget, profile=profile), n1 + n2, T.field.q)
 
 
 def bias_char_sum(T: Tensor3, budget: int = ENUM_BUDGET) -> complex:

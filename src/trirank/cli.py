@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import analytic, biascx, decomp, geometric, slicerank, tensor, variety
 from .errors import BadParams, BudgetExceeded, TrirankError
 from .fields import parse_field
-from .rankprofile import point_block, within_budget
+from .rankprofile import point_block, rank_profiles, within_budget
 
 SCHEMA = 1
 
@@ -247,10 +247,13 @@ def builtin_corpus(seed: int):
     return items
 
 
-def _corpus_item(name, T, seed, kwork):
+CORPUS_KMAX = 3  # the chain's tower depth for every corpus item
+
+
+def _corpus_item(name, T, seed, kwork, profiles):
     t0 = time.time()
     try:
-        chain = slicerank.verify_rank_chain(T, seed=seed)
+        chain = slicerank.verify_rank_chain(T, kmax=CORPUS_KMAX, seed=seed, profiles=profiles)
         D = decomp.slice_decompose(T, k_work=kwork, seed=seed, gr_report=chain.gr)
         verified = decomp.verify_decomposition(T, D)
         row = {
@@ -282,18 +285,20 @@ def _cmd_corpus(args) -> int:
     items = builtin_corpus(args.seed)
     items[0][1].field.extension(args.kwork)  # build the working field: a bad --kwork fails here
     seeds = [args.seed ^ i for i in range(len(items))]
+    tensors = [T for _, T in items]
+    try:  # every item's x-axis levels at once; on an error each item ranks and reports its own
+        levels = [rank_profiles(tensors, k, seeds=seeds) for k in range(1, CORPUS_KMAX + 1)]
+        profiles = [list(p) for p in zip(*levels)]
+    except TrirankError:
+        profiles = [None] * len(items)
+    jobs = zip(items, seeds, profiles)
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(
-                pool.map(
-                    lambda t: _corpus_item(t[0][0], t[0][1], t[1], args.kwork),
-                    zip(items, seeds),
-                )
+                pool.map(lambda t: _corpus_item(t[0][0], t[0][1], t[1], args.kwork, t[2]), jobs)
             )
     else:
-        results = [
-            _corpus_item(name, T, s, args.kwork) for (name, T), s in zip(items, seeds)
-        ]
+        results = [_corpus_item(name, T, s, args.kwork, p) for (name, T), s, p in jobs]
     rows = [r[0] for r in results]
     ratios = [r[1] for r in results if r[1] is not None]
     sr_ars = [r[2] for r in results if r[2] is not None]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .rankprofile import ELIM_BUDGET, MC_SAMPLES, RankProfile, rank_profile
-from .tensor import Tensor3
+from .tensor import Tensor3, slice_dims
 from .variety import CountRecord, DimEstimate, estimate_from_counts, exact_estimate
 
 
@@ -55,6 +55,8 @@ class GRReport:
     kernel: DimEstimate | None = None
     stable: bool = False
     consistent: bool | None = None
+    # the rank profiles along `axis` for k = 1..kmax (none for a zero tensor); not reported
+    profiles: list[RankProfile] = dc_field(default_factory=list, repr=False)
 
     def to_dict(self):
         return {
@@ -76,12 +78,14 @@ def geometric_rank(
     mc_samples: int = MC_SAMPLES,
     seed: int = 0,
     cross_check: bool = False,
+    profiles: list[RankProfile] | None = None,
 ) -> GRReport:
-    """GR = min_r (r + codim X_r) from tower estimates of each stratum."""
+    """GR = min_r (r + codim X_r) from tower estimates of each stratum.
+
+    `profiles`: the rank profiles along `axis` for k = 1..kmax, if the caller has them.
+    """
     if kmax < 2:
         raise BudgetExceeded("kmax must be >= 2")
-    from .tensor import slice_space
-
     ax = "xyz".index(axis)
     n_coeff = T.dims[ax]
     rmax = min(dim for i, dim in enumerate(T.dims) if i != ax)
@@ -93,11 +97,12 @@ def geometric_rank(
             report.consistent = True
         return report
 
-    profiles = [
-        rank_profile(T, k, axis, budget, mc_samples, seed) for k in range(1, kmax + 1)
-    ]
+    if profiles is None:
+        profiles = [
+            rank_profile(T, k, axis, budget, mc_samples, seed) for k in range(1, kmax + 1)
+        ]
     per_k = [_strata_records(prof) for prof in profiles]
-    d = slice_space(T, axis).dim
+    d = slice_dims(T)[ax]
     strata: dict[int, DimEstimate] = {}
     for r in range(rmax + 1):
         counts = [per_k[k - 1][r] for k in range(1, kmax + 1)]
@@ -115,7 +120,8 @@ def geometric_rank(
             best_r, best_val = r, val
             best_stable = est.status == "stable"
     report = GRReport(
-        gr=best_val, argmin_r=best_r, axis=axis, strata=strata, stable=best_stable
+        gr=best_val, argmin_r=best_r, axis=axis, strata=strata, stable=best_stable,
+        profiles=profiles,
     )
     if cross_check:
         report.kernel = kernel_codim(

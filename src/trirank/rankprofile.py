@@ -11,13 +11,14 @@ per sigma-orbit is eliminated: about a k-th of them over F_{p^k}.  An affine
 histogram weights its rank by the orbit's size, and a rank table writes it at
 every nonzero multiple of every point of the orbit.  The exact path convolves
 the summands' affine histograms and multiplies by q^k for every coordinate in
-no summand.  The sampled path draws the same uniform affine points as ever and
-reads each summand's rank at a draw from a table over its affine points
-(``SummandRanks``), unless that table would have more entries than there are
-draws: such a summand is eliminated at the draws.  Either way the ranks,
-histograms and sampled counts are those of the whole tensor at the same
-points.  The budget compares the whole tensor's affine count q^(k n); above
-it, points are drawn.
+no summand; ``rank_profiles`` ranks the summands of many tensors together, one
+stack per block shape.  The sampled path draws the same uniform affine points
+as ever and reads each summand's rank at a draw from a table over its affine
+points (``SummandRanks``), unless that table would have more entries than
+there are draws: such a summand is eliminated at the draws.  Either way the
+ranks, histograms and sampled counts are those of the whole tensor at the
+same points.  The budget compares the whole tensor's affine count q^(k n);
+above it, points are drawn.
 """
 
 from __future__ import annotations
@@ -53,41 +54,49 @@ def point_block(q: int, n: int, start: int, stop: int) -> np.ndarray:
     return X
 
 
+def _frobenius_order(A: np.ndarray, F: Field) -> int:
+    """k over F_{p^k} if every A_i lies in F_p (codes below p), so a -> a^p keeps ranks; else 1."""
+    return F.k if (A < F.p).all() else 1
+
+
 class Contraction:
     """The stack sum_i x_i A_i for batches of points x given as field codes.
 
-    The sums over the first j coordinates are tabulated once, for the largest
-    j with q^j <= CHUNK; each further coordinate adds its term c A_i by a row
-    gather from a (q, m1 m2) table of the multiples of A_i and one add lookup.
+    A is one block (n, m1, m2) or a stack of blocks (n, G, m1, m2).  The sums
+    over the first j coordinates are tabulated once, for the largest j with
+    q^j <= `points`, the points contracted per call; each further coordinate
+    adds its term c A_i by a row gather from a (q, entries) table of the
+    multiples of A_i and one add lookup.
     """
 
-    def __init__(self, A: np.ndarray, F: Field):
-        n, m1, m2 = A.shape
+    def __init__(self, A: np.ndarray, F: Field, points: int = CHUNK):
+        n, *shape = A.shape
+        size = int(np.prod(shape))
         self.field = F
-        self.shape = (m1, m2)
-        # sigma(a) = a^p and its powers keep every rank when each A_i lies in F_p,
-        # whose elements are the codes below p
-        self.frobenius_order = F.k if (A < F.p).all() else 1
+        self.shape = tuple(shape)
+        self.frobenius_order = _frobenius_order(A, F)
         # multiples[i, c] = c A_i, flattened; intp, since add.take is several
         # times faster on intp indices than on int32 ones
-        multiples = F.mul[np.arange(F.q)[:, None], A.reshape(n, 1, m1 * m2)]
+        multiples = F.mul[np.arange(F.q)[:, None], A.reshape(n, 1, size)]
         self._multiples = multiples.astype(np.intp)
         add = F.add.ravel()
-        j, low = 0, np.zeros((1, m1 * m2), dtype=np.int32)
-        while j < n and F.q ** (j + 1) <= CHUNK:
+        j, low = 0, np.zeros((1, size), dtype=np.int32)
+        while j < n and F.q ** (j + 1) <= points:
             # low[x] = sum_{i <= j} x_i A_i, with coordinate j the most significant
             low = add.take(self._multiples[j][:, None] * F.q + low[None])
-            low = low.reshape(F.q ** (j + 1), m1 * m2)
+            low = low.reshape(F.q ** (j + 1), size)
             j += 1
         self._j, self._low = j, low
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        """Matrices for points given as (N, n) field codes."""
+        """Matrices for points given as (N, n) field codes, shape (N, *shape)."""
         F, j = self.field, self._j
         add = F.add.ravel()
         Ms = self._low[X[:, :j] @ F.q ** np.arange(j)]
         for i in range(j, len(self._multiples)):
-            Ms = add.take(Ms * F.q + self._multiples[i][X[:, i]])
+            idx = self._multiples[i][X[:, i]]
+            idx += Ms * F.q  # in place: one intp array per step bounds peak memory
+            Ms = add.take(idx)
         return Ms.reshape(X.shape[0], *self.shape)
 
 
@@ -111,16 +120,13 @@ class RankProfile:
         return sum(int(c) * self.q ** (n2 - r) for r, c in enumerate(self.hist))
 
 
-def _summands(T: Tensor3, k: int, axis: str) -> list[tuple[np.ndarray, Contraction]]:
-    """(coordinates, Contraction of its block) for each direct summand of T along `axis`."""
-    Fk = T.field.extension(k)
+def _blocks(T: Tensor3, axis: str):
+    """(coordinates, block of the slices) for each direct summand of T along `axis`."""
     a = AXES.index(axis)
     A = slices(T, axis)
-    parts = []
     for sets in T.summands:
         rows, cols = (s for i, s in enumerate(sets) if i != a)
-        parts.append((sets[a], Contraction(A[np.ix_(sets[a], rows, cols)], Fk)))
-    return parts
+        yield sets[a], A[np.ix_(sets[a], rows, cols)]
 
 
 _orbit_cache: dict = {}
@@ -184,14 +190,27 @@ def _orbit_batches(F: Field, n: int, m: int):
     return head
 
 
-def _affine_hist(C: Contraction, n: int) -> np.ndarray:
-    """Rank histogram of one summand over the q^n affine points of its coordinates."""
-    hist = np.zeros(min(C.shape) + 1, dtype=np.int64)
-    for codes, _, sizes in _orbit_batches(C.field, n, C.frobenius_order):
-        np.add.at(hist, linalg.batched_rank(C(codes), C.field), sizes)
-    hist *= C.field.q - 1
-    hist[0] += 1  # x = 0
-    return hist
+def _affine_hists(blocks: list[np.ndarray], F: Field, m: int) -> np.ndarray:
+    """Rank histogram over the q^n affine points of each block (n, m1, m2), Frobenius order m.
+
+    The blocks are contracted as one stack, in slices of at most CHUNK matrices
+    per orbit batch; each slice is one batched_rank call and one bincount.
+    """
+    n, m1, m2 = blocks[0].shape
+    A = np.stack(blocks, axis=1)  # (n, G, m1, m2)
+    hists = np.zeros((len(blocks), min(m1, m2) + 1), dtype=np.int64)
+    for codes, _, sizes in _orbit_batches(F, n, m):
+        step = CHUNK // len(codes)  # a batch holds at most CHUNK points
+        for start in range(0, len(blocks), step):
+            C = Contraction(A[:, start : start + step], F, points=len(codes))
+            ranks = linalg.batched_rank(C(codes).reshape(-1, m1, m2), F).reshape(len(codes), -1)
+            # bin block * width + rank, in point-major order like the weights
+            bins = ranks + hists.shape[1] * np.arange(start, start + ranks.shape[1])
+            counts = np.bincount(bins.ravel(), np.repeat(sizes, ranks.shape[1]), hists.size)
+            hists += counts.reshape(hists.shape).astype(np.int64)
+    hists *= F.q - 1
+    hists[:, 0] += 1  # x = 0
+    return hists
 
 
 def _rank_table(C: Contraction, n: int) -> np.ndarray:
@@ -224,8 +243,8 @@ class SummandRanks:
         self.field = T.field.extension(k)
         q = self.field.q
         self._parts = []
-        for coords, C in _summands(T, k, axis):
-            n = coords.size
+        for coords, A in _blocks(T, axis):
+            C, n = Contraction(A, self.field), coords.size
             if coords[-1] - coords[0] == n - 1:  # a run: take X[:, coords] as a view
                 coords = slice(coords[0], coords[-1] + 1)
             if within_budget(q, n, points):
@@ -244,6 +263,63 @@ class SummandRanks:
         return ranks
 
 
+def rank_profiles(
+    tensors: list[Tensor3],
+    k: int,
+    axis: str = "x",
+    budget: int = ELIM_BUDGET,
+    mc_samples: int = MC_SAMPLES,
+    seeds: list[int] | None = None,
+) -> list[RankProfile]:
+    """Rank histograms of each tensor's slices along `axis`, contracted over F_{q^k}.
+
+    The summands of all tensors exact at level k are ranked together, one
+    ``_affine_hists`` per (field, block shape, Frobenius order).  A tensor above
+    the budget is sampled on its own, with its seed (default 0).
+    """
+    seeds = [0] * len(tensors) if seeds is None else seeds
+    groups: dict = {}  # (F_{q^k}, block shape, Frobenius order) -> blocks of every tensor
+    plans = []  # per tensor: (group key, position) of each summand, or None when sampled
+    for T in tensors:
+        Fk, n = T.field.extension(k), slices(T, axis).shape[0]
+        if not within_budget(Fk.q, n, budget):
+            plans.append(None)
+            continue
+        if Fk.q ** n >= 2 ** 63:
+            raise BudgetExceeded(f"{Fk.q}^{n} points overflow the int64 histogram")
+        plans.append([])
+        for _, A in _blocks(T, axis):
+            key = (Fk, A.shape, _frobenius_order(A, Fk))
+            plans[-1].append((key, len(groups.setdefault(key, []))))
+            groups[key].append(A)
+    hists = {key: _affine_hists(blocks, key[0], key[2]) for key, blocks in groups.items()}
+    profiles = []
+    for T, seed, plan in zip(tensors, seeds, plans):
+        Fk = T.field.extension(k)
+        n, *shape = slices(T, axis).shape
+        hist = np.zeros(min(shape) + 1, dtype=np.int64)
+        if plan is None:
+            if mc_samples < 1:
+                raise BadParams(
+                    f"{Fk.q}^{n} points exceed budget {budget}; mc_samples must be >= 1"
+                )
+            ranks_at = SummandRanks(T, k, axis, mc_samples)
+            rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
+            for draw in range(0, mc_samples, _DRAW):
+                X = rng.integers(0, Fk.q, size=(min(_DRAW, mc_samples - draw), n), dtype=np.int64)
+                for start in range(0, len(X), CHUNK):
+                    hist += np.bincount(ranks_at(X[start : start + CHUNK]), minlength=len(hist))
+        else:  # a point's rank is the sum of its summands' ranks: convolve their histograms
+            hist[0], free = 1, n
+            for key, i in plan:  # the summands' ranks add up to at most min(shape)
+                hist = np.convolve(hist, hists[key][i])[: len(hist)]
+                free -= key[1][0]
+            hist *= Fk.q ** free
+        exact = plan is not None
+        profiles.append(RankProfile(k, Fk.q, hist, exact, Fk.q ** n, None if exact else mc_samples))
+    return profiles
+
+
 def rank_profile(
     T: Tensor3,
     k: int,
@@ -253,33 +329,4 @@ def rank_profile(
     seed: int = 0,
 ) -> RankProfile:
     """Rank histogram of the slices along `axis`, contracted over F_{q^k}."""
-    Fk = T.field.extension(k)
-    n, *shape = slices(T, axis).shape
-    rmax = min(shape)
-    if within_budget(Fk.q, n, budget):
-        total = Fk.q ** n
-        if total >= 2 ** 63:
-            raise BudgetExceeded(f"{Fk.q}^{n} points overflow the int64 histogram")
-        # a point's rank is the sum of its summands' ranks: convolve their histograms
-        hist, free = np.zeros(rmax + 1, dtype=np.int64), n
-        hist[0] = 1
-        for coords, C in _summands(T, k, axis):  # the summands' ranks add up to at most rmax
-            hist = np.convolve(hist, _affine_hist(C, coords.size))[: rmax + 1]
-            free -= coords.size
-        hist *= Fk.q ** free
-        return RankProfile(k=k, q=Fk.q, hist=hist, exact=True, total=total)
-    if mc_samples < 1:
-        raise BadParams(f"{Fk.q}^{n} points exceed budget {budget}; mc_samples must be >= 1")
-    ranks_at = SummandRanks(T, k, axis, mc_samples)
-    rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
-    hist = np.zeros(rmax + 1, dtype=np.int64)
-    remaining = mc_samples
-    while remaining > 0:
-        m = min(remaining, _DRAW)
-        X = rng.integers(0, Fk.q, size=(m, n), dtype=np.int64)
-        for start in range(0, m, CHUNK):
-            hist += np.bincount(ranks_at(X[start : start + CHUNK]), minlength=rmax + 1)
-        remaining -= m
-    return RankProfile(
-        k=k, q=Fk.q, hist=hist, exact=False, total=Fk.q ** n, samples=mc_samples
-    )
+    return rank_profiles([T], k, axis, budget, mc_samples, [seed])[0]

@@ -28,7 +28,7 @@ import numpy as np
 from . import analytic, geometric, linalg
 from .errors import ContradictoryBounds, OutOfExactScope
 from .fields import Field
-from .tensor import Tensor3, slice_space
+from .tensor import Tensor3, slice_dims
 
 EXACT_DIM_LIMIT = 4
 EXACT_Q_LIMIT = 3
@@ -184,7 +184,7 @@ def slice_rank_bounds(T: Tensor3, ar: float | None = None, gr: int | None = None
     Raises ContradictoryBounds when the lower bound exceeds the upper one.
     """
     lo = max(_ar_bound(ar), gr or 0)
-    hi = min(slice_space(T, axis).dim for axis in "xyz")
+    hi = min(slice_dims(T))
     if hi < lo:
         raise ContradictoryBounds(
             f"slice-rank lower bound {lo} exceeds upper bound {hi}: "
@@ -324,11 +324,17 @@ def verify_rank_chain(
     ar_budget: int = analytic.ENUM_BUDGET,
     seed: int = 0,
     cross_check: bool = False,
+    profiles: list | None = None,
 ) -> ChainReport:
-    """Compute AR, GR, SR and evaluate the inequality chain with its constants."""
-    gr = geometric.geometric_rank(T, kmax=kmax, seed=seed, cross_check=cross_check)
+    """Compute AR, GR, SR and evaluate the inequality chain with its constants.
+
+    `profiles`: T's x-axis rank profiles for k = 1..kmax, if the caller has them.
+    AR's zero count reads GR's k = 1 profile when it is exact.
+    """
+    gr = geometric.geometric_rank(T, kmax, seed=seed, cross_check=cross_check, profiles=profiles)
     ar_skipped = T.field.q == 2
-    ar = None if ar_skipped else analytic.analytic_rank(T, budget=ar_budget)
+    k1 = gr.profiles[0] if gr.profiles else None
+    ar = None if ar_skipped else analytic.analytic_rank(T, budget=ar_budget, profile=k1)
     sr = slice_rank(T, ar=ar.value if ar is not None else None, gr=gr.gr)
     holds_sr_3gr = sr.hi <= 3 * gr.gr
     holds_gr_le_sr = gr.gr <= sr.hi

@@ -136,14 +136,28 @@ class SliceTerm:
 # ---------------------------------------------------------------------------
 
 def slices(T: Tensor3, axis: str) -> np.ndarray:
-    idx = AXES.index(axis)
-    return np.moveaxis(T.entries, idx, 0)
+    a = AXES.index(axis)
+    return T.entries.transpose(a, *(i for i in range(3) if i != a))
 
 
 def slice_space(T: Tensor3, axis: str) -> MatrixSpace:
     """Span of the slices along an axis."""
     sl = slices(T, axis)
     return MatrixSpace(T.field, sl.shape[1:], sl)
+
+
+def slice_dims(T: Tensor3) -> list[int]:
+    """Dims of the slice spans along x, y and z, in one batched_rank call.
+
+    They are the ranks of T's flattenings, each turned with its shorter side
+    first and zero-padded to one shape (padding keeps the rank).
+    """
+    flats = [slices(T, a).reshape(n, T.entries.size // max(n, 1)) for a, n in zip(AXES, T.dims)]
+    flats = [M.T if M.shape[0] > M.shape[1] else M for M in flats]
+    stack = np.zeros((3, *np.max([M.shape for M in flats], axis=0)), dtype=np.int32)
+    for S, M in zip(stack, flats):
+        S[: M.shape[0], : M.shape[1]] = M
+    return linalg.batched_rank(stack, T.field).tolist()
 
 
 def direct_sum(T: Tensor3, S: Tensor3) -> Tensor3:

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from trirank import cli, tensor
+from trirank import cli, rankprofile, tensor
+from trirank.errors import BudgetExceeded
 from trirank.fields import make_field
 
 F3 = make_field(3)
@@ -333,6 +334,34 @@ def test_corpus_smoke(tmp_path, monkeypatch):
     csv_lines = (out_dir / "summary.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 6
     assert (out_dir / "levi_civita.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_profile_error_is_one_corpus_items_error_row(tmp_path, monkeypatch, workers):
+    items = [(f"identity_{n}", tensor.identity_tensor(F3, n)) for n in (1, 2, 3)]
+    bad = items[1][1]
+    monkeypatch.setattr(cli, "builtin_corpus", lambda seed: items)
+    argv = ["corpus", "--seed", "7", "--workers", workers]
+    rc = cli.run(argv + ["--out-dir", str(tmp_path / "good")])
+    assert rc == 0
+    rank_profiles = rankprofile.rank_profiles
+
+    def failing(tensors, *args, **kwargs):
+        if any(T is bad for T in tensors):
+            raise BudgetExceeded("no profile")
+        return rank_profiles(tensors, *args, **kwargs)
+
+    # the corpus ranks every item at once, and an item alone through rank_profile
+    monkeypatch.setattr(cli, "rank_profiles", failing)
+    monkeypatch.setattr(rankprofile, "rank_profiles", failing)
+    out = tmp_path / "summary.json"
+    rc = cli.run(argv + ["--out-dir", str(tmp_path / "bad"), "--out", str(out)])
+    assert rc == 0 and read_json(out)["summary"]["errors"] == 1
+    assert read_json(tmp_path / "bad" / "identity_2.json")["error"] == "BudgetExceeded: no profile"
+    for name in ("identity_1", "identity_3"):
+        assert (tmp_path / "bad" / f"{name}.json").read_bytes() == (
+            tmp_path / "good" / f"{name}.json"
+        ).read_bytes()
 
 
 @pytest.mark.parametrize("kwork", ["0", "7"])

@@ -1,13 +1,14 @@
 """The rank-profile kernel against a table-lookup reference over all affine points."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trirank import analytic, geometric, linalg, rankprofile, tensor
+from trirank import analytic, cli, geometric, linalg, rankprofile, slicerank, tensor
 from trirank.errors import BudgetExceeded
 from trirank.fields import make_field, parse_field
 from trirank.rankprofile import (
@@ -17,6 +18,7 @@ from trirank.rankprofile import (
     _rank_table,
     point_block,
     rank_profile,
+    rank_profiles,
 )
 
 REF_POINTS = 20000  # largest affine point set the reference enumerates
@@ -403,3 +405,98 @@ def test_cross_check_adds_no_eliminations(monkeypatch, budget):
     assert totals[False] > 0
     assert totals[True] == totals[False]
     assert rep.kernel is not None
+
+
+def mixed_tensors():
+    F2, F3, F9 = make_field(2), make_field(3), make_field(3, 2)
+    outside = tensor.random_tensor(F3, (3, 3, 3), seed=1).entries.copy()
+    outside[0, 0, 0] = 3  # the class of t, outside F_3: ranking by orbits would be wrong
+    return [
+        tensor.random_tensor(F2, (3, 2, 3), seed=1),
+        tensor.random_tensor(F3, (3, 3, 3), seed=2),
+        tensor.random_tensor(F9, (2, 3, 2), seed=3),
+        tensor.tk_family(F3, 2),  # two summands of one block shape
+        tensor.identity_tensor(F3, 3),
+        # (F_9, 3x3x3) blocks of Frobenius order 2 and 1: they must not share a group
+        tensor.levi_civita(F9),
+        tensor.Tensor3(F9, outside),
+        tensor.zero_tensor(F3, (2, 3, 2)),
+        tensor.random_tensor(F3, (14, 2, 2), seed=4),  # 3^14 > 2^21 x points: sampled
+    ]
+
+
+@pytest.mark.parametrize("axis", "xyz")
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rank_profiles_match_each_tensor_alone(k, axis):
+    tensors = [T for T in mixed_tensors() if T.field.k == 1 or k == 1]
+    seeds = [10 + i for i in range(len(tensors))]
+    profiles = rank_profiles(tensors, k, axis, mc_samples=500, seeds=seeds)
+    assert len(profiles) == len(tensors)
+    sampled = 0
+    for T, seed, prof in zip(tensors, seeds, profiles):
+        q, n = T.field.extension(k).q, T.dims["xyz".index(axis)]
+        assert prof.exact == (q ** n <= rankprofile.ELIM_BUDGET)
+        if not prof.exact:
+            sampled += 1
+            ref = reference_sampled_hist(T, k, axis, 500, seed)
+        elif q ** n <= REF_POINTS:
+            ref = reference_hist(T, k, axis)
+        else:  # too many points for the reference: T alone
+            ref = rank_profile(T, k, axis).hist
+        assert prof.hist.tolist() == ref.tolist()
+    assert sampled >= (axis == "x")
+
+
+def recording_eliminations(mp):
+    """Patch linalg.batched_rank to record (call, q, matrix bytes) of every matrix."""
+    seen = []
+    batched_rank = linalg.batched_rank
+
+    def recording(Ms, F, *args, **kwargs):
+        seen.append([(F.q, M.shape, M.tobytes()) for M in np.asarray(Ms, dtype=np.int32)])
+        return batched_rank(Ms, F, *args, **kwargs)
+
+    mp.setattr(linalg, "batched_rank", recording)
+    return seen
+
+
+def test_corpus_level_eliminates_what_each_tensor_does_alone(monkeypatch):
+    tensors = [T for _, T in cli.builtin_corpus(7)]
+    seeds = [7 ^ i for i in range(len(tensors))]
+    seen = recording_eliminations(monkeypatch)
+    together = rank_profiles(tensors, 3, seeds=seeds)
+    calls_together, batched = len(seen), Counter(m for call in seen for m in call)
+    assert max(len(call) for call in seen) <= CHUNK
+    seen.clear()
+    alone = [rank_profile(T, 3, seed=s) for T, s in zip(tensors, seeds)]
+    assert Counter(m for call in seen for m in call) == batched
+    assert calls_together < len(seen)
+    assert [p.hist.tolist() for p in together] == [p.hist.tolist() for p in alone]
+
+
+@pytest.mark.parametrize("T", [
+    tensor.random_tensor(make_field(3), (3, 3, 3), seed=8),
+    tensor.random_tensor(make_field(5), (2, 3, 3), seed=2),
+    tensor.tk_family(make_field(3), 2),
+])
+def test_chain_adds_no_eliminations(monkeypatch, T):
+    # AR's zero count reads the chain's exact k = 1 profile
+    eliminated = counting_eliminations(monkeypatch)
+    geometric.geometric_rank(T, kmax=3)
+    slicerank.slice_rank(T)
+    alone = sum(eliminated)
+    eliminated.clear()
+    rep = slicerank.verify_rank_chain(T, kmax=3)
+    assert rep.ar is not None and rep.gr.profiles[0].exact
+    assert sum(eliminated) <= alone
+
+
+def test_ar_counts_exactly_where_the_chains_k1_level_is_sampled():
+    # 7^8 > 2^21 points x: GR samples k = 1; 7^9 <= 10^8 pairs: AR counts them all
+    F7 = make_field(7)
+    T = tensor.random_tensor(F7, (8, 1, 1), seed=1)
+    rep = slicerank.verify_rank_chain(T, kmax=2)
+    assert not rep.gr.profiles[0].exact
+    # f(x, y) = (a . x) y with a != 0: every y is a zero on the 7^7 points x with a . x = 0
+    assert T.entries.any()
+    assert rep.ar.zero_count == analytic.zero_count(T) == 7 ** 7 * 7 + (7 ** 8 - 7 ** 7)

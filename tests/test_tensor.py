@@ -2,7 +2,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trirank import decomp, linalg, tensor
@@ -236,6 +236,28 @@ def test_zero_size_axis_has_a_slice_space():
     T = tensor.zero_tensor(F3, (2, 0, 3))
     assert [tensor.slice_space(T, axis).dim for axis in "xyz"] == [0, 0, 0]
     assert tensor.slice_space(T, "x").basis.shape == (0, 0, 3)
+
+
+F9 = make_field(3, 2)
+ALPHA = 3  # the class of t in F_9, outside F_3
+
+
+@st.composite
+def small_tensors(draw):
+    F = draw(st.sampled_from([make_field(2), F3, F9, make_field(5)]))
+    dims = tuple(draw(st.integers(0, 4)) for _ in range(3))
+    size = int(np.prod(dims))
+    entries = draw(st.lists(st.integers(0, F.q - 1), min_size=size, max_size=size))
+    return tensor.Tensor3(F, np.array(entries, dtype=np.int32).reshape(dims))
+
+
+@settings(max_examples=80, deadline=None)
+@given(T=small_tensors())
+@example(T=tensor.zero_tensor(F3, (2, 0, 3)))
+# slices (1, t) and (t, t^2): dependent over F_9, not over F_3 digit by digit
+@example(T=tensor.Tensor3(F9, [[[1, ALPHA]], [[ALPHA, int(F9.mul[ALPHA, ALPHA])]]]))
+def test_slice_dims_are_the_slice_space_dims(T):
+    assert tensor.slice_dims(T) == [tensor.slice_space(T, axis).dim for axis in "xyz"]
 
 
 def test_sub_and_zero():
