@@ -20,7 +20,7 @@ def as_matrix(M) -> np.ndarray:
 
 
 def rref(M, F: Field):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+    """Reduced row echelon form; returns (R, pivot_columns).  One lookup clears a pivot column."""
     R = as_matrix(M).copy()
     m, n = R.shape
     pivots = []
@@ -35,9 +35,9 @@ def rref(M, F: Field):
         if i != r:
             R[[r, i]] = R[[i, r]]
         R[r] = F.mul[F.inv[R[r, c]], R[r]]
-        for j in np.nonzero(R[:, c])[0]:
-            if j != r:
-                R[j] = F.add[R[j], F.mul[F.neg[R[j, c]], R[r]]]
+        factors = F.neg[R[:, c]]
+        factors[r] = 0
+        R = F.add[R, F.mul[factors[:, None], R[r]]]
         pivots.append(c)
         r += 1
     return R, pivots

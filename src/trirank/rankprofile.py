@@ -35,7 +35,7 @@ from .tensor import AXES, Tensor3, slices
 
 ELIM_BUDGET = 2 ** 21  # most affine points per tower level that are counted exactly
 MC_SAMPLES = 10 ** 5
-CHUNK = 1 << 13  # points contracted and eliminated at once (bounds peak memory)
+CHUNK = 1 << 13  # points or (U, V) pairs handled at once by every caller (bounds peak memory)
 
 
 def within_budget(q: int, n: int, budget: int) -> bool:
@@ -53,14 +53,17 @@ def point_block(q: int, n: int, start: int, stop: int) -> np.ndarray:
     return X
 
 
-def uniform_points(q: int, n: int, samples: int, seed: int, k: int, chunk: int = CHUNK):
-    """`samples` uniform points of F_q^n, seeded by (seed, k), as int64 rows `chunk` at a time.
+def uniform_points(q: int, n: int, samples: int, seed: int, k: int):
+    """`samples` uniform points of F_q^n, seeded by (seed, k), as int64 rows CHUNK at a time.
 
-    numpy draws every value from one bit stream, so the points do not depend on `chunk`.
+    numpy draws every value from one bit stream, so the points do not depend on
+    the split.  Fewer than one sample raises BadParams at the call.
     """
+    if samples < 1:
+        raise BadParams(f"mc_samples must be >= 1 to sample {q}^{n} points, not {samples}")
     rng = np.random.default_rng(seed ^ (k * 0x9E3779B9))
-    for start in range(0, samples, chunk):
-        yield rng.integers(0, q, size=(min(chunk, samples - start), n), dtype=np.int64)
+    sizes = (min(CHUNK, samples - start) for start in range(0, samples, CHUNK))
+    return (rng.integers(0, q, size=(size, n), dtype=np.int64) for size in sizes)
 
 
 def _frobenius_order(A: np.ndarray, F: Field) -> int:
@@ -306,10 +309,6 @@ def rank_profiles(
         n, *shape = slices(T, axis).shape
         hist = np.zeros(min(shape) + 1, dtype=np.int64)
         if blocks is None:
-            if mc_samples < 1:
-                raise BadParams(
-                    f"{Fk.q}^{n} points exceed budget {budget}; mc_samples must be >= 1"
-                )
             ranks_at = SummandRanks(T, k, axis, mc_samples)
             for X in uniform_points(Fk.q, n, mc_samples, seed, k):
                 hist += np.bincount(ranks_at(X), minlength=len(hist))

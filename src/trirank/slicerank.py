@@ -25,14 +25,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analytic, geometric, linalg
+from . import analytic, geometric, linalg, rankprofile
 from .errors import ContradictoryBounds, OutOfExactScope
 from .fields import Field
-from .tensor import Tensor3, slice_dims
+from .tensor import AXES, Tensor3, slice_space
 
 EXACT_DIM_LIMIT = 4
 EXACT_Q_LIMIT = 3
-CHUNK = 1 << 8  # (U, V) pairs contracted and eliminated at once (bounds peak memory)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +145,7 @@ def slice_rank_exact(T: Tensor3, lower_bound: int = 0) -> SRResult:
         Us, Vs = subs_u[n1 - c1][c1 + bound[n1 - c1] < best], subs_v[n2 - c2]
         if not len(Us):
             continue
-        step = max(1, CHUNK // len(Vs))  # whole U rows of the block, U-major
+        step = max(1, rankprofile.CHUNK // len(Vs))  # whole U rows of the block, U-major
         Ms = (_forms(T, Us[s : s + step], Vs) for s in range(0, len(Us), step))
         ranks = np.concatenate([linalg.batched_rank(M, F) for M in Ms])
         i = int(ranks.argmin())
@@ -173,9 +172,10 @@ def check_witness(T: Tensor3, result: SRResult) -> bool:
 # bounds
 # ---------------------------------------------------------------------------
 
-def _ar_bound(ar: float | None) -> int:
-    """ceil AR, the lower bound proven by the exact zero count (0 without AR)."""
-    return math.ceil(ar - 1e-9) if ar is not None and math.isfinite(ar) else 0
+def _chain_bounds(ar: float | None, gr: int | None = None) -> tuple[int, int | None]:
+    """The lower bound max(ceil AR, GR), 0 without either, and 3 GR, None without GR."""
+    ar_bound = math.ceil(ar - 1e-9) if ar is not None and math.isfinite(ar) else 0
+    return max(ar_bound, gr or 0), 3 * gr if gr is not None else None
 
 
 def slice_rank_bounds(T: Tensor3, ar: float | None = None, gr: int | None = None) -> SRResult:
@@ -183,14 +183,14 @@ def slice_rank_bounds(T: Tensor3, ar: float | None = None, gr: int | None = None
 
     Raises ContradictoryBounds when the lower bound exceeds the upper one.
     """
-    lo = max(_ar_bound(ar), gr or 0)
-    hi = min(slice_dims(T))
+    lo, three_gr = _chain_bounds(ar, gr)
+    hi = min(slice_space(T, axis).dim for axis in AXES)
     if hi < lo:
         raise ContradictoryBounds(
             f"slice-rank lower bound {lo} exceeds upper bound {hi}: "
             "an AR or GR value is wrong"
         )
-    return SRResult(lo, hi, "bounds_only", three_gr_bound=3 * gr if gr is not None else None)
+    return SRResult(lo, hi, "bounds_only", three_gr_bound=three_gr)
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +297,23 @@ class ChainReport:
 
 
 def slice_rank(T: Tensor3, ar: float | None = None, gr: int | None = None) -> SRResult:
-    """Best available slice-rank determination: exact, vertex cover, or bounds.
+    """Best available slice-rank determination: vertex cover, exact search, else bounds.
 
     The exact search raises at the first block below ceil AR, which the exact
     zero count proves; a value below max(ceil AR, GR) raises
     ContradictoryBounds too (a GR estimate can be too high).
     """
-    bounds = slice_rank_bounds(T, ar=ar, gr=gr)
     vc = vertex_cover_sr(T)
     if vc is not None:
         res = SRResult(vc, vc, "vertex_cover")
     else:
         try:
-            res = slice_rank_exact(T, lower_bound=_ar_bound(ar))
+            res = slice_rank_exact(T, lower_bound=_chain_bounds(ar)[0])
         except OutOfExactScope:
-            return bounds
-    if res.value < bounds.lo:
-        raise ContradictoryBounds(f"slice rank {res.value} is below the lower bound {bounds.lo}")
-    res.three_gr_bound = bounds.three_gr_bound
+            return slice_rank_bounds(T, ar=ar, gr=gr)
+    lo, res.three_gr_bound = _chain_bounds(ar, gr)
+    if res.value < lo:
+        raise ContradictoryBounds(f"slice rank {res.value} is below the lower bound {lo}")
     return res
 
 

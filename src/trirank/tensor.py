@@ -146,20 +146,6 @@ def slice_space(T: Tensor3, axis: str) -> MatrixSpace:
     return MatrixSpace(T.field, sl.shape[1:], sl)
 
 
-def slice_dims(T: Tensor3) -> list[int]:
-    """Dims of the slice spans along x, y and z, in one batched_rank call.
-
-    They are the ranks of T's flattenings, each turned with its shorter side
-    first and zero-padded to one shape (padding keeps the rank).
-    """
-    flats = [slices(T, a).reshape(n, T.entries.size // max(n, 1)) for a, n in zip(AXES, T.dims)]
-    flats = [M.T if M.shape[0] > M.shape[1] else M for M in flats]
-    stack = np.zeros((3, *np.max([M.shape for M in flats], axis=0)), dtype=np.int32)
-    for S, M in zip(stack, flats):
-        S[: M.shape[0], : M.shape[1]] = M
-    return linalg.batched_rank(stack, T.field).tolist()
-
-
 def direct_sum(T: Tensor3, S: Tensor3) -> Tensor3:
     if T.field != S.field:
         raise FieldMismatch("direct sum requires a common field")

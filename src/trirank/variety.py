@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PolySyntaxError, UnknownVariable, UnstableEstimate
 from .fields import MAX_Q, Field
-from .rankprofile import point_block, uniform_points, within_budget
+from .rankprofile import CHUNK, point_block, uniform_points, within_budget
 
 EXACT_POINT_BUDGET = 10 ** 8
 MC_SAMPLES = 10 ** 6
@@ -218,7 +218,8 @@ class CountRecord:
 
 def _eval_zero_mask(S: PolySystem, Fk: Field, X: np.ndarray) -> np.ndarray:
     """Boolean mask of points (rows of X) where every polynomial vanishes."""
-    powtbl = Fk.pow_table(max(1, S.maxdeg))
+    powtbl, q = Fk.pow_table(max(1, S.maxdeg)), Fk.q
+    add, mul = Fk.add.ravel(), Fk.mul.ravel()
     mask = np.ones(X.shape[0], dtype=bool)
     for p in S.polys:
         acc = np.zeros(X.shape[0], dtype=np.int32)
@@ -226,8 +227,8 @@ def _eval_zero_mask(S: PolySystem, Fk: Field, X: np.ndarray) -> np.ndarray:
             term = np.full(X.shape[0], c, dtype=np.int32)  # base-field codes embed as-is
             for i, ei in enumerate(e):
                 if ei:
-                    term = Fk.mul[term, powtbl[X[:, i], ei]]
-            acc = Fk.add[acc, term]
+                    term = mul.take(term * q + powtbl[:, ei].take(X[:, i]))
+            acc = add.take(acc * q + term)
         mask &= acc == 0
         if not mask.any():
             break
@@ -241,13 +242,13 @@ def count_points(
     mc_samples: int = MC_SAMPLES,
     seed: int = 0,
 ) -> CountRecord:
-    """Count common zeros in F_{q^k}^n, exactly if within budget."""
-    Fk, n, chunk = S.field.extension(k), S.nvars, 1 << 18
+    """Count common zeros in F_{q^k}^n, exactly if within budget, CHUNK points at a time."""
+    Fk, n = S.field.extension(k), S.nvars
     exact, total = within_budget(Fk.q, n, budget), Fk.q ** n
     if exact:
-        blocks = (point_block(Fk.q, n, s, min(s + chunk, total)) for s in range(0, total, chunk))
+        blocks = (point_block(Fk.q, n, s, min(s + CHUNK, total)) for s in range(0, total, CHUNK))
     else:
-        blocks = uniform_points(Fk.q, n, mc_samples, seed, k, chunk)
+        blocks = uniform_points(Fk.q, n, mc_samples, seed, k)
     count = sum(int(_eval_zero_mask(S, Fk, X).sum()) for X in blocks)
     if exact:
         return CountRecord(k=k, count=count, exact=True)

@@ -12,6 +12,7 @@ F4 = make_field(2, 2)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
 F27 = make_field(3, 3)
+F49 = make_field(7, 2)
 
 
 def random_matrix(F, m, n, seed):
@@ -55,6 +56,45 @@ def test_mat_mul_rejects_mismatched_inner_axes():
         linalg.mat_mul(np.zeros((2, 3), np.int32), np.zeros((2, 3), np.int32), F3)
     with pytest.raises(ValueError):
         linalg.mat_mul(np.zeros(3, np.int32), np.zeros((3, 1), np.int32), F3)
+
+
+def loop_rref(M, F):
+    """RREF clearing each pivot column one row at a time: the reference for rref."""
+    R = np.asarray(M, dtype=np.int32).copy()
+    m, n = R.shape
+    pivots, r = [], 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        R[[r, i]] = R[[i, r]]
+        R[r] = F.mul[F.inv[R[r, c]], R[r]]
+        for j in np.nonzero(R[:, c])[0]:
+            if j != r:
+                R[j] = F.add[R[j], F.mul[F.neg[R[j, c]], R[r]]]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rref_matches_the_row_by_row_reference(data):
+    F = data.draw(st.sampled_from([F2, F3, F4, F9, F27, F49]), label="F")
+    m, n = data.draw(st.integers(0, 8), label="m"), data.draw(st.integers(0, 12), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    # rows are multiples (0 included) of a few drawn rows, so rows repeat and depend
+    pool = rng.integers(0, F.q, size=(data.draw(st.integers(1, 8), label="pool"), n))
+    M = F.mul[rng.integers(0, F.q, size=(m, 1)), pool[rng.integers(0, len(pool), size=m)]]
+    M = M.astype(np.int32)
+    before = M.copy()
+    R, pivots = linalg.rref(M, F)
+    R_ref, pivots_ref = loop_rref(M, F)
+    assert R.dtype == np.int32 and np.array_equal(R, R_ref) and pivots == pivots_ref
+    assert np.array_equal(M, before)
 
 
 def test_rref_known_matrix():

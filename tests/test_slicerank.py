@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trirank import analytic, geometric, linalg, slicerank, tensor
+from trirank import analytic, geometric, linalg, rankprofile, slicerank, tensor
 from trirank.errors import ContradictoryBounds, OutOfExactScope, TrirankError
 from trirank.fields import make_field
 
@@ -202,6 +202,55 @@ def test_contradictory_bounds_raise():
     assert issubclass(ContradictoryBounds, TrirankError)
     b = slicerank.slice_rank_bounds(T, ar=3.0, gr=3)
     assert (b.lo, b.hi) == (3, 3)
+
+
+def test_exact_routes_compute_no_bounds(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("slice_rank_bounds called")
+
+    monkeypatch.setattr(slicerank, "slice_rank_bounds", fail)
+    L = tensor.levi_civita(F3)
+    res = slicerank.slice_rank(L, ar=2.5, gr=3)  # vertex cover
+    assert res.to_dict() == {"lo": 3, "hi": 3, "method": "vertex_cover", "exact": True,
+                             "three_gr_bound": 9}
+    T = tensor.random_tensor(F3, (3, 3, 3), seed=0)
+    res = slicerank.slice_rank(T, ar=2.145950169799729, gr=3)  # exact search
+    assert res.to_dict() == {"lo": 3, "hi": 3, "method": "annihilator_exact", "exact": True,
+                             "three_gr_bound": 9}
+    assert [B.shape for B in res.witness] == [(3, 3), (3, 3), (0, 3)]
+    assert slicerank.slice_rank(T).three_gr_bound is None
+    with pytest.raises(ContradictoryBounds, match=r"slice rank 3 is below the lower bound 4"):
+        slicerank.slice_rank(L, gr=4)
+
+
+def test_exact_search_calls_stay_within_chunk(monkeypatch):
+    # Pruning leaves few U per block, so no block in the exact scope nears CHUNK
+    # pairs.  This tensor's block (c1, c2) = (1, 0) keeps two U; a bound of 1 splits it.
+    T = tensor.Tensor3(F3, [
+        [[0, 1, 2, 0], [0, 0, 2, 1], [2, 0, 1, 1], [1, 1, 0, 1]],
+        [[1, 0, 2, 0], [1, 2, 2, 1], [1, 2, 2, 1], [0, 2, 0, 1]],
+        [[0, 2, 1, 0], [0, 0, 1, 2], [1, 0, 2, 2], [2, 2, 0, 2]],
+        [[0, 2, 1, 0], [0, 0, 1, 2], [1, 0, 2, 2], [2, 2, 0, 2]],
+    ])
+    expected = slicerank.slice_rank_exact(T)
+    batched_rank = linalg.batched_rank
+
+    def recording(Ms, F):
+        seen.append(len(Ms))
+        return batched_rank(Ms, F)
+
+    monkeypatch.setattr(linalg, "batched_rank", recording)
+    calls = {}
+    for bound in (rankprofile.CHUNK, 1):
+        monkeypatch.setattr(rankprofile, "CHUNK", bound)
+        seen = calls[bound] = []
+        res = slicerank.slice_rank_exact(T)
+        assert res.value == expected.value
+        assert witness_bytes(res.witness) == witness_bytes(expected.witness)
+        assert max(seen[1:]) <= bound  # seen[0] ranks the pruning elements, one per U
+    whole, split = calls.values()
+    assert max(whole[1:]) == 2 and sum(split[1:]) == sum(whole[1:])
+    assert len(split) > len(whole)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trirank import decomp, linalg, tensor
+from trirank import decomp, linalg, slicerank, tensor
 from trirank.errors import DimensionMismatch, FieldMismatch, TensorFormatError
 from trirank.fields import make_field
 from trirank.rankprofile import Contraction
@@ -256,8 +256,12 @@ def small_tensors(draw):
 @example(T=tensor.zero_tensor(F3, (2, 0, 3)))
 # slices (1, t) and (t, t^2): dependent over F_9, not over F_3 digit by digit
 @example(T=tensor.Tensor3(F9, [[[1, ALPHA]], [[ALPHA, int(F9.mul[ALPHA, ALPHA])]]]))
-def test_slice_dims_are_the_slice_space_dims(T):
-    assert tensor.slice_dims(T) == [tensor.slice_space(T, axis).dim for axis in "xyz"]
+def test_bounds_hi_is_the_least_flattening_rank(T):
+    ranks = []
+    for a, n in enumerate(T.dims):  # the a-flattening: n x (product of the other dims)
+        flat = np.moveaxis(T.entries, a, 0).reshape(n, T.entries.size // max(n, 1))
+        ranks.append(int(linalg.batched_rank(flat[None], T.field)[0]))
+    assert slicerank.slice_rank_bounds(T).hi == min(ranks)
 
 
 def test_sub_and_zero():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trirank import variety
-from trirank.errors import PolySyntaxError, UnknownVariable, UnstableEstimate
+from trirank.errors import BadParams, PolySyntaxError, UnknownVariable, UnstableEstimate
 from trirank.fields import make_field
 
 from jacobian_reference import jacobian_tangent, poly_partial
@@ -165,12 +165,21 @@ def test_count_points_hyperbola():
 
 @pytest.mark.parametrize("k,budget,samples,seed,count", [
     (3, 10 ** 6, 10 ** 4, 11, 1904296.875),
-    (2, 10, 300000, 5, 16251.302083333332),  # two draws of 2^18 rows
+    (2, 10, 300000, 5, 16251.302083333332),  # 37 draws of at most CHUNK rows
 ])
 def test_sampled_point_counts_are_pinned(k, budget, samples, seed, count):
     S = system("x1*x2 + x3*x4", field=F5, nvars=4)
     rec = variety.count_points(S, k, budget=budget, mc_samples=samples, seed=seed)
     assert (rec.count, rec.exact, rec.samples) == (count, False, samples)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_count_needs_a_sample(samples):
+    S = system("x1*x2 + x3*x4", field=F5, nvars=4)
+    with pytest.raises(BadParams, match="mc_samples must be >= 1"):
+        variety.count_points(S, 2, budget=10, mc_samples=samples)
+    with pytest.raises(BadParams, match="mc_samples must be >= 1"):
+        variety.estimate_dim(S, 2, budget=10, mc_samples=samples)
 
 
 def test_estimate_dim_curve_is_stable():
