@@ -89,14 +89,6 @@ def geometric_rank(
     ax = "xyz".index(axis)
     n_coeff = T.dims[ax]
     rmax = min(dim for i, dim in enumerate(T.dims) if i != ax)
-    if T.is_zero() or 0 in T.dims:
-        report = GRReport(gr=0, argmin_r=0, axis=axis, stable=True)
-        report.strata[0] = exact_estimate(n_coeff, n_coeff)
-        if cross_check:
-            report.kernel = exact_estimate(T.dims[0] + T.dims[1], T.dims[0] + T.dims[1])
-            report.consistent = True
-        return report
-
     if profiles is None:
         profiles = [
             rank_profile(T, k, axis, budget, mc_samples, seed) for k in range(1, kmax + 1)
@@ -110,24 +102,19 @@ def geometric_rank(
             strata[0] = exact_estimate(n_coeff, n_coeff - slice_space(T, axis).dim, counts)
         else:
             strata[r] = estimate_from_counts(T.field.q, n_coeff, counts)
-    best_r, best_val, best_stable = None, None, False
-    for r, est in strata.items():
-        if est.status == "empty":
-            continue
-        val = r + est.codim
-        if best_val is None or val < best_val:
-            best_r, best_val = r, val
-            best_stable = est.status == "stable"
+    # X_0 is never empty, and min keeps the first minimal r
+    nonempty = (r for r, est in strata.items() if est.status != "empty")
+    r = min(nonempty, key=lambda r: r + strata[r].codim)
     report = GRReport(
-        gr=best_val, argmin_r=best_r, axis=axis, strata=strata, stable=best_stable,
-        profiles=profiles,
+        gr=r + strata[r].codim, argmin_r=r, axis=axis, strata=strata,
+        stable=strata[r].status == "stable", profiles=profiles,
     )
     if cross_check:
         report.kernel = kernel_codim(
             T, kmax, budget=budget, mc_samples=mc_samples, seed=seed,
             profiles=profiles if axis == "x" else None,
         )
-        if report.kernel.status in ("stable", "empty") and best_stable:
+        if report.kernel.status in ("stable", "empty") and report.stable:
             report.consistent = report.kernel.codim == report.gr
     return report
 

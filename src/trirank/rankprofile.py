@@ -17,7 +17,10 @@ as ever and reads each summand's rank at a draw from a table over its affine
 points (``SummandRanks``), unless that table would have more entries than
 there are draws: such a summand is eliminated at the draws.  Either way the
 ranks, histograms and sampled counts are those of the whole tensor at the
-same points.  The budget compares the whole tensor's affine count q^(k n);
+same points.  Every point set (an orbit batch, a rank table's orbit
+representatives, a batch of draws) takes one step, ``_ranks``: ``contract``
+at its points, then one batched_rank call per slice of at most CHUNK
+matrices.  The budget compares the whole tensor's affine count q^(k n);
 above it, points are drawn.
 """
 
@@ -71,45 +74,44 @@ def _frobenius_order(A: np.ndarray, F: Field) -> int:
     return F.k if (A < F.p).all() else 1
 
 
-class Contraction:
-    """The stack sum_i x_i A_i for batches of points x given as field codes.
+def contract(A: np.ndarray, F: Field, X: np.ndarray) -> np.ndarray:
+    """sum_i x_i A_i for the points X, given as (N, n) field codes: shape (N, *A.shape[1:]).
 
     A is one block (n, m1, m2) or a stack of blocks (n, G, m1, m2).  The sums
-    over the first j coordinates are tabulated once, for the largest j with
-    q^j <= `points`, the points contracted per call; each further coordinate
-    adds its term c A_i by a row gather from a (q, entries) table of the
-    multiples of A_i and one add lookup.
+    over the first j coordinates are tabulated for the largest j with
+    q^j <= N; each further coordinate adds its term c A_i by a row gather from
+    a (q, entries) table of the multiples of A_i and one add lookup.
     """
+    n, *shape = A.shape
+    size = int(np.prod(shape))
+    # multiples[i, c] = c A_i, flattened; intp, since add.take is several
+    # times faster on intp indices than on int32 ones
+    multiples = F.mul[np.arange(F.q)[:, None], A.reshape(n, 1, size)].astype(np.intp)
+    add = F.add.ravel()
+    j, low = 0, np.zeros((1, size), dtype=np.int32)
+    while j < n and F.q ** (j + 1) <= len(X):
+        # low[x] = sum_{i <= j} x_i A_i, with coordinate j the most significant
+        low = add.take(multiples[j][:, None] * F.q + low[None]).reshape(F.q ** (j + 1), size)
+        j += 1
+    Ms = low[X[:, :j] @ F.q ** np.arange(j)]
+    for i in range(j, n):
+        idx = multiples[i][X[:, i]]
+        idx += Ms * F.q  # in place: one intp array per step bounds peak memory
+        Ms = add.take(idx)
+    return Ms.reshape(len(X), *shape)
 
-    def __init__(self, A: np.ndarray, F: Field, points: int = CHUNK):
-        n, *shape = A.shape
-        size = int(np.prod(shape))
-        self.field = F
-        self.shape = tuple(shape)
-        self.frobenius_order = _frobenius_order(A, F)
-        # multiples[i, c] = c A_i, flattened; intp, since add.take is several
-        # times faster on intp indices than on int32 ones
-        multiples = F.mul[np.arange(F.q)[:, None], A.reshape(n, 1, size)]
-        self._multiples = multiples.astype(np.intp)
-        add = F.add.ravel()
-        j, low = 0, np.zeros((1, size), dtype=np.int32)
-        while j < n and F.q ** (j + 1) <= points:
-            # low[x] = sum_{i <= j} x_i A_i, with coordinate j the most significant
-            low = add.take(self._multiples[j][:, None] * F.q + low[None])
-            low = low.reshape(F.q ** (j + 1), size)
-            j += 1
-        self._j, self._low = j, low
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        """Matrices for points given as (N, n) field codes, shape (N, *shape)."""
-        F, j = self.field, self._j
-        add = F.add.ravel()
-        Ms = self._low[X[:, :j] @ F.q ** np.arange(j)]
-        for i in range(j, len(self._multiples)):
-            idx = self._multiples[i][X[:, i]]
-            idx += Ms * F.q  # in place: one intp array per step bounds peak memory
-            Ms = add.take(idx)
-        return Ms.reshape(X.shape[0], *self.shape)
+def _ranks(A: np.ndarray, F: Field, X: np.ndarray) -> np.ndarray:
+    """Ranks (N, G) of each block of the stack A (n, G, m1, m2) at N <= CHUNK points X.
+
+    Each slice of at most CHUNK matrices is contracted and eliminated in one
+    batched_rank call.
+    """
+    _, G, m1, m2 = A.shape
+    step, ranks = CHUNK // len(X), []
+    for s in range(0, G, step):  # a slice's matrices live only through its call
+        ranks.append(linalg.batched_rank(contract(A[:, s : s + step], F, X).reshape(-1, m1, m2), F))
+    return np.concatenate([r.reshape(len(X), -1) for r in ranks], axis=1)
 
 
 @dataclass(frozen=True)
@@ -145,54 +147,52 @@ _orbit_cache: dict = {}
 
 
 def _orbit_search(F: Field, n: int, m: int):
-    """Yield batches of orbits: one projective point x of F^n per sigma-orbit.
+    """Yield (codes, orbits, sizes) per batch: one projective point x of F^n per sigma-orbit.
 
     The projective points are the base-q indices [q^i, 2 q^i): last nonzero
     coordinate x_i = 1.  orbits[:, j] holds sigma^j(x) for sigma(a) = a^p and
-    j < m, and x is the orbit's point of least index (at m = 1, every point).
-    sigma fixes 0 and 1, so it maps each index range to itself.  The orbits of
-    consecutive ranges are gathered into batches of up to CHUNK.
+    j < m; codes = orbits[:, 0] is the orbit's point of least index (at m = 1,
+    every point), and sizes = m / #{j < m : sigma^j x = x} counts an orbit's
+    points.  sigma fixes 0 and 1, so it maps each index range to itself.  The
+    orbits of consecutive ranges are gathered into batches of up to CHUNK.
     """
-    q = F.q
-    if m > 1:
-        frob = F.pow_table(F.p)[:, F.p]
-        # sigma on base-q indices, digit by digit: i -> s[i % Q] + Q s[i // Q]
-        h = (n + 1) // 2
-        Q = q ** h
-        s = frob[point_block(q, h, 0, Q)] @ q ** np.arange(h, dtype=np.int64)
+    q, frob = F.q, F.pow_table(F.p)[:, F.p]
+    powers = q ** np.arange(n, dtype=np.int64)
+
+    def batch_of(parts):
+        orbits = np.concatenate(parts)
+        return orbits[:, 0], orbits, m // (orbits == orbits[:, :1]).all(2).sum(1)
+
     batch, size = [], 0
     for i in range(n):
-        lo = q ** i
-        for start in range(lo, 2 * lo, CHUNK):
-            stop = min(start + CHUNK, 2 * lo)
-            least = image = idx = np.arange(start, stop)
+        for start in range(q ** i, 2 * q ** i, CHUNK):
+            X = image = point_block(q, n, start, min(start + CHUNK, 2 * q ** i))
+            least = idx = np.arange(start, start + len(X))
             for _ in range(1, m):  # keep each orbit's point of least index
-                image = s[image % Q] + Q * s[image // Q]
-                least = np.minimum(least, image)
-            X = point_block(q, n, start, stop)
-            orbit = [X[least == idx] if m > 1 else X]
+                image = frob[image]
+                least = np.minimum(least, image @ powers)
+            orbit = [X[least == idx]]
             for _ in range(1, m):
                 orbit.append(frob[orbit[-1]])
             orbits = np.stack(orbit, axis=1)
             if size + len(orbits) > CHUNK:
-                yield np.concatenate(batch)
+                yield batch_of(batch)
                 batch, size = [], 0
             batch.append(orbits)
             size += len(orbits)
     if batch:
-        yield np.concatenate(batch)
+        yield batch_of(batch)
 
 
 def _orbit_batches(F: Field, n: int, m: int):
-    """(codes, orbits, sizes) per batch of ``_orbit_search``; one batch is kept per (F, n, m).
+    """The batches of ``_orbit_search``, of which one batch is kept per (F, n, m).
 
-    codes = orbits[:, 0], and sizes = m / #{j < m : sigma^j x = x} counts an
-    orbit's points.  A search of one batch is cached read-only for every tensor
-    and level; a longer one is streamed, so its peak memory stays CHUNK-bounded.
+    A search of one batch is cached read-only for every tensor and level; a
+    longer one is streamed, so its peak memory stays CHUNK-bounded.
     """
     if (F, n, m) in _orbit_cache:
         return _orbit_cache[F, n, m]
-    search = ((o[:, 0], o, m // (o == o[:, :1]).all(2).sum(1)) for o in _orbit_search(F, n, m))
+    search = _orbit_search(F, n, m)
     head = tuple(itertools.islice(search, 2))
     if len(head) == 2:
         return itertools.chain(head, search)
@@ -205,38 +205,34 @@ def _orbit_batches(F: Field, n: int, m: int):
 def _affine_hists(blocks: list[np.ndarray], F: Field, m: int) -> np.ndarray:
     """Rank histogram over the q^n affine points of each block (n, m1, m2), Frobenius order m.
 
-    The blocks are contracted as one stack, in slices of at most CHUNK matrices
-    per orbit batch; each slice is one batched_rank call and one bincount.
+    The blocks are ranked as one stack per orbit batch, and one bincount bins
+    the batch's ranks.
     """
-    n, m1, m2 = blocks[0].shape
     A = np.stack(blocks, axis=1)  # (n, G, m1, m2)
-    hists = np.zeros((len(blocks), min(m1, m2) + 1), dtype=np.int64)
-    for codes, _, sizes in _orbit_batches(F, n, m):
-        step = CHUNK // len(codes)  # a batch holds at most CHUNK points
-        for start in range(0, len(blocks), step):
-            C = Contraction(A[:, start : start + step], F, points=len(codes))
-            ranks = linalg.batched_rank(C(codes).reshape(-1, m1, m2), F).reshape(len(codes), -1)
-            # bin block * width + rank, in point-major order like the weights
-            bins = ranks + hists.shape[1] * np.arange(start, start + ranks.shape[1])
-            counts = np.bincount(bins.ravel(), np.repeat(sizes, ranks.shape[1]), hists.size)
-            hists += counts.reshape(hists.shape).astype(np.int64)
+    hists = np.zeros((len(blocks), min(A.shape[2:]) + 1), dtype=np.int64)
+    for codes, _, sizes in _orbit_batches(F, len(A), m):
+        ranks = _ranks(A, F, codes)
+        # bin block * width + rank, in point-major order like the weights
+        bins = ranks + hists.shape[1] * np.arange(len(blocks))
+        counts = np.bincount(bins.ravel(), np.repeat(sizes, len(blocks)), hists.size)
+        hists += counts.reshape(hists.shape).astype(np.int64)
     hists *= F.q - 1
     hists[:, 0] += 1  # x = 0
     return hists
 
 
-def _rank_table(C: Contraction, n: int) -> np.ndarray:
-    """Rank at every affine point of F_q^n, by base-q index.
+def _rank_table(A: np.ndarray, F: Field) -> np.ndarray:
+    """Rank of the block A (n, m1, m2) at every affine point of F_q^n, by base-q index.
 
     One projective point x per Frobenius orbit is eliminated, and its rank is
     written at every c sigma^j(x), c != 0, in one indexed assignment.
     """
-    F, q = C.field, C.field.q
-    table = np.zeros(q ** n, dtype=np.min_scalar_type(min(C.shape)))
+    n, q = len(A), F.q
+    table = np.zeros(q ** n, dtype=np.min_scalar_type(min(A.shape[1:])))
     powers = q ** np.arange(n, dtype=np.int64)
     c = np.arange(1, q)[:, None, None, None]  # c != 0 against (N, m, n) orbits
-    for codes, orbits, _ in _orbit_batches(F, n, C.frobenius_order):
-        table[F.mul[c, orbits] @ powers] = linalg.batched_rank(C(codes), F)[:, None]
+    for codes, orbits, _ in _orbit_batches(F, n, _frobenius_order(A, F)):
+        table[F.mul[c, orbits] @ powers] = _ranks(A[:, None], F, codes)
     return table
 
 
@@ -252,24 +248,23 @@ class SummandRanks:
     """
 
     def __init__(self, T: Tensor3, k: int, axis: str, points: int):
-        self.field = T.field.extension(k)
-        q = self.field.q
+        self.field = F = T.field.extension(k)
         self._parts = []
         for coords, A in _blocks(T, axis):
-            C, n = Contraction(A, self.field), coords.size
+            n = coords.size
             if coords[-1] - coords[0] == n - 1:  # a run: take X[:, coords] as a view
                 coords = slice(coords[0], coords[-1] + 1)
-            if within_budget(q, n, points):
-                self._parts.append((coords, q ** np.arange(n, dtype=np.int64), _rank_table(C, n)))
+            if within_budget(F.q, n, points):
+                self._parts.append((coords, F.q ** np.arange(n, dtype=np.int64), _rank_table(A, F)))
             else:
-                self._parts.append((coords, None, C))
+                self._parts.append((coords, None, A[:, None]))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        """Ranks for points given as (N, n) field codes."""
+        """Ranks for at most CHUNK points given as (N, n) field codes."""
         ranks = np.zeros(X.shape[0], dtype=np.int64)
         for coords, powers, part in self._parts:
             if powers is None:
-                ranks += linalg.batched_rank(part(X[:, coords]), self.field)
+                ranks += _ranks(part, self.field, X[:, coords])[:, 0]
             else:
                 ranks += part.take(X[:, coords] @ powers)
         return ranks
@@ -291,7 +286,7 @@ def rank_profiles(
     """
     seeds = [0] * len(tensors) if seeds is None else seeds
     groups: dict = {}  # (F_{q^k}, block shape, Frobenius order) -> blocks, in tensor order
-    summands = []  # per tensor: its blocks in _blocks order, or None when sampled
+    summands = []  # per tensor: the group key of each block in _blocks order, or None when sampled
     for T in tensors:
         Fk, n = T.field.extension(k), slices(T, axis).shape[0]
         if not within_budget(Fk.q, n, budget):
@@ -299,26 +294,26 @@ def rank_profiles(
             continue
         if Fk.q ** n >= 2 ** 63:
             raise BudgetExceeded(f"{Fk.q}^{n} points overflow the int64 histogram")
-        summands.append([A for _, A in _blocks(T, axis)])
-        for A in summands[-1]:
-            groups.setdefault((Fk, A.shape, _frobenius_order(A, Fk)), []).append(A)
+        summands.append([])
+        for _, A in _blocks(T, axis):
+            summands[-1].append((Fk, A.shape, _frobenius_order(A, Fk)))
+            groups.setdefault(summands[-1][-1], []).append(A)
     rows = {key: iter(_affine_hists(blocks, key[0], key[2])) for key, blocks in groups.items()}
     profiles = []
-    for T, seed, blocks in zip(tensors, seeds, summands):
+    for T, seed, keys in zip(tensors, seeds, summands):
         Fk = T.field.extension(k)
         n, *shape = slices(T, axis).shape
         hist = np.zeros(min(shape) + 1, dtype=np.int64)
-        if blocks is None:
+        if keys is None:
             ranks_at = SummandRanks(T, k, axis, mc_samples)
             for X in uniform_points(Fk.q, n, mc_samples, seed, k):
                 hist += np.bincount(ranks_at(X), minlength=len(hist))
         else:  # a point's rank is the sum of its summands' ranks: convolve their histograms
             hist[0] = 1
-            for A in blocks:  # the summands' ranks add up to at most min(shape)
-                key = (Fk, A.shape, _frobenius_order(A, Fk))  # rows come back in tensor order
-                hist = np.convolve(hist, next(rows[key]))[: len(hist)]
-            hist *= Fk.q ** (n - sum(len(A) for A in blocks))
-        exact = blocks is not None
+            for key in keys:  # the summands' ranks add up to at most min(shape)
+                hist = np.convolve(hist, next(rows[key]))[: len(hist)]  # in tensor order
+            hist *= Fk.q ** (n - sum(block[0] for _, block, _ in keys))
+        exact = keys is not None
         profiles.append(RankProfile(k, Fk.q, hist, exact, Fk.q ** n, None if exact else mc_samples))
     return profiles
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analytic, geometric, linalg, rankprofile
+from . import analytic, geometric, linalg
 from .errors import ContradictoryBounds, OutOfExactScope
 from .fields import Field
 from .tensor import AXES, Tensor3, slice_space
@@ -120,6 +120,10 @@ def slice_rank_exact(T: Tensor3, lower_bound: int = 0) -> SRResult:
     codim V + codim W, so no V can bring U below c1 + rank M_U.  Only U with
     c1 + rank M_U < best are searched.  A pruned U cannot beat `best`, so
     the first minimal pair, and with it the witness, is the unpruned one's.
+
+    Each block is one batched_rank call.  Block (0, 0) leaves best <= n3, so
+    only blocks with c1 + c2 < n3 follow; in the exact scope the largest of
+    them is 40 x 130 = 5,200 pairs (q = 3, codims 1 and 2 in F^4).
     """
     n1, n2, n3 = T.dims
     if max(T.dims) > EXACT_DIM_LIMIT or T.field.q > EXACT_Q_LIMIT:
@@ -145,9 +149,7 @@ def slice_rank_exact(T: Tensor3, lower_bound: int = 0) -> SRResult:
         Us, Vs = subs_u[n1 - c1][c1 + bound[n1 - c1] < best], subs_v[n2 - c2]
         if not len(Us):
             continue
-        step = max(1, rankprofile.CHUNK // len(Vs))  # whole U rows of the block, U-major
-        Ms = (_forms(T, Us[s : s + step], Vs) for s in range(0, len(Us), step))
-        ranks = np.concatenate([linalg.batched_rank(M, F) for M in Ms])
+        ranks = linalg.batched_rank(_forms(T, Us, Vs), F)  # U-major
         i = int(ranks.argmin())
         total = c1 + c2 + int(ranks[i])
         if total < lower_bound:

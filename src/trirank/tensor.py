@@ -50,9 +50,6 @@ class Tensor3:
     def __repr__(self):
         return f"Tensor3({self.field.designation()}, dims={self.dims})"
 
-    def is_zero(self) -> bool:
-        return not self.entries.any()
-
     @cached_property
     def summands(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Index sets (I, J, K) on x, y and z of the direct summands, as read-only arrays.

@@ -13,9 +13,10 @@ from trirank.errors import BudgetExceeded
 from trirank.fields import make_field, parse_field
 from trirank.rankprofile import (
     CHUNK,
-    Contraction,
+    _frobenius_order,
     _orbit_batches,
     _rank_table,
+    contract,
     point_block,
     rank_profile,
     rank_profiles,
@@ -273,19 +274,29 @@ def test_budget_counts_affine_points():
 @given(
     field=st.sampled_from(["2^1", "3^1", "7^1", "2^3", "3^2", "5^2"]),
     n=st.integers(0, 4),
+    blocks=st.integers(1, 3),
     shape=st.sampled_from([(2, 3), (0, 3), (2, 0)]),
+    j=st.integers(0, 13),
+    offset=st.integers(-1, 1),
     seed=st.integers(0, 2 ** 31 - 1),
 )
-# q^n > CHUNK: coordinates past the tabulated ones are added one at a time
-@example(field="3^3", n=4, shape=(2, 3), seed=1)
-@example(field="3^6", n=2, shape=(2, 3), seed=2)
-@example(field="2^1", n=14, shape=(2, 3), seed=3)
-def test_contraction_matches_table_lookups(field, n, shape, seed):
+# each call tabulates the largest j with q^j <= its points: N < q gives j = 0,
+# and q^n > N adds the coordinates past the tabulated ones one at a time
+@example(field="3^3", n=4, blocks=1, shape=(2, 3), j=2, offset=0, seed=1)
+@example(field="3^3", n=4, blocks=2, shape=(2, 3), j=2, offset=-1, seed=1)
+@example(field="3^6", n=2, blocks=1, shape=(2, 3), j=1, offset=1, seed=2)
+@example(field="7^1", n=3, blocks=3, shape=(2, 3), j=1, offset=-1, seed=4)
+@example(field="2^1", n=14, blocks=2, shape=(2, 3), j=13, offset=0, seed=3)
+def test_contraction_matches_table_lookups(field, n, blocks, shape, j, offset, seed):
     F = parse_field(field)
     rng = np.random.default_rng(seed)
-    A = rng.integers(0, F.q, size=(n,) + shape).astype(np.int32)
-    X = rng.integers(0, F.q, size=(50, n)).astype(np.int32)
-    assert np.array_equal(Contraction(A, F)(X), table_contraction(A, F, X))
+    A = rng.integers(0, F.q, size=(n, blocks) + shape).astype(np.int32)
+    points = max(1, min(F.q ** j + offset, CHUNK))  # around the threshold q^j
+    X = rng.integers(0, F.q, size=(points, n)).astype(np.int32)
+    Ms = contract(A, F, X)
+    assert Ms.shape == (points, blocks) + shape
+    for g in range(blocks):
+        assert np.array_equal(Ms[:, g], table_contraction(A[:, g], F, X))
 
 
 @pytest.mark.parametrize("field,n", [("2^1", 3), ("3^1", 3), ("3^2", 2), ("311^1", 1), ("3^3", 3)])
@@ -295,7 +306,7 @@ def test_rank_table_matches_every_affine_point(field, n):
     F = parse_field(field)
     A = np.random.default_rng(n).integers(0, F.q, size=(n, 2, 3)).astype(np.int32)
     X = point_block(F.q, n, 0, F.q ** n)
-    table = _rank_table(Contraction(A, F), n)
+    table = _rank_table(A, F)
     assert table.tolist() == linalg.batched_rank(table_contraction(A, F, X), F).tolist()
 
 
@@ -309,10 +320,9 @@ def test_prime_entries_match_every_affine_point(p, k, n, seed):
     Fk = make_field(p, k)
     rng = np.random.default_rng(seed)
     A = rng.integers(0, p, size=(n, 2, 3)).astype(np.int32)
-    C = Contraction(A, Fk)
-    assert C.frobenius_order == k
+    assert _frobenius_order(A, Fk) == k
     X = point_block(Fk.q, n, 0, Fk.q ** n)
-    assert _rank_table(C, n).tolist() == linalg.batched_rank(table_contraction(A, Fk, X), Fk).tolist()
+    assert _rank_table(A, Fk).tolist() == linalg.batched_rank(table_contraction(A, Fk, X), Fk).tolist()
     T = tensor.random_tensor(make_field(p), (n, n, n), seed=seed)
     for axis in "xyz":
         assert rank_profile(T, k, axis).hist.tolist() == reference_hist(T, k, axis).tolist()
@@ -322,11 +332,11 @@ def test_prime_entries_match_every_affine_point(p, k, n, seed):
 def test_frobenius_orbits_partition_the_projective_points(p, k, n):
     Fk = make_field(p, k)
     q = Fk.q
-    C = Contraction(np.eye(n, dtype=np.int32)[:, None, :], Fk)  # the 1 x n matrix x: rank 1
+    A = np.eye(n, dtype=np.int32)[:, None, :]  # the 1 x n matrix x: rank 1
     powers = q ** np.arange(n)
     seen, reps = [], 0
-    for codes, orbits, sizes in _orbit_batches(Fk, n, C.frobenius_order):
-        assert linalg.batched_rank(C(codes), Fk).tolist() == [1] * len(orbits)
+    for codes, orbits, sizes in _orbit_batches(Fk, n, _frobenius_order(A, Fk)):
+        assert linalg.batched_rank(contract(A, Fk, codes), Fk).tolist() == [1] * len(orbits)
         assert np.array_equal(codes, orbits[:, 0])
         reps += len(orbits)
         for orbit, size in zip(orbits @ powers, sizes):

@@ -223,9 +223,26 @@ def test_exact_routes_compute_no_bounds(monkeypatch):
         slicerank.slice_rank(L, gr=4)
 
 
+def test_exact_search_blocks_fit_in_one_chunk():
+    # block (0, 0) leaves best <= n3 <= EXACT_DIM_LIMIT, so only blocks with
+    # c1 + c2 < EXACT_DIM_LIMIT are searched; each is one batched_rank call
+    largest = 0
+    for q in (2, 3):
+        assert q <= slicerank.EXACT_Q_LIMIT
+        counts = {
+            n: [len(slicerank.subspaces(make_field(q), n)[n - c]) for c in range(n + 1)]
+            for n in range(slicerank.EXACT_DIM_LIMIT + 1)
+        }
+        for n1, n2 in itertools.product(counts, repeat=2):
+            for c1, c2 in itertools.product(range(n1 + 1), range(n2 + 1)):
+                if c1 + c2 < slicerank.EXACT_DIM_LIMIT:
+                    largest = max(largest, counts[n1][c1] * counts[n2][c2])
+    assert largest == 40 * 130 <= rankprofile.CHUNK
+
+
 def test_exact_search_calls_stay_within_chunk(monkeypatch):
     # Pruning leaves few U per block, so no block in the exact scope nears CHUNK
-    # pairs.  This tensor's block (c1, c2) = (1, 0) keeps two U; a bound of 1 splits it.
+    # pairs.  This tensor's block (c1, c2) = (1, 0) keeps two U.
     T = tensor.Tensor3(F3, [
         [[0, 1, 2, 0], [0, 0, 2, 1], [2, 0, 1, 1], [1, 1, 0, 1]],
         [[1, 0, 2, 0], [1, 2, 2, 1], [1, 2, 2, 1], [0, 2, 0, 1]],
@@ -240,17 +257,12 @@ def test_exact_search_calls_stay_within_chunk(monkeypatch):
         return batched_rank(Ms, F)
 
     monkeypatch.setattr(linalg, "batched_rank", recording)
-    calls = {}
-    for bound in (rankprofile.CHUNK, 1):
-        monkeypatch.setattr(rankprofile, "CHUNK", bound)
-        seen = calls[bound] = []
-        res = slicerank.slice_rank_exact(T)
-        assert res.value == expected.value
-        assert witness_bytes(res.witness) == witness_bytes(expected.witness)
-        assert max(seen[1:]) <= bound  # seen[0] ranks the pruning elements, one per U
-    whole, split = calls.values()
-    assert max(whole[1:]) == 2 and sum(split[1:]) == sum(whole[1:])
-    assert len(split) > len(whole)
+    seen = []
+    res = slicerank.slice_rank_exact(T)
+    assert res.value == expected.value
+    assert witness_bytes(res.witness) == witness_bytes(expected.witness)
+    assert max(seen[1:]) <= rankprofile.CHUNK  # seen[0] ranks the pruning elements, one per U
+    assert max(seen[1:]) == 2
 
 
 @settings(max_examples=100, deadline=None)
