@@ -86,17 +86,18 @@ def geometric_rank(
     """
     if kmax < 2:
         raise BudgetExceeded("kmax must be >= 2")
-    ax = "xyz".index(axis)
-    n_coeff = T.dims[ax]
-    rmax = min(dim for i, dim in enumerate(T.dims) if i != ax)
+    n_coeff = T.dims["xyz".index(axis)]
+    if not T.summands:  # zero: X_0 and ker f are everything, known without counting q^n points
+        kernel = exact_estimate(sum(T.dims[:2]), sum(T.dims[:2])) if cross_check else None
+        strata = {0: exact_estimate(n_coeff, n_coeff)}
+        return GRReport(0, 0, axis, strata, kernel, stable=True, consistent=cross_check or None)
     if profiles is None:
         profiles = [
             rank_profile(T, k, axis, budget, mc_samples, seed) for k in range(1, kmax + 1)
         ]
     per_k = [_strata_records(prof) for prof in profiles]
     strata: dict[int, DimEstimate] = {}
-    for r in range(rmax + 1):
-        counts = [per_k[k - 1][r] for k in range(1, kmax + 1)]
+    for r, counts in enumerate(zip(*per_k)):  # r = 0..min of the other two dims
         if r == 0:
             # X_0 is the kernel of a linear map: exact codim, no estimation
             strata[0] = exact_estimate(n_coeff, n_coeff - slice_space(T, axis).dim, counts)

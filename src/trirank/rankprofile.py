@@ -156,7 +156,7 @@ def _orbit_search(F: Field, n: int, m: int):
     points.  sigma fixes 0 and 1, so it maps each index range to itself.  The
     orbits of consecutive ranges are gathered into batches of up to CHUNK.
     """
-    q, frob = F.q, F.pow_table(F.p)[:, F.p]
+    q, frob = F.q, F.pow_table(F.p)[:, F.p] if m > 1 else None
     powers = q ** np.arange(n, dtype=np.int64)
 
     def batch_of(parts):

@@ -206,6 +206,23 @@ def test_budget_rejects_a_huge_empty_axis_at_once(tmp_path, argv):
     assert not list(tmp_path.glob("*_f.t"))
 
 
+@pytest.mark.parametrize("header,axis", [
+    ("tensor 3^1 0 100000000 1", "y"), ("tensor 3^1 0 1 100000000", "z"),
+])
+def test_gr_of_a_huge_empty_axis_is_zero_at_once(tmp_path, header, axis):
+    # a zero tensor's GR needs no counts: neither q^n nor n-wide draws may be formed
+    (tmp_path / "t.t").write_text(header + "\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trirank.cli", "gr", "--tensor", "t.t", "--axis", axis, "--cross-check"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)["gr"]
+    assert (rep["gr"], rep["argmin_r"], rep["stable"], rep["consistent"]) == (0, 0, True, True)
+    assert list(rep["strata"]) == ["0"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_gr_needs_a_sample_where_it_must_sample(tmp_path, capsys, samples):
     path, out = tmp_path / "t.t", tmp_path / "gr.json"
