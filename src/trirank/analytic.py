@@ -58,7 +58,6 @@ class EntropyReport:
     histogram: np.ndarray  # counts indexed by packed output code
     log_domain: int
     q: int
-    n3: int
 
     @property
     def max_count(self) -> int:
@@ -142,4 +141,4 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     if (scaled % q ** n3).any():
         raise ArithmeticError(f"output counts times {q}^{n3} are not divisible by it")
     hist = (scaled // q ** n3).astype(np.int64)
-    return EntropyReport(histogram=hist, log_domain=n1 + n2, q=q, n3=n3)
+    return EntropyReport(histogram=hist, log_domain=n1 + n2, q=q)

@@ -25,22 +25,37 @@ AR_DIFF_CONSTANT = slicerank.SR_AR_CONSTANT  # 8.13
 
 def closeness(f: Tensor3, g: Tensor3, budget: int = analytic.ENUM_BUDGET) -> Fraction:
     """Exact Pr[f(x, y) = g(x, y)] = zero fraction of f - g."""
-    diff = sub(f, g)
-    n1, n2, _ = diff.dims
-    return Fraction(analytic.zero_count(diff, budget=budget), diff.field.q ** (n1 + n2))
+    ar = analytic.analytic_rank(sub(f, g), budget=budget)
+    return Fraction(ar.zero_count, ar.domain_size)
 
 
 @dataclass
 class ClosenessReport:
-    delta: Fraction
-    log_term: float  # log_q(1 / delta)
     sr_f: slicerank.SRResult
     sr_g: slicerank.SRResult
     sr_diff: slicerank.SRResult
     ar_diff: analytic.ARValue
-    subadditivity_holds: bool | None  # |SR(f) - SR(g)| <= SR(f - g)
-    ar_bound_holds: bool | None  # SR(f - g) <= 8.13 AR(f - g)
-    exact: bool
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.ar_diff.zero_count, self.ar_diff.domain_size)
+
+    @property
+    def log_term(self) -> float:  # log_q(1 / delta)
+        return -math.log(self.delta) / math.log(self.ar_diff.q)
+
+    @property
+    def exact(self) -> bool:
+        return self.sr_f.exact and self.sr_g.exact and self.sr_diff.exact
+
+    @property
+    def subadditivity_holds(self) -> bool | None:  # |SR(f) - SR(g)| <= SR(f - g)
+        return abs(self.sr_f.value - self.sr_g.value) <= self.sr_diff.value if self.exact else None
+
+    @property
+    def ar_bound_holds(self) -> bool | None:  # SR(f - g) <= 8.13 AR(f - g)
+        bound = AR_DIFF_CONSTANT * self.ar_diff.value + 1e-12
+        return self.sr_diff.value <= bound if self.exact else None
 
     def to_dict(self):
         return {
@@ -62,27 +77,8 @@ def closeness_report(
     """Both inequalities of the closeness trade-off with explicit constants."""
     diff = sub(f, g)
     ar_diff = analytic.analytic_rank(diff, budget=budget)
-    delta = Fraction(ar_diff.zero_count, ar_diff.domain_size)
-    log_term = -math.log(delta) / math.log(f.field.q)
-    sr_f = slicerank.slice_rank(f)
-    sr_g = slicerank.slice_rank(g)
-    sr_diff = slicerank.slice_rank(diff)
-    exact = sr_f.exact and sr_g.exact and sr_diff.exact
-    if exact:
-        subadd = abs(sr_f.value - sr_g.value) <= sr_diff.value
-        ar_bound = sr_diff.value <= AR_DIFF_CONSTANT * ar_diff.value + 1e-12
-    else:
-        subadd = ar_bound = None
     return ClosenessReport(
-        delta=delta,
-        log_term=log_term,
-        sr_f=sr_f,
-        sr_g=sr_g,
-        sr_diff=sr_diff,
-        ar_diff=ar_diff,
-        subadditivity_holds=subadd,
-        ar_bound_holds=ar_bound,
-        exact=exact,
+        slicerank.slice_rank(f), slicerank.slice_rank(g), slicerank.slice_rank(diff), ar_diff
     )
 
 
@@ -90,9 +86,16 @@ def closeness_report(
 class ComplexityBound:
     n: int
     sr: slicerank.SRResult
-    bound: int  # n * sr, an upper bound on non-scalar multiplications
     me: analytic.EntropyReport
-    me_identity_holds: bool  # max bucket equals zero count, so ME = AR log2(q)
+    zero_count: int
+
+    @property
+    def bound(self) -> int:  # n * SR, an upper bound on non-scalar multiplications
+        return self.n * self.sr.hi
+
+    @property
+    def me_identity_holds(self) -> bool:  # max bucket equals zero count, so ME = AR log2(q)
+        return self.me.max_count == self.zero_count
 
     def to_dict(self):
         return {
@@ -107,16 +110,8 @@ class ComplexityBound:
 def complexity_bound(T: Tensor3, budget: int = analytic.ENUM_BUDGET) -> ComplexityBound:
     """Upper bound n * SR on multiplicative complexity, plus the ME identity."""
     sr = slicerank.slice_rank(T)
-    n = T.dims[2]
     me = analytic.min_entropy(T, budget=budget)
-    zc = analytic.zero_count(T, budget=budget)
-    return ComplexityBound(
-        n=n,
-        sr=sr,
-        bound=n * sr.hi,
-        me=me,
-        me_identity_holds=(me.max_count == zc),
-    )
+    return ComplexityBound(T.dims[2], sr, me, analytic.zero_count(T, budget=budget))
 
 
 def extremal_pair(field: Field, r: int, t: int, n: int):

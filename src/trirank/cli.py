@@ -108,9 +108,7 @@ def _cmd_gr(args) -> int:
         cross_check=args.cross_check,
     )
     _emit({"tensor": _tensor_id(T), "gr": rep.to_dict()}, args.out)
-    if args.cross_check and rep.consistent is False:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_CHECK_FAILED if rep.consistent is False else EXIT_OK  # None without --cross-check
 
 
 def _cmd_sr(args) -> int:
@@ -179,20 +177,7 @@ def _cmd_szcheck(args) -> int:
         S = variety.parse_poly_system(fh.read(), F, args.nvars)
     est = variety.estimate_dim(S, kmax=args.kmax, budget=args.budget, seed=args.seed)
     rep = variety.sz_check(S, est)
-    _emit(
-        {
-            "estimate": est.to_dict(),
-            "sz": {
-                "holds": rep.holds,
-                "lhs": str(rep.lhs),
-                "rhs": str(rep.rhs),
-                "vacuous": rep.vacuous,
-                "degree": rep.degree,
-                "codim": rep.codim,
-            },
-        },
-        args.out,
-    )
+    _emit({"estimate": est.to_dict(), "sz": rep.to_dict()}, args.out)
     return EXIT_OK if rep.holds else EXIT_CHECK_FAILED
 
 
@@ -269,16 +254,12 @@ def _corpus_item(name, T, seed, kwork, profiles):
             },
             "error": None,
         }
-        ratio = chain.ratio_sr_gr
-        sr_ar = None
-        if chain.sr.exact and chain.ar is not None and chain.ar.value > 0:
-            sr_ar = chain.sr.value / chain.ar.value
         ok = chain.all_hold and verified
     except TrirankError as exc:
         row = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
-        ratio, sr_ar, ok = None, None, True  # recorded, batch continues
+        chain, ok = None, True  # recorded, batch continues
     print(f"[corpus] {name}: {time.time() - t0:.2f}s", file=sys.stderr)
-    return row, ratio, sr_ar, ok
+    return row, chain, ok
 
 
 def _cmd_corpus(args) -> int:
@@ -300,9 +281,10 @@ def _cmd_corpus(args) -> int:
     else:
         results = [_corpus_item(name, T, s, args.kwork, p) for (name, T), s, p in jobs]
     rows = [r[0] for r in results]
-    ratios = [r[1] for r in results if r[1] is not None]
-    sr_ars = [r[2] for r in results if r[2] is not None]
-    all_ok = all(r[3] for r in results)
+    chains = [r[1] for r in results if r[1] is not None]  # none for an error row
+    ratios = [c.ratio_sr_gr for c in chains if c.ratio_sr_gr is not None]
+    sr_ars = [c.sr.value / c.ar.value for c in chains if c.sr.exact and c.ar and c.ar.value > 0]
+    all_ok = all(r[2] for r in results)
     summary = {
         "items": len(items),
         "errors": sum(1 for r in rows if r.get("error")),

@@ -21,10 +21,14 @@ from .variety import CountRecord, DimEstimate, estimate_from_counts, exact_estim
 def _record(prof: RankProfile, count) -> CountRecord:
     """A count over the profile's points: exact, or the mean per draw scaled to the space."""
     if prof.exact:
-        return CountRecord(k=prof.k, count=int(count), exact=True)
-    return CountRecord(
-        k=prof.k, count=float(count / prof.samples) * prof.total, exact=False, samples=prof.samples
-    )
+        return CountRecord(k=prof.k, count=int(count))
+    try:
+        count = float(count / prof.samples) * prof.total
+    except OverflowError:  # the mean per draw is past the float range
+        count = np.inf
+    if count == np.inf:
+        raise BudgetExceeded(f"a count sampled over F_{prof.q} is past the float range")
+    return CountRecord(k=prof.k, count=count, samples=prof.samples)
 
 
 def _strata_records(prof: RankProfile) -> list[CountRecord]:
@@ -48,15 +52,25 @@ def rank_strata_counts(
 
 @dataclass
 class GRReport:
-    gr: int
     argmin_r: int
     axis: str
-    strata: dict = dc_field(default_factory=dict)  # r -> DimEstimate
+    strata: dict  # r -> DimEstimate
     kernel: DimEstimate | None = None
-    stable: bool = False
-    consistent: bool | None = None
     # the rank profiles along `axis` for k = 1..kmax (none for a zero tensor); not reported
     profiles: list[RankProfile] = dc_field(default_factory=list, repr=False)
+
+    @property
+    def gr(self) -> int:
+        return self.argmin_r + self.strata[self.argmin_r].codim
+
+    @property
+    def stable(self) -> bool:
+        return self.strata[self.argmin_r].status == "stable"
+
+    @property
+    def consistent(self) -> bool | None:  # kernel codim == GR, None unless both are settled
+        settled = self.kernel and self.kernel.status in ("stable", "empty") and self.stable
+        return self.kernel.codim == self.gr if settled else None
 
     def to_dict(self):
         return {
@@ -89,8 +103,7 @@ def geometric_rank(
     n_coeff = T.dims["xyz".index(axis)]
     if not T.summands:  # zero: X_0 and ker f are everything, known without counting q^n points
         kernel = exact_estimate(sum(T.dims[:2]), sum(T.dims[:2])) if cross_check else None
-        strata = {0: exact_estimate(n_coeff, n_coeff)}
-        return GRReport(0, 0, axis, strata, kernel, stable=True, consistent=cross_check or None)
+        return GRReport(0, axis, {0: exact_estimate(n_coeff, n_coeff)}, kernel)
     if profiles is None:
         profiles = [
             rank_profile(T, k, axis, budget, mc_samples, seed) for k in range(1, kmax + 1)
@@ -106,18 +119,13 @@ def geometric_rank(
     # X_0 is never empty, and min keeps the first minimal r
     nonempty = (r for r, est in strata.items() if est.status != "empty")
     r = min(nonempty, key=lambda r: r + strata[r].codim)
-    report = GRReport(
-        gr=r + strata[r].codim, argmin_r=r, axis=axis, strata=strata,
-        stable=strata[r].status == "stable", profiles=profiles,
-    )
+    kernel = None
     if cross_check:
-        report.kernel = kernel_codim(
+        kernel = kernel_codim(
             T, kmax, budget=budget, mc_samples=mc_samples, seed=seed,
             profiles=profiles if axis == "x" else None,
         )
-        if report.kernel.status in ("stable", "empty") and report.stable:
-            report.consistent = report.kernel.codim == report.gr
-    return report
+    return GRReport(r, axis, strata, kernel, profiles)
 
 
 def kernel_codim(

@@ -27,6 +27,7 @@ above it, points are drawn.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +126,12 @@ class RankProfile:
     k: int
     q: int  # size of F_{q^k}
     hist: np.ndarray
-    exact: bool
     total: int  # q^(k n) affine points
-    samples: int | None = None
+    samples: int | None = None  # None for an exact profile
+
+    @property
+    def exact(self) -> bool:
+        return self.samples is None
 
     def fiber_sum(self, n2: int) -> int:
         """sum_x q^(n2 - rank x): the kernel-variety count when the slices are n2 x n3."""
@@ -290,6 +294,8 @@ def rank_profiles(
     for T in tensors:
         Fk, n = T.field.extension(k), slices(T, axis).shape[0]
         if not within_budget(Fk.q, n, budget):
+            if not within_budget(Fk.q, n, int(sys.float_info.max)):  # sampled counts scale by it
+                raise BudgetExceeded(f"{Fk.q}^{n} points are past the float range")
             summands.append(None)
             continue
         if Fk.q ** n >= 2 ** 63:
@@ -313,8 +319,7 @@ def rank_profiles(
             for key in keys:  # the summands' ranks add up to at most min(shape)
                 hist = np.convolve(hist, next(rows[key]))[: len(hist)]  # in tensor order
             hist *= Fk.q ** (n - sum(block[0] for _, block, _ in keys))
-        exact = keys is not None
-        profiles.append(RankProfile(k, Fk.q, hist, exact, Fk.q ** n, None if exact else mc_samples))
+        profiles.append(RankProfile(k, Fk.q, hist, Fk.q ** n, mc_samples if keys is None else None))
     return profiles
 
 

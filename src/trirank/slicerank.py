@@ -263,38 +263,36 @@ SR_AR_CONSTANT = 8.13
 class ChainReport:
     sr: SRResult
     gr: geometric.GRReport
-    ar: analytic.ARValue | None
-    holds_sr_3gr: bool
-    holds_gr_271ar: bool | None
-    holds_sr_813ar: bool | None
-    holds_ar_le_sr: bool | None
-    holds_gr_le_sr: bool
-    ratio_sr_gr: Fraction | None
-    ar_skipped: bool = False
+    ar: analytic.ARValue | None  # None over F_2
+
+    @property
+    def checks(self) -> dict[str, bool | None]:
+        """The five inequalities of the chain; the three that read AR are None without it."""
+        sr, gr, ar = self.sr.hi, self.gr.gr, self.ar.value if self.ar else None
+        return {
+            "holds_sr_3gr": sr <= 3 * gr,
+            "holds_gr_271ar": None if ar is None else gr <= GR_AR_CONSTANT * ar + 1e-12,
+            "holds_sr_813ar": None if ar is None else sr <= SR_AR_CONSTANT * ar + 1e-12,
+            "holds_ar_le_sr": None if ar is None else ar <= sr + 1e-12,
+            "holds_gr_le_sr": gr <= sr,
+        }
 
     @property
     def all_hold(self) -> bool:
-        checks = [
-            self.holds_sr_3gr,
-            self.holds_gr_271ar,
-            self.holds_sr_813ar,
-            self.holds_ar_le_sr,
-            self.holds_gr_le_sr,
-        ]
-        return all(c is not False for c in checks)
+        return all(c is not False for c in self.checks.values())
+
+    @property
+    def ratio_sr_gr(self) -> Fraction | None:
+        return Fraction(self.sr.value, self.gr.gr) if self.sr.exact and self.gr.gr > 0 else None
 
     def to_dict(self):
         return {
             "sr": self.sr.to_dict(),
             "gr": self.gr.to_dict(),
             "ar": self.ar.to_dict() if self.ar else None,
-            "holds_sr_3gr": self.holds_sr_3gr,
-            "holds_gr_271ar": self.holds_gr_271ar,
-            "holds_sr_813ar": self.holds_sr_813ar,
-            "holds_ar_le_sr": self.holds_ar_le_sr,
-            "holds_gr_le_sr": self.holds_gr_le_sr,
+            **self.checks,
             "ratio_sr_gr": str(self.ratio_sr_gr) if self.ratio_sr_gr is not None else None,
-            "ar_skipped": self.ar_skipped,
+            "ar_skipped": self.ar is None,
         }
 
 
@@ -333,21 +331,7 @@ def verify_rank_chain(
     AR's zero count reads GR's k = 1 profile when it is exact.
     """
     gr = geometric.geometric_rank(T, kmax, seed=seed, cross_check=cross_check, profiles=profiles)
-    ar_skipped = T.field.q == 2
     k1 = gr.profiles[0] if gr.profiles else None
-    ar = None if ar_skipped else analytic.analytic_rank(T, budget=ar_budget, profile=k1)
+    ar = None if T.field.q == 2 else analytic.analytic_rank(T, budget=ar_budget, profile=k1)
     sr = slice_rank(T, ar=ar.value if ar is not None else None, gr=gr.gr)
-    holds_sr_3gr = sr.hi <= 3 * gr.gr
-    holds_gr_le_sr = gr.gr <= sr.hi
-    if ar is None:
-        holds_gr_271ar = holds_sr_813ar = holds_ar_le_sr = None
-    else:
-        holds_gr_271ar = gr.gr <= GR_AR_CONSTANT * ar.value + 1e-12
-        holds_sr_813ar = sr.hi <= SR_AR_CONSTANT * ar.value + 1e-12
-        holds_ar_le_sr = ar.value <= sr.hi + 1e-12
-    ratio = Fraction(sr.value, gr.gr) if sr.exact and gr.gr > 0 else None
-    return ChainReport(
-        sr, gr, ar,
-        holds_sr_3gr, holds_gr_271ar, holds_sr_813ar,
-        holds_ar_le_sr, holds_gr_le_sr, ratio, ar_skipped,
-    )
+    return ChainReport(sr, gr, ar)

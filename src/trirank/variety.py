@@ -212,8 +212,11 @@ def parse_poly_system(text: str, field: Field, nvars: int) -> PolySystem:
 class CountRecord:
     k: int
     count: float  # exact integer count, or MC estimate
-    exact: bool
-    samples: int | None = None
+    samples: int | None = None  # None for an exact count
+
+    @property
+    def exact(self) -> bool:
+        return self.samples is None
 
 
 def _eval_zero_mask(S: PolySystem, Fk: Field, X: np.ndarray) -> np.ndarray:
@@ -251,8 +254,8 @@ def count_points(
         blocks = uniform_points(Fk.q, n, mc_samples, seed, k)
     count = sum(int(_eval_zero_mask(S, Fk, X).sum()) for X in blocks)
     if exact:
-        return CountRecord(k=k, count=count, exact=True)
-    return CountRecord(k=k, count=count / mc_samples * total, exact=False, samples=mc_samples)
+        return CountRecord(k=k, count=count)
+    return CountRecord(k=k, count=count / mc_samples * total, samples=mc_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +299,7 @@ def estimate_from_counts(q: int, nvars: int, counts) -> DimEstimate:
     slopes = []
     for a, b in zip(counts, counts[1:]):
         if a.count > 0 and b.count > 0:
-            slopes.append(math.log(b.count / a.count, q))
+            slopes.append(math.log(b.count, q) - math.log(a.count, q))  # any int size
         else:
             slopes.append(None)
     if not slopes or slopes[-1] is None:
@@ -342,13 +345,32 @@ def estimate_dim(
 
 @dataclass
 class SZReport:
-    holds: bool
-    lhs: Fraction
-    rhs: Fraction
-    vacuous: bool
+    lhs: Fraction  # the share of F_q^n where the system vanishes
     degree: int
     q: int
     codim: int
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.degree, self.q) ** self.codim
+
+    @property
+    def vacuous(self) -> bool:
+        return self.degree >= self.q
+
+    @property
+    def holds(self) -> bool:
+        return self.vacuous or self.lhs <= self.rhs
+
+    def to_dict(self):
+        return {
+            "holds": self.holds,
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
+            "vacuous": self.vacuous,
+            "degree": self.degree,
+            "codim": self.codim,
+        }
 
 
 def sz_check(S: PolySystem, est: DimEstimate) -> SZReport:
@@ -359,11 +381,4 @@ def sz_check(S: PolySystem, est: DimEstimate) -> SZReport:
     if first is None or first.k != 1 or not first.exact:
         raise UnstableEstimate("sz_check requires an exact k=1 count")
     q = S.field.q
-    n = S.nvars
-    d = max(S.maxdeg, 1)
-    codim = est.codim
-    lhs = Fraction(int(first.count), q ** n)
-    rhs = Fraction(d, q) ** codim
-    vacuous = d >= q
-    holds = True if vacuous else lhs <= rhs
-    return SZReport(holds, lhs, rhs, vacuous, d, q, codim)
+    return SZReport(Fraction(int(first.count), q ** S.nvars), max(S.maxdeg, 1), q, est.codim)

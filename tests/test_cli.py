@@ -206,21 +206,53 @@ def test_budget_rejects_a_huge_empty_axis_at_once(tmp_path, argv):
     assert not list(tmp_path.glob("*_f.t"))
 
 
+def run_cli(tmp_path, text, argv):
+    """`python -m trirank.cli argv` in tmp_path, with the tensor file t.t holding `text`."""
+    (tmp_path / "t.t").write_text(text)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "trirank.cli", argv[0], "--tensor", "t.t", *argv[1:]],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 @pytest.mark.parametrize("header,axis", [
     ("tensor 3^1 0 100000000 1", "y"), ("tensor 3^1 0 1 100000000", "z"),
 ])
 def test_gr_of_a_huge_empty_axis_is_zero_at_once(tmp_path, header, axis):
     # a zero tensor's GR needs no counts: neither q^n nor n-wide draws may be formed
-    (tmp_path / "t.t").write_text(header + "\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "trirank.cli", "gr", "--tensor", "t.t", "--axis", axis, "--cross-check"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_cli(tmp_path, header + "\n", ["gr", "--axis", axis, "--cross-check"])
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)["gr"]
     assert (rep["gr"], rep["argmin_r"], rep["stable"], rep["consistent"]) == (0, 0, True, True)
     assert list(rep["strata"]) == ["0"]
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("tensor 3^1 700 1 1\n0 0 0 1\n", ["gr"]),  # the x levels would sample 3^700 points
+    ("tensor 3^1 700 1 1\n0 0 0 1\n", ["decompose"]),
+    ("tensor 3^1 1 700 1\n0 0 0 1\n", ["gr", "--axis", "y"]),
+    # sampled x levels, whose kernel count scales past the float range
+    ("tensor 3^1 14 700 1\n0 0 0 1\n13 5 0 2\n", ["gr", "--kmax", "2", "--cross-check"]),
+    # the k = 2 kernel mean fits a float, its product with the 9^14 points does not
+    ("tensor 3^1 14 320 1\n0 0 0 1\n13 5 0 2\n", ["gr", "--kmax", "2", "--cross-check"]),
+], ids=["gr_700x1x1", "decompose_700x1x1", "gr_y_1x700x1", "gr_cross_check_14x700x1",
+        "gr_cross_check_14x320x1"])
+def test_counts_past_the_float_range_are_a_budget_error(tmp_path, text, argv):
+    proc = run_cli(tmp_path, text, argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kmax", ["2", "3"])
+def test_exact_kernel_counts_past_the_float_range_give_a_slope(tmp_path, kmax):
+    # the exact kernel counts are about 3^(700 k): their quotient does not fit a float
+    text = "tensor 3^1 1 700 1\n0 0 0 1\n"
+    proc = run_cli(tmp_path, text, ["gr", "--kmax", kmax, "--cross-check"])
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)["gr"]
+    assert rep["gr"] == 1 and rep["stable"]
+    assert rep["consistent"] is (True if kmax == "3" else None)
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

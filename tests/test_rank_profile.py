@@ -255,6 +255,15 @@ def test_exact_counts_past_int64_are_refused():
         rank_profile(T, 1, budget=3 ** 50)
 
 
+@pytest.mark.parametrize("header,axis", [
+    ("tensor 3^1 0 100000000 1", "y"),  # no summand: numpy was asked for 6 TiB of draws
+    ("tensor 3^1 700 1 1\n0 0 0 1", "x"),  # 3^700 would not convert to a float
+], ids=["empty_0x1e8x1_y", "700x1x1_x"])
+def test_sampled_levels_past_the_float_range_are_refused_before_drawing(header, axis):
+    with pytest.raises(BudgetExceeded, match="float range"):
+        rank_profile(tensor.loads(header), 1, axis)
+
+
 def test_t2_profiles_are_pinned():
     # the heaviest stacks of the benchmark: 6x6 over F_9 (exact) and F_27 (sampled)
     T = tensor.tk_family(make_field(3), 2)
