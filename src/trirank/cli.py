@@ -235,10 +235,12 @@ def builtin_corpus(seed: int):
 CORPUS_KMAX = 3  # the chain's tower depth for every corpus item
 
 
-def _corpus_item(name, T, seed, kwork, profiles):
+def _corpus_item(name, T, seed, kwork, profiles, search):
     t0 = time.time()
     try:
-        chain = slicerank.verify_rank_chain(T, kmax=CORPUS_KMAX, seed=seed, profiles=profiles)
+        chain = slicerank.verify_rank_chain(
+            T, kmax=CORPUS_KMAX, seed=seed, profiles=profiles, search=search
+        )
         D = decomp.slice_decompose(T, k_work=kwork, seed=seed, gr_report=chain.gr)
         verified = decomp.verify_decomposition(T, D)
         row = {
@@ -272,14 +274,19 @@ def _cmd_corpus(args) -> int:
         profiles = [list(p) for p in zip(*levels)]
     except TrirankError:
         profiles = [None] * len(items)
-    jobs = zip(items, seeds, profiles)
+    try:  # every item's exact SR search likewise, one stack per (field, dims)
+        searches = slicerank.slice_rank_searches(tensors)
+    except TrirankError:
+        searches = [None] * len(items)
+    jobs = [
+        (name, T, s, args.kwork, p, sr)
+        for (name, T), s, p, sr in zip(items, seeds, profiles, searches)
+    ]
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(
-                pool.map(lambda t: _corpus_item(t[0][0], t[0][1], t[1], args.kwork, t[2]), jobs)
-            )
+            results = list(pool.map(lambda job: _corpus_item(*job), jobs))
     else:
-        results = [_corpus_item(name, T, s, args.kwork, p) for (name, T), s, p in jobs]
+        results = [_corpus_item(*job) for job in jobs]
     rows = [r[0] for r in results]
     chains = [r[1] for r in results if r[1] is not None]  # none for an error row
     ratios = [c.ratio_sr_gr for c in chains if c.ratio_sr_gr is not None]

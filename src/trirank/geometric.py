@@ -101,8 +101,8 @@ def geometric_rank(
     if kmax < 2:
         raise BudgetExceeded("kmax must be >= 2")
     n_coeff = T.dims["xyz".index(axis)]
-    if not T.summands:  # zero: X_0 and ker f are everything, known without counting q^n points
-        kernel = exact_estimate(sum(T.dims[:2]), sum(T.dims[:2])) if cross_check else None
+    if not T.summands:  # zero: X_0 is everything, known without counting q^n points
+        kernel = kernel_codim(T, kmax) if cross_check else None
         return GRReport(0, axis, {0: exact_estimate(n_coeff, n_coeff)}, kernel)
     if profiles is None:
         profiles = [
@@ -141,9 +141,12 @@ def kernel_codim(
     For fixed x the y-fiber is a linear kernel of exact size q^(n2 - rank), so
     the count over F_{q^k} is an exact sum over x (or a low-variance sampled
     average in Monte Carlo mode).  `profiles` are the x-axis rank profiles
-    for k = 1..kmax when the caller already has them.
+    for k = 1..kmax when the caller already has them.  A zero tensor's kernel
+    is the whole space: it is answered without a count.
     """
     n1, n2, _ = T.dims
+    if not T.summands:  # zero: ker f is everything, known without counting q^(n1 + n2) points
+        return exact_estimate(n1 + n2, n1 + n2)
     if profiles is None:
         profiles = [
             rank_profile(T, k, "x", budget, mc_samples, seed) for k in range(1, kmax + 1)

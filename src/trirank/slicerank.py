@@ -12,6 +12,12 @@ Reutenauer 2004), so no pair with this U totals less than codim U + rank M_U.
 A U at or above the best total so far is never searched; it could not beat
 that total, so the first minimal pair, and the witness, are unchanged.
 
+``slice_rank_searches`` runs the pair search of many tensors of one (field,
+dims) as one stack: one pruning rank call for all of them, then each codim
+block eliminates every tensor's surviving pairs together, at most CHUNK per
+batched_rank call.  Each tensor keeps its own best total, so its outcome is
+its search alone; ``slice_rank_exact`` turns it into the SRResult.
+
 For antichain supports the vertex-cover route gives exact values beyond the
 subspace-search scope (identity tensors, Levi-Civita, and their direct sums).
 """
@@ -28,6 +34,7 @@ import numpy as np
 from . import analytic, geometric, linalg
 from .errors import ContradictoryBounds, OutOfExactScope
 from .fields import Field
+from .rankprofile import CHUNK
 from .tensor import AXES, Tensor3, slice_space
 
 EXACT_DIM_LIMIT = 4
@@ -73,10 +80,15 @@ def subspaces(F: Field, n: int):
 def _forms(T: Tensor3, Us: np.ndarray, Vs: np.ndarray) -> np.ndarray:
     """Form matrices T(u_a, v_b, .) of every pair in Us x Vs, U-major."""
     (n1, n2, n3), F = T.dims, T.field
-    (NU, d1), (NV, d2) = Us.shape[:2], Vs.shape[:2]
-    A = linalg.mat_mul(Us, T.entries.reshape(n1, n2 * n3), F).reshape(NU, d1, n2, n3)
-    B = linalg.mat_mul(Vs[None, :, None], A[:, None], F)  # (NU, NV, d1, d2, n3)
-    return B.reshape(NU * NV, d1 * d2, n3)
+    A = linalg.mat_mul(Us, T.entries.reshape(n1, n2 * n3), F)
+    return _pair_forms(A.reshape(len(Us), Us.shape[1], n2, n3), Vs, F)
+
+
+def _pair_forms(A: np.ndarray, Vs: np.ndarray, F: Field) -> np.ndarray:
+    """Form matrices of each U's rows T(u_a, ., .), A (R, d1, n2, n3), with every V, U-major."""
+    R, d1, _, n3 = A.shape
+    B = linalg.mat_mul(Vs[None, :, None], A[:, None], F)  # (R, NV, d1, d2, n3)
+    return B.reshape(R * len(Vs), d1 * Vs.shape[1], n3)
 
 
 @dataclass
@@ -107,7 +119,101 @@ class SRResult:
         }
 
 
-def slice_rank_exact(T: Tensor3, lower_bound: int = 0) -> SRResult:
+@dataclass(frozen=True)
+class PairSearch:
+    """One tensor's pair search, before its witness W is built.
+
+    `totals`: the least total of each codim block searched, in block order;
+    (U, V): the first minimal pair.
+    """
+
+    totals: tuple[int, ...]
+    U: np.ndarray
+    V: np.ndarray
+
+
+def _in_exact_scope(T: Tensor3) -> bool:
+    return max(T.dims) <= EXACT_DIM_LIMIT and T.field.q <= EXACT_Q_LIMIT
+
+
+def _pair_searches(tensors: list[Tensor3]) -> list[PairSearch]:
+    """The pruned pair search of tensors of one field and dims, as one stack.
+
+    The M_U of all tensors are ranked together, then each codim block (c1, c2)
+    forms every tensor's surviving U times every V and eliminates them
+    together: at most CHUNK matrices or pairs per batched_rank call.  Each tensor keeps
+    its own best total, so it prunes U and skips blocks as it would alone.
+    """
+    (n1, n2, n3), F = tensors[0].dims, tensors[0].field
+    Fk = F.extension(3)
+    subs_u, subs_v = subspaces(F, n1), subspaces(F, n2)
+    if (F, n1) not in _pruning_cache:  # w_U = sum_a t^a u_a for every U, in subs_u order
+        t = Fk.pow_table(n1)[F.p]  # t^0, ..., t^n1
+        w = np.concatenate([linalg.mat_mul(t[None, :d], Us, Fk)[:, 0] for d, Us in subs_u.items()])
+        w.setflags(write=False)
+        _pruning_cache[F, n1] = w
+    w = _pruning_cache[F, n1]
+    E = np.array([T.entries for T in tensors]).reshape(len(tensors), n1, n2 * n3)
+    m_ranks, step = [], max(1, CHUNK // len(w))
+    for s in range(0, len(E), step):  # rank M_U of every U of every tensor
+        part = E[s : s + step]
+        side_by_side = part.transpose(1, 0, 2).reshape(n1, len(part) * n2 * n3)
+        M = linalg.mat_mul(w, side_by_side, Fk).reshape(len(w) * len(part), n2, n3)
+        m_ranks.append(linalg.batched_rank(M, Fk).reshape(len(w), len(part)))
+    m_ranks = np.concatenate(m_ranks, axis=1).T  # (G, len(w)), U in subs_u order
+    starts = list(itertools.accumulate((len(Us) for Us in subs_u.values()), initial=0))
+    bound = {d: m_ranks[:, a:b] for d, a, b in zip(subs_u, starts, starts[1:])}  # dim U -> ranks
+    least = dict(zip(subs_u, np.minimum.reduceat(m_ranks, starts[:-1], axis=1).T.tolist()))
+    best = [n1 + n2 + n3 + 1] * len(E)
+    totals, pairs = [[] for _ in tensors], [None] * len(E)
+    for c1, c2 in itertools.product(range(n1 + 1), range(n2 + 1)):
+        if c1 + c2 >= max(best):  # no tensor searches this block
+            continue
+        # a U survives while c1 + rank M_U < best; a block at or above best keeps none
+        limit = [b - c1 if c1 + max(c2, m) < b else 0 for b, m in zip(best, least[n1 - c1])]
+        if not any(limit):  # no U survives, known without a mask
+            continue
+        Us, Vs = subs_u[n1 - c1], subs_v[n2 - c2]
+        keep = bound[n1 - c1] < np.array(limit)[:, None]
+        g, u = np.nonzero(keep)  # tensor-major, then U-major
+        ranks, step = [], max(1, CHUNK // len(Vs))
+        for s in range(0, len(g), step):
+            A = linalg.mat_mul(Us[u[s : s + step]], E[g[s : s + step]], F)  # (r, d1, n2 n3)
+            A = A.reshape(len(A), n1 - c1, n2, n3)
+            ranks.append(linalg.batched_rank(_pair_forms(A, Vs, F), F))
+        ranks, hi = np.concatenate(ranks).reshape(len(g), len(Vs)), 0
+        for i, rows in enumerate(keep.sum(axis=1).tolist()):  # tensor i's rows of the block
+            lo, hi = hi, hi + rows
+            if not rows:
+                continue
+            j = int(ranks[lo:hi].argmin())  # its first minimal pair, U-major
+            total = c1 + c2 + int(ranks[lo:hi].flat[j])
+            totals[i].append(total)
+            if total < best[i]:
+                best[i], pairs[i] = total, (Us[u[lo + j // len(Vs)]], Vs[j % len(Vs)])
+    return [PairSearch(tuple(t), U, V) for t, (U, V) in zip(totals, pairs)]
+
+
+def slice_rank_searches(tensors: list[Tensor3]) -> list[PairSearch | None]:
+    """The pair search of each tensor that ``slice_rank`` would search, else None.
+
+    Those are the tensors in the exact scope whose support is not an
+    antichain; the tensors of one (field, dims) are searched as one stack.
+    """
+    groups: dict = {}  # (field, dims) -> indices of its tensors
+    for i, T in enumerate(tensors):
+        if _in_exact_scope(T) and _antichain_supports(T) is None:
+            groups.setdefault((T.field, T.dims), []).append(i)
+    found = [None] * len(tensors)
+    for group in groups.values():
+        for i, search in zip(group, _pair_searches([tensors[i] for i in group])):
+            found[i] = search
+    return found
+
+
+def slice_rank_exact(
+    T: Tensor3, lower_bound: int = 0, search: PairSearch | None = None
+) -> SRResult:
     """Minimum of c1 + c2 + rank T(U, V, .) over subspace pairs, by exhaustion.
 
     The witness is the first minimal pair, codim blocks (c1, c2) in lexicographic
@@ -121,41 +227,23 @@ def slice_rank_exact(T: Tensor3, lower_bound: int = 0) -> SRResult:
     c1 + rank M_U < best are searched.  A pruned U cannot beat `best`, so
     the first minimal pair, and with it the witness, is the unpruned one's.
 
-    Each block is one batched_rank call.  Block (0, 0) leaves best <= n3, so
-    only blocks with c1 + c2 < n3 follow; in the exact scope the largest of
-    them is 40 x 130 = 5,200 pairs (q = 3, codims 1 and 2 in F^4).
+    Each block is eliminated in slices of at most CHUNK pairs.  Block (0, 0)
+    leaves best <= n3, so only blocks with c1 + c2 < n3 follow; in the exact
+    scope the largest of them is 40 x 130 = 5,200 pairs (q = 3, codims 1 and 2
+    in F^4), one slice.  `search`: T's outcome from ``slice_rank_searches``,
+    if the caller has it; without one, T is searched alone.
     """
-    n1, n2, n3 = T.dims
-    if max(T.dims) > EXACT_DIM_LIMIT or T.field.q > EXACT_Q_LIMIT:
+    if not _in_exact_scope(T):
         raise OutOfExactScope(
             f"dims {T.dims} / q = {T.field.q} outside exact scope "
             f"(dims <= {EXACT_DIM_LIMIT}, q <= {EXACT_Q_LIMIT})"
         )
-    F, Fk = T.field, T.field.extension(3)
-    subs_u, subs_v = subspaces(F, n1), subspaces(F, n2)
-    if (F, n1) not in _pruning_cache:  # w_U = sum_a t^a u_a for every U, in subs_u order
-        t = Fk.pow_table(n1)[F.p]  # t^0, ..., t^n1
-        w = np.concatenate([linalg.mat_mul(t[None, :d], Us, Fk) for d, Us in subs_u.items()])
-        w.setflags(write=False)
-        _pruning_cache[F, n1] = w
-    w = _pruning_cache[F, n1]
-    M = linalg.mat_mul(w, T.entries.reshape(n1, n2 * n3), Fk).reshape(len(w), n2, n3)
-    ends = np.cumsum([len(Us) for Us in subs_u.values()])[:-1]
-    bound = dict(zip(subs_u, np.split(linalg.batched_rank(M, Fk), ends)))  # dim U -> rank M_U
-    best = n1 + n2 + n3 + 1
-    for c1, c2 in itertools.product(range(n1 + 1), range(n2 + 1)):
-        if c1 + c2 >= best:
-            continue
-        Us, Vs = subs_u[n1 - c1][c1 + bound[n1 - c1] < best], subs_v[n2 - c2]
-        if not len(Us):
-            continue
-        ranks = linalg.batched_rank(_forms(T, Us, Vs), F)  # U-major
-        i = int(ranks.argmin())
-        total = c1 + c2 + int(ranks[i])
-        if total < lower_bound:
-            raise ContradictoryBounds(f"slice rank {total} is below the lower bound {lower_bound}")
-        if total < best:
-            best, U, V = total, Us[i // len(Vs)], Vs[i % len(Vs)]
+    if search is None:
+        search = _pair_searches([T])[0]
+    below = next((total for total in search.totals if total < lower_bound), None)
+    if below is not None:
+        raise ContradictoryBounds(f"slice rank {below} is below the lower bound {lower_bound}")
+    (U, V), F, best = (search.U, search.V), T.field, min(search.totals)
     W = linalg.row_space_basis(linalg.kernel_basis(_forms(T, U[None], V[None])[0], F), F)
     return SRResult(best, best, "annihilator_exact", (U, V, W))
 
@@ -238,6 +326,12 @@ def _min_vertex_cover(edges) -> int:
     return best
 
 
+def _antichain_supports(T: Tensor3):
+    """The support of each direct summand, or None unless every one is an antichain."""
+    supports = [np.argwhere(T.entries[np.ix_(I, J, K)]).tolist() for I, J, K in T.summands]
+    return supports if all(_is_antichain(c) for c in supports) else None
+
+
 def vertex_cover_sr(T: Tensor3):
     """SR via the cover number when the support is an antichain, else None.
 
@@ -245,10 +339,8 @@ def vertex_cover_sr(T: Tensor3):
     antichain in the product order: summands occupy disjoint index sets per
     axis, so the axes can always be reordered to make the union an antichain.
     """
-    supports = [np.argwhere(T.entries[np.ix_(I, J, K)]).tolist() for I, J, K in T.summands]
-    if not all(_is_antichain(c) for c in supports):
-        return None
-    return sum(_min_vertex_cover(c) for c in supports)
+    supports = _antichain_supports(T)
+    return None if supports is None else sum(_min_vertex_cover(c) for c in supports)
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +388,26 @@ class ChainReport:
         }
 
 
-def slice_rank(T: Tensor3, ar: float | None = None, gr: int | None = None) -> SRResult:
+def slice_rank(
+    T: Tensor3,
+    ar: float | None = None,
+    gr: int | None = None,
+    search: PairSearch | None = None,
+) -> SRResult:
     """Best available slice-rank determination: vertex cover, exact search, else bounds.
 
     The exact search raises at the first block below ceil AR, which the exact
     zero count proves; a value below max(ceil AR, GR) raises
-    ContradictoryBounds too (a GR estimate can be too high).
+    ContradictoryBounds too (a GR estimate can be too high).  `search`: T's
+    outcome from ``slice_rank_searches``, which searches no antichain support,
+    so T goes to ``slice_rank_exact`` without a vertex cover.
     """
-    vc = vertex_cover_sr(T)
+    vc = vertex_cover_sr(T) if search is None else None
     if vc is not None:
         res = SRResult(vc, vc, "vertex_cover")
     else:
         try:
-            res = slice_rank_exact(T, lower_bound=_chain_bounds(ar)[0])
+            res = slice_rank_exact(T, lower_bound=_chain_bounds(ar)[0], search=search)
         except OutOfExactScope:
             return slice_rank_bounds(T, ar=ar, gr=gr)
     lo, res.three_gr_bound = _chain_bounds(ar, gr)
@@ -324,14 +423,17 @@ def verify_rank_chain(
     seed: int = 0,
     cross_check: bool = False,
     profiles: list | None = None,
+    search: PairSearch | None = None,
 ) -> ChainReport:
     """Compute AR, GR, SR and evaluate the inequality chain with its constants.
 
     `profiles`: T's x-axis rank profiles for k = 1..kmax, if the caller has them.
-    AR's zero count reads GR's k = 1 profile when it is exact.
+    AR's zero count reads GR's k = 1 profile when it is exact.  `search`: T's
+    exact SR search outcome from ``slice_rank_searches``, if the caller has it;
+    ``slice_rank_exact`` checks it against ceil AR and builds the witness.
     """
     gr = geometric.geometric_rank(T, kmax, seed=seed, cross_check=cross_check, profiles=profiles)
     k1 = gr.profiles[0] if gr.profiles else None
     ar = None if T.field.q == 2 else analytic.analytic_rank(T, budget=ar_budget, profile=k1)
-    sr = slice_rank(T, ar=ar.value if ar is not None else None, gr=gr.gr)
+    sr = slice_rank(T, ar=ar.value if ar is not None else None, gr=gr.gr, search=search)
     return ChainReport(sr, gr, ar)

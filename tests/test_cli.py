@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from trirank import cli, rankprofile, tensor
+from trirank import cli, rankprofile, slicerank, tensor
 from trirank.errors import BudgetExceeded
 from trirank.fields import make_field
 
@@ -413,10 +413,40 @@ def test_a_profile_error_is_one_corpus_items_error_row(tmp_path, monkeypatch, wo
         ).read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_search_error_is_one_corpus_items_error_row(tmp_path, monkeypatch, workers):
+    items = [("identity_2", tensor.identity_tensor(F3, 2))] + [
+        (f"random_{i}", tensor.random_tensor(F3, (3, 3, 3), seed=i)) for i in range(3)
+    ]
+    bad = items[2][1]
+    monkeypatch.setattr(cli, "builtin_corpus", lambda seed: items)
+    argv = ["corpus", "--seed", "7", "--workers", workers]
+    rc = cli.run(argv + ["--out-dir", str(tmp_path / "good")])
+    assert rc == 0
+    pair_searches = slicerank._pair_searches
+
+    def failing(tensors):
+        if any(T is bad for T in tensors):
+            raise BudgetExceeded("no search")
+        return pair_searches(tensors)
+
+    # the corpus searches its three random items as one stack, and an item alone
+    monkeypatch.setattr(slicerank, "_pair_searches", failing)
+    out = tmp_path / "summary.json"
+    rc = cli.run(argv + ["--out-dir", str(tmp_path / "bad"), "--out", str(out)])
+    assert rc == 0 and read_json(out)["summary"]["errors"] == 1
+    assert read_json(tmp_path / "bad" / "random_1.json")["error"] == "BudgetExceeded: no search"
+    for name in ("identity_2", "random_0", "random_2"):
+        assert (tmp_path / "bad" / f"{name}.json").read_bytes() == (
+            tmp_path / "good" / f"{name}.json"
+        ).read_bytes()
+
+
 @pytest.mark.parametrize("kwork", ["0", "7"])
 def test_corpus_rejects_a_bad_working_degree_before_the_batch(tmp_path, monkeypatch, capsys, kwork):
     ran = []
     monkeypatch.setattr(cli, "_corpus_item", lambda *args: ran.append(args))
+    monkeypatch.setattr(slicerank, "slice_rank_searches", lambda *args: ran.append(args))
     out_dir, out = tmp_path / "corpus", tmp_path / "summary.json"
     rc = cli.run(["corpus", "--kwork", kwork, "--out-dir", str(out_dir), "--out", str(out)])
     assert rc == 2 and ran == []

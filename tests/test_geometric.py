@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from trirank.errors import BudgetExceeded
 from trirank.fields import make_field
 
 F3 = make_field(3)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(geometric.__file__)))
 
 
 def test_levi_civita_strata_counts_k1():
@@ -41,6 +46,22 @@ def test_zero_tensor_gr_zero():
     rep = geometric.geometric_rank(tensor.zero_tensor(F3, (2, 2, 2)), cross_check=True)
     assert rep.gr == 0
     assert rep.stable and rep.consistent
+
+
+def test_kernel_codim_of_a_huge_zero_tensor_returns_at_once():
+    # a count would form 3^(10^8); a subprocess turns a stall into a failure
+    code = (
+        "from trirank import geometric, tensor; "
+        "print(geometric.kernel_codim(tensor.loads('tensor 3^1 0 100000000 1'), 2).codim)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+    est = geometric.kernel_codim(tensor.zero_tensor(F3, (2, 3, 2)), kmax=3)
+    assert (est.nvars, est.codim, est.status, est.counts) == (5, 0, "stable", [])
 
 
 def test_kernel_codim_identity():

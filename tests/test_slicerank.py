@@ -358,6 +358,97 @@ def test_check_witness_rejects_a_wrong_witness():
     assert not slicerank.check_witness(T, slicerank.SRResult(3, 3, "bounds_only"))
 
 
+def draw_batch(data):
+    """One or two dims over F_2 and F_3, with repeats, zero tensors and antichain supports."""
+    shapes = data.draw(st.lists(st.tuples(*[st.integers(1, 4)] * 3), min_size=1, max_size=2))
+    batch = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        dims = data.draw(st.sampled_from(shapes))
+        kind = data.draw(st.sampled_from(["random", "x_plus_y", "zero", "diagonal", "repeat"]))
+        if kind == "repeat" and batch:
+            batch.append(data.draw(st.sampled_from(batch)))
+        elif kind in ("random", "x_plus_y"):
+            batch.append((draw_tensor if kind == "random" else draw_x_plus_y_term)(data, dims))
+        else:
+            F = make_field(data.draw(st.sampled_from([2, 3])))
+            e = np.zeros(dims, dtype=np.int32)
+            if kind == "diagonal":  # each entry is its own summand: an antichain support
+                n = min(dims)
+                e[range(n), range(n), range(n)] = data.draw(
+                    st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n)
+                )
+            batch.append(tensor.Tensor3(F, e))
+    return batch
+
+
+def exact_outcome(T, lower_bound, search):
+    """slice_rank_exact's result as bytes, or its ContradictoryBounds message."""
+    try:
+        res = slicerank.slice_rank_exact(T, lower_bound=lower_bound, search=search)
+    except ContradictoryBounds as exc:
+        return str(exc)
+    return res.lo, res.hi, res.method, witness_bytes(res.witness)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_stacked_search_matches_one_tensor_searches(data):
+    batch = draw_batch(data)
+    # every tensor is in the exact scope: only antichain supports go unsearched
+    searches = slicerank.slice_rank_searches(batch)
+    assert [s is None for s in searches] == [
+        slicerank.vertex_cover_sr(T) is not None for T in batch
+    ]
+    groups = {}
+    for T in batch:
+        groups.setdefault((T.field, T.dims), []).append(T)
+    for tensors in groups.values():  # the stacked core, antichain supports included
+        for T, search in zip(tensors, slicerank._pair_searches(tensors)):
+            sr = slicerank.slice_rank_exact(T).value
+            for lower_bound in range(sr + 2):
+                stacked = exact_outcome(T, lower_bound, search)
+                assert stacked == exact_outcome(T, lower_bound, None)
+            assert stacked == f"slice rank {sr} is below the lower bound {sr + 1}"
+    for T, search in zip(batch, searches):
+        if search is not None:
+            assert exact_outcome(T, 0, search) == exact_outcome(T, 0, None)
+
+
+@pytest.mark.parametrize("chunk", [rankprofile.CHUNK, 64])
+def test_stacked_search_calls_stay_within_chunk(monkeypatch, chunk):
+    rng = np.random.default_rng(1)
+    batch = [tensor.random_tensor(F3, (3, 3, 3), seed=s) for s in range(6)]
+    for _ in range(4):  # x-term plus y-term: SR <= 2, so more U survive the pruning
+        a, b = rng.integers(0, 3, (2, 3))
+        B, C = rng.integers(0, 3, (2, 3, 3))
+        batch.append(
+            tensor.Tensor3(F3, F3.add[F3.mul[a[:, None, None], B], F3.mul[b[:, None], C[:, None]]])
+        )
+    monkeypatch.setattr(slicerank, "CHUNK", chunk)
+    batched_rank = linalg.batched_rank
+
+    def recording(Ms, F):
+        seen.append(len(Ms))
+        return batched_rank(Ms, F)
+
+    monkeypatch.setattr(linalg, "batched_rank", recording)
+    alone = []
+    for T in batch:
+        seen = []
+        alone.append((slicerank.slice_rank_exact(T), seen))
+    seen = []
+    searches = slicerank.slice_rank_searches(batch)
+    stacked = seen
+    for T, search, (res, _) in zip(batch, searches, alone):
+        expected = (res.lo, res.hi, res.method, witness_bytes(res.witness))
+        assert exact_outcome(T, 0, search) == expected
+    assert max(stacked) <= chunk
+    assert sum(stacked) == sum(sum(calls) for _, calls in alone)
+    assert len(stacked) < sum(len(calls) for _, calls in alone)
+    if chunk == 64:  # ten tensors' pruning ranks alone are 10 x 28 matrices: calls are split
+        assert sum(stacked) > chunk
+
+
 def test_subadditivity_on_exact_scope_pairs():
     pool = [tensor.random_tensor(F3, (2, 2, 2), seed=s) for s in range(6)]
     for f in pool:
