@@ -64,7 +64,7 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _report_value(path: str, section: str, key: str, kinds):
-    """report[section][key] of a JSON report, checked to be a number >= 0 of the given type."""
+    """report[section][key] of a JSON report, checked to be finite, >= 0 and of the given type."""
     with open(path, encoding="utf-8") as fh:
         try:
             value = json.load(fh)[section][key]
@@ -72,8 +72,8 @@ def _report_value(path: str, section: str, key: str, kinds):
             raise BadParams(f"{path}: not a JSON report with {section}.{key}") from None
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise BadParams(f"{path}: {section}.{key} = {value!r} is not a number")
-    if not value >= 0:  # NaN fails every comparison
-        raise BadParams(f"{path}: {section}.{key} = {value!r} is negative or NaN")
+    if not 0 <= value < float("inf"):  # NaN fails every comparison
+        raise BadParams(f"{path}: {section}.{key} = {value!r} is negative, infinite or NaN")
     return value
 
 
@@ -118,12 +118,10 @@ def _cmd_sr(args) -> int:
         ar = _report_value(args.ar_from, "ar", "value", (int, float))
     if args.gr_from:
         gr = _report_value(args.gr_from, "gr", "gr", int)
-    if args.exact:
-        res = slicerank.slice_rank_exact(T)
-    elif args.bounds:
+    if args.bounds:
         res = slicerank.slice_rank_bounds(T, ar=ar, gr=gr)
     else:
-        res = slicerank.slice_rank(T, ar=ar, gr=gr)
+        res = slicerank.slice_rank(T, ar=ar, gr=gr, exact=args.exact)
     _emit({"tensor": _tensor_id(T), "sr": res.to_dict()}, args.out)
     return EXIT_OK
 

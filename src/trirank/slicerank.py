@@ -16,7 +16,8 @@ that total, so the first minimal pair, and the witness, are unchanged.
 dims) as one stack: one pruning rank call for all of them, then each codim
 block eliminates every tensor's surviving pairs together, at most CHUNK per
 batched_rank call.  Each tensor keeps its own best total, so its outcome is
-its search alone; ``slice_rank_exact`` turns it into the SRResult.
+its search alone; ``slice_rank_exact`` turns it into the SRResult.  Only
+``slice_rank`` compares a value with the chain's lower bound max(ceil AR, GR).
 
 For antichain supports the vertex-cover route gives exact values beyond the
 subspace-search scope (identity tensors, Levi-Civita, and their direct sums).
@@ -123,11 +124,10 @@ class SRResult:
 class PairSearch:
     """One tensor's pair search, before its witness W is built.
 
-    `totals`: the least total of each codim block searched, in block order;
-    (U, V): the first minimal pair.
+    `best`: the least total c1 + c2 + rank T(U, V, .); (U, V): the first minimal pair.
     """
 
-    totals: tuple[int, ...]
+    best: int
     U: np.ndarray
     V: np.ndarray
 
@@ -163,19 +163,16 @@ def _pair_searches(tensors: list[Tensor3]) -> list[PairSearch]:
     m_ranks = np.concatenate(m_ranks, axis=1).T  # (G, len(w)), U in subs_u order
     starts = list(itertools.accumulate((len(Us) for Us in subs_u.values()), initial=0))
     bound = {d: m_ranks[:, a:b] for d, a, b in zip(subs_u, starts, starts[1:])}  # dim U -> ranks
-    least = dict(zip(subs_u, np.minimum.reduceat(m_ranks, starts[:-1], axis=1).T.tolist()))
-    best = [n1 + n2 + n3 + 1] * len(E)
-    totals, pairs = [[] for _ in tensors], [None] * len(E)
+    best, pairs = np.full((len(E), 1), n1 + n2 + n3 + 1), [None] * len(E)
     for c1, c2 in itertools.product(range(n1 + 1), range(n2 + 1)):
-        if c1 + c2 >= max(best):  # no tensor searches this block
+        if c1 + c2 >= max(best.flat):  # no tensor searches it; cheaper than best.max() at small G
             continue
         # a U survives while c1 + rank M_U < best; a block at or above best keeps none
-        limit = [b - c1 if c1 + max(c2, m) < b else 0 for b, m in zip(best, least[n1 - c1])]
-        if not any(limit):  # no U survives, known without a mask
+        keep = (c1 + bound[n1 - c1] < best) & (c1 + c2 < best)
+        g, u = np.nonzero(keep)  # tensor-major, then U-major
+        if not len(g):
             continue
         Us, Vs = subs_u[n1 - c1], subs_v[n2 - c2]
-        keep = bound[n1 - c1] < np.array(limit)[:, None]
-        g, u = np.nonzero(keep)  # tensor-major, then U-major
         ranks, step = [], max(1, CHUNK // len(Vs))
         for s in range(0, len(g), step):
             A = linalg.mat_mul(Us[u[s : s + step]], E[g[s : s + step]], F)  # (r, d1, n2 n3)
@@ -188,10 +185,9 @@ def _pair_searches(tensors: list[Tensor3]) -> list[PairSearch]:
                 continue
             j = int(ranks[lo:hi].argmin())  # its first minimal pair, U-major
             total = c1 + c2 + int(ranks[lo:hi].flat[j])
-            totals[i].append(total)
-            if total < best[i]:
-                best[i], pairs[i] = total, (Us[u[lo + j // len(Vs)]], Vs[j % len(Vs)])
-    return [PairSearch(tuple(t), U, V) for t, (U, V) in zip(totals, pairs)]
+            if total < best[i, 0]:
+                best[i, 0], pairs[i] = total, (Us[u[lo + j // len(Vs)]], Vs[j % len(Vs)])
+    return [PairSearch(b, U, V) for b, (U, V) in zip(best[:, 0].tolist(), pairs)]
 
 
 def slice_rank_searches(tensors: list[Tensor3]) -> list[PairSearch | None]:
@@ -211,15 +207,12 @@ def slice_rank_searches(tensors: list[Tensor3]) -> list[PairSearch | None]:
     return found
 
 
-def slice_rank_exact(
-    T: Tensor3, lower_bound: int = 0, search: PairSearch | None = None
-) -> SRResult:
+def slice_rank_exact(T: Tensor3, search: PairSearch | None = None) -> SRResult:
     """Minimum of c1 + c2 + rank T(U, V, .) over subspace pairs, by exhaustion.
 
     The witness is the first minimal pair, codim blocks (c1, c2) in lexicographic
     order and U-major within a block, with W the kernel of its form matrix.
-    A block below `lower_bound` raises ContradictoryBounds.  Reaching the bound
-    does not stop the search: the rest of it is what proves no pair lies below.
+    No lower bound is checked: the search always runs to its end.
 
     Each U is pruned by the rank of M_U = sum_a t^a T(u_a, ., .) over F_{q^3}
     (t the class of code p): a pair with T(U, V, W) = 0 has rank M_U <=
@@ -240,20 +233,20 @@ def slice_rank_exact(
         )
     if search is None:
         search = _pair_searches([T])[0]
-    below = next((total for total in search.totals if total < lower_bound), None)
-    if below is not None:
-        raise ContradictoryBounds(f"slice rank {below} is below the lower bound {lower_bound}")
-    (U, V), F, best = (search.U, search.V), T.field, min(search.totals)
+    U, V, F = search.U, search.V, T.field
     W = linalg.row_space_basis(linalg.kernel_basis(_forms(T, U[None], V[None])[0], F), F)
-    return SRResult(best, best, "annihilator_exact", (U, V, W))
+    return SRResult(search.best, search.best, "annihilator_exact", (U, V, W))
 
 
 def check_witness(T: Tensor3, result: SRResult) -> bool:
-    """Re-check an exact witness: T vanishes on it and codims sum to value."""
+    """Re-check an exact witness: independent (d_i, n_i) bases killing T, codims summing to SR."""
     if result.witness is None:
         return False
     U, V, W = result.witness
-    codims = sum(n - B.shape[0] for n, B in zip(T.dims, (U, V, W)))
+    for n, B in zip(T.dims, (U, V, W)):
+        if B.ndim != 2 or B.shape[1] != n or linalg.rank(B, T.field) != len(B):
+            return False
+    codims = sum(n - len(B) for n, B in zip(T.dims, (U, V, W)))
     M = _forms(T, U[None], V[None])[0]
     return codims == result.value and not linalg.mat_mul(M, W.T, T.field).any()
 
@@ -264,7 +257,7 @@ def check_witness(T: Tensor3, result: SRResult) -> bool:
 
 def _chain_bounds(ar: float | None, gr: int | None = None) -> tuple[int, int | None]:
     """The lower bound max(ceil AR, GR), 0 without either, and 3 GR, None without GR."""
-    ar_bound = math.ceil(ar - 1e-9) if ar is not None and math.isfinite(ar) else 0
+    ar_bound = math.ceil(ar - 1e-9) if ar is not None else 0
     return max(ar_bound, gr or 0), 3 * gr if gr is not None else None
 
 
@@ -393,22 +386,25 @@ def slice_rank(
     ar: float | None = None,
     gr: int | None = None,
     search: PairSearch | None = None,
+    exact: bool = False,
 ) -> SRResult:
     """Best available slice-rank determination: vertex cover, exact search, else bounds.
 
-    The exact search raises at the first block below ceil AR, which the exact
-    zero count proves; a value below max(ceil AR, GR) raises
-    ContradictoryBounds too (a GR estimate can be too high).  `search`: T's
-    outcome from ``slice_rank_searches``, which searches no antichain support,
-    so T goes to ``slice_rank_exact`` without a vertex cover.
+    An exact value below max(ceil AR, GR) raises ContradictoryBounds: one of the
+    inputs is wrong (a GR estimate can be too high).  `search`: T's outcome from
+    ``slice_rank_searches``, which searches no antichain support, so T goes to
+    ``slice_rank_exact`` without a vertex cover.  `exact`: the annihilator
+    search alone, raising OutOfExactScope outside its scope.
     """
-    vc = vertex_cover_sr(T) if search is None else None
+    vc = vertex_cover_sr(T) if search is None and not exact else None
     if vc is not None:
         res = SRResult(vc, vc, "vertex_cover")
     else:
         try:
-            res = slice_rank_exact(T, lower_bound=_chain_bounds(ar)[0], search=search)
+            res = slice_rank_exact(T, search=search)
         except OutOfExactScope:
+            if exact:
+                raise
             return slice_rank_bounds(T, ar=ar, gr=gr)
     lo, res.three_gr_bound = _chain_bounds(ar, gr)
     if res.value < lo:
@@ -430,7 +426,8 @@ def verify_rank_chain(
     `profiles`: T's x-axis rank profiles for k = 1..kmax, if the caller has them.
     AR's zero count reads GR's k = 1 profile when it is exact.  `search`: T's
     exact SR search outcome from ``slice_rank_searches``, if the caller has it;
-    ``slice_rank_exact`` checks it against ceil AR and builds the witness.
+    ``slice_rank`` builds its witness and checks its value against
+    max(ceil AR, GR).
     """
     gr = geometric.geometric_rank(T, kmax, seed=seed, cross_check=cross_check, profiles=profiles)
     k1 = gr.profiles[0] if gr.profiles else None

@@ -321,6 +321,20 @@ def test_contradictory_sr_bounds_exit_2(levi_path, tmp_path, capsys):
     assert "lower bound 5 exceeds upper bound 3" in capsys.readouterr().err
 
 
+def test_sr_exact_meets_the_bound_reports(tmp_path, capsys):
+    path, gr_path = str(tmp_path / "r1.t"), tmp_path / "gr.json"
+    tensor.dump(tensor.random_tensor(F3, (3, 3, 3), seed=1), path)  # SR 3
+    gr_path.write_text(json.dumps({"gr": {"gr": 4}}))
+    assert cli.run(["sr", "--tensor", path, "--exact", "--gr-from", str(gr_path)]) == 2
+    assert "slice rank 3 is below the lower bound 4" in capsys.readouterr().err
+    gr_path.write_text(json.dumps({"gr": {"gr": 3}}))
+    out = tmp_path / "sr.json"
+    assert cli.run(["sr", "--tensor", path, "--exact", "--gr-from", str(gr_path),
+                    "--out", str(out)]) == 0
+    assert read_json(out)["sr"] == {"lo": 3, "hi": 3, "method": "annihilator_exact",
+                                    "exact": True, "three_gr_bound": 9}
+
+
 @pytest.mark.parametrize("flag,report", [
     ("--gr-from", {"gr": {}}),  # the key is missing
     ("--gr-from", {"gr": {"gr": "2"}}),  # not a number
@@ -331,6 +345,7 @@ def test_contradictory_sr_bounds_exit_2(levi_path, tmp_path, capsys):
     ("--gr-from", {"gr": {"gr": -5}}),  # a rank is never negative
     ("--ar-from", {"ar": {"value": -3.5}}),
     ("--ar-from", {"ar": {"value": float("nan")}}),
+    ("--ar-from", {"ar": {"value": float("inf")}}),  # no AR is infinite: f(0, y) = 0
 ])
 def test_sr_rejects_a_malformed_bound_report(levi_path, tmp_path, capsys, flag, report):
     path = tmp_path / "bound.json"

@@ -157,6 +157,8 @@ def test_exact_scope_guard():
         slicerank.slice_rank_exact(tensor.tk_family(F3, 2))
     with pytest.raises(OutOfExactScope):
         slicerank.slice_rank_exact(tensor.identity_tensor(make_field(5), 2))
+    with pytest.raises(OutOfExactScope):  # an antichain support, yet no vertex cover
+        slicerank.slice_rank(tensor.tk_family(F3, 2), exact=True)
 
 
 def test_vertex_cover_on_antichain_supports():
@@ -269,12 +271,11 @@ def test_exact_search_calls_stay_within_chunk(monkeypatch):
 @given(data=st.data())
 def test_pair_search_matches_triple_search(data):
     T = draw_tensor(data, [data.draw(st.integers(1, 3)) for _ in range(3)])
-    for lower_bound in range(reference_slice_rank(T)[0] + 1):
-        value, witness = reference_slice_rank(T, lower_bound)
-        res = slicerank.slice_rank_exact(T, lower_bound=lower_bound)
-        assert (res.lo, res.hi, res.method) == (value, value, "annihilator_exact")
-        assert witness_bytes(res.witness) == witness_bytes(witness)
-        assert slicerank.check_witness(T, res)
+    value, witness = reference_slice_rank(T)
+    res = slicerank.slice_rank(T, exact=True)
+    assert (res.lo, res.hi, res.method) == (value, value, "annihilator_exact")
+    assert witness_bytes(res.witness) == witness_bytes(witness)
+    assert slicerank.check_witness(T, res)
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,13 +283,14 @@ def test_pair_search_matches_triple_search(data):
 def test_pruned_search_matches_pair_search_on_4x4x4(data):
     draw = data.draw(st.sampled_from([draw_tensor, draw_x_plus_y_term]))
     T = draw(data, (4, 4, 4))
-    sr = pair_search_slice_rank(T)[0]
+    sr, witness = pair_search_slice_rank(T)
+    res = slicerank.slice_rank(T, exact=True)
+    assert (res.value, witness_bytes(res.witness)) == (sr, witness_bytes(witness))
     for lower_bound in range(sr + 1):
-        value, witness = pair_search_slice_rank(T, lower_bound)
-        res = slicerank.slice_rank_exact(T, lower_bound=lower_bound)
-        assert (res.value, witness_bytes(res.witness)) == (value, witness_bytes(witness))
-    with pytest.raises(ContradictoryBounds, match=rf"below the lower bound {sr + 1}"):
-        slicerank.slice_rank_exact(T, lower_bound=sr + 1)
+        assert slicerank.slice_rank(T, ar=lower_bound).value == sr
+    message = rf"slice rank {sr} is below the lower bound {sr + 1}"
+    with pytest.raises(ContradictoryBounds, match=message):
+        slicerank.slice_rank(T, ar=sr + 1)
 
 
 def test_pruning_eliminates_a_tenth_of_the_form_matrices(monkeypatch):
@@ -323,9 +325,11 @@ def test_exact_search_within_bounds_on_4x4x4(data):
 
 def test_lower_bound_above_slice_rank_raises():
     T = tensor.identity_tensor(F3, 2)
-    assert slicerank.slice_rank_exact(T, lower_bound=2).value == 2
-    with pytest.raises(ContradictoryBounds, match=r"slice rank 2 is below the lower bound 3"):
-        slicerank.slice_rank_exact(T, lower_bound=3)
+    for exact in (False, True):  # the vertex cover, then the exact search
+        for ar in range(3):
+            assert slicerank.slice_rank(T, ar=ar, exact=exact).value == 2
+        with pytest.raises(ContradictoryBounds, match=r"slice rank 2 is below the lower bound 3"):
+            slicerank.slice_rank(T, ar=3, exact=exact)
 
 
 def test_overestimated_gr_does_not_stop_the_search():
@@ -358,6 +362,23 @@ def test_check_witness_rejects_a_wrong_witness():
     assert not slicerank.check_witness(T, slicerank.SRResult(3, 3, "bounds_only"))
 
 
+@pytest.mark.parametrize("case", ["repeated_row", "dependent_rows_empty_w", "wrong_width"])
+def test_check_witness_rejects_malformed_bases(case):
+    if case == "repeated_row":  # one U row twice: the codims sum to 2, yet SR is 3
+        T = tensor.levi_civita(F3)
+        U, V, W = slicerank.slice_rank_exact(T).witness
+        witness, value = (np.vstack([U, U[:1]]), V, W), 2
+    elif case == "dependent_rows_empty_w":  # codims -1 + 0 + 1 = 0, yet SR is 1
+        T = tensor.identity_tensor(F3, 1)
+        witness, value = (np.array([[1], [1]]), np.array([[1]]), np.zeros((0, 1), int)), 0
+    else:  # a U basis two columns wide in F^3
+        T = tensor.levi_civita(F3)
+        U, V, W = slicerank.slice_rank_exact(T).witness
+        witness, value = (U[:, :2], V, W), 3
+    res = slicerank.SRResult(value, value, "annihilator_exact", witness)
+    assert slicerank.check_witness(T, res) is False
+
+
 def draw_batch(data):
     """One or two dims over F_2 and F_3, with repeats, zero tensors and antichain supports."""
     shapes = data.draw(st.lists(st.tuples(*[st.integers(1, 4)] * 3), min_size=1, max_size=2))
@@ -381,12 +402,9 @@ def draw_batch(data):
     return batch
 
 
-def exact_outcome(T, lower_bound, search):
-    """slice_rank_exact's result as bytes, or its ContradictoryBounds message."""
-    try:
-        res = slicerank.slice_rank_exact(T, lower_bound=lower_bound, search=search)
-    except ContradictoryBounds as exc:
-        return str(exc)
+def exact_outcome(T, search):
+    """slice_rank's exact result as bytes, from `search` or, without one, T searched alone."""
+    res = slicerank.slice_rank(T, search=search, exact=True)
     return res.lo, res.hi, res.method, witness_bytes(res.witness)
 
 
@@ -404,14 +422,17 @@ def test_stacked_search_matches_one_tensor_searches(data):
         groups.setdefault((T.field, T.dims), []).append(T)
     for tensors in groups.values():  # the stacked core, antichain supports included
         for T, search in zip(tensors, slicerank._pair_searches(tensors)):
-            sr = slicerank.slice_rank_exact(T).value
-            for lower_bound in range(sr + 2):
-                stacked = exact_outcome(T, lower_bound, search)
-                assert stacked == exact_outcome(T, lower_bound, None)
-            assert stacked == f"slice rank {sr} is below the lower bound {sr + 1}"
+            alone = exact_outcome(T, None)
+            assert exact_outcome(T, search) == alone
+            sr = alone[0]
+            for lower_bound in range(sr + 1):
+                assert slicerank.slice_rank(T, ar=lower_bound, search=search).value == sr
+            message = rf"slice rank {sr} is below the lower bound {sr + 1}"
+            with pytest.raises(ContradictoryBounds, match=message):
+                slicerank.slice_rank(T, ar=sr + 1, search=search)
     for T, search in zip(batch, searches):
         if search is not None:
-            assert exact_outcome(T, 0, search) == exact_outcome(T, 0, None)
+            assert exact_outcome(T, search) == exact_outcome(T, None)
 
 
 @pytest.mark.parametrize("chunk", [rankprofile.CHUNK, 64])
@@ -435,13 +456,13 @@ def test_stacked_search_calls_stay_within_chunk(monkeypatch, chunk):
     alone = []
     for T in batch:
         seen = []
-        alone.append((slicerank.slice_rank_exact(T), seen))
+        alone.append((slicerank.slice_rank(T, exact=True), seen))
     seen = []
     searches = slicerank.slice_rank_searches(batch)
     stacked = seen
     for T, search, (res, _) in zip(batch, searches, alone):
         expected = (res.lo, res.hi, res.method, witness_bytes(res.witness))
-        assert exact_outcome(T, 0, search) == expected
+        assert exact_outcome(T, search) == expected
     assert max(stacked) <= chunk
     assert sum(stacked) == sum(sum(calls) for _, calls in alone)
     assert len(stacked) < sum(len(calls) for _, calls in alone)
