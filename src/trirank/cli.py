@@ -233,40 +233,61 @@ def builtin_corpus(seed: int):
 CORPUS_KMAX = 3  # the chain's tower depth for every corpus item
 
 
-def _corpus_item(name, T, seed, kwork, profiles, search):
+def _corpus_chain(name, T, seed, profiles, search):
+    """The item's chain report, or the TrirankError that ended it."""
     t0 = time.time()
     try:
-        chain = slicerank.verify_rank_chain(
+        return slicerank.verify_rank_chain(
             T, kmax=CORPUS_KMAX, seed=seed, profiles=profiles, search=search
         )
-        D = decomp.slice_decompose(T, k_work=kwork, seed=seed, gr_report=chain.gr)
-        verified = decomp.verify_decomposition(T, D)
-        row = {
-            "name": name,
-            "tensor": _tensor_id(T),
-            "chain": chain.to_dict(),
-            "decomposition": {
-                "term_count": D.term_count,
-                "working_field": D.working_field.designation(),
-                "verified": verified,
-                "flagged": D.flagged,
-                "retries": D.retries,
-            },
-            "error": None,
-        }
-        ok = chain.all_hold and verified
     except TrirankError as exc:
-        row = {"name": name, "error": f"{type(exc).__name__}: {exc}"}
-        chain, ok = None, True  # recorded, batch continues
-    print(f"[corpus] {name}: {time.time() - t0:.2f}s", file=sys.stderr)
-    return row, chain, ok
+        return exc
+    finally:
+        print(f"[corpus] {name}: {time.time() - t0:.2f}s", file=sys.stderr)
+
+
+def _corpus_row(name, T, seed, kwork, chain, D):
+    """(row, chain or None, ok) of one item.
+
+    `chain` is its chain report or the error that ended it; `D` its stacked
+    decomposition, or None to decompose it alone.
+    """
+    try:
+        if isinstance(chain, TrirankError):
+            raise chain
+        if D is None:
+            D = decomp.slice_decompose(T, k_work=kwork, seed=seed, gr_report=chain.gr)
+        verified = decomp.verify_decomposition(T, D)
+    except TrirankError as exc:  # recorded, batch continues
+        return {"name": name, "error": f"{type(exc).__name__}: {exc}"}, None, True
+    row = {
+        "name": name,
+        "tensor": _tensor_id(T),
+        "chain": chain.to_dict(),
+        "decomposition": {
+            "term_count": D.term_count,
+            "working_field": D.working_field.designation(),
+            "verified": verified,
+            "flagged": D.flagged,
+            "retries": D.retries,
+        },
+        "error": None,
+    }
+    return row, chain, chain.all_hold and verified
 
 
 def _cmd_corpus(args) -> int:
     items = builtin_corpus(args.seed)
     items[0][1].field.extension(args.kwork)  # build the working field: a bad --kwork fails here
+    names, tensors = [name for name, _ in items], [T for _, T in items]
     seeds = [args.seed ^ i for i in range(len(items))]
-    tensors = [T for _, T in items]
+
+    def each_item(fn, *columns):
+        if args.workers <= 1:
+            return list(map(fn, *columns))
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            return list(pool.map(fn, *columns))
+
     try:  # every item's x-axis levels at once; on an error each item ranks and reports its own
         levels = [rank_profiles(tensors, k, seeds=seeds) for k in range(1, CORPUS_KMAX + 1)]
         profiles = [list(p) for p in zip(*levels)]
@@ -276,15 +297,21 @@ def _cmd_corpus(args) -> int:
         searches = slicerank.slice_rank_searches(tensors)
     except TrirankError:
         searches = [None] * len(items)
-    jobs = [
-        (name, T, s, args.kwork, p, sr)
-        for (name, T), s, p, sr in zip(items, seeds, profiles, searches)
-    ]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(lambda job: _corpus_item(*job), jobs))
-    else:
-        results = [_corpus_item(*job) for job in jobs]
+    chains = each_item(_corpus_chain, names, tensors, seeds, profiles, searches)
+    decomps = [None] * len(items)
+    live = [i for i, chain in enumerate(chains) if not isinstance(chain, TrirankError)]
+    try:  # the decompositions of every item with a chain likewise, one stack per (field, dims)
+        found = decomp.slice_decompositions(
+            [tensors[i] for i in live], args.kwork,
+            [seeds[i] for i in live], [chains[i].gr for i in live],
+        )
+        for i, D in zip(live, found):
+            decomps[i] = D
+    except TrirankError:
+        pass
+    results = each_item(
+        _corpus_row, names, tensors, seeds, [args.kwork] * len(items), chains, decomps
+    )
     rows = [r[0] for r in results]
     chains = [r[1] for r in results if r[1] is not None]  # none for an error row
     ratios = [c.ratio_sr_gr for c in chains if c.ratio_sr_gr is not None]

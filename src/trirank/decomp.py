@@ -9,6 +9,14 @@ complement contributes one term per basis matrix.  Total: 2r + codim terms.
 At r = 0 the point is A = 0 and its tangent space is {0}, so every basis
 matrix of L is a complement term: the SR(L) <= dim L base case is the same
 construction.
+
+``slice_decompositions`` decomposes many tensors as stacks, one per
+(working field, dims): one ``linalg.batched_rref`` gives every span L, and
+each round of attempts (an item steps down in r or retries in the next
+round) does its solves and its rank factorizations in one call each, at
+most CHUNK matrices per call.  Each item draws its own point from its own
+seed, so its decomposition is the one it gets alone; ``slice_decompose``
+is the one-tensor case.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from .errors import (
     VerificationFailed,
 )
 from .fields import Field, parse_field
-from .tensor import MatrixSpace, SliceTerm, Tensor3, slice_space
+from .rankprofile import CHUNK
+from .tensor import MatrixSpace, SliceTerm, Tensor3
 
 MAX_RETRIES = 5
 SAMPLE_BUDGET = 1000  # rank-r point draws per tangent attempt
@@ -96,19 +105,47 @@ def decomposition_from_dict(d) -> SliceDecomposition:
 # matrix-level building blocks
 # ---------------------------------------------------------------------------
 
+def _rrefs(Ms, F: Field):
+    """``linalg.batched_rref`` of a nonempty stack, at most CHUNK matrices per call."""
+    parts = [linalg.batched_rref(Ms[s : s + CHUNK], F) for s in range(0, len(Ms), CHUNK)]
+    return np.concatenate([R for R, _ in parts]), [p for _, ps in parts for p in ps]
+
+
+def _rank_factorizations(As, F: Field):
+    """(left, right, ranks) with A = left^T right for each A of a stack (N, m, n).
+
+    Rows i < rank of left and right are A's pivot columns and the nonzero rows
+    of its RREF (R[:r, pivots] = I, so A = A[:, pivots] R[:r]); the rest of the
+    min(m, n) rows are zero.
+    """
+    N, m, n = As.shape
+    R, pivots = _rrefs(As, F)
+    left = np.zeros((N, min(m, n), m), dtype=np.int32)
+    for j, p in enumerate(pivots):
+        left[j, : len(p)] = As[j][:, p].T
+    return left, R[:, : min(m, n)], [len(p) for p in pivots]
+
+
 def rank_factorize(A, F: Field) -> tuple[np.ndarray, np.ndarray]:
     """(left, right) with A = left^T right, r independent rows each, read off the RREF."""
-    A = linalg.as_matrix(A)
-    R, pivots = linalg.rref(A, F)
-    # A = A[:, pivots] @ R[:r] since R[:r, pivots] = I; the rows of R[:r] are independent
-    return A[:, pivots].T.copy(), R[: len(pivots)].copy()
+    left, right, (r,) = _rank_factorizations(linalg.as_matrix(A)[None], F)
+    return left[0, :r].copy(), right[0, :r].copy()
 
 
 def _sylvester_matrix(A) -> np.ndarray:
-    """The map (C, Cp) -> CA + ACp on row-major flattenings: [kron(I_m, A^T) | kron(A, I_n)]."""
-    m, n = A.shape
-    I_m, I_n = np.eye(m, dtype=np.int32), np.eye(n, dtype=np.int32)
-    return np.hstack([np.kron(I_m, A.T), np.kron(A, I_n)])
+    """The map (C, Cp) -> CA + ACp on row-major flattenings: [kron(I_m, A^T) | kron(A, I_n)].
+
+    For a stack (..., m, n), one such (m n, m^2 + n^2) matrix per A, filled by
+    index: row (a, b) holds A[c, b] at column (a, c) and A[a, d] at m^2 + (d, b).
+    """
+    A = np.asarray(A, dtype=np.int32)
+    *batch, m, n = A.shape
+    S = np.zeros((*batch, m, n, m * m + n * n), dtype=np.int32)
+    a, b, c = np.ogrid[:m, :n, :m]
+    S[..., a, b, a * m + c] = A[..., c, b]
+    a, b, d = np.ogrid[:m, :n, :n]
+    S[..., a, b, m * m + d * n + b] = A[..., a, d]
+    return S.reshape(*batch, m * n, m * m + n * n)
 
 
 def sample_rank_point(L: MatrixSpace, r: int, seed: int = 0) -> np.ndarray:
@@ -136,57 +173,144 @@ def sample_rank_point(L: MatrixSpace, r: int, seed: int = 0) -> np.ndarray:
 # the decomposition algorithm
 # ---------------------------------------------------------------------------
 
-def _slice_coords(M, Tw: Tensor3) -> np.ndarray:
-    """Row l solves M x = (x-slice l, flattened), free variables 0; one elimination."""
-    x = linalg.solve(M, Tw.entries.reshape(Tw.dims[0], -1).T, Tw.field)
-    if x is None:
-        raise VerificationFailed("a slice lies outside the span it is solved in")
-    return x.T
+def _tangent_attempts(attempts: list) -> list[SliceDecomposition | None]:
+    """One 2r + codim attempt per (Tw, L, r, seed), all of one field and dims, as one stack.
 
-
-def _tangent_decomposition(
-    Tw: Tensor3, L: MatrixSpace, r: int, seed: int
-) -> SliceDecomposition | None:
-    """One attempt at the 2r + codim construction; None if L has no rank-r point.
-
-    L is the span of Tw's x-slices.  One solve of [S | L basis] x = slice for
-    every slice at once, S the map (C, Cp) -> CA + ACp, splits slice l into
+    L is the span of Tw's x-slices; None where L has no rank-r point.  Each
+    attempt draws its own point A.  One elimination of [S | L basis | slices]
+    per attempt, S the map (C, Cp) -> CA + ACp, splits slice l into
     C_l A + A Cp_l (the tangent part) plus sum_m mu_lm L_m.  A basis matrix
     L_m gets a pivot exactly when it extends T_A + span(L_0 .. L_{m-1}), so
     the L_m with nonzero mu are the complement terms; at r = 0, S = 0 and
-    every L_m is one.
+    every L_m is one.  The basis block has a column per slice, zero past
+    dim L: a zero column gets no pivot, so the solution is that of L alone.
     """
-    F = Tw.field
-    n1, n2, n3 = Tw.dims
-    try:
-        A = sample_rank_point(L, r, seed=seed)
-    except NoPointFound:
-        return None
-    x = _slice_coords(np.hstack([_sylvester_matrix(A), L.flat_basis().T]), Tw)
-    Cs = x[:, : n2 * n2].reshape(n1, n2, n2)
-    Cps = x[:, n2 * n2 : n2 * n2 + n3 * n3].reshape(n1, n3, n3)
-    mu = x[:, n2 * n2 + n3 * n3 :]  # (n1, dim L)
-    left, right = rank_factorize(A, F)
-    # H[i][l] = C_l f_i and Hp[i][l] = g_i Cp_l, for every i at once
-    H = linalg.mat_mul(Cs, left.T, F).transpose(2, 0, 1)
-    Hp = linalg.mat_mul(right, Cps, F).transpose(1, 0, 2)
-    terms = []
-    for i, (f_i, g_i) in enumerate(zip(left, right)):
-        if H[i].any() and g_i.any():
-            terms.append(SliceTerm(F, "z", g_i, H[i], source="tangent_z_slice"))
-        if Hp[i].any() and f_i.any():
-            terms.append(SliceTerm(F, "y", f_i, Hp[i], source="tangent_y_slice"))
-    for m in range(L.dim):
-        if mu[:, m].any():
-            terms.append(
-                SliceTerm(F, "x", mu[:, m], L.basis[m], source="complement_x_slice")
-            )
-    D = SliceDecomposition(
-        working_field=F, dims=Tw.dims, terms=terms, r_used=r, sampled_point=A
-    )
-    if not verify_decomposition(Tw, D):
+    points = []
+    for _, L, r, seed in attempts:
+        try:
+            points.append(sample_rank_point(L, r, seed=seed))
+        except NoPointFound:
+            points.append(None)
+    live = [j for j, A in enumerate(points) if A is not None]
+    found = [None] * len(attempts)
+    if not live:
+        return found
+    F, (n1, n2, n3) = attempts[0][0].field, attempts[0][0].dims
+    N, nC = len(live), n2 * n2 + n3 * n3
+    nv = nC + n1  # unknowns: C, Cp, then mu
+    A = np.array([points[j] for j in live], dtype=np.int32).reshape(N, n2, n3)
+    X = np.array([attempts[j][0].entries for j in live], dtype=np.int32).reshape(N, n1, n2 * n3)
+    B = np.zeros_like(X)  # each L basis, zero rows past dim L
+    for row, j in enumerate(live):
+        L = attempts[j][1]
+        B[row, : L.dim] = L.flat_basis()
+    system = [_sylvester_matrix(A), B.transpose(0, 2, 1), X.transpose(0, 2, 1)]
+    R, pivots = _rrefs(np.concatenate(system, axis=2), F)
+    x = np.zeros((N, nv, n1), dtype=np.int32)  # column l solves slice l, free variables 0
+    for row, p in enumerate(pivots):
+        if p and p[-1] >= nv:  # a pivot in the right-hand side
+            raise VerificationFailed("a slice lies outside the span it is solved in")
+        x[row, p] = R[row, : len(p), nv:]
+    x = x.transpose(0, 2, 1)
+    Cs = x[:, :, : n2 * n2].reshape(N, n1, n2, n2)
+    Cps = x[:, :, n2 * n2 : nC].reshape(N, n1, n3, n3)
+    mu = x[:, :, nC:]  # (N, n1, n1)
+    left, right, ranks = _rank_factorizations(A, F)
+    # H[i][l] = C_l f_i and Hp[i][l] = g_i Cp_l, for every attempt and every i at once
+    H = linalg.mat_mul(Cs, left.transpose(0, 2, 1)[:, None], F).transpose(0, 3, 1, 2)
+    Hp = linalg.mat_mul(right[:, None], Cps, F).transpose(0, 2, 1, 3)
+    # the term sum, zero terms included: z terms g_i (x) H[i], y terms f_i (x) Hp[i], x terms
+    z = linalg.mat_mul(H.transpose(0, 2, 3, 1), right[:, None], F)
+    y = linalg.mat_mul(left.transpose(0, 2, 1)[:, None], Hp.transpose(0, 2, 1, 3), F)
+    xs = linalg.mat_mul(mu, B, F).reshape(z.shape)
+    if not np.array_equal(F.add[F.add[z, y], xs], X.reshape(z.shape)):
         raise VerificationFailed("tangent decomposition does not reconstruct the tensor")
-    return D
+    for row, j in enumerate(live):
+        Tw, L, r, _ = attempts[j]
+        terms = []
+        for i, (f_i, g_i) in enumerate(zip(left[row, : ranks[row]], right[row])):
+            if H[row, i].any() and g_i.any():
+                terms.append(SliceTerm(F, "z", g_i, H[row, i], source="tangent_z_slice"))
+            if Hp[row, i].any() and f_i.any():
+                terms.append(SliceTerm(F, "y", f_i, Hp[row, i], source="tangent_y_slice"))
+        for m in range(L.dim):
+            if mu[row, :, m].any():
+                terms.append(
+                    SliceTerm(F, "x", mu[row, :, m], L.basis[m], source="complement_x_slice")
+                )
+        found[j] = SliceDecomposition(
+            working_field=F, dims=Tw.dims, terms=terms, r_used=r, sampled_point=points[j]
+        )
+    return found
+
+
+def _decompose_group(Tws: list[Tensor3], seeds: list[int], reports: list) -> list:
+    """The decompositions of tensors of one working field and dims, in rounds of stacked attempts.
+
+    A round makes one attempt for every item still pending.  An item starts
+    at r = argmin_r and steps down while L has no rank-r point (r = 0 always
+    succeeds: A = 0).  A decomposition with more than 2 GR terms is retried
+    from argmin_r under the next seed, MAX_RETRIES times in all; the item then
+    keeps its fewest terms, flagged.
+    """
+    F, (n1, n2, n3) = Tws[0].field, Tws[0].dims
+    R, pivots = _rrefs(np.array([Tw.entries for Tw in Tws]).reshape(len(Tws), n1, n2 * n3), F)
+    Ls = [MatrixSpace(F, (n2, n3), R[g, : len(p)], reduced=True) for g, p in enumerate(pivots)]
+    grs = [rep.gr if rep.stable else None for rep in reports]
+    r = [rep.argmin_r for rep in reports]
+    retries, best, done = [0] * len(Tws), [None] * len(Tws), [None] * len(Tws)
+    pending = list(range(len(Tws)))
+    while pending:
+        attempts = [
+            (Tws[g], Ls[g], r[g], seeds[g] + 0x517CC1B7 * retries[g] + r[g]) for g in pending
+        ]
+        still = []
+        for g, D in zip(pending, _tangent_attempts(attempts)):
+            if D is None:
+                r[g] -= 1
+                still.append(g)
+                continue
+            D.gr, D.retries = grs[g], retries[g]
+            if best[g] is None or D.term_count < best[g].term_count:
+                best[g] = D
+            if grs[g] is None or D.term_count <= 2 * grs[g]:
+                done[g] = D
+            elif retries[g] + 1 < MAX_RETRIES:
+                retries[g] += 1
+                r[g] = reports[g].argmin_r
+                still.append(g)
+            else:
+                best[g].flagged = True  # never beat the 2*GR bound within the retry budget
+                done[g] = best[g]
+        pending = still
+    return done
+
+
+def slice_decompositions(
+    tensors: list[Tensor3], k_work: int, seeds: list[int], gr_reports: list
+) -> list[SliceDecomposition]:
+    """``slice_decompose`` of every tensor, one stack per (working field, dims).
+
+    `seeds` and `gr_reports` are per tensor; a report of None is computed as
+    ``slice_decompose`` would.  Each tensor's decomposition is the one it gets
+    alone: its point draws and its retries are its own.
+    """
+    Tws = [T.lift(T.field.extension(k_work)) for T in tensors]
+    reports = [
+        geometric.geometric_rank(T, seed=s) if rep is None else rep
+        for T, s, rep in zip(tensors, seeds, gr_reports)
+    ]
+    groups: dict = {}  # (working field, dims) -> indices of its tensors
+    for i, Tw in enumerate(Tws):
+        groups.setdefault((Tw.field, Tw.dims), []).append(i)
+    found = [None] * len(tensors)
+    for group in groups.values():
+        Ds = _decompose_group(
+            [Tws[i] for i in group], [seeds[i] for i in group], [reports[i] for i in group]
+        )
+        for i, D in zip(group, Ds):
+            found[i] = D
+    return found
 
 
 def slice_decompose(
@@ -196,26 +320,7 @@ def slice_decompose(
     gr_report=None,
 ) -> SliceDecomposition:
     """Explicit slice decomposition over F_{q^k_work} with <= 2r + codim terms."""
-    Fw = T.field.extension(k_work)
-    Tw = T.lift(Fw)
-    if gr_report is None:
-        gr_report = geometric.geometric_rank(T, seed=seed)
-    gr = gr_report.gr if gr_report.stable else None
-    L = slice_space(Tw, "x")
-    best = None
-    for retry in range(MAX_RETRIES):
-        for r in range(gr_report.argmin_r, -1, -1):  # r = 0 always succeeds: A = 0
-            D = _tangent_decomposition(Tw, L, r, seed=seed + 0x517CC1B7 * retry + r)
-            if D is not None:
-                break
-        D.gr = gr
-        D.retries = retry
-        if best is None or D.term_count < best.term_count:
-            best = D
-        if gr is None or D.term_count <= 2 * gr:
-            return D
-    best.flagged = True  # never beat the 2*GR bound within the retry budget
-    return best
+    return slice_decompositions([T], k_work, [seed], [gr_report])[0]
 
 
 def verify_decomposition(T: Tensor3, D: SliceDecomposition) -> bool:

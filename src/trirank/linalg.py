@@ -3,6 +3,8 @@
 Matrices are 2-D numpy arrays of field codes.  ``batched_rank`` eliminates a
 whole stack of matrices at once and swaps no rows (a rank needs no echelon
 form), which is what makes exhaustive rank-stratum counting affordable.
+``batched_rref`` gives each matrix of a stack its ``rref``, row swaps and
+pivots included, in one pass over the columns.
 """
 
 from __future__ import annotations
@@ -130,3 +132,42 @@ def batched_rank(Ms, F: Field) -> np.ndarray:
         Ms = add.take(Ms[:, :, 1:] * q + delta)  # zeroes the pivot row; column 0 is done
         r += lead != 0
     return r
+
+
+def batched_rref(Ms, F: Field):
+    """``rref`` of every matrix of a stack (N, m, n): (R stacked, list of pivot lists).
+
+    Column by column, each matrix that still has a nonzero entry at or below
+    its next pivot row swaps the first such row up, scales it and clears the
+    column in every other row: ``rref``'s step with its arithmetic, so each
+    matrix's result is ``rref``'s.  A matrix with no pivot in the column takes
+    the same step with a zero pivot row, which changes nothing.  Columns left
+    of the pivot are zero in the pivot row, so only columns >= c are updated.
+    The input is not written.
+    """
+    R = np.array(Ms, dtype=np.int32)  # a copy
+    N, m, n = R.shape
+    is_pivot = np.zeros((N, n), dtype=bool)
+    if m:
+        q, mul, add = F.q, F.mul.ravel(), F.add.ravel()
+        stack, rows = np.arange(N), np.arange(m)
+        r = np.zeros(N, dtype=np.int64)  # each matrix's next pivot row
+        for c in range(n):
+            below = (R[:, :, c] != 0) & (rows >= r[:, None])
+            has = below.any(axis=1)
+            if not has.any():
+                continue
+            top = np.minimum(r, m - 1)
+            i = np.where(has, below.argmax(axis=1), top)
+            pivot = R[stack, i, c:]  # the row swapped up (a copy)
+            R[stack, i, c:] = R[stack, top, c:]
+            lead = np.where(has, pivot[:, 0], 0)  # inv[0] = 0: no pivot, a zero pivot row
+            pivot = mul.take(F.inv.take(lead)[:, None] * q + pivot)
+            factors = F.neg.take(R[:, :, c])
+            factors[stack, top] = 0
+            delta = mul.take(factors[:, :, None] * q + pivot[:, None])
+            R[:, :, c:] = add.take(R[:, :, c:] * q + delta)
+            R[has, top[has], c:] = pivot[has]
+            is_pivot[:, c] = has
+            r += has
+    return R, [np.flatnonzero(p).tolist() for p in is_pivot]

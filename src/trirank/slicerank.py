@@ -239,12 +239,17 @@ def slice_rank_exact(T: Tensor3, search: PairSearch | None = None) -> SRResult:
 
 
 def check_witness(T: Tensor3, result: SRResult) -> bool:
-    """Re-check an exact witness: independent (d_i, n_i) bases killing T, codims summing to SR."""
+    """Re-check an exact witness: independent (d_i, n_i) bases killing T, codims summing to SR.
+
+    A basis with a code outside [0, q) is no witness.
+    """
     if result.witness is None:
         return False
     U, V, W = result.witness
     for n, B in zip(T.dims, (U, V, W)):
-        if B.ndim != 2 or B.shape[1] != n or linalg.rank(B, T.field) != len(B):
+        if B.ndim != 2 or B.shape[1] != n or (B.size and (B.min() < 0 or B.max() >= T.field.q)):
+            return False
+        if linalg.rank(B, T.field) != len(B):
             return False
     codims = sum(n - len(B) for n, B in zip(T.dims, (U, V, W)))
     M = _forms(T, U[None], V[None])[0]

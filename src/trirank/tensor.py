@@ -11,7 +11,7 @@ contracting with x gives the matrix sum_i x_i A_i.
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,14 +88,19 @@ class Tensor3:
 
 
 class MatrixSpace:
-    """The span of some m x n matrices, stored as its RREF basis."""
+    """The span of some m x n matrices, stored as its RREF basis.
 
-    def __init__(self, field: Field, shape, rows):
+    `reduced`: the rows are already that basis (an RREF without zero rows)
+    and are kept as given, with no elimination.
+    """
+
+    def __init__(self, field: Field, shape, rows, reduced: bool = False):
         self.field = field
         self.shape = tuple(shape)
-        rows = np.asarray(rows, dtype=np.int32)
         # len, not -1: a shape may hold a 0
-        basis = linalg.row_space_basis(rows.reshape(len(rows), int(np.prod(self.shape))), field)
+        basis = np.asarray(rows, dtype=np.int32).reshape(len(rows), int(np.prod(self.shape)))
+        if not reduced:
+            basis = linalg.row_space_basis(basis, field)
         self.basis = basis.reshape(len(basis), *self.shape)
         self.basis.setflags(write=False)
 
@@ -210,15 +215,28 @@ def tk_family(field: Field, k: int) -> Tensor3:
 # file format
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _coefficient_strings(F: Field) -> tuple[str, ...]:
+    """The file form of each code of F: its coefficients, low degree first, trailing 0s trimmed."""
+    out = []
+    for code in range(F.q):
+        coeffs = list(F.coeffs(code))
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        out.append(",".join(map(str, coeffs)))
+    return tuple(out)
+
+
 def dumps(T: Tensor3) -> str:
     """Canonical text serialization (sorted support, trimmed coefficients)."""
     n1, n2, n3 = T.dims
+    support = np.nonzero(T.entries)
+    coeffs = _coefficient_strings(T.field)
     lines = [f"tensor {T.field.designation()} {n1} {n2} {n3}"]
-    for (i, j, k) in zip(*np.nonzero(T.entries)):
-        coeffs = list(T.field.coeffs(int(T.entries[i, j, k])))
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        lines.append(f"{i} {j} {k} " + ",".join(str(c) for c in coeffs))
+    lines += [
+        f"{i} {j} {k} {coeffs[c]}"
+        for i, j, k, c in zip(*(a.tolist() for a in support), T.entries[support].tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 

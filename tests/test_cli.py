@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from trirank import cli, rankprofile, slicerank, tensor
-from trirank.errors import BudgetExceeded
+from trirank import cli, decomp, rankprofile, slicerank, tensor
+from trirank.errors import BudgetExceeded, VerificationFailed
 from trirank.fields import make_field
 
 F3 = make_field(3)
@@ -68,7 +69,8 @@ def test_sr_subcommand_and_bounds(levi_path, tmp_path):
     assert cli.run(["sr", "--tensor", levi_path, "--out", str(out)]) == 0
     assert read_json(out)["sr"]["lo"] == 3
     assert cli.run(["sr", "--tensor", levi_path, "--exact", "--out", str(out)]) == 0
-    assert read_json(out)["sr"] == read_json(out)["sr"]
+    exact = read_json(out)["sr"]
+    assert exact["method"] == "annihilator_exact" and exact["lo"] == exact["hi"] == 3
     assert cli.run(["sr", "--tensor", levi_path, "--bounds", "--out", str(out)]) == 0
     b = read_json(out)["sr"]
     assert b["lo"] <= 3 <= b["hi"]
@@ -457,11 +459,43 @@ def test_a_search_error_is_one_corpus_items_error_row(tmp_path, monkeypatch, wor
         ).read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_decomposition_error_is_one_corpus_items_error_row(tmp_path, monkeypatch, workers):
+    items = [("identity_2", tensor.identity_tensor(F3, 2))]
+    items += [("levi_civita", tensor.levi_civita(F3))]
+    items += [(f"random_{i}", tensor.random_tensor(F3, (3, 3, 3), seed=i)) for i in range(3)]
+    bad = items[3][1]
+    monkeypatch.setattr(cli, "builtin_corpus", lambda seed: items)
+    argv = ["corpus", "--seed", "7", "--workers", workers]
+    rc = cli.run(argv + ["--out-dir", str(tmp_path / "good")])
+    assert rc == 0
+    tangent_attempts = decomp._tangent_attempts
+
+    def failing(attempts):
+        if any(np.array_equal(Tw.entries, bad.entries) for Tw, *_ in attempts):
+            raise VerificationFailed("no decomposition")
+        return tangent_attempts(attempts)
+
+    # the corpus decomposes its 3x3x3 items as one stack, and an item alone
+    monkeypatch.setattr(decomp, "_tangent_attempts", failing)
+    out = tmp_path / "summary.json"
+    rc = cli.run(argv + ["--out-dir", str(tmp_path / "bad"), "--out", str(out)])
+    assert rc == 0 and read_json(out)["summary"]["errors"] == 1
+    assert read_json(tmp_path / "bad" / "random_1.json")["error"] == (
+        "VerificationFailed: no decomposition"
+    )
+    for name in ("identity_2", "levi_civita", "random_0", "random_2"):
+        assert (tmp_path / "bad" / f"{name}.json").read_bytes() == (
+            tmp_path / "good" / f"{name}.json"
+        ).read_bytes()
+
+
 @pytest.mark.parametrize("kwork", ["0", "7"])
 def test_corpus_rejects_a_bad_working_degree_before_the_batch(tmp_path, monkeypatch, capsys, kwork):
     ran = []
-    monkeypatch.setattr(cli, "_corpus_item", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "_corpus_chain", lambda *args: ran.append(args))
     monkeypatch.setattr(slicerank, "slice_rank_searches", lambda *args: ran.append(args))
+    monkeypatch.setattr(decomp, "slice_decompositions", lambda *args: ran.append(args))
     out_dir, out = tmp_path / "corpus", tmp_path / "summary.json"
     rc = cli.run(["corpus", "--kwork", kwork, "--out-dir", str(out_dir), "--out", str(out)])
     assert rc == 2 and ran == []

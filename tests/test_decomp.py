@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -187,9 +188,14 @@ def reference_tangent_decomposition(Tw, L, r, seed):
     return D
 
 
+def reference_tangent_attempts(attempts):
+    """decomp._tangent_attempts by the reference, one (Tw, L, r, seed) attempt at a time."""
+    return [reference_tangent_decomposition(*attempt) for attempt in attempts]
+
+
 def reference_slice_decompose(T, **kwargs):
     """decomp.slice_decompose with its construction swapped for the reference."""
-    with mock.patch.object(decomp, "_tangent_decomposition", reference_tangent_decomposition):
+    with mock.patch.object(decomp, "_tangent_attempts", reference_tangent_attempts):
         return decomp.slice_decompose(T, **kwargs)
 
 
@@ -359,10 +365,14 @@ def r0_tensors():
 def test_r0_attempt_is_the_base_case():
     Ts = r0_tensors()
     assert len(Ts) == 273
+    groups = {}  # one stacked attempt per (field, dims)
     for Tw in Ts:
-        D = decomp._tangent_decomposition(Tw, slice_space(Tw, "x"), 0, seed=0)
-        assert D.to_dict() == reference_base_decomposition(Tw).to_dict(), Tw
-        assert D.r_used == 0 and not D.sampled_point.any()
+        groups.setdefault((Tw.field, Tw.dims), []).append(Tw)
+    for group in groups.values():
+        Ds = decomp._tangent_attempts([(Tw, slice_space(Tw, "x"), 0, 0) for Tw in group])
+        for Tw, D in zip(group, Ds):
+            assert D.to_dict() == reference_base_decomposition(Tw).to_dict(), Tw
+            assert D.r_used == 0 and not D.sampled_point.any()
 
 
 def test_verify_rejects_wrong_tensor_or_dims():
@@ -412,3 +422,96 @@ def test_slice_decompose_matches_reference_pipeline(data):
     kwargs = dict(k_work=k_work, seed=seed, gr_report=rep)
     D = decomp.slice_decompose(T, **kwargs)
     assert decomposition_bytes(D) == decomposition_bytes(reference_slice_decompose(T, **kwargs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sylvester_matrix_of_a_stack_is_each_kron_pair(data):
+    F = data.draw(st.sampled_from([make_field(2), F3, make_field(3, 2)]), label="F")
+    m, n = data.draw(st.integers(0, 4), label="m"), data.draw(st.integers(0, 4), label="n")
+    batch = tuple(data.draw(st.lists(st.integers(0, 3), max_size=2), label="batch"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    As = rng.integers(0, F.q, size=batch + (m, n)).astype(np.int32)
+    S = decomp._sylvester_matrix(As)
+    assert S.shape == batch + (m * n, m * m + n * n) and S.dtype == np.int32
+    I_m, I_n = np.eye(m, dtype=np.int32), np.eye(n, dtype=np.int32)
+    for idx in np.ndindex(batch):
+        A = As[idx]
+        assert np.array_equal(S[idx], np.hstack([np.kron(I_m, A.T), np.kron(A, I_n)]))
+
+
+def draw_decomposition_batch(data):
+    """Tensors over F_2 and F_3 of one or two dims in 0..4: repeats, zeros, random, r > 0."""
+    shapes = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=2))
+    batch = []
+    for _ in range(data.draw(st.integers(1, 5), label="size")):
+        F = make_field(data.draw(st.sampled_from([2, 3]), label="p"))
+        kind = data.draw(st.sampled_from(["random", "zero", "levi_civita", "repeat"]))
+        if kind == "repeat" and batch:
+            batch.append(data.draw(st.sampled_from(batch)))
+        elif kind == "levi_civita":  # GR's argmin_r is 2: a rank-2 point is drawn
+            batch.append(tensor.levi_civita(F))
+        else:
+            dims = data.draw(st.sampled_from(shapes), label="dims")
+            seed = data.draw(st.integers(0, 999), label="tseed")
+            T = tensor.random_tensor(F, dims, seed=seed)
+            batch.append(tensor.zero_tensor(F, dims) if kind == "zero" else T)
+    return batch
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_decompositions_match_one_tensor_decompositions(data):
+    batch = draw_decomposition_batch(data)
+    k_work = data.draw(st.integers(1, 3), label="k_work")
+    seeds = [data.draw(st.integers(0, 9), label="seed") for _ in batch]
+    reports = [geometric.geometric_rank(T, kmax=2, seed=s) for T, s in zip(batch, seeds)]
+    stacked = decomp.slice_decompositions(batch, k_work, seeds, reports)
+    for T, s, rep, D in zip(batch, seeds, reports, stacked):
+        alone = decomp.slice_decompose(T, k_work=k_work, seed=s, gr_report=rep)
+        assert decomposition_bytes(D) == decomposition_bytes(alone)
+        assert decomp.verify_decomposition(T, D)
+
+
+def test_stacked_decomposition_eliminates_at_most_chunk_matrices_per_call(monkeypatch):
+    Ts = [tensor.levi_civita(F3), tensor.identity_tensor(F3, 3)]
+    Ts += [tensor.random_tensor(F3, (3, 3, 3), seed=s) for s in range(5)]
+    seeds = list(range(len(Ts)))
+    reports = [geometric.geometric_rank(T, seed=s) for T, s in zip(Ts, seeds)]
+    expected = [decomposition_bytes(D) for D in decomp.slice_decompositions(Ts, 3, seeds, reports)]
+    batched_rref, seen = linalg.batched_rref, []
+
+    def recording(Ms, F):
+        seen.append(len(Ms))
+        return batched_rref(Ms, F)
+
+    monkeypatch.setattr(linalg, "batched_rref", recording)
+    monkeypatch.setattr(decomp, "CHUNK", 2)
+    found = decomp.slice_decompositions(Ts, 3, seeds, reports)
+    assert [decomposition_bytes(D) for D in found] == expected
+    assert max(seen) == 2 and sum(seen) == 3 * len(Ts)  # spans, solves, factorizations
+
+
+def test_retry_rounds_match_the_reference():
+    # a report claiming GR = 1 sends every decomposition of more than 2 terms back
+    # for retries, so the items of one stack finish in different rounds
+    Ts = [tensor.levi_civita(F3), tensor.identity_tensor(F3, 3), tensor.zero_tensor(F3, (3, 3, 3))]
+    Ts += [tensor.random_tensor(F3, (3, 3, 3), seed=s) for s in range(3)]
+    seeds = list(range(len(Ts)))
+    reports = [
+        SimpleNamespace(gr=1, stable=True, argmin_r=geometric.geometric_rank(T, seed=s).argmin_r)
+        for T, s in zip(Ts, seeds)
+    ]
+    tangent_attempts, rounds = decomp._tangent_attempts, []
+
+    def recording(attempts):
+        rounds.append(len(attempts))
+        return tangent_attempts(attempts)
+
+    with mock.patch.object(decomp, "_tangent_attempts", recording):
+        stacked = decomp.slice_decompositions(Ts, 3, seeds, reports)
+    assert [D.flagged for D in stacked[:3]] == [True, True, False]
+    assert len(rounds) >= decomp.MAX_RETRIES and rounds[0] == len(Ts) > rounds[-1]
+    for T, s, rep, D in zip(Ts, seeds, reports, stacked):
+        ref = reference_slice_decompose(T, k_work=3, seed=s, gr_report=rep)
+        assert decomposition_bytes(D) == decomposition_bytes(ref)

@@ -190,3 +190,38 @@ def test_batched_rank_of_a_long_stack():
     Ms = rng.integers(0, F9.q, size=((1 << 15) + 5, 1, 1)).astype(np.int32)
     Ms[-3:] = 0
     assert np.array_equal(linalg.batched_rank(Ms, F9), (Ms[:, 0, 0] != 0).astype(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batched_rref_matches_rref(data):
+    F = data.draw(st.sampled_from([F2, F3, F9, F27]), label="F")
+    N = data.draw(st.integers(0, 6), label="N")
+    m, n = data.draw(st.integers(0, 6), label="m"), data.draw(st.integers(0, 9), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    Ms = []
+    for _ in range(N):  # zero, full-rank (random) and low-rank (product) matrices
+        kind = data.draw(st.sampled_from(["zero", "random", "product"]))
+        if kind == "zero":
+            Ms.append(np.zeros((m, n), np.int32))
+        elif kind == "random":
+            Ms.append(rng.integers(0, F.q, size=(m, n)).astype(np.int32))
+        else:
+            r = data.draw(st.integers(0, min(m, n)))
+            A, B = rng.integers(0, F.q, size=(m, r)), rng.integers(0, F.q, size=(r, n))
+            Ms.append(linalg.mat_mul(A, B, F))
+    Ms = np.array(Ms, dtype=np.int32).reshape(N, m, n)
+    before = Ms.copy()
+    R, pivots = linalg.batched_rref(Ms, F)
+    assert np.array_equal(Ms, before)  # the input is not written
+    assert R.dtype == np.int32 and R.shape == Ms.shape and len(pivots) == N
+    for M, R_M, p in zip(Ms, R, pivots):
+        R_ref, p_ref = linalg.rref(M, F)
+        assert np.array_equal(R_M, R_ref) and p == p_ref
+
+
+def test_batched_rref_of_identity_and_swapped_rows():
+    P = np.array([[0, 1, 2], [1, 0, 0], [0, 0, 0]], dtype=np.int32)  # needs a row swap
+    R, pivots = linalg.batched_rref(np.stack([np.eye(3, dtype=np.int32), P]), F3)
+    assert pivots == [[0, 1, 2], [0, 1]]
+    assert R[1].tolist() == [[1, 0, 0], [0, 1, 2], [0, 0, 0]]

@@ -362,7 +362,9 @@ def test_check_witness_rejects_a_wrong_witness():
     assert not slicerank.check_witness(T, slicerank.SRResult(3, 3, "bounds_only"))
 
 
-@pytest.mark.parametrize("case", ["repeated_row", "dependent_rows_empty_w", "wrong_width"])
+@pytest.mark.parametrize(
+    "case", ["repeated_row", "dependent_rows_empty_w", "wrong_width", "codes_past_q", "negative_codes"]
+)
 def test_check_witness_rejects_malformed_bases(case):
     if case == "repeated_row":  # one U row twice: the codims sum to 2, yet SR is 3
         T = tensor.levi_civita(F3)
@@ -371,10 +373,14 @@ def test_check_witness_rejects_malformed_bases(case):
     elif case == "dependent_rows_empty_w":  # codims -1 + 0 + 1 = 0, yet SR is 1
         T = tensor.identity_tensor(F3, 1)
         witness, value = (np.array([[1], [1]]), np.array([[1]]), np.zeros((0, 1), int)), 0
-    else:  # a U basis two columns wide in F^3
+    elif case == "wrong_width":  # a U basis two columns wide in F^3
         T = tensor.levi_civita(F3)
         U, V, W = slicerank.slice_rank_exact(T).witness
         witness, value = (U[:, :2], V, W), 3
+    else:  # U's codes shifted by +3 or -3: outside [0, 3), though congruent mod 3
+        T = tensor.levi_civita(F3)
+        U, V, W = slicerank.slice_rank_exact(T).witness
+        witness, value = (U + (3 if case == "codes_past_q" else -3), V, W), 3
     res = slicerank.SRResult(value, value, "annihilator_exact", witness)
     assert slicerank.check_witness(T, res) is False
 

@@ -289,6 +289,32 @@ def test_file_format_round_trip():
         assert tensor.loads(tensor.dumps(T)) == T
 
 
+def entrywise_dumps(T):
+    """The file text formatted one support entry at a time: the reference for dumps."""
+    n1, n2, n3 = T.dims
+    lines = [f"tensor {T.field.designation()} {n1} {n2} {n3}"]
+    for (i, j, k) in zip(*np.nonzero(T.entries)):
+        coeffs = list(T.field.coeffs(int(T.entries[i, j, k])))
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        lines.append(f"{i} {j} {k} " + ",".join(str(c) for c in coeffs))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    F=st.sampled_from([make_field(p, k) for p, k in ((2, 1), (3, 1), (7, 1), (2, 3), (3, 2), (3, 3))]),
+    dims=st.tuples(*[st.integers(0, 4)] * 3),
+    seed=st.integers(0, 999),
+    zero=st.booleans(),
+)
+def test_dumps_matches_entrywise_formatting(F, dims, seed, zero):
+    T = tensor.zero_tensor(F, dims) if zero else tensor.random_tensor(F, dims, seed=seed)
+    text = tensor.dumps(T)
+    assert text == entrywise_dumps(T)
+    assert tensor.loads(text) == T
+
+
 def test_file_format_header_and_coeffs():
     text = tensor.dumps(tensor.identity_tensor(F3, 2))
     lines = text.strip().splitlines()
