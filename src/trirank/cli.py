@@ -53,9 +53,59 @@ def _tensor_id(T: tensor.Tensor3) -> str:
     return hashlib.sha256(tensor.dumps(T).encode()).hexdigest()[:16]
 
 
+def _encode(obj, out: list, indent: str = "\n") -> None:
+    """Append the text of ``json.dumps(obj, indent=2, sort_keys=True)`` to `out`, in pieces.
+
+    json's indent path is its pure-Python encoder; this is the same text by a
+    shorter route.  Keys are sorted before they are stringified, strings go
+    through ``json.encoder.encode_basestring_ascii``, None, True and False are
+    json's literals, ints go through ``int.__repr__``, and floats and anything
+    else through ``json.dumps``.
+    """
+    if isinstance(obj, str):
+        out.append(json.encoder.encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict) and obj:
+        inner, sep = indent + "  ", "{"
+        for key, value in sorted(obj.items()):
+            if isinstance(key, int) and not isinstance(key, bool):
+                key = int.__repr__(key)
+            elif isinstance(key, (float, bool)) or key is None:
+                key = json.dumps(key)
+            elif not isinstance(key, str):
+                raise TypeError(f"keys must be str, int, float, bool or None, not {key!r}")
+            out.append(sep + inner + json.encoder.encode_basestring_ascii(key) + ": ")
+            _encode(value, out, inner)
+            sep = ","
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner, sep = indent + "  ", "["
+        for value in obj:
+            out.append(sep + inner)
+            _encode(value, out, inner)
+            sep = ","
+        out.append(indent + "]")
+    else:  # an empty container's text is json.dumps's too
+        out.append(json.dumps(obj))
+
+
+def _report_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, by ``_encode``."""
+    out: list = []
+    _encode(obj, out)
+    return "".join(out)
+
+
 def _emit(report: dict, out: str | None) -> None:
     report = {"schema": SCHEMA, **report}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _report_text(report) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -326,7 +376,7 @@ def _cmd_corpus(args) -> int:
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         for row in rows:
-            text = json.dumps({"schema": SCHEMA, **row}, indent=2, sort_keys=True)
+            text = _report_text({"schema": SCHEMA, **row})
             with open(
                 os.path.join(args.out_dir, row["name"] + ".json"), "w", encoding="utf-8"
             ) as fh:

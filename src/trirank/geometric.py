@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, VerificationFailed
 from .rankprofile import ELIM_BUDGET, MC_SAMPLES, RankProfile, rank_profile
 from .tensor import Tensor3, slice_space
 from .variety import CountRecord, DimEstimate, estimate_from_counts, exact_estimate
@@ -96,7 +96,12 @@ def geometric_rank(
 ) -> GRReport:
     """GR = min_r (r + codim X_r) from tower estimates of each stratum.
 
-    `profiles`: the rank profiles along `axis` for k = 1..kmax, if the caller has them.
+    X_0, the x with sum_i x_i A_i = 0, is a linear subspace defined over F_q,
+    so its dim is exact: read from an exact k = 1 profile, whose hist[0] is
+    q^dim X_0, and from the slice span only when that level is sampled.
+    Every exact level must count q^(k dim X_0) points at rank 0, or
+    VerificationFailed is raised.  `profiles`: the rank profiles along `axis`
+    for k = 1..kmax, if the caller has them.
     """
     if kmax < 2:
         raise BudgetExceeded("kmax must be >= 2")
@@ -108,12 +113,21 @@ def geometric_rank(
         profiles = [
             rank_profile(T, k, axis, budget, mc_samples, seed) for k in range(1, kmax + 1)
         ]
+    k1 = profiles[0]
+    if k1.exact:
+        dim0 = round(np.log(k1.hist[0]) / np.log(k1.q))  # checked to be exact below
+    else:
+        dim0 = n_coeff - slice_space(T, axis).dim
+    for prof in profiles:
+        if prof.exact and int(prof.hist[0]) != prof.q ** dim0:
+            raise VerificationFailed(
+                f"|X_0(F_{prof.q})| = {int(prof.hist[0])} is not {prof.q}^{dim0}"
+            )
     per_k = [_strata_records(prof) for prof in profiles]
     strata: dict[int, DimEstimate] = {}
     for r, counts in enumerate(zip(*per_k)):  # r = 0..min of the other two dims
-        if r == 0:
-            # X_0 is the kernel of a linear map: exact codim, no estimation
-            strata[0] = exact_estimate(n_coeff, n_coeff - slice_space(T, axis).dim, counts)
+        if r == 0:  # exact codim, no estimation
+            strata[0] = exact_estimate(n_coeff, dim0, counts)
         else:
             strata[r] = estimate_from_counts(T.field.q, n_coeff, counts)
     # X_0 is never empty, and min keeps the first minimal r

@@ -49,37 +49,6 @@ def rank(M, F: Field) -> int:
     return len(rref(M, F)[1])
 
 
-def kernel_basis(M, F: Field) -> np.ndarray:
-    """Basis of {v : Mv = 0} as rows of a (d, n) array."""
-    R, pivots = rref(M, F)
-    n = R.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int32)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, pc in enumerate(pivots):
-            basis[row, pc] = F.neg[R[i, f]]
-    return basis
-
-
-def solve(M, b, F: Field):
-    """One solution of Mx = b (free variables set to 0), or None.
-
-    A 2-D b is solved column by column in one elimination; None if any
-    column has no solution.
-    """
-    M = as_matrix(M)
-    b = np.asarray(b, dtype=np.int32)
-    B = b[:, None] if b.ndim == 1 else b
-    R, pivots = rref(np.hstack([M, B]), F)
-    n = M.shape[1]
-    if pivots and pivots[-1] >= n:  # a pivot in the right-hand side
-        return None
-    x = np.zeros((n, B.shape[1]), dtype=np.int32)
-    x[pivots] = R[: len(pivots), n:]
-    return x[:, 0] if b.ndim == 1 else x
-
-
 def row_space_basis(rows, F: Field) -> np.ndarray:
     """Independent spanning subset, in RREF (canonical for the row space)."""
     R, pivots = rref(rows, F)
@@ -143,12 +112,13 @@ def batched_rref(Ms, F: Field):
     matrix's result is ``rref``'s.  A matrix with no pivot in the column takes
     the same step with a zero pivot row, which changes nothing.  Columns left
     of the pivot are zero in the pivot row, so only columns >= c are updated.
-    The input is not written.
+    The pass stops once every matrix has a pivot in every row.  The input is
+    not written.
     """
     R = np.array(Ms, dtype=np.int32)  # a copy
     N, m, n = R.shape
     is_pivot = np.zeros((N, n), dtype=bool)
-    if m:
+    if N and m:
         q, mul, add = F.q, F.mul.ravel(), F.add.ravel()
         stack, rows = np.arange(N), np.arange(m)
         r = np.zeros(N, dtype=np.int64)  # each matrix's next pivot row
@@ -170,4 +140,6 @@ def batched_rref(Ms, F: Field):
             R[has, top[has], c:] = pivot[has]
             is_pivot[:, c] = has
             r += has
+            if r.min() == m:  # a pivot in every row of every matrix, as rref's r == m
+                break
     return R, [np.flatnonzero(p).tolist() for p in is_pivot]

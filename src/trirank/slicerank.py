@@ -16,8 +16,10 @@ that total, so the first minimal pair, and the witness, are unchanged.
 dims) as one stack: one pruning rank call for all of them, then each codim
 block eliminates every tensor's surviving pairs together, at most CHUNK per
 batched_rank call.  Each tensor keeps its own best total, so its outcome is
-its search alone; ``slice_rank_exact`` turns it into the SRResult.  Only
-``slice_rank`` compares a value with the chain's lower bound max(ceil AR, GR).
+its search alone.  The witnesses W of all the stack's minimal pairs are then
+built together, by two batched_rref calls; ``slice_rank_exact`` only wraps
+an outcome into the SRResult.  Only ``slice_rank`` compares a value with the
+chain's lower bound max(ceil AR, GR).
 
 For antichain supports the vertex-cover route gives exact values beyond the
 subspace-search scope (identity tensors, Levi-Civita, and their direct sums).
@@ -122,14 +124,16 @@ class SRResult:
 
 @dataclass(frozen=True)
 class PairSearch:
-    """One tensor's pair search, before its witness W is built.
+    """One tensor's pair search and its witness.
 
-    `best`: the least total c1 + c2 + rank T(U, V, .); (U, V): the first minimal pair.
+    `best`: the least total c1 + c2 + rank T(U, V, .); (U, V): the first minimal
+    pair; W: the RREF basis of the right kernel of that pair's form matrix.
     """
 
     best: int
     U: np.ndarray
     V: np.ndarray
+    W: np.ndarray
 
 
 def _in_exact_scope(T: Tensor3) -> bool:
@@ -143,6 +147,7 @@ def _pair_searches(tensors: list[Tensor3]) -> list[PairSearch]:
     forms every tensor's surviving U times every V and eliminates them
     together: at most CHUNK matrices or pairs per batched_rank call.  Each tensor keeps
     its own best total, so it prunes U and skips blocks as it would alone.
+    Last, ``_kernel_witnesses`` builds every tensor's W in one stack.
     """
     (n1, n2, n3), F = tensors[0].dims, tensors[0].field
     Fk = F.extension(3)
@@ -187,7 +192,33 @@ def _pair_searches(tensors: list[Tensor3]) -> list[PairSearch]:
             total = c1 + c2 + int(ranks[lo:hi].flat[j])
             if total < best[i, 0]:
                 best[i, 0], pairs[i] = total, (Us[u[lo + j // len(Vs)]], Vs[j % len(Vs)])
-    return [PairSearch(b, U, V) for b, (U, V) in zip(best[:, 0].tolist(), pairs)]
+    Ws = _kernel_witnesses(E.reshape(len(E), n1, n2, n3), pairs, F)
+    return [PairSearch(b, U, V, W) for b, (U, V), W in zip(best[:, 0].tolist(), pairs, Ws)]
+
+
+def _kernel_witnesses(E: np.ndarray, pairs: list, F: Field) -> list[np.ndarray]:
+    """W of each tensor E[g] (n1, n2, n3) and pair (U, V): the RREF basis of ker T(U, V, .).
+
+    Each U is padded to (n1, n1) and each V to (n2, n2) with zero rows, which
+    only add zero form rows, so the forms are one (G, n1 n2, n3) stack and one
+    batched_rref reduces them all.  With R~ holding each pivot row of the
+    reduced form at the row of its pivot column, (I - R~)^T has the kernel
+    basis vector of each free column as that column's row and zero rows
+    elsewhere; a second batched_rref of it gives the RREF basis W, the same
+    rows ``row_space_basis(kernel_basis(form))`` gives.
+    """
+    G, n1, n2, n3 = E.shape
+    Up, Vp = np.zeros((G, n1, n1), np.int32), np.zeros((G, n2, n2), np.int32)
+    for g, (U, V) in enumerate(pairs):
+        Up[g, : len(U)], Vp[g, : len(V)] = U, V
+    A = linalg.mat_mul(Up, E.reshape(G, n1, n2 * n3), F).reshape(G, n1, n2, n3)
+    R, pivots = linalg.batched_rref(linalg.mat_mul(Vp[:, None], A, F).reshape(G, n1 * n2, n3), F)
+    R_sq = np.zeros((G, n3, n3), np.int32)
+    for g, p in enumerate(pivots):
+        R_sq[g, p] = R[g, : len(p)]
+    kernels = F.add[np.eye(n3, dtype=np.int32), F.neg[R_sq]].transpose(0, 2, 1)
+    K, pivots = linalg.batched_rref(kernels, F)
+    return [K[g, : len(p)].copy() for g, p in enumerate(pivots)]
 
 
 def slice_rank_searches(tensors: list[Tensor3]) -> list[PairSearch | None]:
@@ -211,8 +242,10 @@ def slice_rank_exact(T: Tensor3, search: PairSearch | None = None) -> SRResult:
     """Minimum of c1 + c2 + rank T(U, V, .) over subspace pairs, by exhaustion.
 
     The witness is the first minimal pair, codim blocks (c1, c2) in lexicographic
-    order and U-major within a block, with W the kernel of its form matrix.
-    No lower bound is checked: the search always runs to its end.
+    order and U-major within a block, with W the RREF basis of the kernel of
+    its form matrix, built by the search's stack: this function does no
+    elimination of its own.  No lower bound is checked: the search always
+    runs to its end.
 
     Each U is pruned by the rank of M_U = sum_a t^a T(u_a, ., .) over F_{q^3}
     (t the class of code p): a pair with T(U, V, W) = 0 has rank M_U <=
@@ -233,9 +266,7 @@ def slice_rank_exact(T: Tensor3, search: PairSearch | None = None) -> SRResult:
         )
     if search is None:
         search = _pair_searches([T])[0]
-    U, V, F = search.U, search.V, T.field
-    W = linalg.row_space_basis(linalg.kernel_basis(_forms(T, U[None], V[None])[0], F), F)
-    return SRResult(search.best, search.best, "annihilator_exact", (U, V, W))
+    return SRResult(search.best, search.best, "annihilator_exact", (search.U, search.V, search.W))
 
 
 def check_witness(T: Tensor3, result: SRResult) -> bool:

@@ -130,7 +130,8 @@ class SliceTerm:
         others = tuple(d for i, d in enumerate(dims) if i != a)
         if self.linear.shape != (dims[a],) or self.bilinear.shape != others:
             raise DimensionMismatch("slice term shape mismatch")
-        return np.moveaxis(self.field.mul[self.linear[:, None, None], self.bilinear[None]], 0, a)
+        product = self.field.mul[self.linear[:, None, None], self.bilinear[None]]
+        return product.transpose(((0, 1, 2), (1, 0, 2), (1, 2, 0))[a])  # axis 0 moved to a
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Reference tangent spaces: the kernel of the Jacobian of a polynomial system.
+"""Reference linear algebra for the tests: kernels, solves and Jacobian tangent spaces.
 
+``kernel_basis`` and ``solve`` are the scalar references the stacked routes
+of ``trirank`` are checked against; the package itself needs neither.
 The tests check ``decomp._sylvester_matrix``, the tangent map the
 decomposition uses, against the Jacobian of the minors that cut out each
 determinantal variety.  Polynomials are ``variety``'s sparse dicts
@@ -9,6 +11,37 @@ determinantal variety.  Polynomials are ``variety``'s sparse dicts
 import numpy as np
 
 from trirank import linalg, variety
+
+
+def kernel_basis(M, F) -> np.ndarray:
+    """Basis of {v : Mv = 0} as rows of a (d, n) array."""
+    R, pivots = linalg.rref(M, F)
+    n = R.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int32)
+    for row, f in enumerate(free):
+        basis[row, f] = 1
+        for i, pc in enumerate(pivots):
+            basis[row, pc] = F.neg[R[i, f]]
+    return basis
+
+
+def solve(M, b, F):
+    """One solution of Mx = b (free variables set to 0), or None.
+
+    A 2-D b is solved column by column in one elimination; None if any
+    column has no solution.
+    """
+    M = linalg.as_matrix(M)
+    b = np.asarray(b, dtype=np.int32)
+    B = b[:, None] if b.ndim == 1 else b
+    R, pivots = linalg.rref(np.hstack([M, B]), F)
+    n = M.shape[1]
+    if pivots and pivots[-1] >= n:  # a pivot in the right-hand side
+        return None
+    x = np.zeros((n, B.shape[1]), dtype=np.int32)
+    x[pivots] = R[: len(pivots), n:]
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def poly_partial(a, i: int, F):
@@ -60,4 +93,4 @@ def jacobian_tangent(S, point) -> np.ndarray:
     for r, p in enumerate(S.polys):
         for i in range(S.nvars):
             J[r, i] = _value(poly_partial(p, i, F), point, F)
-    return linalg.kernel_basis(J, F)
+    return kernel_basis(J, F)

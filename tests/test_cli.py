@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trirank import cli, decomp, rankprofile, slicerank, tensor
 from trirank.errors import BudgetExceeded, VerificationFailed
@@ -509,3 +511,40 @@ def test_builtin_corpus_contents():
     assert names[:6] == ["identity_1", "identity_2", "identity_3", "identity_4",
                          "levi_civita", "t2_direct_sum"]
     assert len(items) == 56
+
+
+SPECIAL_TEXT = st.text(st.sampled_from('a"\\/\n\r\t\x00\x1f\x7f\x80é€ 😀'))
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2 ** 200), 2 ** 200)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+    | st.text() | SPECIAL_TEXT
+)
+REPORTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text() | SPECIAL_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4)
+    | st.dictionaries(st.floats() | st.booleans() | st.none(), inner, max_size=2),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=REPORTS)
+def test_report_text_is_the_json_indent_text(obj):
+    try:
+        expected = json.dumps(obj, indent=2, sort_keys=True)
+    except TypeError:  # keys json cannot sort against each other
+        with pytest.raises(TypeError):
+            cli._report_text(obj)
+        return
+    assert cli._report_text(obj) == expected
+
+
+def test_report_text_refuses_the_keys_json_refuses():
+    for obj in ({(1, 2): 0}, {"a": {b"k": 0}}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._report_text(obj)

@@ -12,7 +12,7 @@ from trirank.errors import NoPointFound, VerificationFailed
 from trirank.fields import make_field
 from trirank.tensor import SliceTerm, slice_space
 
-from jacobian_reference import jacobian_tangent
+from jacobian_reference import jacobian_tangent, kernel_basis, solve
 
 F3 = make_field(3)
 
@@ -55,7 +55,7 @@ def intersect_row_spaces(U, V, F):
     if U.shape[0] == 0 or V.shape[0] == 0:
         return np.zeros((0, U.shape[1]), dtype=np.int32)
     S = np.vstack([U, V])
-    left_null = linalg.kernel_basis(S.T, F)  # rows (a | b) with aU + bV = 0
+    left_null = kernel_basis(S.T, F)  # rows (a | b) with aU + bV = 0
     if left_null.shape[0] == 0:
         return np.zeros((0, U.shape[1]), dtype=np.int32)
     combos = linalg.mat_mul(left_null[:, : U.shape[0]], U, F)
@@ -112,7 +112,7 @@ def sylvester_solve(B, A, F):
                 M[eq, a * m + c] = A[c, b]  # C[a, c] coefficient
             for d in range(n):
                 M[eq, m * m + d * n + b] = A[a, d]  # Cp[d, b] coefficient
-    x = linalg.solve(M, B.ravel(), F)
+    x = solve(M, B.ravel(), F)
     if x is None:
         raise NotInTangentSpace("target is outside {CA + AC'}")
     C = x[: m * m].reshape(m, m)
@@ -128,7 +128,7 @@ def reference_base_decomposition(Tw):
     terms = []
     if L.dim:
         coords = np.array(
-            [linalg.solve(S.T, Tw.entries[l].ravel(), F) for l in range(Tw.dims[0])],
+            [solve(S.T, Tw.entries[l].ravel(), F) for l in range(Tw.dims[0])],
             dtype=np.int32,
         )
         for m in range(L.dim):
@@ -154,7 +154,7 @@ def reference_tangent_decomposition(Tw, L, r, seed):
     stack = np.vstack([P, np.array(complement, dtype=np.int32).reshape(-1, n2 * n3)])
     # coordinates of every slice in the [tangent part; complement part] basis
     coords = np.array(
-        [linalg.solve(stack.T, Tw.entries[l].ravel(), F) for l in range(n1)],
+        [solve(stack.T, Tw.entries[l].ravel(), F) for l in range(n1)],
         dtype=np.int32,
     )
     lam = coords[:, : P.shape[0]]  # (n1, dim P)

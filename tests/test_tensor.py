@@ -368,3 +368,17 @@ def test_slice_term_dense_is_linear_times_bilinear(direction):
                 bad[axis] += 1
                 with pytest.raises(DimensionMismatch):
                     term.dense(tuple(bad))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 1, 2), (0, 2, 3), (2, 0, 3), (3, 2, 0), (0, 0, 0)])
+def test_slice_term_dense_matches_the_moveaxis_construction(dims):
+    rng = np.random.default_rng(sum(dims))
+    for a, direction in enumerate(tensor.AXES):
+        others = tuple(d for i, d in enumerate(dims) if i != a)
+        term = tensor.SliceTerm(
+            F9, direction, rng.integers(0, F9.q, dims[a]), rng.integers(0, F9.q, others)
+        )
+        expected = np.moveaxis(F9.mul[term.linear[:, None, None], term.bilinear[None]], 0, a)
+        dense = term.dense(dims)
+        assert dense.shape == expected.shape == dims and dense.dtype == expected.dtype
+        assert np.array_equal(dense, expected)
