@@ -104,39 +104,52 @@ def bias_char_sum(T: Tensor3, budget: int = ENUM_BUDGET) -> complex:
 def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     """Exact output histogram of the bilinear map under uniform inputs.
 
-    Counts N(b) by the module's formula from the z-axis ranks.  W[b, r], the
-    number of projective points [z] with [z].b = 0 and rank A_z = r, comes
-    from a hyperplane-sum transform over the coordinates of z: every z != 0
-    starts at s = 0, and each coordinate z_i in turn is replaced by b_i,
-    moving the count from s to s + z_i b_i.  z.b = 0 does not change under
+    Counts N(b) by the module's formula from the z-axis ranks.  G(b), the sum
+    of g(z) over the projective points [z] with [z].b = 0, comes from a
+    hyperplane-sum transform over the coordinates of z: every z != 0 starts at
+    s = 0 with its weight, and each coordinate z_i in turn is replaced by b_i,
+    moving the weight from s to s + z_i b_i.  z.b = 0 does not change under
     scaling, so each [z] is counted once per nonzero multiple, q - 1 times.
-    The budget bounds the q^(n3 + 1) entries (s, b) of the transform.
+
+    The transform is linear, so it runs once per run of ranks r0..r1, on the
+    weights q^(r1 - rank A_z), and each run's sums are scaled by q^(n1 - r1)
+    as Python ints.  A run holds at most span + 1 ranks: an entry sums fewer
+    than q^n3 weights of at most q^span, so it stays below q^(n3 + span),
+    which is under 2^31 (X int32) unless q^n3 >= 2^31, where span is 0 and X
+    int64, as for one pass per rank.  The budget bounds the q^(n3 + 1)
+    entries (s, b) of the transform, and the q^(n1 + n2) input pairs must fit
+    the int64 histogram.
     """
     F = T.field
     n1, n2, n3 = T.dims
     q = F.q
     if not within_budget(q, n3 + 1, budget):
         raise BudgetExceeded(f"min-entropy: {q}^{n3 + 1} transform entries exceed budget {budget}")
+    if not within_budget(q, n1 + n2, 2 ** 63 - 1):
+        raise BudgetExceeded(f"min-entropy: {q}^{n1 + n2} input pairs overflow the int64 histogram")
     rmax = min(n1, n2)
     ranks_at = SummandRanks(T, 1, "z", q ** n3)  # every summand is read from its table
     rank_of = np.empty(q ** n3, dtype=np.int64)
     for start in range(0, q ** n3, CHUNK):
         stop = min(start + CHUNK, q ** n3)
         rank_of[start:stop] = ranks_at(point_block(q, n3, start, stop))
-    # entries count affine points, fewer than q^n3
-    dtype = np.int32 if q ** n3 < 2 ** 31 else np.int64
+    span = max(0, 30 // q.bit_length() - n3)
+    dtype = np.int32 if q ** (n3 + span) < 2 ** 31 else np.int64
     sub = F.add[:, F.neg[F.mul]]  # sub[s, z, b] = s - z b
-    W = np.empty((q ** n3, rmax + 1), dtype=np.int64)
-    for r in range(rmax + 1):  # one rank at a time keeps the transform small
+    G = np.zeros(q ** n3, dtype=object)
+    for r0 in range(0, rmax + 1, span + 1):  # one run at a time keeps the transform small
+        r1 = min(r0 + span, rmax)
+        weight = np.zeros(rmax + 1, dtype=dtype)
+        weight[r0 : r1 + 1] = [q ** (r1 - r) for r in range(r0, r1 + 1)]
         X = np.zeros((q, q ** n3), dtype=dtype)  # [s, z or b]
-        X[0] = rank_of == r
+        X[0] = weight[rank_of]
         X[0, 0] = 0  # z = 0 is no projective point
         for _ in range(n3):
             X = X.reshape(q, q, -1)  # [s, most significant coordinate, the rest]
             X = sum(X[sub[:, z], z] for z in range(q))
             X = X.transpose(0, 2, 1)  # the coordinate done becomes the least significant
-        W[:, r] = X.reshape(q, q ** n3)[0] // (q - 1)  # in histogram order: coordinate 0 lowest
-    G = W @ np.array([q ** (n1 - r) for r in range(rmax + 1)], dtype=object)
+        # in histogram order: coordinate 0 lowest
+        G += (X.reshape(q, q ** n3)[0] // (q - 1)).astype(object) * q ** (n1 - r1)
     scaled = q ** n2 * (q ** n1 - G[0] + q * G)  # b = 0 is orthogonal to every [z]
     if (scaled % q ** n3).any():
         raise ArithmeticError(f"output counts times {q}^{n3} are not divisible by it")

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trirank import analytic, tensor
+from trirank import analytic, biascx, cli, tensor
 from trirank.errors import BudgetExceeded
 from trirank.fields import make_field
 from trirank.linalg import mat_mul
@@ -161,6 +163,32 @@ def test_histogram_zero_count_and_bias_agree(F, dims):
         assert bias == complex(Fraction(zc, F.q ** (n1 + n2)))
 
 
+@pytest.mark.parametrize("dims", [(4, 4, 13), (4, 4, 15)])
+def test_min_entropy_over_several_weighted_runs(dims):
+    # over F_2 a run holds 30 // 2 - n3 + 1 ranks: ranks 0..4 take two runs at
+    # n3 = 13 (0..2, 3..4) and one run each at n3 = 15
+    F2 = make_field(2)
+    for seed in range(2):
+        T = tensor.random_tensor(F2, dims, seed=seed)
+        hist = analytic.min_entropy(T).histogram
+        assert hist.tobytes() == brute_min_entropy(T).tobytes()
+        assert hist[0] == analytic.zero_count(T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), field=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]))
+def test_min_entropy_matches_enumeration(data, field):
+    F = make_field(*field)
+    dims = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+    size = int(np.prod(dims))
+    entries = data.draw(st.lists(st.integers(0, F.q - 1), min_size=size, max_size=size))
+    for T in (tensor.Tensor3(F, np.array(entries, dtype=np.int32).reshape(dims)),
+              tensor.zero_tensor(F, dims)):
+        hist = analytic.min_entropy(T).histogram
+        assert hist.tobytes() == brute_min_entropy(T).tobytes()
+        assert hist[0] == analytic.zero_count(T)
+
+
 @pytest.mark.parametrize("F", [F3, make_field(2, 2)])
 def test_min_entropy_of_a_direct_sum_matches_enumeration(F):
     # min_entropy reads every summand from its rank table at every affine z,
@@ -217,3 +245,17 @@ def test_min_entropy_budget_bounds_the_z_side():
     hist = analytic.min_entropy(T, budget=100).histogram
     assert hist.sum() == 3 ** 8
     assert hist.tobytes() == brute_min_entropy(T).tobytes()
+
+
+def test_histogram_past_int64_is_refused(tmp_path):
+    # 3^41 input pairs fit a budget of 10^20 but not an int64 count; z has 3 points
+    T = tensor.loads("tensor 3^1 1 40 1\n0 0 0 1\n")
+    with pytest.raises(BudgetExceeded):
+        analytic.min_entropy(T, budget=10 ** 20)
+    with pytest.raises(BudgetExceeded):
+        biascx.complexity_bound(T)
+    path, out = tmp_path / "t", tmp_path / "h.csv"
+    tensor.dump(T, str(path))
+    argv = ["ar", "--tensor", str(path), "--histogram", str(out), "--budget", str(10 ** 20)]
+    assert cli.run(argv) == 2
+    assert not out.exists()
