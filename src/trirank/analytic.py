@@ -112,13 +112,13 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     scaling, so each [z] is counted once per nonzero multiple, q - 1 times.
 
     The transform is linear, so it runs once per run of ranks r0..r1, on the
-    weights q^(r1 - rank A_z), and each run's sums are scaled by q^(n1 - r1)
-    as Python ints.  A run holds at most span + 1 ranks: an entry sums fewer
-    than q^n3 weights of at most q^span, so it stays below q^(n3 + span),
-    which is under 2^31 (X int32) unless q^n3 >= 2^31, where span is 0 and X
-    int64, as for one pass per rank.  The budget bounds the q^(n3 + 1)
-    entries (s, b) of the transform, and the q^(n1 + n2) input pairs must fit
-    the int64 histogram.
+    weights q^(r1 - rank A_z), and each run's sums are scaled by q^(n1 - r1).
+    A run holds at most span + 1 ranks: an entry sums fewer than q^n3 weights
+    of at most q^span, so it stays below q^(n3 + span), under 2^31 (X int32)
+    unless q^n3 >= 2^31, where span is 0 and X int64.  G and q^n3 N(b) are
+    below q^(n1 + n2 + n3 + 1): int64 when that fits, else Python ints.  The
+    budget bounds the q^(n3 + 1) entries (s, b) of the transform, and the
+    q^(n1 + n2) input pairs must fit the int64 histogram.
     """
     F = T.field
     n1, n2, n3 = T.dims
@@ -136,7 +136,8 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     span = max(0, 30 // q.bit_length() - n3)
     dtype = np.int32 if q ** (n3 + span) < 2 ** 31 else np.int64
     sub = F.add[:, F.neg[F.mul]]  # sub[s, z, b] = s - z b
-    G = np.zeros(q ** n3, dtype=object)
+    tail = np.int64 if q ** (n1 + n2 + n3 + 1) < 2 ** 63 else object
+    G = np.zeros(q ** n3, dtype=tail)
     for r0 in range(0, rmax + 1, span + 1):  # one run at a time keeps the transform small
         r1 = min(r0 + span, rmax)
         weight = np.zeros(rmax + 1, dtype=dtype)
@@ -149,7 +150,7 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
             X = sum(X[sub[:, z], z] for z in range(q))
             X = X.transpose(0, 2, 1)  # the coordinate done becomes the least significant
         # in histogram order: coordinate 0 lowest
-        G += (X.reshape(q, q ** n3)[0] // (q - 1)).astype(object) * q ** (n1 - r1)
+        G += (X.reshape(q, q ** n3)[0] // (q - 1)).astype(tail) * q ** (n1 - r1)
     scaled = q ** n2 * (q ** n1 - G[0] + q * G)  # b = 0 is orthogonal to every [z]
     if (scaled % q ** n3).any():
         raise ArithmeticError(f"output counts times {q}^{n3} are not divisible by it")

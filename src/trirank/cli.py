@@ -414,13 +414,25 @@ def _cmd_corpus(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+_COMMANDS = tuple("ar gr sr chain decompose verify szcheck closeness extremal corpus".split())
+
+
+class _UsageError(Exception):
+    """A one-command parser's usage error: the full parser prints it, listing every command."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `trirank` parser with every subcommand, or with `command`'s alone."""
+    p = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="trirank",
         description="Analytic, geometric, and slice rank of 3-tensors over finite fields.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    enum_budget = _default_budget()
 
     def add_common(sp, seed=True, budget=None):
         if budget is not None:
@@ -429,99 +441,111 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=_nonneg_int, default=0)
 
-    sp = sub.add_parser("ar", help="exact analytic rank by enumeration")
-    sp.add_argument("--tensor", required=True)
-    sp.add_argument("--histogram", default=None, help="output-histogram CSV path")
-    add_common(sp, seed=False, budget=enum_budget)
-    sp.set_defaults(func=_cmd_ar)
+    if command in (None, "ar"):
+        sp = sub.add_parser("ar", help="exact analytic rank by enumeration")
+        sp.add_argument("--tensor", required=True)
+        sp.add_argument("--histogram", default=None, help="output-histogram CSV path")
+        add_common(sp, seed=False, budget=_default_budget())
+        sp.set_defaults(func=_cmd_ar)
 
-    sp = sub.add_parser("gr", help="geometric rank via rank strata over a tower")
-    sp.add_argument("--tensor", required=True)
-    sp.add_argument("--kmax", type=int, default=3)
-    sp.add_argument("--axis", choices=("x", "y", "z"), default="x")
-    sp.add_argument("--mc-samples", type=int, default=geometric.MC_SAMPLES)
-    sp.add_argument("--cross-check", action="store_true")
-    add_common(sp, budget=_default_budget(geometric.ELIM_BUDGET))
-    sp.set_defaults(func=_cmd_gr)
+    if command in (None, "gr"):
+        sp = sub.add_parser("gr", help="geometric rank via rank strata over a tower")
+        sp.add_argument("--tensor", required=True)
+        sp.add_argument("--kmax", type=int, default=3)
+        sp.add_argument("--axis", choices=("x", "y", "z"), default="x")
+        sp.add_argument("--mc-samples", type=int, default=geometric.MC_SAMPLES)
+        sp.add_argument("--cross-check", action="store_true")
+        add_common(sp, budget=_default_budget(geometric.ELIM_BUDGET))
+        sp.set_defaults(func=_cmd_gr)
 
-    sp = sub.add_parser("sr", help="slice rank (exact, vertex cover, or bounds)")
-    sp.add_argument("--tensor", required=True)
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--bounds", action="store_true")
-    sp.add_argument("--ar-from", default=None, help="ar report JSON for the lower bound")
-    sp.add_argument("--gr-from", default=None, help="gr report JSON for the lower bound")
-    add_common(sp, seed=False)
-    sp.set_defaults(func=_cmd_sr)
+    if command in (None, "sr"):
+        sp = sub.add_parser("sr", help="slice rank (exact, vertex cover, or bounds)")
+        sp.add_argument("--tensor", required=True)
+        mode = sp.add_mutually_exclusive_group()
+        mode.add_argument("--exact", action="store_true")
+        mode.add_argument("--bounds", action="store_true")
+        sp.add_argument("--ar-from", default=None, help="ar report JSON for the lower bound")
+        sp.add_argument("--gr-from", default=None, help="gr report JSON for the lower bound")
+        add_common(sp, seed=False)
+        sp.set_defaults(func=_cmd_sr)
 
-    sp = sub.add_parser("chain", help="verify SR <= 3 GR <= 8.13 AR and reverses")
-    sp.add_argument("--tensor", required=True)
-    sp.add_argument("--field", default=None, help="assert the tensor field, e.g. 3^1")
-    sp.add_argument("--kmax", type=int, default=3)
-    sp.add_argument("--cross-check", action="store_true")
-    add_common(sp, budget=enum_budget)
-    sp.set_defaults(func=_cmd_chain)
+    if command in (None, "chain"):
+        sp = sub.add_parser("chain", help="verify SR <= 3 GR <= 8.13 AR and reverses")
+        sp.add_argument("--tensor", required=True)
+        sp.add_argument("--field", default=None, help="assert the tensor field, e.g. 3^1")
+        sp.add_argument("--kmax", type=int, default=3)
+        sp.add_argument("--cross-check", action="store_true")
+        add_common(sp, budget=_default_budget())
+        sp.set_defaults(func=_cmd_chain)
 
-    sp = sub.add_parser("decompose", help="explicit slice decomposition")
-    sp.add_argument("--tensor", required=True)
-    sp.add_argument("--kwork", type=int, default=3)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_decompose)
+    if command in (None, "decompose"):
+        sp = sub.add_parser("decompose", help="explicit slice decomposition")
+        sp.add_argument("--tensor", required=True)
+        sp.add_argument("--kwork", type=int, default=3)
+        add_common(sp)
+        sp.set_defaults(func=_cmd_decompose)
 
-    sp = sub.add_parser("verify", help="re-verify a decomposition JSON")
-    sp.add_argument("--tensor", required=True)
-    sp.add_argument("--decomp", required=True)
-    add_common(sp, seed=False)
-    sp.set_defaults(func=_cmd_verify)
+    if command in (None, "verify"):
+        sp = sub.add_parser("verify", help="re-verify a decomposition JSON")
+        sp.add_argument("--tensor", required=True)
+        sp.add_argument("--decomp", required=True)
+        add_common(sp, seed=False)
+        sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("szcheck", help="dimension estimate + Schwartz-Zippel check")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--nvars", type=_nonneg_int, required=True)
-    sp.add_argument("--kmax", type=int, default=3)
-    add_common(sp, budget=enum_budget)
-    sp.set_defaults(func=_cmd_szcheck)
+    if command in (None, "szcheck"):
+        sp = sub.add_parser("szcheck", help="dimension estimate + Schwartz-Zippel check")
+        sp.add_argument("--system", required=True)
+        sp.add_argument("--field", required=True)
+        sp.add_argument("--nvars", type=_nonneg_int, required=True)
+        sp.add_argument("--kmax", type=int, default=3)
+        add_common(sp, budget=_default_budget())
+        sp.set_defaults(func=_cmd_szcheck)
 
-    sp = sub.add_parser("closeness", help="delta-closeness trade-off report")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--g", required=True)
-    add_common(sp, seed=False, budget=enum_budget)
-    sp.set_defaults(func=_cmd_closeness)
+    if command in (None, "closeness"):
+        sp = sub.add_parser("closeness", help="delta-closeness trade-off report")
+        sp.add_argument("--f", required=True)
+        sp.add_argument("--g", required=True)
+        add_common(sp, seed=False, budget=_default_budget())
+        sp.set_defaults(func=_cmd_closeness)
 
-    sp = sub.add_parser("extremal", help="write a sharp closeness pair to files")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--out-prefix", required=True)
-    add_common(sp, seed=False)
-    sp.set_defaults(func=_cmd_extremal)
+    if command in (None, "extremal"):
+        sp = sub.add_parser("extremal", help="write a sharp closeness pair to files")
+        sp.add_argument("--r", type=int, required=True)
+        sp.add_argument("--t", type=int, required=True)
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--field", required=True)
+        sp.add_argument("--out-prefix", required=True)
+        add_common(sp, seed=False)
+        sp.set_defaults(func=_cmd_extremal)
 
-    sp = sub.add_parser("corpus", help="run the built-in corpus and summarize")
-    sp.add_argument("--out-dir", default=None)
-    sp.add_argument("--kwork", type=int, default=3)
-    sp.add_argument("--workers", type=int, default=1)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_corpus)
+    if command in (None, "corpus"):
+        sp = sub.add_parser("corpus", help="run the built-in corpus and summarize")
+        sp.add_argument("--out-dir", default=None)
+        sp.add_argument("--kwork", type=int, default=3)
+        sp.add_argument("--workers", type=int, default=1)
+        add_common(sp)
+        sp.set_defaults(func=_cmd_corpus)
 
     return p
 
 
 def run(argv=None) -> int:
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code else EXIT_OK
+            args = build_parser(command).parse_args(argv)
+        except _UsageError:  # the same argv again, for the full parser's usage text
+            args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's help (0) or usage error (2)
+        return EXIT_USAGE if exc.code else EXIT_OK
     except (TrirankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def main() -> None:
-    sys.exit(run())
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -175,6 +175,18 @@ def test_min_entropy_over_several_weighted_runs(dims):
         assert hist[0] == analytic.zero_count(T)
 
 
+@pytest.mark.parametrize("n2", [34, 36])
+def test_min_entropy_tail_on_both_sides_of_int64(n2):
+    # G and q^n3 N(b) are int64 while 3^(2 + n2 + 2 + 1) < 2^63: n2 = 34 is
+    # int64 and n2 = 36 Python ints, where the zero tensor's 3^n2 * 3^4 at
+    # b = 0 overflows int64.  Zero y-slices multiply every count by 3 each.
+    for core in (tensor.zero_tensor(F3, (2, 2, 2)), tensor.random_tensor(F3, (2, 2, 2), seed=3)):
+        entries = np.zeros((2, n2, 2), dtype=np.int32)
+        entries[:, :2] = core.entries
+        hist = analytic.min_entropy(tensor.Tensor3(F3, entries), budget=10 ** 20).histogram
+        assert hist.tobytes() == (brute_min_entropy(core) * 3 ** (n2 - 2)).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), field=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]))
 def test_min_entropy_matches_enumeration(data, field):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -302,6 +303,10 @@ def test_malformed_budget_env_is_a_usage_error(levi_path, monkeypatch, capsys):
     assert "Traceback" not in err
     monkeypatch.setenv("TRIRANK_BUDGET", "10")
     assert cli.run(["ar", "--tensor", levi_path]) == 2  # 3^6 pairs exceed it
+    assert "exceeds budget 10" in capsys.readouterr().err
+    monkeypatch.setenv("TRIRANK_BUDGET", "abc")  # sr takes no budget, so never reads it
+    assert cli.run(["sr", "--tensor", levi_path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_gr_honours_budget_env(levi_path, tmp_path, monkeypatch):
@@ -548,3 +553,53 @@ def test_report_text_refuses_the_keys_json_refuses():
             json.dumps(obj, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             cli._report_text(obj)
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_run_dispatches_on_every_subcommand():
+    assert tuple(_subcommands(cli.build_parser())) == cli._COMMANDS
+
+
+PARSE_CASES = [[], ["-h"], ["bogus"], ["--bogus"]] + [
+    [name] + extra
+    for name in cli._COMMANDS
+    for extra in (["-h"], [], ["--bogus"], ["--tensor", "x", "--bogus", "1"], ["--seed", "-1"],
+                  ["--kmax", "z"])
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_run_parses_as_the_full_parser_does(argv, monkeypatch, capsys):
+    """Help, usage errors and parsed options are those of the ten-command parser."""
+    monkeypatch.delenv("TRIRANK_BUDGET", raising=False)
+
+    def parsed(args):  # stands in for every command: what was parsed, not run
+        print(sorted((k, v) for k, v in vars(args).items() if k != "func"))
+        return 0
+
+    for name in cli._COMMANDS:
+        monkeypatch.setattr(cli, f"_cmd_{name}", parsed)
+    rc = cli.run(argv)
+    got = capsys.readouterr()
+    try:
+        want_rc = parsed(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        want_rc = 2 if exc.code else 0
+    want = capsys.readouterr()
+    assert (rc, got.out, got.err) == (want_rc, want.out, want.err)
+
+
+def test_a_command_builds_only_its_own_subparser(levi_path, tmp_path, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert cli.run(["sr", "--tensor", levi_path, "--out", str(tmp_path / "sr.json")]) == 0
+    assert built == ["sr"]
