@@ -107,11 +107,10 @@ class ComplexityBound:
         }
 
 
-def complexity_bound(T: Tensor3, budget: int = analytic.ENUM_BUDGET) -> ComplexityBound:
+def complexity_bound(T: Tensor3) -> ComplexityBound:
     """Upper bound n * SR on multiplicative complexity, plus the ME identity."""
     sr = slicerank.slice_rank(T)
-    me = analytic.min_entropy(T, budget=budget)
-    return ComplexityBound(T.dims[2], sr, me, analytic.zero_count(T, budget=budget))
+    return ComplexityBound(T.dims[2], sr, analytic.min_entropy(T), analytic.zero_count(T))
 
 
 def extremal_pair(field: Field, r: int, t: int, n: int):

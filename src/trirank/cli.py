@@ -28,7 +28,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _default_budget(fallback: int = analytic.ENUM_BUDGET) -> int:
+def _budget(args, fallback: int = analytic.ENUM_BUDGET) -> int:
+    """--budget if given, else TRIRANK_BUDGET if set, else `fallback`."""
+    if args.budget is not None:
+        return args.budget
     env = os.environ.get("TRIRANK_BUDGET")
     if not env:
         return fallback
@@ -132,10 +135,11 @@ def _report_value(path: str, section: str, key: str, kinds):
 # ---------------------------------------------------------------------------
 
 def _cmd_ar(args) -> int:
+    budget = _budget(args)
     T = tensor.load(args.tensor)
-    ar = analytic.analytic_rank(T, budget=args.budget)
+    ar = analytic.analytic_rank(T, budget=budget)
     if args.histogram:
-        me = analytic.min_entropy(T, budget=args.budget)
+        me = analytic.min_entropy(T, budget=budget)
         with open(args.histogram, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["b_vector", "count"])
@@ -152,7 +156,7 @@ def _cmd_gr(args) -> int:
         T,
         kmax=args.kmax,
         axis=args.axis,
-        budget=args.budget,
+        budget=_budget(args, geometric.ELIM_BUDGET),
         mc_samples=args.mc_samples,
         seed=args.seed,
         cross_check=args.cross_check,
@@ -184,7 +188,7 @@ def _cmd_chain(args) -> int:
             f"{T.field.designation()}"
         )
     rep = slicerank.verify_rank_chain(
-        T, kmax=args.kmax, ar_budget=args.budget, seed=args.seed,
+        T, kmax=args.kmax, ar_budget=_budget(args), seed=args.seed,
         cross_check=args.cross_check,
     )
     _emit({"tensor": _tensor_id(T), "chain": rep.to_dict()}, args.out)
@@ -218,12 +222,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_szcheck(args) -> int:
+    budget = _budget(args)
     F = parse_field(args.field)
-    if not within_budget(F.q, args.nvars, args.budget):  # sz_check needs the exact k = 1 count
-        raise BudgetExceeded(f"szcheck: {F.q}^{args.nvars} points exceed budget {args.budget}")
+    if not within_budget(F.q, args.nvars, budget):  # sz_check needs the exact k = 1 count
+        raise BudgetExceeded(f"szcheck: {F.q}^{args.nvars} points exceed budget {budget}")
     with open(args.system, encoding="utf-8") as fh:
         S = variety.parse_poly_system(fh.read(), F, args.nvars)
-    est = variety.estimate_dim(S, kmax=args.kmax, budget=args.budget, seed=args.seed)
+    est = variety.estimate_dim(S, kmax=args.kmax, budget=budget, seed=args.seed)
     rep = variety.sz_check(S, est)
     _emit({"estimate": est.to_dict(), "sz": rep.to_dict()}, args.out)
     return EXIT_OK if rep.holds else EXIT_CHECK_FAILED
@@ -232,7 +237,7 @@ def _cmd_szcheck(args) -> int:
 def _cmd_closeness(args) -> int:
     f = tensor.load(args.f)
     g = tensor.load(args.g)
-    rep = biascx.closeness_report(f, g, budget=args.budget)
+    rep = biascx.closeness_report(f, g, budget=_budget(args))
     _emit({"f": _tensor_id(f), "g": _tensor_id(g), "closeness": rep.to_dict()}, args.out)
     failed = rep.subadditivity_holds is False or rep.ar_bound_holds is False
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -417,26 +422,20 @@ def _cmd_corpus(args) -> int:
 _COMMANDS = tuple("ar gr sr chain decompose verify szcheck closeness extremal corpus".split())
 
 
-class _UsageError(Exception):
-    """A one-command parser's usage error: the full parser prints it, listing every command."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `trirank` parser with every subcommand, or with `command`'s alone."""
-    p = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+    p = argparse.ArgumentParser(
         prog="trirank",
         description="Analytic, geometric, and slice rank of 3-tensors over finite fields.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    # one command's usage line names all ten, as the full parser's does; the
+    # full parser keeps argparse's metavar, which its choice errors name
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    def add_common(sp, seed=True, budget=None):
-        if budget is not None:
-            sp.add_argument("--budget", type=int, default=budget)
+    def add_common(sp, seed=True, budget=False):
+        if budget:  # None unless given: the command resolves it (_budget)
+            sp.add_argument("--budget", type=int)
         sp.add_argument("--out", default=None, help="report path (default: stdout)")
         if seed:
             sp.add_argument("--seed", type=_nonneg_int, default=0)
@@ -445,7 +444,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp = sub.add_parser("ar", help="exact analytic rank by enumeration")
         sp.add_argument("--tensor", required=True)
         sp.add_argument("--histogram", default=None, help="output-histogram CSV path")
-        add_common(sp, seed=False, budget=_default_budget())
+        add_common(sp, seed=False, budget=True)
         sp.set_defaults(func=_cmd_ar)
 
     if command in (None, "gr"):
@@ -455,7 +454,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--axis", choices=("x", "y", "z"), default="x")
         sp.add_argument("--mc-samples", type=int, default=geometric.MC_SAMPLES)
         sp.add_argument("--cross-check", action="store_true")
-        add_common(sp, budget=_default_budget(geometric.ELIM_BUDGET))
+        add_common(sp, budget=True)
         sp.set_defaults(func=_cmd_gr)
 
     if command in (None, "sr"):
@@ -475,7 +474,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--field", default=None, help="assert the tensor field, e.g. 3^1")
         sp.add_argument("--kmax", type=int, default=3)
         sp.add_argument("--cross-check", action="store_true")
-        add_common(sp, budget=_default_budget())
+        add_common(sp, budget=True)
         sp.set_defaults(func=_cmd_chain)
 
     if command in (None, "decompose"):
@@ -498,14 +497,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--field", required=True)
         sp.add_argument("--nvars", type=_nonneg_int, required=True)
         sp.add_argument("--kmax", type=int, default=3)
-        add_common(sp, budget=_default_budget())
+        add_common(sp, budget=True)
         sp.set_defaults(func=_cmd_szcheck)
 
     if command in (None, "closeness"):
         sp = sub.add_parser("closeness", help="delta-closeness trade-off report")
         sp.add_argument("--f", required=True)
         sp.add_argument("--g", required=True)
-        add_common(sp, seed=False, budget=_default_budget())
+        add_common(sp, seed=False, budget=True)
         sp.set_defaults(func=_cmd_closeness)
 
     if command in (None, "extremal"):
@@ -532,10 +531,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        try:
-            args = build_parser(command).parse_args(argv)
-        except _UsageError:  # the same argv again, for the full parser's usage text
-            args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse's help (0) or usage error (2)
         return EXIT_USAGE if exc.code else EXIT_OK

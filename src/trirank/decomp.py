@@ -126,12 +126,6 @@ def _rank_factorizations(As, F: Field):
     return left, R[:, : min(m, n)], [len(p) for p in pivots]
 
 
-def rank_factorize(A, F: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) with A = left^T right, r independent rows each, read off the RREF."""
-    left, right, (r,) = _rank_factorizations(linalg.as_matrix(A)[None], F)
-    return left[0, :r].copy(), right[0, :r].copy()
-
-
 def _sylvester_matrix(A) -> np.ndarray:
     """The map (C, Cp) -> CA + ACp on row-major flattenings: [kron(I_m, A^T) | kron(A, I_n)].
 

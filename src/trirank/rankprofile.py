@@ -18,10 +18,10 @@ points (``SummandRanks``), unless that table would have more entries than
 there are draws: such a summand is eliminated at the draws.  Either way the
 ranks, histograms and sampled counts are those of the whole tensor at the
 same points.  Every point set (an orbit batch, a rank table's orbit
-representatives, a batch of draws) takes one step, ``_ranks``: ``contract``
-at its points, then one batched_rank call per slice of at most CHUNK
-matrices.  The budget compares the whole tensor's affine count q^(k n);
-above it, points are drawn.
+representatives, a batch of draws, the slice-rank search's pruning points)
+takes one step, ``_ranks``: ``contract`` at its points, then one
+batched_rank call per slice of at most CHUNK matrices.  The budget compares
+the whole tensor's affine count q^(k n); above it, points are drawn.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ import numpy as np
 from . import analytic, geometric, linalg
 from .errors import ContradictoryBounds, OutOfExactScope
 from .fields import Field
-from .rankprofile import CHUNK
+from .rankprofile import CHUNK, _ranks
 from .tensor import AXES, Tensor3, slice_space
 
 EXACT_DIM_LIMIT = 4
@@ -143,7 +143,8 @@ def _in_exact_scope(T: Tensor3) -> bool:
 def _pair_searches(tensors: list[Tensor3]) -> list[PairSearch]:
     """The pruned pair search of tensors of one field and dims, as one stack.
 
-    The M_U of all tensors are ranked together, then each codim block (c1, c2)
+    The M_U of all tensors are ranked together, by ``rankprofile._ranks`` at
+    the points w_U with one block per tensor; then each codim block (c1, c2)
     forms every tensor's surviving U times every V and eliminates them
     together: at most CHUNK matrices or pairs per batched_rank call.  Each tensor keeps
     its own best total, so it prunes U and skips blocks as it would alone.
@@ -159,13 +160,8 @@ def _pair_searches(tensors: list[Tensor3]) -> list[PairSearch]:
         _pruning_cache[F, n1] = w
     w = _pruning_cache[F, n1]
     E = np.array([T.entries for T in tensors]).reshape(len(tensors), n1, n2 * n3)
-    m_ranks, step = [], max(1, CHUNK // len(w))
-    for s in range(0, len(E), step):  # rank M_U of every U of every tensor
-        part = E[s : s + step]
-        side_by_side = part.transpose(1, 0, 2).reshape(n1, len(part) * n2 * n3)
-        M = linalg.mat_mul(w, side_by_side, Fk).reshape(len(w) * len(part), n2, n3)
-        m_ranks.append(linalg.batched_rank(M, Fk).reshape(len(w), len(part)))
-    m_ranks = np.concatenate(m_ranks, axis=1).T  # (G, len(w)), U in subs_u order
+    # rank M_U of every U of every tensor, (G, len(w)) with U in subs_u order
+    m_ranks = _ranks(E.reshape(len(E), n1, n2, n3).transpose(1, 0, 2, 3), Fk, w).T
     starts = list(itertools.accumulate((len(Us) for Us in subs_u.values()), initial=0))
     bound = {d: m_ranks[:, a:b] for d, a, b in zip(subs_u, starts, starts[1:])}  # dim U -> ranks
     best, pairs = np.full((len(E), 1), n1 + n2 + n3 + 1), [None] * len(E)

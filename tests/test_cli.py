@@ -592,6 +592,24 @@ def test_run_parses_as_the_full_parser_does(argv, monkeypatch, capsys):
     assert (rc, got.out, got.err) == (want_rc, want.out, want.err)
 
 
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_malformed_budget_env_leaves_parsing_alone(argv, monkeypatch, capsys):
+    """Only a command that uses a budget reads TRIRANK_BUDGET, and only when it runs."""
+    for name in cli._COMMANDS:  # the one command these cases reach, corpus, is not run
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: 0)
+    monkeypatch.delenv("TRIRANK_BUDGET", raising=False)
+    unset = (cli.run(argv), *capsys.readouterr())
+    monkeypatch.setenv("TRIRANK_BUDGET", "abc")
+    assert (cli.run(argv), *capsys.readouterr()) == unset
+
+
+def test_budget_option_is_read_before_the_env(levi_path, tmp_path, monkeypatch):
+    monkeypatch.setenv("TRIRANK_BUDGET", "abc")
+    out = tmp_path / "ar.json"
+    assert cli.run(["ar", "--tensor", levi_path, "--budget", "1000", "--out", str(out)]) == 0
+    assert read_json(out)["ar"]["zero_count"] == 105
+
+
 def test_a_command_builds_only_its_own_subparser(levi_path, tmp_path, monkeypatch):
     built = []
     add_parser = argparse._SubParsersAction.add_parser

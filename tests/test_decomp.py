@@ -17,6 +17,12 @@ from jacobian_reference import jacobian_tangent, kernel_basis, solve
 F3 = make_field(3)
 
 
+def rank_factorize(A, F):
+    """(left, right) with A = left^T right, r independent rows each, read off the RREF."""
+    left, right, (r,) = decomp._rank_factorizations(linalg.as_matrix(A)[None], F)
+    return left[0, :r].copy(), right[0, :r].copy()
+
+
 def check_factorization(A, left, right, F):
     """A = left^T right, with r independent rows on each side."""
     if not np.array_equal(linalg.mat_mul(left.T, right, F), A):
@@ -159,7 +165,7 @@ def reference_tangent_decomposition(Tw, L, r, seed):
     )
     lam = coords[:, : P.shape[0]]  # (n1, dim P)
     mu = coords[:, P.shape[0]:]  # (n1, codim)
-    left, right = decomp.rank_factorize(A, F)
+    left, right = rank_factorize(A, F)
     pairs = [sylvester_solve(B.reshape(n2, n3), A, F) for B in P]
     Cs = np.array([pair.C for pair in pairs], dtype=np.int32).reshape(len(pairs), n2, n2)
     Cps = np.array([pair.Cp for pair in pairs], dtype=np.int32).reshape(len(pairs), n3, n3)
@@ -219,7 +225,7 @@ def sylvester_span(A, F):
 
 
 def test_rank_factorize_e11():
-    left, right = decomp.rank_factorize(E11, F3)
+    left, right = rank_factorize(E11, F3)
     assert left.tolist() == [[1, 0]]
     assert right.tolist() == [[1, 0]]
 
@@ -227,18 +233,18 @@ def test_rank_factorize_e11():
 def test_rank_factorize_cross_product_matrix():
     # matrix of x -> e1 x x over F_3
     cross = np.array([[0, 0, 0], [0, 0, 2], [0, 1, 0]], dtype=np.int32)
-    left, right = decomp.rank_factorize(cross, F3)
+    left, right = rank_factorize(cross, F3)
     assert len(left) == 2
     assert check_factorization(cross, left, right, F3)
 
 
 def test_rank_factorize_zero_and_random():
-    left, right = decomp.rank_factorize(np.zeros((2, 2), np.int32), F3)
+    left, right = rank_factorize(np.zeros((2, 2), np.int32), F3)
     assert left.shape == right.shape == (0, 2)
     rng = np.random.default_rng(5)
     for _ in range(20):
         A = rng.integers(0, 3, size=(3, 4)).astype(np.int32)
-        assert check_factorization(A, *decomp.rank_factorize(A, F3), F3)
+        assert check_factorization(A, *rank_factorize(A, F3), F3)
 
 
 def test_tangent_space_dimensions():

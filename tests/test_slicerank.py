@@ -453,7 +453,8 @@ def test_stacked_search_calls_stay_within_chunk(monkeypatch, chunk):
         batch.append(
             tensor.Tensor3(F3, F3.add[F3.mul[a[:, None, None], B], F3.mul[b[:, None], C[:, None]]])
         )
-    monkeypatch.setattr(slicerank, "CHUNK", chunk)
+    monkeypatch.setattr(slicerank, "CHUNK", chunk)  # the pair blocks
+    monkeypatch.setattr(rankprofile, "CHUNK", chunk)  # the pruning ranks
     batched_rank = linalg.batched_rank
 
     def recording(Ms, F):
