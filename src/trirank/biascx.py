@@ -77,9 +77,7 @@ def closeness_report(
     """Both inequalities of the closeness trade-off with explicit constants."""
     diff = sub(f, g)
     ar_diff = analytic.analytic_rank(diff, budget=budget)
-    return ClosenessReport(
-        slicerank.slice_rank(f), slicerank.slice_rank(g), slicerank.slice_rank(diff), ar_diff
-    )
+    return ClosenessReport(*slicerank.slice_ranks([f, g, diff]), ar_diff)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 an inequality under test failed, 2 usage or budget
 error.  Reports are JSON with a schema version; with a fixed seed the bytes
-are identical across runs (timings go to stderr, never into reports).
+are identical across runs.  No command prints timings.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ import hashlib
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import analytic, biascx, decomp, geometric, slicerank, tensor, variety
 from .errors import BadParams, BudgetExceeded, TrirankError
 from .fields import parse_field
-from .rankprofile import point_block, rank_profiles, within_budget
+from .rankprofile import point_block, within_budget
 
 SCHEMA = 1
 
@@ -288,30 +287,34 @@ def builtin_corpus(seed: int):
 CORPUS_KMAX = 3  # the chain's tower depth for every corpus item
 
 
-def _corpus_chain(name, T, seed, profiles, search):
-    """The item's chain report, or the TrirankError that ended it."""
-    t0 = time.time()
-    try:
-        return slicerank.verify_rank_chain(
-            T, kmax=CORPUS_KMAX, seed=seed, profiles=profiles, search=search
-        )
-    except TrirankError as exc:
-        return exc
-    finally:
-        print(f"[corpus] {name}: {time.time() - t0:.2f}s", file=sys.stderr)
+def _isolated(stage, *columns) -> list:
+    """stage(*columns) on all items at once; on a TrirankError, on each item alone.
 
-
-def _corpus_row(name, T, seed, kwork, chain, D):
-    """(row, chain or None, ok) of one item.
-
-    `chain` is its chain report or the error that ended it; `D` its stacked
-    decomposition, or None to decompose it alone.
+    `columns` hold one value per item.  An item whose stage raises alone gets
+    its error in its place; every other item's outcome is its own.
     """
     try:
-        if isinstance(chain, TrirankError):
-            raise chain
-        if D is None:
-            D = decomp.slice_decompose(T, k_work=kwork, seed=seed, gr_report=chain.gr)
+        return stage(*columns)
+    except TrirankError:
+        pass
+    outcomes = []
+    for item in zip(*columns):
+        try:
+            outcomes += stage(*([value] for value in item))
+        except TrirankError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _corpus_row(name, T, chain, D):
+    """(row, chain or None, ok) of one item.
+
+    `chain` is its chain report and `D` its decomposition, or `D` is the
+    error that ended the item, at its chain or at its decomposition.
+    """
+    try:
+        if isinstance(D, TrirankError):
+            raise D
         verified = decomp.verify_decomposition(T, D)
     except TrirankError as exc:  # recorded, batch continues
         return {"name": name, "error": f"{type(exc).__name__}: {exc}"}, None, True
@@ -336,37 +339,22 @@ def _cmd_corpus(args) -> int:
     items[0][1].field.extension(args.kwork)  # build the working field: a bad --kwork fails here
     names, tensors = [name for name, _ in items], [T for _, T in items]
     seeds = [args.seed ^ i for i in range(len(items))]
-
-    def each_item(fn, *columns):
-        if args.workers <= 1:
-            return list(map(fn, *columns))
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            return list(pool.map(fn, *columns))
-
-    try:  # every item's x-axis levels at once; on an error each item ranks and reports its own
-        levels = [rank_profiles(tensors, k, seeds=seeds) for k in range(1, CORPUS_KMAX + 1)]
-        profiles = [list(p) for p in zip(*levels)]
-    except TrirankError:
-        profiles = [None] * len(items)
-    try:  # every item's exact SR search likewise, one stack per (field, dims)
-        searches = slicerank.slice_rank_searches(tensors)
-    except TrirankError:
-        searches = [None] * len(items)
-    chains = each_item(_corpus_chain, names, tensors, seeds, profiles, searches)
-    decomps = [None] * len(items)
-    live = [i for i, chain in enumerate(chains) if not isinstance(chain, TrirankError)]
-    try:  # the decompositions of every item with a chain likewise, one stack per (field, dims)
-        found = decomp.slice_decompositions(
-            [tensors[i] for i in live], args.kwork,
-            [seeds[i] for i in live], [chains[i].gr for i in live],
-        )
-        for i, D in zip(live, found):
-            decomps[i] = D
-    except TrirankError:
-        pass
-    results = each_item(
-        _corpus_row, names, tensors, seeds, [args.kwork] * len(items), chains, decomps
+    chains = _isolated(
+        lambda Ts, ss: slicerank.verify_rank_chains(Ts, CORPUS_KMAX, seeds=ss), tensors, seeds
     )
+    live = [i for i, chain in enumerate(chains) if not isinstance(chain, TrirankError)]
+    found = _isolated(
+        lambda Ts, ss, reps: decomp.slice_decompositions(Ts, args.kwork, ss, reps),
+        [tensors[i] for i in live], [seeds[i] for i in live], [chains[i].gr for i in live],
+    )
+    decomps = list(chains)  # an item without a chain keeps the chain's error
+    for i, D in zip(live, found):
+        decomps[i] = D
+    if args.workers <= 1:
+        results = list(map(_corpus_row, names, tensors, chains, decomps))
+    else:
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            results = list(pool.map(_corpus_row, names, tensors, chains, decomps))
     rows = [r[0] for r in results]
     chains = [r[1] for r in results if r[1] is not None]  # none for an error row
     ratios = [c.ratio_sr_gr for c in chains if c.ratio_sr_gr is not None]

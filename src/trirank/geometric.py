@@ -8,7 +8,7 @@ seeded Monte Carlo otherwise; sampled strata never silently enter the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +56,6 @@ class GRReport:
     axis: str
     strata: dict  # r -> DimEstimate
     kernel: DimEstimate | None = None
-    # the rank profiles along `axis` for k = 1..kmax (none for a zero tensor); not reported
-    profiles: list[RankProfile] = dc_field(default_factory=list, repr=False)
 
     @property
     def gr(self) -> int:
@@ -139,7 +137,7 @@ def geometric_rank(
             T, kmax, budget=budget, mc_samples=mc_samples, seed=seed,
             profiles=profiles if axis == "x" else None,
         )
-    return GRReport(r, axis, strata, kernel, profiles)
+    return GRReport(r, axis, strata, kernel)
 
 
 def kernel_codim(

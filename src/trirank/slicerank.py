@@ -12,13 +12,13 @@ Reutenauer 2004), so no pair with this U totals less than codim U + rank M_U.
 A U at or above the best total so far is never searched; it could not beat
 that total, so the first minimal pair, and the witness, are unchanged.
 
-``slice_rank_searches`` runs the pair search of many tensors of one (field,
-dims) as one stack: one pruning rank call for all of them, then each codim
-block eliminates every tensor's surviving pairs together, at most CHUNK per
+``slice_ranks`` runs the pair search of many tensors of one (field, dims)
+as one stack: one pruning rank call for all of them, then each codim block
+eliminates every tensor's surviving pairs together, at most CHUNK per
 batched_rank call.  Each tensor keeps its own best total, so its outcome is
 its search alone.  The witnesses W of all the stack's minimal pairs are then
 built together, by two batched_rref calls; ``slice_rank_exact`` only wraps
-an outcome into the SRResult.  Only ``slice_rank`` compares a value with the
+an outcome into the SRResult.  Only ``slice_ranks`` compares a value with the
 chain's lower bound max(ceil AR, GR).
 
 For antichain supports the vertex-cover route gives exact values beyond the
@@ -35,9 +35,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import analytic, geometric, linalg
-from .errors import ContradictoryBounds, OutOfExactScope
+from .errors import BudgetExceeded, ContradictoryBounds, OutOfExactScope
 from .fields import Field
-from .rankprofile import CHUNK, _ranks
+from .rankprofile import CHUNK, _ranks, rank_profiles
 from .tensor import AXES, Tensor3, slice_space
 
 EXACT_DIM_LIMIT = 4
@@ -217,23 +217,6 @@ def _kernel_witnesses(E: np.ndarray, pairs: list, F: Field) -> list[np.ndarray]:
     return [K[g, : len(p)].copy() for g, p in enumerate(pivots)]
 
 
-def slice_rank_searches(tensors: list[Tensor3]) -> list[PairSearch | None]:
-    """The pair search of each tensor that ``slice_rank`` would search, else None.
-
-    Those are the tensors in the exact scope whose support is not an
-    antichain; the tensors of one (field, dims) are searched as one stack.
-    """
-    groups: dict = {}  # (field, dims) -> indices of its tensors
-    for i, T in enumerate(tensors):
-        if _in_exact_scope(T) and _antichain_supports(T) is None:
-            groups.setdefault((T.field, T.dims), []).append(i)
-    found = [None] * len(tensors)
-    for group in groups.values():
-        for i, search in zip(group, _pair_searches([tensors[i] for i in group])):
-            found[i] = search
-    return found
-
-
 def slice_rank_exact(T: Tensor3, search: PairSearch | None = None) -> SRResult:
     """Minimum of c1 + c2 + rank T(U, V, .) over subspace pairs, by exhaustion.
 
@@ -252,8 +235,8 @@ def slice_rank_exact(T: Tensor3, search: PairSearch | None = None) -> SRResult:
     Each block is eliminated in slices of at most CHUNK pairs.  Block (0, 0)
     leaves best <= n3, so only blocks with c1 + c2 < n3 follow; in the exact
     scope the largest of them is 40 x 130 = 5,200 pairs (q = 3, codims 1 and 2
-    in F^4), one slice.  `search`: T's outcome from ``slice_rank_searches``,
-    if the caller has it; without one, T is searched alone.
+    in F^4), one slice.  `search`: T's outcome from ``_pair_searches``, if
+    the caller has it; without one, T is searched alone.
     """
     if not _in_exact_scope(T):
         raise OutOfExactScope(
@@ -351,12 +334,6 @@ def _min_vertex_cover(edges) -> int:
     return best
 
 
-def _antichain_supports(T: Tensor3):
-    """The support of each direct summand, or None unless every one is an antichain."""
-    supports = [np.argwhere(T.entries[np.ix_(I, J, K)]).tolist() for I, J, K in T.summands]
-    return supports if all(_is_antichain(c) for c in supports) else None
-
-
 def vertex_cover_sr(T: Tensor3):
     """SR via the cover number when the support is an antichain, else None.
 
@@ -364,8 +341,10 @@ def vertex_cover_sr(T: Tensor3):
     antichain in the product order: summands occupy disjoint index sets per
     axis, so the axes can always be reordered to make the union an antichain.
     """
-    supports = _antichain_supports(T)
-    return None if supports is None else sum(_min_vertex_cover(c) for c in supports)
+    supports = [np.argwhere(T.entries[np.ix_(I, J, K)]).tolist() for I, J, K in T.summands]
+    if not all(_is_antichain(c) for c in supports):
+        return None
+    return sum(_min_vertex_cover(c) for c in supports)
 
 
 # ---------------------------------------------------------------------------
@@ -413,56 +392,90 @@ class ChainReport:
         }
 
 
-def slice_rank(
-    T: Tensor3,
-    ar: float | None = None,
-    gr: int | None = None,
-    search: PairSearch | None = None,
-    exact: bool = False,
-) -> SRResult:
-    """Best available slice-rank determination: vertex cover, exact search, else bounds.
+def slice_ranks(
+    tensors: list[Tensor3], ars: list | None = None, grs: list | None = None, exact: bool = False
+) -> list[SRResult]:
+    """Best available slice rank of each tensor: vertex cover, exact search, else bounds.
 
-    An exact value below max(ceil AR, GR) raises ContradictoryBounds: one of the
-    inputs is wrong (a GR estimate can be too high).  `search`: T's outcome from
-    ``slice_rank_searches``, which searches no antichain support, so T goes to
-    ``slice_rank_exact`` without a vertex cover.  `exact`: the annihilator
-    search alone, raising OutOfExactScope outside its scope.
+    The exact searches of the tensors of one (field, dims) run as one stack.
+    `ars`, `grs`: each tensor's AR value and GR, or None.  An exact value below
+    max(ceil AR, GR) raises ContradictoryBounds: one of the inputs is wrong (a
+    GR estimate can be too high).  `exact`: the annihilator search alone,
+    raising OutOfExactScope outside its scope.
     """
-    vc = vertex_cover_sr(T) if search is None and not exact else None
-    if vc is not None:
-        res = SRResult(vc, vc, "vertex_cover")
-    else:
-        try:
-            res = slice_rank_exact(T, search=search)
-        except OutOfExactScope:
-            if exact:
-                raise
-            return slice_rank_bounds(T, ar=ar, gr=gr)
-    lo, res.three_gr_bound = _chain_bounds(ar, gr)
-    if res.value < lo:
-        raise ContradictoryBounds(f"slice rank {res.value} is below the lower bound {lo}")
-    return res
+    ars, grs = ars or [None] * len(tensors), grs or [None] * len(tensors)
+    covers = [None if exact else vertex_cover_sr(T) for T in tensors]
+    groups: dict = {}  # (field, dims) -> indices of the tensors searched
+    for i, (T, vc) in enumerate(zip(tensors, covers)):
+        if vc is None and _in_exact_scope(T):
+            groups.setdefault((T.field, T.dims), []).append(i)
+        elif exact:
+            slice_rank_exact(T)  # raises OutOfExactScope before any search
+    searches: dict = {}
+    for group in groups.values():
+        searches.update(zip(group, _pair_searches([tensors[i] for i in group])))
+    results = []
+    for i, (T, vc, ar, gr) in enumerate(zip(tensors, covers, ars, grs)):
+        if i in searches:
+            res = slice_rank_exact(T, searches[i])
+        elif vc is not None:
+            res = SRResult(vc, vc, "vertex_cover")
+        else:
+            results.append(slice_rank_bounds(T, ar=ar, gr=gr))
+            continue
+        lo, res.three_gr_bound = _chain_bounds(ar, gr)
+        if res.value < lo:
+            raise ContradictoryBounds(f"slice rank {res.value} is below the lower bound {lo}")
+        results.append(res)
+    return results
+
+
+def slice_rank(
+    T: Tensor3, ar: float | None = None, gr: int | None = None, exact: bool = False
+) -> SRResult:
+    """``slice_ranks`` of T alone."""
+    return slice_ranks([T], [ar], [gr], exact)[0]
+
+
+def verify_rank_chains(
+    tensors: list[Tensor3],
+    kmax: int = 3,
+    ar_budget: int = analytic.ENUM_BUDGET,
+    seeds: list[int] | None = None,
+    cross_check: bool = False,
+) -> list[ChainReport]:
+    """Compute AR, GR, SR of each tensor and evaluate the inequality chain with its constants.
+
+    Each level k = 1..kmax of the nonzero tensors' x-axis rank profiles is one
+    ``rank_profiles`` call (``geometric_rank`` answers a zero tensor without
+    counting).  AR's zero count reads the k = 1 level when it is exact, and
+    ``slice_ranks`` checks every SR against max(ceil AR, GR).
+    """
+    if kmax < 2:  # refused before any count, as geometric_rank refuses it
+        raise BudgetExceeded("kmax must be >= 2")
+    seeds = [0] * len(tensors) if seeds is None else seeds
+    live = [i for i, T in enumerate(tensors) if T.summands]
+    levels = [
+        rank_profiles([tensors[i] for i in live], k, seeds=[seeds[i] for i in live])
+        for k in range(1, kmax + 1)
+    ]
+    profiles = dict(zip(live, map(list, zip(*levels))))  # tensor index -> its levels
+    grs = [
+        geometric.geometric_rank(T, kmax, seed=s, cross_check=cross_check, profiles=profiles.get(i))
+        for i, (T, s) in enumerate(zip(tensors, seeds))
+    ]
+    ars = [
+        None if T.field.q == 2
+        else analytic.analytic_rank(T, ar_budget, profiles[i][0] if i in profiles else None)
+        for i, T in enumerate(tensors)
+    ]
+    srs = slice_ranks(tensors, [ar.value if ar else None for ar in ars], [gr.gr for gr in grs])
+    return [ChainReport(sr, gr, ar) for sr, gr, ar in zip(srs, grs, ars)]
 
 
 def verify_rank_chain(
-    T: Tensor3,
-    kmax: int = 3,
-    ar_budget: int = analytic.ENUM_BUDGET,
-    seed: int = 0,
+    T: Tensor3, kmax: int = 3, ar_budget: int = analytic.ENUM_BUDGET, seed: int = 0,
     cross_check: bool = False,
-    profiles: list | None = None,
-    search: PairSearch | None = None,
 ) -> ChainReport:
-    """Compute AR, GR, SR and evaluate the inequality chain with its constants.
-
-    `profiles`: T's x-axis rank profiles for k = 1..kmax, if the caller has them.
-    AR's zero count reads GR's k = 1 profile when it is exact.  `search`: T's
-    exact SR search outcome from ``slice_rank_searches``, if the caller has it;
-    ``slice_rank`` builds its witness and checks its value against
-    max(ceil AR, GR).
-    """
-    gr = geometric.geometric_rank(T, kmax, seed=seed, cross_check=cross_check, profiles=profiles)
-    k1 = gr.profiles[0] if gr.profiles else None
-    ar = None if T.field.q == 2 else analytic.analytic_rank(T, budget=ar_budget, profile=k1)
-    sr = slice_rank(T, ar=ar.value if ar is not None else None, gr=gr.gr, search=search)
-    return ChainReport(sr, gr, ar)
+    """``verify_rank_chains`` of T alone."""
+    return verify_rank_chains([T], kmax, ar_budget, [seed], cross_check)[0]

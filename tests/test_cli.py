@@ -90,6 +90,27 @@ def test_chain_subcommand_exit_codes(levi_path, tmp_path):
     assert cli.run(["chain", "--tensor", levi_path, "--field", "5^1"]) == 2
 
 
+@pytest.mark.parametrize("header, extra, rc, err", [
+    # a zero tensor is not ranked: AR's budget refuses its 3^2001 input pairs first
+    ("tensor 3^1 2000 1 1", [], 2, "error: q^(n1+n2) = 3^2001 exceeds budget 100000000\n"),
+    ("tensor 3^1 2000 1 1", ["--kmax", "1"], 2, "error: kmax must be >= 2\n"),
+    ("tensor 2^1 2000 1 1", [], 0, ""),  # GR 0 without a count, and no AR over F_2
+], ids=["zero_f3", "kmax_1", "zero_f2"])
+def test_chain_errors_come_in_the_one_tensor_order(tmp_path, monkeypatch, capsys,
+                                                    header, extra, rc, err):
+    monkeypatch.delenv("TRIRANK_BUDGET", raising=False)
+    path = tmp_path / "tall.t"
+    path.write_text(header + "\n")
+    assert cli.run(["chain", "--tensor", str(path), *extra]) == rc
+    out, got = capsys.readouterr()
+    assert got == err
+    if rc:
+        assert out == ""
+    else:
+        rep = json.loads(out)["chain"]
+        assert rep["gr"]["gr"] == 0 and rep["ar_skipped"] and rep["ar"] is None
+
+
 def test_decompose_and_verify_round_trip(levi_path, tmp_path):
     dpath = tmp_path / "d.json"
     rc = cli.run(["decompose", "--tensor", levi_path, "--kwork", "3", "--seed", "7",
@@ -425,7 +446,7 @@ def test_a_profile_error_is_one_corpus_items_error_row(tmp_path, monkeypatch, wo
         return rank_profiles(tensors, *args, **kwargs)
 
     # the corpus ranks every item at once, and an item alone through rank_profile
-    monkeypatch.setattr(cli, "rank_profiles", failing)
+    monkeypatch.setattr(slicerank, "rank_profiles", failing)
     monkeypatch.setattr(rankprofile, "rank_profiles", failing)
     out = tmp_path / "summary.json"
     rc = cli.run(argv + ["--out-dir", str(tmp_path / "bad"), "--out", str(out)])
@@ -500,8 +521,7 @@ def test_a_decomposition_error_is_one_corpus_items_error_row(tmp_path, monkeypat
 @pytest.mark.parametrize("kwork", ["0", "7"])
 def test_corpus_rejects_a_bad_working_degree_before_the_batch(tmp_path, monkeypatch, capsys, kwork):
     ran = []
-    monkeypatch.setattr(cli, "_corpus_chain", lambda *args: ran.append(args))
-    monkeypatch.setattr(slicerank, "slice_rank_searches", lambda *args: ran.append(args))
+    monkeypatch.setattr(slicerank, "verify_rank_chains", lambda *args, **kw: ran.append(args))
     monkeypatch.setattr(decomp, "slice_decompositions", lambda *args: ran.append(args))
     out_dir, out = tmp_path / "corpus", tmp_path / "summary.json"
     rc = cli.run(["corpus", "--kwork", kwork, "--out-dir", str(out_dir), "--out", str(out)])

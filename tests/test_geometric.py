@@ -138,11 +138,11 @@ def test_x0_read_from_the_exact_profile_matches_the_slice_span(data):
     for a, axis in enumerate("xyz"):
         dim0 = dims[a] - tensor.slice_space(T, axis).dim
         exact = geometric.geometric_rank(T, kmax=2, axis=axis)
-        assert all(p.exact for p in exact.profiles)
+        assert all(c.exact for c in exact.strata[0].counts)
         assert exact.strata[0].dim == dim0
         # a sampled k = 1 level reads the slice span instead
         sampled = geometric.geometric_rank(T, kmax=2, axis=axis, budget=1, mc_samples=20)
-        assert not any(p.exact for p in sampled.profiles)
+        assert not any(c.exact for c in sampled.strata[0].counts)
         assert sampled.strata[0].dim == dim0
 
 

@@ -524,7 +524,7 @@ def test_chain_adds_no_eliminations(monkeypatch, T):
     alone = sum(eliminated)
     eliminated.clear()
     rep = slicerank.verify_rank_chain(T, kmax=3)
-    assert rep.ar is not None and rep.gr.profiles[0].exact
+    assert rep.ar is not None and rep.gr.strata[0].counts[0].exact
     assert sum(eliminated) <= alone
 
 
@@ -533,7 +533,7 @@ def test_ar_counts_exactly_where_the_chains_k1_level_is_sampled():
     F7 = make_field(7)
     T = tensor.random_tensor(F7, (8, 1, 1), seed=1)
     rep = slicerank.verify_rank_chain(T, kmax=2)
-    assert not rep.gr.profiles[0].exact
+    assert not rep.gr.strata[0].counts[0].exact
     # f(x, y) = (a . x) y with a != 0: every y is a zero on the 7^7 points x with a . x = 0
     assert T.entries.any()
     assert rep.ar.zero_count == analytic.zero_count(T) == 7 ** 7 * 7 + (7 ** 8 - 7 ** 7)

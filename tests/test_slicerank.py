@@ -410,9 +410,8 @@ def draw_batch(data):
     return batch
 
 
-def exact_outcome(T, search):
-    """slice_rank's exact result as bytes, from `search` or, without one, T searched alone."""
-    res = slicerank.slice_rank(T, search=search, exact=True)
+def outcome(res):
+    """An SRResult as comparable bytes, its witness included."""
     return res.lo, res.hi, res.method, witness_bytes(res.witness)
 
 
@@ -421,26 +420,30 @@ def exact_outcome(T, search):
 def test_stacked_search_matches_one_tensor_searches(data):
     batch = draw_batch(data)
     # every tensor is in the exact scope: only antichain supports go unsearched
-    searches = slicerank.slice_rank_searches(batch)
-    assert [s is None for s in searches] == [
+    routed = slicerank.slice_ranks(batch)
+    assert [res.method == "vertex_cover" for res in routed] == [
         slicerank.vertex_cover_sr(T) is not None for T in batch
     ]
+    assert [res.to_dict() for res in routed] == [slicerank.slice_rank(T).to_dict() for T in batch]
     groups = {}
     for T in batch:
         groups.setdefault((T.field, T.dims), []).append(T)
     for tensors in groups.values():  # the stacked core, antichain supports included
-        for T, search in zip(tensors, slicerank._pair_searches(tensors)):
-            alone = exact_outcome(T, None)
-            assert exact_outcome(T, search) == alone
-            sr = alone[0]
-            for lower_bound in range(sr + 1):
-                assert slicerank.slice_rank(T, ar=lower_bound, search=search).value == sr
+        alone = [outcome(slicerank.slice_rank(T, exact=True)) for T in tensors]
+        searches = zip(tensors, slicerank._pair_searches(tensors))
+        assert [outcome(slicerank.slice_rank_exact(T, s)) for T, s in searches] == alone
+        assert [outcome(res) for res in slicerank.slice_ranks(tensors, exact=True)] == alone
+        srs = [sr for sr, *_ in alone]
+        for drop in range(max(srs) + 1):  # every lower bound up to each tensor's own SR
+            ars = [max(sr - drop, 0) for sr in srs]
+            assert [res.value for res in slicerank.slice_ranks(tensors, ars, exact=True)] == srs
+        for j, sr in enumerate(srs):  # one bound past its tensor's SR fails the stack
             message = rf"slice rank {sr} is below the lower bound {sr + 1}"
             with pytest.raises(ContradictoryBounds, match=message):
-                slicerank.slice_rank(T, ar=sr + 1, search=search)
-    for T, search in zip(batch, searches):
-        if search is not None:
-            assert exact_outcome(T, search) == exact_outcome(T, None)
+                slicerank.slice_ranks(tensors, srs[:j] + [sr + 1] + srs[j + 1 :], exact=True)
+    for T, res in zip(batch, routed):
+        if res.method != "vertex_cover":
+            assert outcome(res) == outcome(slicerank.slice_rank(T, exact=True))
 
 
 @pytest.mark.parametrize("chunk", [rankprofile.CHUNK, 64])
@@ -467,11 +470,10 @@ def test_stacked_search_calls_stay_within_chunk(monkeypatch, chunk):
         seen = []
         alone.append((slicerank.slice_rank(T, exact=True), seen))
     seen = []
-    searches = slicerank.slice_rank_searches(batch)
+    results = slicerank.slice_ranks(batch, exact=True)
     stacked = seen
-    for T, search, (res, _) in zip(batch, searches, alone):
-        expected = (res.lo, res.hi, res.method, witness_bytes(res.witness))
-        assert exact_outcome(T, search) == expected
+    for res, (expected, _) in zip(results, alone):
+        assert outcome(res) == outcome(expected)
     assert max(stacked) <= chunk
     assert sum(stacked) == sum(sum(calls) for _, calls in alone)
     assert len(stacked) < sum(len(calls) for _, calls in alone)
@@ -519,6 +521,34 @@ def test_chain_report_zero_tensor_over_f2_leaves_the_ar_checks_open():
     ar_checks = ("holds_gr_271ar", "holds_sr_813ar", "holds_ar_le_sr")
     assert [rep.checks[name] for name in ar_checks] == [None, None, None]
     assert rep.all_hold
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stacked_chains_match_one_tensor_chains(data):
+    F2, F5 = make_field(2), make_field(5)
+    shapes = data.draw(
+        st.lists(st.tuples(*[st.integers(1, 3)] * 3), min_size=2, max_size=2, unique=True)
+    )
+    seed = data.draw(st.integers(0, 2 ** 16))
+    # two (field, dims) groups of two, then the routes one tensor alone can take
+    batch = [tensor.random_tensor(F3, dims, seed=seed + i) for i, dims in enumerate(shapes * 2)]
+    outside = tensor.random_tensor(F5, (2, 2, 2), seed=seed).entries.copy()
+    outside[0, 0] = 1  # (0, 0, 0) <= (0, 0, 1) in one summand: no antichain support
+    batch += [
+        tensor.zero_tensor(F3, shapes[0]),
+        tensor.random_tensor(F2, shapes[1], seed=seed),
+        tensor.identity_tensor(F3, 2),  # an antichain support
+        tensor.Tensor3(F5, outside),  # outside the exact scope
+    ]
+    batch = data.draw(st.permutations(batch))
+    n = len(batch)
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 31 - 1), min_size=n, max_size=n))
+    stacked = slicerank.verify_rank_chains(batch, seeds=seeds)
+    assert [rep.to_dict() for rep in stacked] == [
+        slicerank.verify_rank_chain(T, seed=s).to_dict() for T, s in zip(batch, seeds)
+    ]
+    assert [rep.sr.method for rep in stacked].count("bounds_only") >= 1
 
 
 @settings(max_examples=50, deadline=None)
