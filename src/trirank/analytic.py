@@ -25,7 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded
-from .rankprofile import CHUNK, RankProfile, SummandRanks, point_block, rank_profile, within_budget
+from .rankprofile import (
+    CHUNK, RankProfile, SummandRanks, _blocks, point_block, rank_profile, within_budget,
+)
 from .tensor import Tensor3
 
 ENUM_BUDGET = 10 ** 8
@@ -128,7 +130,7 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     if not within_budget(q, n1 + n2, 2 ** 63 - 1):
         raise BudgetExceeded(f"min-entropy: {q}^{n1 + n2} input pairs overflow the int64 histogram")
     rmax = min(n1, n2)
-    ranks_at = SummandRanks(T, 1, "z", q ** n3)  # every summand is read from its table
+    ranks_at = SummandRanks(F, _blocks(T, "z"), q ** n3)  # every summand is read from its table
     rank_of = np.empty(q ** n3, dtype=np.int64)
     for start in range(0, q ** n3, CHUNK):
         stop = min(start + CHUNK, q ** n3)

@@ -55,8 +55,8 @@ def _tensor_id(T: tensor.Tensor3) -> str:
     return hashlib.sha256(tensor.dumps(T).encode()).hexdigest()[:16]
 
 
-def _encode(obj, out: list, indent: str = "\n") -> None:
-    """Append the text of ``json.dumps(obj, indent=2, sort_keys=True)`` to `out`, in pieces.
+def _report_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``: the text of obj at the given indent.
 
     json's indent path is its pure-Python encoder; this is the same text by a
     shorter route.  Keys are sorted before they are stringified, strings go
@@ -65,44 +65,34 @@ def _encode(obj, out: list, indent: str = "\n") -> None:
     else through ``json.dumps``.
     """
     if isinstance(obj, str):
-        out.append(json.encoder.encode_basestring_ascii(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, dict) and obj:
-        inner, sep = indent + "  ", "{"
+        return json.encoder.encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = []
         for key, value in sorted(obj.items()):
-            if isinstance(key, int) and not isinstance(key, bool):
+            if isinstance(key, str):
+                pass
+            elif isinstance(key, int) and not isinstance(key, bool):
                 key = int.__repr__(key)
             elif isinstance(key, (float, bool)) or key is None:
                 key = json.dumps(key)
-            elif not isinstance(key, str):
+            else:
                 raise TypeError(f"keys must be str, int, float, bool or None, not {key!r}")
-            out.append(sep + inner + json.encoder.encode_basestring_ascii(key) + ": ")
-            _encode(value, out, inner)
-            sep = ","
-        out.append(indent + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        inner, sep = indent + "  ", "["
-        for value in obj:
-            out.append(sep + inner)
-            _encode(value, out, inner)
-            sep = ","
-        out.append(indent + "]")
-    else:  # an empty container's text is json.dumps's too
-        out.append(json.dumps(obj))
-
-
-def _report_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, by ``_encode``."""
-    out: list = []
-    _encode(obj, out)
-    return "".join(out)
+            key = json.encoder.encode_basestring_ascii(key)
+            items.append(key + ": " + _report_text(value, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = [_report_text(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(obj)  # an empty container's text is json.dumps's too
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -288,22 +278,22 @@ CORPUS_KMAX = 3  # the chain's tower depth for every corpus item
 
 
 def _isolated(stage, *columns) -> list:
-    """stage(*columns) on all items at once; on a TrirankError, on each item alone.
+    """stage(*columns) on all items at once; on a TrirankError, on each half in turn.
 
     `columns` hold one value per item.  An item whose stage raises alone gets
-    its error in its place; every other item's outcome is its own.
+    its error in its place; every other item's outcome is its own.  The halves
+    are split again until they pass or hold one item, so one failing item
+    among n costs about 2 log2 n calls.
     """
     try:
         return stage(*columns)
-    except TrirankError:
-        pass
-    outcomes = []
-    for item in zip(*columns):
-        try:
-            outcomes += stage(*([value] for value in item))
-        except TrirankError as exc:
-            outcomes.append(exc)
-    return outcomes
+    except TrirankError as exc:
+        if len(columns[0]) <= 1:
+            return [exc] * len(columns[0])
+    half = len(columns[0]) // 2
+    return _isolated(stage, *(c[:half] for c in columns)) + _isolated(
+        stage, *(c[half:] for c in columns)
+    )
 
 
 def _corpus_row(name, T, chain, D):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, VerificationFailed
-from .rankprofile import ELIM_BUDGET, MC_SAMPLES, RankProfile, rank_profile
+from .rankprofile import ELIM_BUDGET, MC_SAMPLES, RankProfile, rank_profile, rank_profiles
 from .tensor import Tensor3, slice_space
 from .variety import CountRecord, DimEstimate, estimate_from_counts, exact_estimate
 
@@ -108,9 +108,7 @@ def geometric_rank(
         kernel = kernel_codim(T, kmax) if cross_check else None
         return GRReport(0, axis, {0: exact_estimate(n_coeff, n_coeff)}, kernel)
     if profiles is None:
-        profiles = [
-            rank_profile(T, k, axis, budget, mc_samples, seed) for k in range(1, kmax + 1)
-        ]
+        profiles = rank_profiles([T], range(1, kmax + 1), axis, budget, mc_samples, [seed])[0]
     k1 = profiles[0]
     if k1.exact:
         dim0 = round(np.log(k1.hist[0]) / np.log(k1.q))  # checked to be exact below
@@ -160,8 +158,6 @@ def kernel_codim(
     if not T.summands:  # zero: ker f is everything, known without counting q^(n1 + n2) points
         return exact_estimate(n1 + n2, n1 + n2)
     if profiles is None:
-        profiles = [
-            rank_profile(T, k, "x", budget, mc_samples, seed) for k in range(1, kmax + 1)
-        ]
+        profiles = rank_profiles([T], range(1, kmax + 1), "x", budget, mc_samples, [seed])[0]
     counts = [_record(prof, prof.fiber_sum(n2)) for prof in profiles]
     return estimate_from_counts(T.field.q, n1 + n2, counts)

@@ -11,11 +11,12 @@ per sigma-orbit is eliminated: about a k-th of them over F_{p^k}.  An affine
 histogram weights its rank by the orbit's size, and a rank table writes it at
 every nonzero multiple of every point of the orbit.  The exact path convolves
 the summands' affine histograms and multiplies by q^k for every coordinate in
-no summand; ``rank_profiles`` ranks the summands of many tensors together, one
-stack per block shape.  The sampled path draws the same uniform affine points
-as ever and reads each summand's rank at a draw from a table over its affine
-points (``SummandRanks``), unless that table would have more entries than
-there are draws: such a summand is eliminated at the draws.  Either way the
+no summand; ``rank_profiles`` ranks the summands of many tensors at many
+levels in one pass, one stack per field and block shape.  The sampled path
+draws the same uniform affine points as ever and reads each summand's rank
+at a draw from a table over its affine points (``SummandRanks``), unless
+that table would have more entries than there are draws: such a summand is
+eliminated at the draws.  Either way the
 ranks, histograms and sampled counts are those of the whole tensor at the
 same points.  Every point set (an orbit batch, a rank table's orbit
 representatives, a batch of draws, the slice-rank search's pruning points)
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +140,18 @@ class RankProfile:
         return sum(int(c) * self.q ** (n2 - r) for r, c in enumerate(self.hist))
 
 
-def _blocks(T: Tensor3, axis: str):
+def _blocks(T: Tensor3, axis: str) -> list:
     """(coordinates, block of the slices) for each direct summand of T along `axis`."""
     a = AXES.index(axis)
     A = slices(T, axis)
+    blocks = []
     for sets in T.summands:
         rows, cols = (s for i, s in enumerate(sets) if i != a)
-        yield sets[a], A[np.ix_(sets[a], rows, cols)]
+        if sets[a].size * rows.size * cols.size == A.size:  # the summand is all of T
+            blocks.append((sets[a], A))
+        else:
+            blocks.append((sets[a], A[np.ix_(sets[a], rows, cols)]))
+    return blocks
 
 
 _orbit_cache: dict = {}
@@ -225,101 +232,140 @@ def _affine_hists(blocks: list[np.ndarray], F: Field, m: int) -> np.ndarray:
     return hists
 
 
-def _rank_table(A: np.ndarray, F: Field) -> np.ndarray:
-    """Rank of the block A (n, m1, m2) at every affine point of F_q^n, by base-q index.
+def _rank_tables(A: np.ndarray, F: Field, m: int) -> np.ndarray:
+    """Rank of each block of the stack A (n, G, m1, m2) at every affine point of F_q^n: (G, q^n).
 
-    One projective point x per Frobenius orbit is eliminated, and its rank is
-    written at every c sigma^j(x), c != 0, in one indexed assignment.
+    Points are base-q indices, and m is the blocks' common Frobenius order.
+    One projective point x per Frobenius orbit is eliminated, and its ranks
+    are written at every c sigma^j(x), c != 0, by one index shared by the
+    stack.
     """
-    n, q = len(A), F.q
-    table = np.zeros(q ** n, dtype=np.min_scalar_type(min(A.shape[1:])))
-    powers = q ** np.arange(n, dtype=np.int64)
-    c = np.arange(1, q)[:, None, None, None]  # c != 0 against (N, m, n) orbits
-    for codes, orbits, _ in _orbit_batches(F, n, _frobenius_order(A, F)):
-        table[F.mul[c, orbits] @ powers] = _ranks(A[:, None], F, codes)
+    n, G, m1, m2 = A.shape
+    table = np.zeros((G, F.q ** n), dtype=np.min_scalar_type(min(m1, m2)))
+    c = np.arange(1, F.q)[:, None, None, None]  # c != 0 against (N, m, n) orbits
+    for codes, orbits, _ in _orbit_batches(F, n, m):
+        scaled = F.mul[c, orbits]
+        index = np.zeros(scaled.shape[:-1], dtype=np.int64)  # base-q index of each c sigma^j(x)
+        for i in reversed(range(n)):
+            index *= F.q
+            index += scaled[..., i]
+        for row, ranks in zip(table, _ranks(A, F, codes).T):
+            row[index] = ranks[:, None]
     return table
 
 
-class SummandRanks:
-    """rank(sum_i x_i A_i) for batches of points x, summed over direct summands.
+def _rank_table(A: np.ndarray, F: Field) -> np.ndarray:
+    """``_rank_tables`` of the one block A (n, m1, m2)."""
+    return _rank_tables(A[:, None], F, _frobenius_order(A, F))[0]
 
-    Each summand keeps only its own coordinates, rows and columns.  A summand
-    with at most `points` affine points (`points` being the number of points
-    the caller ranks) is read from its ``_rank_table``, so tabulating never
-    eliminates more matrices, nor fills more table entries, than there are
-    points; any other is contracted and eliminated at the points.  Coordinates
-    in no summand do not change the rank.
+
+class SummandRanks:
+    """rank(sum_i x_i A_i) for batches of points x over F, summed over direct summands.
+
+    `blocks` are a tensor's ``_blocks``, F its field or an extension of it;
+    each summand keeps only its own coordinates, rows and columns.  A summand with at most `points`
+    affine points (`points` being the number of points the caller ranks) is
+    read from a rank table, so tabulating never eliminates more matrices, nor
+    fills more table entries, than there are points; any other is contracted
+    and eliminated at the points.  The tabled summands of one (block shape,
+    Frobenius order) are ranked as one stack (``_rank_tables``), all tables
+    are one flat array, and one product gives every tabled summand's table
+    index at a batch of points.  Coordinates in no summand do not change the
+    rank.
     """
 
-    def __init__(self, T: Tensor3, k: int, axis: str, points: int):
-        self.field = F = T.field.extension(k)
-        self._parts = []
-        for coords, A in _blocks(T, axis):
-            n = coords.size
-            if coords[-1] - coords[0] == n - 1:  # a run: take X[:, coords] as a view
-                coords = slice(coords[0], coords[-1] + 1)
-            if within_budget(F.q, n, points):
-                self._parts.append((coords, F.q ** np.arange(n, dtype=np.int64), _rank_table(A, F)))
+    def __init__(self, F: Field, blocks: list, points: int):
+        self.field = F
+        self._eliminated = []  # (coordinates, block as a stack of one)
+        tabled: dict = {}  # (block shape, Frobenius order) -> [(coordinates, block)]
+        for coords, A in blocks:
+            if within_budget(F.q, len(coords), points):
+                tabled.setdefault((A.shape, _frobenius_order(A, F)), []).append((coords, A))
             else:
-                self._parts.append((coords, None, A[:, None]))
+                self._eliminated.append((coords, A[:, None]))
+        self._n = max((coords[-1] + 1 for coords, _ in blocks), default=0)
+        tables, powers, offsets = [], [], []
+        start = 0
+        for (shape, m), parts in tabled.items():
+            stacked = _rank_tables(np.stack([A for _, A in parts], axis=1), F, m)
+            for g, (coords, _) in enumerate(parts):
+                powers.append(np.zeros(self._n))
+                powers[-1][coords] = F.q ** np.arange(shape[0], dtype=np.int64)
+                offsets.append(start + g * stacked.shape[1])
+            tables.append(stacked.ravel())
+            start += stacked.size
+        self._table = np.concatenate([np.zeros(0, dtype=np.uint8)] + tables)
+        # _powers @ X.T + _offsets: each tabled summand's index into _table, a row per
+        # summand.  A float product runs in BLAS; it is exact, since every index is
+        # below the table's size, far under 2^53.
+        self._powers = np.array(powers).reshape(len(powers), self._n)
+        self._offsets = np.array(offsets, dtype=np.int64)[:, None]
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Ranks for at most CHUNK points given as (N, n) field codes."""
-        ranks = np.zeros(X.shape[0], dtype=np.int64)
-        for coords, powers, part in self._parts:
-            if powers is None:
-                ranks += _ranks(part, self.field, X[:, coords])[:, 0]
-            else:
-                ranks += part.take(X[:, coords] @ powers)
+        index = (self._powers @ X[:, : self._n].T).astype(np.intp) + self._offsets
+        ranks = self._table.take(index).sum(axis=0, dtype=np.int64)
+        for coords, A in self._eliminated:
+            ranks += _ranks(A, self.field, X[:, coords])[:, 0]
         return ranks
 
 
 def rank_profiles(
     tensors: list[Tensor3],
-    k: int,
+    levels: Sequence[int],
     axis: str = "x",
     budget: int = ELIM_BUDGET,
     mc_samples: int = MC_SAMPLES,
     seeds: list[int] | None = None,
-) -> list[RankProfile]:
+) -> list[list[RankProfile]]:
     """Rank histograms of each tensor's slices along `axis`, contracted over F_{q^k}.
 
-    The summands of all tensors exact at level k are ranked together, one
-    ``_affine_hists`` per (field, block shape, Frobenius order).  A tensor above
-    the budget is sampled on its own, with its seed (default 0).
+    Returns each tensor's profiles, one per level k of `levels`.  Each tensor
+    is cut into its summand blocks once.  The summands of all tensors exact at
+    a level are ranked together, one ``_affine_hists`` per (field, block
+    shape, Frobenius order).  A tensor above the budget at a level is sampled
+    on its own, with its seed (default 0).
     """
     seeds = [0] * len(tensors) if seeds is None else seeds
-    groups: dict = {}  # (F_{q^k}, block shape, Frobenius order) -> blocks, in tensor order
-    summands = []  # per tensor: the group key of each block in _blocks order, or None when sampled
-    for T in tensors:
-        Fk, n = T.field.extension(k), slices(T, axis).shape[0]
-        if not within_budget(Fk.q, n, budget):
-            if not within_budget(Fk.q, n, int(sys.float_info.max)):  # sampled counts scale by it
-                raise BudgetExceeded(f"{Fk.q}^{n} points are past the float range")
-            summands.append(None)
-            continue
-        if Fk.q ** n >= 2 ** 63:
-            raise BudgetExceeded(f"{Fk.q}^{n} points overflow the int64 histogram")
-        summands.append([])
-        for _, A in _blocks(T, axis):
-            summands[-1].append((Fk, A.shape, _frobenius_order(A, Fk)))
-            groups.setdefault(summands[-1][-1], []).append(A)
-    rows = {key: iter(_affine_hists(blocks, key[0], key[2])) for key, blocks in groups.items()}
-    profiles = []
-    for T, seed, keys in zip(tensors, seeds, summands):
-        Fk = T.field.extension(k)
-        n, *shape = slices(T, axis).shape
-        hist = np.zeros(min(shape) + 1, dtype=np.int64)
-        if keys is None:
-            ranks_at = SummandRanks(T, k, axis, mc_samples)
-            for X in uniform_points(Fk.q, n, mc_samples, seed, k):
-                hist += np.bincount(ranks_at(X), minlength=len(hist))
-        else:  # a point's rank is the sum of its summands' ranks: convolve their histograms
-            hist[0] = 1
-            for key in keys:  # the summands' ranks add up to at most min(shape)
-                hist = np.convolve(hist, next(rows[key]))[: len(hist)]  # in tensor order
-            hist *= Fk.q ** (n - sum(block[0] for _, block, _ in keys))
-        profiles.append(RankProfile(k, Fk.q, hist, Fk.q ** n, mc_samples if keys is None else None))
+    a = AXES.index(axis)
+    blocks = [_blocks(T, axis) for T in tensors]
+    # a block with every entry in F_p has Frobenius order k over F_{p^k} (_frobenius_order)
+    in_fp = [[bool((A < T.field.p).all()) for _, A in cut] for T, cut in zip(tensors, blocks)]
+    groups: dict = {}  # (F_{q^k}, block shape, Frobenius order) -> blocks, level by level
+    plans = {}  # (tensor, level) -> (F_{q^k}, the group key of each block, or None when sampled)
+    for k in levels:
+        for i, T in enumerate(tensors):
+            Fk, n = T.field.extension(k), T.dims[a]
+            if not within_budget(Fk.q, n, budget):
+                if not within_budget(Fk.q, n, int(sys.float_info.max)):  # sampled counts scale
+                    raise BudgetExceeded(f"{Fk.q}^{n} points are past the float range")
+                plans[i, k] = Fk, None
+                continue
+            if Fk.q ** n >= 2 ** 63:
+                raise BudgetExceeded(f"{Fk.q}^{n} points overflow the int64 histogram")
+            keys = [(Fk, A.shape, Fk.k if fp else 1) for (_, A), fp in zip(blocks[i], in_fp[i])]
+            for key, (_, A) in zip(keys, blocks[i]):
+                groups.setdefault(key, []).append(A)
+            plans[i, k] = Fk, keys
+    rows = {key: iter(_affine_hists(cut, key[0], key[2])) for key, cut in groups.items()}
+    free = [T.dims[a] - sum(coords.size for coords, _ in cut) for T, cut in zip(tensors, blocks)]
+    profiles = [[] for _ in tensors]
+    for k in levels:
+        for i, T in enumerate(tensors):
+            (Fk, keys), n = plans[i, k], T.dims[a]
+            hist = np.zeros(min(T.dims[:a] + T.dims[a + 1 :]) + 1, dtype=np.int64)
+            if keys is None:
+                ranks_at = SummandRanks(Fk, blocks[i], mc_samples)
+                for X in uniform_points(Fk.q, n, mc_samples, seeds[i], k):
+                    hist += np.bincount(ranks_at(X), minlength=len(hist))
+            else:  # a point's rank is the sum of its summands' ranks: convolve their histograms
+                hist[0] = 1
+                for key in keys:  # the summands' ranks add up to at most min(shape)
+                    hist = np.convolve(hist, next(rows[key]))[: len(hist)]  # in level, tensor order
+                if free[i]:  # a coordinate in no summand leaves every rank as it is
+                    hist *= Fk.q ** free[i]
+            total, samples = Fk.q ** n, mc_samples if keys is None else None
+            profiles[i].append(RankProfile(k, Fk.q, hist, total, samples))
     return profiles
 
 
@@ -332,4 +378,4 @@ def rank_profile(
     seed: int = 0,
 ) -> RankProfile:
     """Rank histogram of the slices along `axis`, contracted over F_{q^k}."""
-    return rank_profiles([T], k, axis, budget, mc_samples, [seed])[0]
+    return rank_profiles([T], [k], axis, budget, mc_samples, [seed])[0][0]

@@ -341,6 +341,12 @@ def vertex_cover_sr(T: Tensor3):
     antichain in the product order: summands occupy disjoint index sets per
     axis, so the axes can always be reordered to make the union an antichain.
     """
+    support = T.entries != 0
+    size = np.count_nonzero(support)
+    # two support triples that differ on one axis alone are comparable, and lie in
+    # one summand: projecting the support along that axis merges them
+    if any(np.count_nonzero(support.any(axis=a)) < size for a in range(3)):
+        return None
     supports = [np.argwhere(T.entries[np.ix_(I, J, K)]).tolist() for I, J, K in T.summands]
     if not all(_is_antichain(c) for c in supports):
         return None
@@ -446,20 +452,19 @@ def verify_rank_chains(
 ) -> list[ChainReport]:
     """Compute AR, GR, SR of each tensor and evaluate the inequality chain with its constants.
 
-    Each level k = 1..kmax of the nonzero tensors' x-axis rank profiles is one
-    ``rank_profiles`` call (``geometric_rank`` answers a zero tensor without
-    counting).  AR's zero count reads the k = 1 level when it is exact, and
-    ``slice_ranks`` checks every SR against max(ceil AR, GR).
+    The levels k = 1..kmax of the nonzero tensors' x-axis rank profiles are
+    one ``rank_profiles`` call (``geometric_rank`` answers a zero tensor
+    without counting).  AR's zero count reads the k = 1 level when it is
+    exact, and ``slice_ranks`` checks every SR against max(ceil AR, GR).
     """
     if kmax < 2:  # refused before any count, as geometric_rank refuses it
         raise BudgetExceeded("kmax must be >= 2")
     seeds = [0] * len(tensors) if seeds is None else seeds
     live = [i for i, T in enumerate(tensors) if T.summands]
-    levels = [
-        rank_profiles([tensors[i] for i in live], k, seeds=[seeds[i] for i in live])
-        for k in range(1, kmax + 1)
-    ]
-    profiles = dict(zip(live, map(list, zip(*levels))))  # tensor index -> its levels
+    levels = rank_profiles(
+        [tensors[i] for i in live], range(1, kmax + 1), seeds=[seeds[i] for i in live]
+    )
+    profiles = dict(zip(live, levels))  # tensor index -> its levels
     grs = [
         geometric.geometric_rank(T, kmax, seed=s, cross_check=cross_check, profiles=profiles.get(i))
         for i, (T, s) in enumerate(zip(tensors, seeds))

@@ -432,7 +432,9 @@ def test_corpus_smoke(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_profile_error_is_one_corpus_items_error_row(tmp_path, monkeypatch, workers):
-    items = [(f"identity_{n}", tensor.identity_tensor(F3, n)) for n in (1, 2, 3)]
+    items = [(f"identity_{n}", tensor.identity_tensor(F3, n)) for n in (1, 2, 3, 4)] + [
+        (f"random_{i}", tensor.random_tensor(F3, (3, 3, 3), seed=i)) for i in range(4)
+    ]
     bad = items[1][1]
     monkeypatch.setattr(cli, "builtin_corpus", lambda seed: items)
     argv = ["corpus", "--seed", "7", "--workers", workers]
@@ -448,11 +450,20 @@ def test_a_profile_error_is_one_corpus_items_error_row(tmp_path, monkeypatch, wo
     # the corpus ranks every item at once, and an item alone through rank_profile
     monkeypatch.setattr(slicerank, "rank_profiles", failing)
     monkeypatch.setattr(rankprofile, "rank_profiles", failing)
+    chains, verify_rank_chains = [], slicerank.verify_rank_chains
+
+    def counted(tensors, *args, **kwargs):
+        chains.append(len(tensors))
+        return verify_rank_chains(tensors, *args, **kwargs)
+
+    monkeypatch.setattr(slicerank, "verify_rank_chains", counted)
     out = tmp_path / "summary.json"
     rc = cli.run(argv + ["--out-dir", str(tmp_path / "bad"), "--out", str(out)])
     assert rc == 0 and read_json(out)["summary"]["errors"] == 1
     assert read_json(tmp_path / "bad" / "identity_2.json")["error"] == "BudgetExceeded: no profile"
-    for name in ("identity_1", "identity_3"):
+    # the failing stack is halved down to the bad item: 8, 4, 2, 1 + 1, then 2 and 4 pass
+    assert chains == [8, 4, 2, 1, 1, 2, 4]
+    for name, _ in items[:1] + items[2:]:
         assert (tmp_path / "bad" / f"{name}.json").read_bytes() == (
             tmp_path / "good" / f"{name}.json"
         ).read_bytes()

@@ -319,6 +319,27 @@ def test_rank_table_matches_every_affine_point(field, n):
     assert table.tolist() == linalg.batched_rank(table_contraction(A, F, X), F).tolist()
 
 
+@pytest.mark.parametrize("field,in_fp", [("2^3", True), ("3^2", True), ("3^2", False), ("5^1", True)])
+def test_stacked_rank_tables_match_each_blocks_table(field, in_fp):
+    # four blocks of one shape and Frobenius order, ranked as one stack
+    F = parse_field(field)
+    A = np.random.default_rng(F.q).integers(0, F.p if in_fp else F.q, size=(3, 4, 2, 3))
+    A = A.astype(np.int32)
+    order = _frobenius_order(A, F)
+    assert order == (F.k if in_fp else 1)
+    stacked = rankprofile._rank_tables(A, F, order)
+    assert stacked.shape == (4, F.q ** 3)
+    for g in range(4):
+        assert stacked[g].tolist() == _rank_table(A[:, g], F).tolist()
+
+
+def test_stacked_summand_tables_read_the_sampled_ranks():
+    # T_2's two summands share a block shape: both are tabled (9^3 <= 1000 draws) in one stack
+    T = tensor.tk_family(make_field(3), 2)
+    prof = rank_profile(T, 2, budget=0, mc_samples=1000, seed=5)
+    assert prof.hist.tolist() == reference_sampled_hist(T, 2, "x", 1000, 5).tolist()
+
+
 # F_p entries over F_{p^k}: one projective point per Frobenius orbit is eliminated
 PRIME_ENTRY_LEVELS = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 2), (5, 2, 2), (5, 3, 2)]
 
@@ -467,10 +488,10 @@ def mixed_tensors():
 def test_rank_profiles_match_each_tensor_alone(k, axis):
     tensors = [T for T in mixed_tensors() if T.field.k == 1 or k == 1]
     seeds = [10 + i for i in range(len(tensors))]
-    profiles = rank_profiles(tensors, k, axis, mc_samples=500, seeds=seeds)
+    profiles = rank_profiles(tensors, [k], axis, mc_samples=500, seeds=seeds)
     assert len(profiles) == len(tensors)
     sampled = 0
-    for T, seed, prof in zip(tensors, seeds, profiles):
+    for T, seed, (prof,) in zip(tensors, seeds, profiles):
         q, n = T.field.extension(k).q, T.dims["xyz".index(axis)]
         assert prof.exact == (q ** n <= rankprofile.ELIM_BUDGET)
         if not prof.exact:
@@ -482,6 +503,22 @@ def test_rank_profiles_match_each_tensor_alone(k, axis):
             ref = rank_profile(T, k, axis).hist
         assert prof.hist.tolist() == ref.tolist()
     assert sampled >= (axis == "x")
+
+
+@pytest.mark.parametrize("axis", "xyz")
+def test_rank_profiles_over_levels_match_one_call_per_level(axis):
+    # past the budget of 3^7 points a level is sampled, so tensors are exact at
+    # some levels and sampled at others; each level's draws keep the tensor's seed
+    tensors = [T for T in mixed_tensors() if T.field.k == 1]
+    seeds = [20 + i for i in range(len(tensors))]
+    levels = rank_profiles(tensors, [1, 2, 3], axis, budget=3 ** 7, mc_samples=500, seeds=seeds)
+    per_level = [rank_profiles(tensors, [k], axis, 3 ** 7, 500, seeds) for k in (1, 2, 3)]
+    assert any(not prof.exact for profs in levels for prof in profs)
+    for i, profs in enumerate(levels):
+        assert len(profs) == 3
+        for prof, one in zip(profs, (level[i][0] for level in per_level)):
+            assert (prof.k, prof.total, prof.samples) == (one.k, one.total, one.samples)
+            assert prof.hist.tolist() == one.hist.tolist()
 
 
 def recording_eliminations(mp):
@@ -501,7 +538,7 @@ def test_corpus_level_eliminates_what_each_tensor_does_alone(monkeypatch):
     tensors = [T for _, T in cli.builtin_corpus(7)]
     seeds = [7 ^ i for i in range(len(tensors))]
     seen = recording_eliminations(monkeypatch)
-    together = rank_profiles(tensors, 3, seeds=seeds)
+    together = [levels[0] for levels in rank_profiles(tensors, [3], seeds=seeds)]
     calls_together, batched = len(seen), Counter(m for call in seen for m in call)
     assert max(len(call) for call in seen) <= CHUNK
     seen.clear()

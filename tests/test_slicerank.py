@@ -180,6 +180,22 @@ def test_vertex_cover_rejects_chain_supports():
     assert res is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(st.tuples(*[st.integers(0, 2)] * 3), max_size=8, unique=True))
+def test_vertex_cover_keeps_the_antichain_outcome(cells):
+    # the projection test only answers None sooner: the outcome is the pairwise antichain test's
+    e = np.zeros((3, 3, 3), dtype=np.int32)
+    for cell in cells:
+        e[cell] = 1
+    T = tensor.Tensor3(F3, e)
+    supports = [np.argwhere(T.entries[np.ix_(*sets)]).tolist() for sets in T.summands]
+    if all(slicerank._is_antichain(c) for c in supports):
+        expected = sum(slicerank._min_vertex_cover(c) for c in supports)
+    else:
+        expected = None
+    assert slicerank.vertex_cover_sr(T) == expected
+
+
 def test_vertex_cover_agrees_with_exact_on_diagonals():
     e = np.zeros((3, 3, 3), dtype=np.int32)
     e[range(3), range(3), range(3)] = [1, 2, 1]
