@@ -113,11 +113,10 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     moving the weight from s to s + z_i b_i.  z.b = 0 does not change under
     scaling, so each [z] is counted once per nonzero multiple, q - 1 times.
 
-    The transform is linear, so it runs once per run of ranks r0..r1, on the
-    weights q^(r1 - rank A_z), and each run's sums are scaled by q^(n1 - r1).
-    A run holds at most span + 1 ranks: an entry sums fewer than q^n3 weights
-    of at most q^span, so it stays below q^(n3 + span), under 2^31 (X int32)
-    unless q^n3 >= 2^31, where span is 0 and X int64.  G and q^n3 N(b) are
+    The transform runs once, on the weights q^(rmax - rank A_z), and its sums
+    are scaled by q^(n1 - rmax).  An entry sums fewer than q^n3 weights of at
+    most q^rmax, so it stays below q^(n3 + rmax): int32 when that is under
+    2^31, int64 when under 2^63, else BudgetExceeded.  G and q^n3 N(b) are
     below q^(n1 + n2 + n3 + 1): int64 when that fits, else Python ints.  The
     budget bounds the q^(n3 + 1) entries (s, b) of the transform, and the
     q^(n1 + n2) input pairs must fit the int64 histogram.
@@ -125,34 +124,29 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     F = T.field
     n1, n2, n3 = T.dims
     q = F.q
+    rmax = min(n1, n2)
     if not within_budget(q, n3 + 1, budget):
         raise BudgetExceeded(f"min-entropy: {q}^{n3 + 1} transform entries exceed budget {budget}")
     if not within_budget(q, n1 + n2, 2 ** 63 - 1):
         raise BudgetExceeded(f"min-entropy: {q}^{n1 + n2} input pairs overflow the int64 histogram")
-    rmax = min(n1, n2)
+    if not within_budget(q, n3 + rmax, 2 ** 63 - 1):
+        raise BudgetExceeded(f"min-entropy: transform sums up to {q}^{n3 + rmax} overflow int64")
     ranks_at = SummandRanks(F, _blocks(T, "z"), q ** n3)  # every summand is read from its table
-    rank_of = np.empty(q ** n3, dtype=np.int64)
+    dtype = np.int32 if q ** (n3 + rmax) < 2 ** 31 else np.int64
+    weight = q ** np.arange(rmax, -1, -1, dtype=dtype)  # weight[r] = q^(rmax - r)
+    X = np.zeros((q, q ** n3), dtype=dtype)  # [s, z or b]
     for start in range(0, q ** n3, CHUNK):
         stop = min(start + CHUNK, q ** n3)
-        rank_of[start:stop] = ranks_at(point_block(q, n3, start, stop))
-    span = max(0, 30 // q.bit_length() - n3)
-    dtype = np.int32 if q ** (n3 + span) < 2 ** 31 else np.int64
+        X[0, start:stop] = weight[ranks_at(point_block(q, n3, start, stop))]
+    X[0, 0] = 0  # z = 0 is no projective point
     sub = F.add[:, F.neg[F.mul]]  # sub[s, z, b] = s - z b
+    for _ in range(n3):
+        X = X.reshape(q, q, -1)  # [s, most significant coordinate, the rest]
+        X = sum(X[sub[:, z], z] for z in range(q))
+        X = X.transpose(0, 2, 1)  # the coordinate done becomes the least significant
     tail = np.int64 if q ** (n1 + n2 + n3 + 1) < 2 ** 63 else object
-    G = np.zeros(q ** n3, dtype=tail)
-    for r0 in range(0, rmax + 1, span + 1):  # one run at a time keeps the transform small
-        r1 = min(r0 + span, rmax)
-        weight = np.zeros(rmax + 1, dtype=dtype)
-        weight[r0 : r1 + 1] = [q ** (r1 - r) for r in range(r0, r1 + 1)]
-        X = np.zeros((q, q ** n3), dtype=dtype)  # [s, z or b]
-        X[0] = weight[rank_of]
-        X[0, 0] = 0  # z = 0 is no projective point
-        for _ in range(n3):
-            X = X.reshape(q, q, -1)  # [s, most significant coordinate, the rest]
-            X = sum(X[sub[:, z], z] for z in range(q))
-            X = X.transpose(0, 2, 1)  # the coordinate done becomes the least significant
-        # in histogram order: coordinate 0 lowest
-        G += (X.reshape(q, q ** n3)[0] // (q - 1)).astype(tail) * q ** (n1 - r1)
+    # in histogram order: coordinate 0 lowest
+    G = (X.reshape(q, q ** n3)[0] // (q - 1)).astype(tail) * q ** (n1 - rmax)
     scaled = q ** n2 * (q ** n1 - G[0] + q * G)  # b = 0 is orthogonal to every [z]
     if (scaled % q ** n3).any():
         raise ArithmeticError(f"output counts times {q}^{n3} are not divisible by it")

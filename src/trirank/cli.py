@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analytic, biascx, decomp, geometric, slicerank, tensor, variety
 from .errors import BadParams, BudgetExceeded, TrirankError
@@ -343,6 +342,9 @@ def _cmd_corpus(args) -> int:
     if args.workers <= 1:
         results = list(map(_corpus_row, names, tensors, chains, decomps))
     else:
+        # imported here, so that a run with one worker does not import it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_corpus_row, names, tensors, chains, decomps))
     rows = [r[0] for r in results]

@@ -13,15 +13,16 @@ construction.
 ``slice_decompositions`` decomposes many tensors as stacks, one per
 (working field, dims): one ``linalg.batched_rref`` gives every span L, and
 each round of attempts (an item steps down in r or retries in the next
-round) does its solves and its rank factorizations in one call each, at
-most CHUNK matrices per call.  Each item draws its own point from its own
+round) does its solves in one call, at most CHUNK matrices per call; the
+rank factorization of each drawn point is read from the ``rref`` that
+tested its rank.  Each item draws its own point from its own
 seed, so its decomposition is the one it gets alone; ``slice_decompose``
 is the one-tensor case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,21 +112,6 @@ def _rrefs(Ms, F: Field):
     return np.concatenate([R for R, _ in parts]), [p for _, ps in parts for p in ps]
 
 
-def _rank_factorizations(As, F: Field):
-    """(left, right, ranks) with A = left^T right for each A of a stack (N, m, n).
-
-    Rows i < rank of left and right are A's pivot columns and the nonzero rows
-    of its RREF (R[:r, pivots] = I, so A = A[:, pivots] R[:r]); the rest of the
-    min(m, n) rows are zero.
-    """
-    N, m, n = As.shape
-    R, pivots = _rrefs(As, F)
-    left = np.zeros((N, min(m, n), m), dtype=np.int32)
-    for j, p in enumerate(pivots):
-        left[j, : len(p)] = As[j][:, p].T
-    return left, R[:, : min(m, n)], [len(p) for p in pivots]
-
-
 def _sylvester_matrix(A) -> np.ndarray:
     """The map (C, Cp) -> CA + ACp on row-major flattenings: [kron(I_m, A^T) | kron(A, I_n)].
 
@@ -142,15 +128,21 @@ def _sylvester_matrix(A) -> np.ndarray:
     return S.reshape(*batch, m * n, m * m + n * n)
 
 
-def sample_rank_point(L: MatrixSpace, r: int, seed: int = 0) -> np.ndarray:
-    """A matrix of rank exactly r in L (coefficients over L's field), by rejection."""
+def sample_rank_point(L: MatrixSpace, r: int, seed: int = 0):
+    """(A, left, right): a matrix A of rank exactly r in L, by rejection, and A = left^T right.
+
+    The factors have min(m, n) rows.  Rows i < r of left and right are A's
+    pivot columns and the nonzero rows of the ``rref`` that tests A's rank
+    (R[:r, pivots] = I, so A = A[:, pivots] R[:r]); the rest are zero.
+    """
     if r < 0:
         raise BadParams("rank must be >= 0")
     if r > min(L.shape):
         raise NoPointFound(f"rank {r} exceeds min shape {min(L.shape)}")
-    F = L.field
+    F, (m, n) = L.field, L.shape
+    left = np.zeros((min(m, n), m), dtype=np.int32)
     if r == 0:
-        return np.zeros(L.shape, dtype=np.int32)
+        return np.zeros(L.shape, dtype=np.int32), left, np.zeros((min(m, n), n), dtype=np.int32)
     if L.dim == 0:
         raise NoPointFound("zero space contains no nonzero-rank point")
     rng = np.random.default_rng(seed)
@@ -158,8 +150,10 @@ def sample_rank_point(L: MatrixSpace, r: int, seed: int = 0) -> np.ndarray:
     for _ in range(SAMPLE_BUDGET):
         coeffs = rng.integers(0, F.q, size=L.dim).astype(np.int32)
         A = linalg.mat_mul(coeffs[None], basis, F).reshape(L.shape)
-        if linalg.rank(A, F) == r:
-            return A
+        R, pivots = linalg.rref(A, F)
+        if len(pivots) == r:
+            left[:r] = A[:, pivots].T
+            return A, left, R[: min(m, n)]
     raise NoPointFound(f"no rank-{r} point in {SAMPLE_BUDGET} samples")
 
 
@@ -171,7 +165,8 @@ def _tangent_attempts(attempts: list) -> list[SliceDecomposition | None]:
     """One 2r + codim attempt per (Tw, L, r, seed), all of one field and dims, as one stack.
 
     L is the span of Tw's x-slices; None where L has no rank-r point.  Each
-    attempt draws its own point A.  One elimination of [S | L basis | slices]
+    attempt draws its own point A, with the factors A = left^T right of the
+    ``rref`` that tested its rank.  One elimination of [S | L basis | slices]
     per attempt, S the map (C, Cp) -> CA + ACp, splits slice l into
     C_l A + A Cp_l (the tangent part) plus sum_m mu_lm L_m.  A basis matrix
     L_m gets a pivot exactly when it extends T_A + span(L_0 .. L_{m-1}), so
@@ -179,20 +174,20 @@ def _tangent_attempts(attempts: list) -> list[SliceDecomposition | None]:
     every L_m is one.  The basis block has a column per slice, zero past
     dim L: a zero column gets no pivot, so the solution is that of L alone.
     """
-    points = []
+    points = []  # (A, left, right) per attempt, or None
     for _, L, r, seed in attempts:
         try:
             points.append(sample_rank_point(L, r, seed=seed))
         except NoPointFound:
             points.append(None)
-    live = [j for j, A in enumerate(points) if A is not None]
+    live = [j for j, point in enumerate(points) if point is not None]
     found = [None] * len(attempts)
     if not live:
         return found
     F, (n1, n2, n3) = attempts[0][0].field, attempts[0][0].dims
     N, nC = len(live), n2 * n2 + n3 * n3
     nv = nC + n1  # unknowns: C, Cp, then mu
-    A = np.array([points[j] for j in live], dtype=np.int32).reshape(N, n2, n3)
+    A, left, right = (np.array([points[j][i] for j in live], dtype=np.int32) for i in range(3))
     X = np.array([attempts[j][0].entries for j in live], dtype=np.int32).reshape(N, n1, n2 * n3)
     B = np.zeros_like(X)  # each L basis, zero rows past dim L
     for row, j in enumerate(live):
@@ -209,7 +204,6 @@ def _tangent_attempts(attempts: list) -> list[SliceDecomposition | None]:
     Cs = x[:, :, : n2 * n2].reshape(N, n1, n2, n2)
     Cps = x[:, :, n2 * n2 : nC].reshape(N, n1, n3, n3)
     mu = x[:, :, nC:]  # (N, n1, n1)
-    left, right, ranks = _rank_factorizations(A, F)
     # H[i][l] = C_l f_i and Hp[i][l] = g_i Cp_l, for every attempt and every i at once
     H = linalg.mat_mul(Cs, left.transpose(0, 2, 1)[:, None], F).transpose(0, 3, 1, 2)
     Hp = linalg.mat_mul(right[:, None], Cps, F).transpose(0, 2, 1, 3)
@@ -222,7 +216,7 @@ def _tangent_attempts(attempts: list) -> list[SliceDecomposition | None]:
     for row, j in enumerate(live):
         Tw, L, r, _ = attempts[j]
         terms = []
-        for i, (f_i, g_i) in enumerate(zip(left[row, : ranks[row]], right[row])):
+        for i, (f_i, g_i) in enumerate(zip(left[row, :r], right[row])):
             if H[row, i].any() and g_i.any():
                 terms.append(SliceTerm(F, "z", g_i, H[row, i], source="tangent_z_slice"))
             if Hp[row, i].any() and f_i.any():
@@ -233,7 +227,7 @@ def _tangent_attempts(attempts: list) -> list[SliceDecomposition | None]:
                     SliceTerm(F, "x", mu[row, :, m], L.basis[m], source="complement_x_slice")
                 )
         found[j] = SliceDecomposition(
-            working_field=F, dims=Tw.dims, terms=terms, r_used=r, sampled_point=points[j]
+            working_field=F, dims=Tw.dims, terms=terms, r_used=r, sampled_point=points[j][0]
         )
     return found
 

@@ -254,11 +254,6 @@ def _rank_tables(A: np.ndarray, F: Field, m: int) -> np.ndarray:
     return table
 
 
-def _rank_table(A: np.ndarray, F: Field) -> np.ndarray:
-    """``_rank_tables`` of the one block A (n, m1, m2)."""
-    return _rank_tables(A[:, None], F, _frobenius_order(A, F))[0]
-
-
 class SummandRanks:
     """rank(sum_i x_i A_i) for batches of points x over F, summed over direct summands.
 

@@ -164,9 +164,8 @@ def test_histogram_zero_count_and_bias_agree(F, dims):
 
 
 @pytest.mark.parametrize("dims", [(4, 4, 13), (4, 4, 15)])
-def test_min_entropy_over_several_weighted_runs(dims):
-    # over F_2 a run holds 30 // 2 - n3 + 1 ranks: ranks 0..4 take two runs at
-    # n3 = 13 (0..2, 3..4) and one run each at n3 = 15
+def test_min_entropy_over_many_z_coordinates(dims):
+    # 2^13 and 2^15 points z over F_2, each weighted by 2^(4 - rank A_z)
     F2 = make_field(2)
     for seed in range(2):
         T = tensor.random_tensor(F2, dims, seed=seed)
@@ -185,6 +184,31 @@ def test_min_entropy_tail_on_both_sides_of_int64(n2):
         entries[:, :2] = core.entries
         hist = analytic.min_entropy(tensor.Tensor3(F3, entries), budget=10 ** 20).histogram
         assert hist.tobytes() == (brute_min_entropy(core) * 3 ** (n2 - 2)).tobytes()
+
+
+@pytest.mark.parametrize("n1", [15, 19])
+def test_min_entropy_on_both_sides_of_the_int32_transform(n1):
+    # the transform sums stay below 3^(n3 + rmax) = 3^(2 + n1): int32 at n1 = 15,
+    # int64 at n1 = 19.  Zero x- and y-slices multiply every count by 3 each.
+    assert (3 ** (2 + n1) < 2 ** 31) == (n1 == 15)
+    for core in (tensor.zero_tensor(F3, (2, 2, 2)), tensor.random_tensor(F3, (2, 2, 2), seed=3)):
+        entries = np.zeros((n1, n1 + 1, 2), dtype=np.int32)
+        entries[:2, :2] = core.entries
+        hist = analytic.min_entropy(tensor.Tensor3(F3, entries)).histogram
+        assert hist.tobytes() == (brute_min_entropy(core) * 3 ** (2 * n1 - 3)).tobytes()
+
+
+def test_transform_sums_past_int64_are_refused(tmp_path, monkeypatch, capsys):
+    # 3 input pairs, but the transform over 3^40 points z sums up to 3^41
+    T = tensor.loads("tensor 3^1 1 1 40\n")
+    with pytest.raises(BudgetExceeded, match="transform sums"):
+        analytic.min_entropy(T, budget=10 ** 30)
+    path, out = tmp_path / "t", tmp_path / "h.csv"
+    tensor.dump(T, str(path))
+    monkeypatch.setenv("TRIRANK_BUDGET", str(10 ** 30))
+    assert cli.run(["ar", "--tensor", str(path), "--histogram", str(out)]) == 2
+    assert "transform sums" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,8 +19,9 @@ F3 = make_field(3)
 
 def rank_factorize(A, F):
     """(left, right) with A = left^T right, r independent rows each, read off the RREF."""
-    left, right, (r,) = decomp._rank_factorizations(linalg.as_matrix(A)[None], F)
-    return left[0, :r].copy(), right[0, :r].copy()
+    A = linalg.as_matrix(A)
+    R, pivots = linalg.rref(A, F)
+    return A[:, pivots].T.copy(), R[: len(pivots)].copy()
 
 
 def check_factorization(A, left, right, F):
@@ -151,7 +152,7 @@ def reference_tangent_decomposition(Tw, L, r, seed):
     F = Tw.field
     n1, n2, n3 = Tw.dims
     try:
-        A = decomp.sample_rank_point(L, r, seed=seed)
+        A, _, _ = decomp.sample_rank_point(L, r, seed=seed)
     except NoPointFound:
         return None
     tangent = tangent_space_at(A, F)
@@ -304,12 +305,17 @@ def test_sylvester_solve_is_deterministic():
 
 
 def test_sample_rank_point():
+    # the point comes with its rank factorization: r nonzero rows on each side
     L = tensor.slice_space(tensor.levi_civita(F3), "x")
-    A = decomp.sample_rank_point(L, 2, seed=1)
-    assert linalg.rank(A, F3) == 2
     I3 = tensor.slice_space(tensor.identity_tensor(F3, 3), "x")
-    A = decomp.sample_rank_point(I3, 3, seed=1)
-    assert linalg.rank(A, F3) == 3
+    with mock.patch.object(linalg, "rref", side_effect=AssertionError("r = 0 eliminates")):
+        A, left, right = decomp.sample_rank_point(L, 0, seed=1)
+    assert not (A.any() or left.any() or right.any())
+    for space, r in ((L, 2), (I3, 1), (I3, 2), (I3, 3)):
+        A, left, right = decomp.sample_rank_point(space, r, seed=1)
+        assert linalg.rank(A, F3) == r
+        assert np.array_equal(linalg.mat_mul(left.T, right, F3), A)
+        assert left.any(axis=1).sum() == right.any(axis=1).sum() == r
     with pytest.raises(NoPointFound):
         decomp.sample_rank_point(L, 4, seed=1)
 
@@ -495,7 +501,7 @@ def test_stacked_decomposition_eliminates_at_most_chunk_matrices_per_call(monkey
     monkeypatch.setattr(decomp, "CHUNK", 2)
     found = decomp.slice_decompositions(Ts, 3, seeds, reports)
     assert [decomposition_bytes(D) for D in found] == expected
-    assert max(seen) == 2 and sum(seen) == 3 * len(Ts)  # spans, solves, factorizations
+    assert max(seen) == 2 and sum(seen) == 2 * len(Ts)  # spans and solves
 
 
 def test_retry_rounds_match_the_reference():

@@ -15,7 +15,7 @@ from trirank.rankprofile import (
     CHUNK,
     _frobenius_order,
     _orbit_batches,
-    _rank_table,
+    _rank_tables,
     contract,
     point_block,
     rank_profile,
@@ -315,7 +315,7 @@ def test_rank_table_matches_every_affine_point(field, n):
     F = parse_field(field)
     A = np.random.default_rng(n).integers(0, F.q, size=(n, 2, 3)).astype(np.int32)
     X = point_block(F.q, n, 0, F.q ** n)
-    table = _rank_table(A, F)
+    table = _rank_tables(A[:, None], F, _frobenius_order(A, F))[0]
     assert table.tolist() == linalg.batched_rank(table_contraction(A, F, X), F).tolist()
 
 
@@ -327,10 +327,12 @@ def test_stacked_rank_tables_match_each_blocks_table(field, in_fp):
     A = A.astype(np.int32)
     order = _frobenius_order(A, F)
     assert order == (F.k if in_fp else 1)
-    stacked = rankprofile._rank_tables(A, F, order)
+    stacked = _rank_tables(A, F, order)
     assert stacked.shape == (4, F.q ** 3)
     for g in range(4):
-        assert stacked[g].tolist() == _rank_table(A[:, g], F).tolist()
+        block = A[:, g]
+        table = _rank_tables(block[:, None], F, _frobenius_order(block, F))[0]
+        assert stacked[g].tolist() == table.tolist()
 
 
 def test_stacked_summand_tables_read_the_sampled_ranks():
@@ -352,7 +354,8 @@ def test_prime_entries_match_every_affine_point(p, k, n, seed):
     A = rng.integers(0, p, size=(n, 2, 3)).astype(np.int32)
     assert _frobenius_order(A, Fk) == k
     X = point_block(Fk.q, n, 0, Fk.q ** n)
-    assert _rank_table(A, Fk).tolist() == linalg.batched_rank(table_contraction(A, Fk, X), Fk).tolist()
+    table = _rank_tables(A[:, None], Fk, k)[0]
+    assert table.tolist() == linalg.batched_rank(table_contraction(A, Fk, X), Fk).tolist()
     T = tensor.random_tensor(make_field(p), (n, n, n), seed=seed)
     for axis in "xyz":
         assert rank_profile(T, k, axis).hist.tolist() == reference_hist(T, k, axis).tolist()
