@@ -119,7 +119,8 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
     2^31, int64 when under 2^63, else BudgetExceeded.  G and q^n3 N(b) are
     below q^(n1 + n2 + n3 + 1): int64 when that fits, else Python ints.  The
     budget bounds the q^(n3 + 1) entries (s, b) of the transform, and the
-    q^(n1 + n2) input pairs must fit the int64 histogram.
+    q^(n1 + n2) input pairs must fit the int64 histogram.  A transform that
+    numpy cannot allocate raises BudgetExceeded too.
     """
     F = T.field
     n1, n2, n3 = T.dims
@@ -131,10 +132,13 @@ def min_entropy(T: Tensor3, budget: int = ENUM_BUDGET) -> EntropyReport:
         raise BudgetExceeded(f"min-entropy: {q}^{n1 + n2} input pairs overflow the int64 histogram")
     if not within_budget(q, n3 + rmax, 2 ** 63 - 1):
         raise BudgetExceeded(f"min-entropy: transform sums up to {q}^{n3 + rmax} overflow int64")
-    ranks_at = SummandRanks(F, _blocks(T, "z"), q ** n3)  # every summand is read from its table
     dtype = np.int32 if q ** (n3 + rmax) < 2 ** 31 else np.int64
+    try:
+        X = np.zeros((q, q ** n3), dtype=dtype)  # [s, z or b]
+    except (ValueError, MemoryError) as exc:  # numpy's limits on array size
+        raise BudgetExceeded(f"min-entropy: ({q}, {q}^{n3}) transform too large: {exc}") from None
+    ranks_at = SummandRanks(F, _blocks(T, "z"), q ** n3)  # every summand is read from its table
     weight = q ** np.arange(rmax, -1, -1, dtype=dtype)  # weight[r] = q^(rmax - r)
-    X = np.zeros((q, q ** n3), dtype=dtype)  # [s, z or b]
     for start in range(0, q ** n3, CHUNK):
         stop = min(start + CHUNK, q ** n3)
         X[0, start:stop] = weight[ranks_at(point_block(q, n3, start, stop))]

@@ -17,7 +17,7 @@ import sys
 from . import analytic, biascx, decomp, geometric, slicerank, tensor, variety
 from .errors import BadParams, BudgetExceeded, TrirankError
 from .fields import parse_field
-from .rankprofile import point_block, within_budget
+from .rankprofile import CHUNK, point_block, within_budget
 
 SCHEMA = 1
 
@@ -132,8 +132,9 @@ def _cmd_ar(args) -> int:
             w = csv.writer(fh)
             w.writerow(["b_vector", "count"])
             n3, q = T.dims[2], T.field.q
-            for b, count in zip(point_block(q, n3, 0, q ** n3), me.histogram):
-                w.writerow([":".join(map(str, b)), int(count)])
+            for start in range(0, q ** n3, CHUNK):  # the b vectors CHUNK at a time
+                b = point_block(q, n3, start, min(start + CHUNK, q ** n3))
+                w.writerows([":".join(map(str, v)), int(c)] for v, c in zip(b, me.histogram[start:]))
     _emit({"tensor": _tensor_id(T), "ar": ar.to_dict()}, args.out)
     return EXIT_OK
 

@@ -113,7 +113,8 @@ def _ranks(A: np.ndarray, F: Field, X: np.ndarray) -> np.ndarray:
     _, G, m1, m2 = A.shape
     step, ranks = CHUNK // len(X), []
     for s in range(0, G, step):  # a slice's matrices live only through its call
-        ranks.append(linalg.batched_rank(contract(A[:, s : s + step], F, X).reshape(-1, m1, m2), F))
+        shape = (len(X) * min(step, G - s), m1, m2)  # numpy cannot resolve -1 when m1 m2 = 0
+        ranks.append(linalg.batched_rank(contract(A[:, s : s + step], F, X).reshape(shape), F))
     return np.concatenate([r.reshape(len(X), -1) for r in ranks], axis=1)
 
 

@@ -16,10 +16,10 @@ that total, so the first minimal pair, and the witness, are unchanged.
 as one stack: one pruning rank call for all of them, then each codim block
 eliminates every tensor's surviving pairs together, at most CHUNK per
 batched_rank call.  Each tensor keeps its own best total, so its outcome is
-its search alone.  The witnesses W of all the stack's minimal pairs are then
-built together, by two batched_rref calls; ``slice_rank_exact`` only wraps
-an outcome into the SRResult.  Only ``slice_ranks`` compares a value with the
-chain's lower bound max(ceil AR, GR).
+its search alone.  Each minimal pair's W is read from the subspace table, as
+U and V are: it is the one subspace of its dim that the pair's form matrix
+annihilates.  Only ``slice_ranks`` compares a value with the chain's lower
+bound max(ceil AR, GR).
 
 For antichain supports the vertex-cover route gives exact values beyond the
 subspace-search scope (identity tensors, Levi-Civita, and their direct sums).
@@ -122,25 +122,11 @@ class SRResult:
         }
 
 
-@dataclass(frozen=True)
-class PairSearch:
-    """One tensor's pair search and its witness.
-
-    `best`: the least total c1 + c2 + rank T(U, V, .); (U, V): the first minimal
-    pair; W: the RREF basis of the right kernel of that pair's form matrix.
-    """
-
-    best: int
-    U: np.ndarray
-    V: np.ndarray
-    W: np.ndarray
-
-
 def _in_exact_scope(T: Tensor3) -> bool:
     return max(T.dims) <= EXACT_DIM_LIMIT and T.field.q <= EXACT_Q_LIMIT
 
 
-def _pair_searches(tensors: list[Tensor3]) -> list[PairSearch]:
+def _pair_searches(tensors: list[Tensor3]) -> list[SRResult]:
     """The pruned pair search of tensors of one field and dims, as one stack.
 
     The M_U of all tensors are ranked together, by ``rankprofile._ranks`` at
@@ -148,7 +134,13 @@ def _pair_searches(tensors: list[Tensor3]) -> list[PairSearch]:
     forms every tensor's surviving U times every V and eliminates them
     together: at most CHUNK matrices or pairs per batched_rank call.  Each tensor keeps
     its own best total, so it prunes U and skips blocks as it would alone.
-    Last, ``_kernel_witnesses`` builds every tensor's W in one stack.
+
+    W = ker T(U, V, .) of its first minimal pair has dim n3 - rank, and it is
+    the one subspace of that dim the pair's form matrix annihilates: it is
+    read from the ``subspaces(F, n3)`` table, whose rows are RREF bases.  With
+    each U and V padded by zero rows, which only add zero form rows, the forms
+    are one (G, n1 n2, n3) stack; each kernel dim's forms meet that dim's
+    bases in one mat_mul, at most CHUNK (form, basis) products at a time.
     """
     (n1, n2, n3), F = tensors[0].dims, tensors[0].field
     Fk = F.extension(3)
@@ -185,46 +177,36 @@ def _pair_searches(tensors: list[Tensor3]) -> list[PairSearch]:
             if not rows:
                 continue
             j = int(ranks[lo:hi].argmin())  # its first minimal pair, U-major
-            total = c1 + c2 + int(ranks[lo:hi].flat[j])
-            if total < best[i, 0]:
-                best[i, 0], pairs[i] = total, (Us[u[lo + j // len(Vs)]], Vs[j % len(Vs)])
-    Ws = _kernel_witnesses(E.reshape(len(E), n1, n2, n3), pairs, F)
-    return [PairSearch(b, U, V, W) for b, (U, V), W in zip(best[:, 0].tolist(), pairs, Ws)]
-
-
-def _kernel_witnesses(E: np.ndarray, pairs: list, F: Field) -> list[np.ndarray]:
-    """W of each tensor E[g] (n1, n2, n3) and pair (U, V): the RREF basis of ker T(U, V, .).
-
-    Each U is padded to (n1, n1) and each V to (n2, n2) with zero rows, which
-    only add zero form rows, so the forms are one (G, n1 n2, n3) stack and one
-    batched_rref reduces them all.  With R~ holding each pivot row of the
-    reduced form at the row of its pivot column, (I - R~)^T has the kernel
-    basis vector of each free column as that column's row and zero rows
-    elsewhere; a second batched_rref of it gives the RREF basis W, the same
-    rows ``row_space_basis(kernel_basis(form))`` gives.
-    """
-    G, n1, n2, n3 = E.shape
+            rank = int(ranks[lo:hi].flat[j])
+            if c1 + c2 + rank < best[i, 0]:
+                best[i, 0] = c1 + c2 + rank
+                pairs[i] = (Us[u[lo + j // len(Vs)]], Vs[j % len(Vs)], n3 - rank)
+    G = len(E)
     Up, Vp = np.zeros((G, n1, n1), np.int32), np.zeros((G, n2, n2), np.int32)
-    for g, (U, V) in enumerate(pairs):
+    kernels: dict = {}  # dim W -> the tensors whose pair has it
+    for g, (U, V, d) in enumerate(pairs):
         Up[g, : len(U)], Vp[g, : len(V)] = U, V
-    A = linalg.mat_mul(Up, E.reshape(G, n1, n2 * n3), F).reshape(G, n1, n2, n3)
-    R, pivots = linalg.batched_rref(linalg.mat_mul(Vp[:, None], A, F).reshape(G, n1 * n2, n3), F)
-    R_sq = np.zeros((G, n3, n3), np.int32)
-    for g, p in enumerate(pivots):
-        R_sq[g, p] = R[g, : len(p)]
-    kernels = F.add[np.eye(n3, dtype=np.int32), F.neg[R_sq]].transpose(0, 2, 1)
-    K, pivots = linalg.batched_rref(kernels, F)
-    return [K[g, : len(p)].copy() for g, p in enumerate(pivots)]
+        kernels.setdefault(d, []).append(g)
+    A = linalg.mat_mul(Up, E, F).reshape(G, n1, n2, n3)
+    forms, Ws = linalg.mat_mul(Vp[:, None], A, F).reshape(G, n1 * n2, n3), [None] * G
+    for d, g in kernels.items():
+        Bs = subspaces(F, n3)[d]
+        step = max(1, CHUNK // len(Bs))
+        for s in range(0, len(g), step):
+            P = linalg.mat_mul(forms[g[s : s + step], None], Bs.transpose(0, 2, 1), F)
+            for i, j in zip(g[s : s + step], (~P.any(axis=(2, 3))).argmax(axis=1).tolist()):
+                Ws[i] = Bs[j]
+    results = zip(best[:, 0].tolist(), pairs, Ws)
+    return [SRResult(b, b, "annihilator_exact", (U, V, W)) for b, (U, V, _), W in results]
 
 
-def slice_rank_exact(T: Tensor3, search: PairSearch | None = None) -> SRResult:
+def slice_rank_exact(T: Tensor3, search: SRResult | None = None) -> SRResult:
     """Minimum of c1 + c2 + rank T(U, V, .) over subspace pairs, by exhaustion.
 
     The witness is the first minimal pair, codim blocks (c1, c2) in lexicographic
     order and U-major within a block, with W the RREF basis of the kernel of
-    its form matrix, built by the search's stack: this function does no
-    elimination of its own.  No lower bound is checked: the search always
-    runs to its end.
+    its form matrix, read from the subspace table.  No lower bound is checked:
+    the search always runs to its end.
 
     Each U is pruned by the rank of M_U = sum_a t^a T(u_a, ., .) over F_{q^3}
     (t the class of code p): a pair with T(U, V, W) = 0 has rank M_U <=
@@ -235,17 +217,15 @@ def slice_rank_exact(T: Tensor3, search: PairSearch | None = None) -> SRResult:
     Each block is eliminated in slices of at most CHUNK pairs.  Block (0, 0)
     leaves best <= n3, so only blocks with c1 + c2 < n3 follow; in the exact
     scope the largest of them is 40 x 130 = 5,200 pairs (q = 3, codims 1 and 2
-    in F^4), one slice.  `search`: T's outcome from ``_pair_searches``, if
-    the caller has it; without one, T is searched alone.
+    in F^4), one slice.  `search`: T's result from ``_pair_searches``, which
+    is returned, if the caller has it; without one, T is searched alone.
     """
     if not _in_exact_scope(T):
         raise OutOfExactScope(
             f"dims {T.dims} / q = {T.field.q} outside exact scope "
             f"(dims <= {EXACT_DIM_LIMIT}, q <= {EXACT_Q_LIMIT})"
         )
-    if search is None:
-        search = _pair_searches([T])[0]
-    return SRResult(search.best, search.best, "annihilator_exact", (search.U, search.V, search.W))
+    return search or _pair_searches([T])[0]
 
 
 def check_witness(T: Tensor3, result: SRResult) -> bool:

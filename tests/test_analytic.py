@@ -211,6 +211,21 @@ def test_transform_sums_past_int64_are_refused(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n3", [38, 36])
+def test_transforms_numpy_cannot_allocate_are_refused(tmp_path, monkeypatch, capsys, n3):
+    # within a budget of 10^30 and int64, but (3, 3^38) is past numpy's size limit
+    # and (3, 3^36) int64 is 3.12 EiB: numpy refuses both before allocating
+    T = tensor.loads(f"tensor 3^1 1 1 {n3}\n")
+    with pytest.raises(BudgetExceeded, match="transform too large"):
+        analytic.min_entropy(T, budget=10 ** 30)
+    path, out = tmp_path / "t", tmp_path / "h.csv"
+    tensor.dump(T, str(path))
+    monkeypatch.setenv("TRIRANK_BUDGET", str(10 ** 30))
+    assert cli.run(["ar", "--tensor", str(path), "--histogram", str(out)]) == 2
+    assert "transform too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), field=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]))
 def test_min_entropy_matches_enumeration(data, field):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trirank import cli, decomp, rankprofile, slicerank, tensor
+from trirank import analytic, cli, decomp, rankprofile, slicerank, tensor
 from trirank.errors import BudgetExceeded, VerificationFailed
 from trirank.fields import make_field
 
@@ -55,6 +55,26 @@ def test_ar_histogram_csv(levi_path, tmp_path):
     assert len(lines) == 1 + 81
     assert lines[2].startswith("1:0,") and lines[10].startswith("0:1,")
     assert lines[81].startswith("8:8,")
+
+
+def test_histogram_csv_is_written_chunk_by_chunk(tmp_path, monkeypatch):
+    # 3^10 = 59,049 b vectors: eight CHUNK blocks, the last one short
+    path, out = tmp_path / "tall.t", tmp_path / "h.csv"
+    path.write_text("tensor 3^1 1 1 10\n0 0 3 1\n0 0 9 2\n")
+    spans = []
+
+    def recording(q, n, start, stop):
+        spans.append(stop - start)
+        return rankprofile.point_block(q, n, start, stop)
+
+    monkeypatch.setattr(cli, "point_block", recording)
+    assert cli.run(["ar", "--tensor", str(path), "--histogram", str(out)]) == 0
+    assert max(spans) <= rankprofile.CHUNK and sum(spans) == 3 ** 10
+    hist = analytic.min_entropy(tensor.load(str(path))).histogram
+    rows = ["b_vector,count"] + [
+        f"{':'.join(map(str, b))},{c}" for b, c in zip(rankprofile.point_block(3, 10, 0, 3 ** 10), hist)
+    ]
+    assert out.read_text().splitlines() == rows
 
 
 def test_gr_subcommand(levi_path, tmp_path):

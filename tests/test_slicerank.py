@@ -154,6 +154,47 @@ def test_zero_tensor_slice_rank_zero():
     assert slicerank.slice_rank_exact(tensor.zero_tensor(F3, (2, 2, 2))).value == 0
 
 
+@pytest.mark.parametrize("header", ["3^1 2 0 3", "3^1 2 2 0", "3^1 0 3 3", "3^1 2 2 2"])
+def test_empty_axes_and_the_zero_tensor_have_sr_zero_with_a_witness(header):
+    T = tensor.loads(f"tensor {header}\n")
+    res = slicerank.slice_rank(T, exact=True)
+    assert (res.lo, res.hi, res.method) == (0, 0, "annihilator_exact")
+    assert slicerank.check_witness(T, res)
+    assert [len(B) for B in res.witness] == list(T.dims)  # all of F^n1 x F^n2 x F^n3
+
+
+def test_exact_searches_make_no_echelon_form(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an echelon form in the exact search")
+
+    batch = [tensor.random_tensor(F3, (3, 3, 3), seed=s) for s in range(4)]
+    batch += [tensor.identity_tensor(F3, 3), tensor.zero_tensor(F3, (3, 3, 3))]
+    one = tensor.random_tensor(F3, (4, 4, 4), seed=0)
+    monkeypatch.setattr(linalg, "batched_rref", refused)
+    monkeypatch.setattr(linalg, "rref", refused)
+    stacked, alone = slicerank.slice_ranks(batch, exact=True), slicerank.slice_rank(one, exact=True)
+    monkeypatch.undo()
+    for T, res in zip(batch + [one], stacked + [alone]):
+        assert slicerank.check_witness(T, res)
+
+
+def test_a_stack_with_kernels_of_dim_zero_and_n3():
+    # identity_2's first minimal pair is (F^2, F^2), whose 4 x 2 form has rank 2: W = 0;
+    # the zero tensor's form is zero: W = F^2, the identity basis
+    batch = [
+        tensor.identity_tensor(F3, 2),
+        tensor.zero_tensor(F3, (2, 2, 2)),
+        tensor.random_tensor(F3, (2, 2, 2), seed=3),
+    ]
+    stacked = slicerank.slice_ranks(batch, exact=True)
+    assert [res.value for res in stacked[:2]] == [2, 0]
+    assert stacked[0].witness[2].shape == (0, 2)
+    assert stacked[1].witness[2].tobytes() == np.eye(2, dtype=np.int32).tobytes()
+    for T, res in zip(batch, stacked):
+        assert slicerank.check_witness(T, res)
+        assert outcome(res) == outcome(slicerank.slice_rank(T, exact=True))
+
+
 def test_exact_scope_guard():
     with pytest.raises(OutOfExactScope):
         slicerank.slice_rank_exact(tensor.tk_family(F3, 2))
@@ -576,9 +617,10 @@ def test_stacked_witnesses_match_the_kernel_reference(data):
         groups.setdefault((T.field, T.dims), []).append(T)
     for tensors in groups.values():  # mixed fields and dims, repeats and antichains included
         for T, search in zip(tensors, slicerank._pair_searches(tensors)):
-            form = slicerank._forms(T, search.U[None], search.V[None])[0]
-            W = linalg.row_space_basis(kernel_basis(form, T.field), T.field)
-            assert witness_bytes([search.W]) == witness_bytes([W])
+            U, V, W = search.witness
+            form = slicerank._forms(T, U[None], V[None])[0]
+            reference = linalg.row_space_basis(kernel_basis(form, T.field), T.field)
+            assert witness_bytes([W]) == witness_bytes([reference])
             res = slicerank.slice_rank_exact(T, search=search)
-            assert res.witness[2] is search.W
+            assert res is search
             assert slicerank.check_witness(T, res)
