@@ -244,7 +244,6 @@ def _decompose_group(Tws: list[Tensor3], seeds: list[int], reports: list) -> lis
     F, (n1, n2, n3) = Tws[0].field, Tws[0].dims
     R, pivots = _rrefs(np.array([Tw.entries for Tw in Tws]).reshape(len(Tws), n1, n2 * n3), F)
     Ls = [MatrixSpace(F, (n2, n3), R[g, : len(p)], reduced=True) for g, p in enumerate(pivots)]
-    grs = [rep.gr if rep.stable else None for rep in reports]
     r = [rep.argmin_r for rep in reports]
     retries, best, done = [0] * len(Tws), [None] * len(Tws), [None] * len(Tws)
     pending = list(range(len(Tws)))
@@ -258,10 +257,10 @@ def _decompose_group(Tws: list[Tensor3], seeds: list[int], reports: list) -> lis
                 r[g] -= 1
                 still.append(g)
                 continue
-            D.gr, D.retries = grs[g], retries[g]
+            D.gr, D.retries = reports[g].stable_gr, retries[g]
             if best[g] is None or D.term_count < best[g].term_count:
                 best[g] = D
-            if grs[g] is None or D.term_count <= 2 * grs[g]:
+            if D.gr is None or D.term_count <= 2 * D.gr:
                 done[g] = D
             elif retries[g] + 1 < MAX_RETRIES:
                 retries[g] += 1

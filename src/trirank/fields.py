@@ -148,15 +148,6 @@ class Field:
     def coeffs(self, code: int):
         return tuple(int(c) for c in self._digits[int(code)])
 
-    def add_codes(self, a, b):
-        return int(self.add[a, b])
-
-    def mul_codes(self, a, b):
-        return int(self.mul[a, b])
-
-    def neg_code(self, a):
-        return int(self.neg[a])
-
     def pow_table(self, max_exp: int) -> np.ndarray:
         """(q, max_exp+1) table of a^e for all codes a and 0 <= e <= max_exp."""
         if max_exp not in self._pow_cache:

@@ -15,24 +15,11 @@ import numpy as np
 from .errors import BudgetExceeded, VerificationFailed
 from .rankprofile import ELIM_BUDGET, MC_SAMPLES, RankProfile, rank_profile, rank_profiles
 from .tensor import Tensor3, slice_space
-from .variety import CountRecord, DimEstimate, estimate_from_counts, exact_estimate
-
-
-def _record(prof: RankProfile, count) -> CountRecord:
-    """A count over the profile's points: exact, or the mean per draw scaled to the space."""
-    if prof.exact:
-        return CountRecord(k=prof.k, count=int(count))
-    try:
-        count = float(count / prof.samples) * prof.total
-    except OverflowError:  # the mean per draw is past the float range
-        count = np.inf
-    if count == np.inf:
-        raise BudgetExceeded(f"a count sampled over F_{prof.q} is past the float range")
-    return CountRecord(k=prof.k, count=count, samples=prof.samples)
+from .variety import CountRecord, DimEstimate, count_record, estimate_from_counts, exact_estimate
 
 
 def _strata_records(prof: RankProfile) -> list[CountRecord]:
-    return [_record(prof, c) for c in np.cumsum(prof.hist)]
+    return [count_record(prof.k, prof.q, c, prof.samples, prof.total) for c in np.cumsum(prof.hist)]
 
 
 def rank_strata_counts(
@@ -64,6 +51,10 @@ class GRReport:
     @property
     def stable(self) -> bool:
         return self.strata[self.argmin_r].status == "stable"
+
+    @property
+    def stable_gr(self) -> int | None:  # what a bound or check may read: GR if stable, else None
+        return self.gr if self.stable else None
 
     @property
     def consistent(self) -> bool | None:  # kernel codim == GR, None unless both are settled
@@ -159,5 +150,5 @@ def kernel_codim(
         return exact_estimate(n1 + n2, n1 + n2)
     if profiles is None:
         profiles = rank_profiles([T], range(1, kmax + 1), "x", budget, mc_samples, [seed])[0]
-    counts = [_record(prof, prof.fiber_sum(n2)) for prof in profiles]
+    counts = [count_record(p.k, p.q, p.fiber_sum(n2), p.samples, p.total) for p in profiles]
     return estimate_from_counts(T.field.q, n1 + n2, counts)

@@ -349,14 +349,14 @@ class ChainReport:
 
     @property
     def checks(self) -> dict[str, bool | None]:
-        """The five inequalities of the chain; the three that read AR are None without it."""
-        sr, gr, ar = self.sr.hi, self.gr.gr, self.ar.value if self.ar else None
+        """The five inequalities of the chain; those that read AR or an unstable GR are None."""
+        sr, gr, ar = self.sr.hi, self.gr.stable_gr, self.ar.value if self.ar else None
         return {
-            "holds_sr_3gr": sr <= 3 * gr,
-            "holds_gr_271ar": None if ar is None else gr <= GR_AR_CONSTANT * ar + 1e-12,
+            "holds_sr_3gr": None if gr is None else sr <= 3 * gr,
+            "holds_gr_271ar": None if None in (ar, gr) else gr <= GR_AR_CONSTANT * ar + 1e-12,
             "holds_sr_813ar": None if ar is None else sr <= SR_AR_CONSTANT * ar + 1e-12,
             "holds_ar_le_sr": None if ar is None else ar <= sr + 1e-12,
-            "holds_gr_le_sr": gr <= sr,
+            "holds_gr_le_sr": None if gr is None else gr <= sr,
         }
 
     @property
@@ -365,7 +365,8 @@ class ChainReport:
 
     @property
     def ratio_sr_gr(self) -> Fraction | None:
-        return Fraction(self.sr.value, self.gr.gr) if self.sr.exact and self.gr.gr > 0 else None
+        gr = self.gr.stable_gr
+        return Fraction(self.sr.value, gr) if self.sr.exact and gr else None
 
     def to_dict(self):
         return {
@@ -435,7 +436,7 @@ def verify_rank_chains(
     The levels k = 1..kmax of the nonzero tensors' x-axis rank profiles are
     one ``rank_profiles`` call (``geometric_rank`` answers a zero tensor
     without counting).  AR's zero count reads the k = 1 level when it is
-    exact, and ``slice_ranks`` checks every SR against max(ceil AR, GR).
+    exact, and ``slice_ranks`` checks every SR against max(ceil AR, stable GR).
     """
     if kmax < 2:  # refused before any count, as geometric_rank refuses it
         raise BudgetExceeded("kmax must be >= 2")
@@ -454,7 +455,7 @@ def verify_rank_chains(
         else analytic.analytic_rank(T, ar_budget, profiles[i][0] if i in profiles else None)
         for i, T in enumerate(tensors)
     ]
-    srs = slice_ranks(tensors, [ar.value if ar else None for ar in ars], [gr.gr for gr in grs])
+    srs = slice_ranks(tensors, [ar and ar.value for ar in ars], [gr.stable_gr for gr in grs])
     return [ChainReport(sr, gr, ar) for sr, gr, ar in zip(srs, grs, ars)]
 
 

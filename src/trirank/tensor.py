@@ -186,7 +186,7 @@ def identity_tensor(field: Field, n: int) -> Tensor3:
 
 def levi_civita(field: Field) -> Tensor3:
     e = np.zeros((3, 3, 3), dtype=np.int32)
-    one, minus = 1, field.neg_code(1)
+    one, minus = 1, field.neg[1]
     for (i, j, k) in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         e[i, j, k] = one
     for (i, j, k) in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:

@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PolySyntaxError, UnknownVariable, UnstableEstimate
+from .analytic import ENUM_BUDGET
+from .errors import BudgetExceeded, PolySyntaxError, UnknownVariable, UnstableEstimate
 from .fields import MAX_Q, Field
 from .rankprofile import CHUNK, point_block, uniform_points, within_budget
 
-EXACT_POINT_BUDGET = 10 ** 8
 MC_SAMPLES = 10 ** 6
 SLOPE_MARGIN = 0.35
 POWER_BUDGET = 1 << 21  # term products the powers and products of one system may expand
@@ -32,7 +32,7 @@ POWER_BUDGET = 1 << 21  # term products the powers and products of one system ma
 def poly_add(a, b, F: Field):
     out = dict(a)
     for e, c in b.items():
-        s = F.add_codes(out.get(e, 0), c)
+        s = int(F.add[out.get(e, 0), c])
         if s:
             out[e] = s
         else:
@@ -41,15 +41,15 @@ def poly_add(a, b, F: Field):
 
 
 def poly_neg(a, F: Field):
-    return {e: F.neg_code(c) for e, c in a.items()}
+    return {e: int(F.neg[c]) for e, c in a.items()}
 
 
 def poly_mul(a, b, F: Field):
-    out = {}
+    out, add, mul = {}, F.add, F.mul
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            s = F.add_codes(out.get(e, 0), F.mul_codes(ca, cb))
+            s = int(add[out.get(e, 0), mul[ca, cb]])
             if s:
                 out[e] = s
             else:
@@ -219,6 +219,19 @@ class CountRecord:
         return self.samples is None
 
 
+def count_record(k: int, q: int, count, samples: int | None = None, total: int = 0) -> CountRecord:
+    """The count at tower level k over F_q: exact, or per draw of `samples` scaled to `total`."""
+    if samples is None:
+        return CountRecord(k=k, count=int(count))
+    try:
+        count = float(count / samples) * total
+    except OverflowError:  # the mean per draw or the space is past the float range: refused
+        count = math.inf
+    if count == math.inf:
+        raise BudgetExceeded(f"a count sampled over F_{q} is past the float range")
+    return CountRecord(k=k, count=count, samples=samples)
+
+
 def _eval_zero_mask(S: PolySystem, Fk: Field, X: np.ndarray) -> np.ndarray:
     """Boolean mask of points (rows of X) where every polynomial vanishes."""
     powtbl, q = Fk.pow_table(max(1, S.maxdeg)), Fk.q
@@ -241,7 +254,7 @@ def _eval_zero_mask(S: PolySystem, Fk: Field, X: np.ndarray) -> np.ndarray:
 def count_points(
     S: PolySystem,
     k: int,
-    budget: int = EXACT_POINT_BUDGET,
+    budget: int = ENUM_BUDGET,
     mc_samples: int = MC_SAMPLES,
     seed: int = 0,
 ) -> CountRecord:
@@ -253,9 +266,7 @@ def count_points(
     else:
         blocks = uniform_points(Fk.q, n, mc_samples, seed, k)
     count = sum(int(_eval_zero_mask(S, Fk, X).sum()) for X in blocks)
-    if exact:
-        return CountRecord(k=k, count=count)
-    return CountRecord(k=k, count=count / mc_samples * total, samples=mc_samples)
+    return count_record(k, Fk.q, count, None if exact else mc_samples, total)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +337,7 @@ def estimate_from_counts(q: int, nvars: int, counts) -> DimEstimate:
 def estimate_dim(
     S: PolySystem,
     kmax: int,
-    budget: int = EXACT_POINT_BUDGET,
+    budget: int = ENUM_BUDGET,
     mc_samples: int = MC_SAMPLES,
     seed: int = 0,
 ) -> DimEstimate:

@@ -53,7 +53,7 @@ def poly_partial(a, i: int, F):
         scalar = e[i] % F.p
         if scalar == 0:
             continue
-        coeff = F.mul_codes(c, scalar)  # small residues are valid codes
+        coeff = int(F.mul[c, scalar])  # small residues are valid codes
         if not coeff:
             continue
         ne = list(e)
@@ -70,9 +70,9 @@ def _value(a, point, F) -> int:
         term = c
         for x, ex in zip(point, e):
             if ex:
-                term = F.mul_codes(term, int(powtbl[x, ex]))
-        acc = F.add_codes(acc, term)
-    return acc
+                term = F.mul[term, powtbl[x, ex]]
+        acc = F.add[acc, term]
+    return int(acc)
 
 
 def jacobian_tangent(S, point) -> np.ndarray:

@@ -511,7 +511,7 @@ def test_retry_rounds_match_the_reference():
     Ts += [tensor.random_tensor(F3, (3, 3, 3), seed=s) for s in range(3)]
     seeds = list(range(len(Ts)))
     reports = [
-        SimpleNamespace(gr=1, stable=True, argmin_r=geometric.geometric_rank(T, seed=s).argmin_r)
+        SimpleNamespace(stable_gr=1, argmin_r=geometric.geometric_rank(T, seed=s).argmin_r)
         for T, s in zip(Ts, seeds)
     ]
     tangent_attempts, rounds = decomp._tangent_attempts, []

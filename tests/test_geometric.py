@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import os
 import subprocess
 import sys
@@ -157,18 +156,3 @@ def test_x0_count_off_its_power_raises(k):
     profiles[k - 1] = dataclasses.replace(bad, hist=hist)
     with pytest.raises(VerificationFailed, match=r"\|X_0"):
         geometric.geometric_rank(T, kmax=3, profiles=profiles)
-
-
-# a 3x3x2 tensor over F_2 of GR 2, read in every order of its axes
-GR2_3X3X2 = "tensor 2^1 3 3 2\n0 0 0 1\n0 0 1 1\n0 2 1 1\n1 1 1 1\n1 2 0 1\n2 0 1 1\n2 1 0 1\n"
-
-
-@pytest.mark.xfail(strict=True, reason="tower slopes: the (3, 3, 2) and (3, 2, 3) orders report "
-                   "GR 1 (unstable), the (2, 3, 3) orders 2 (stable)")
-def test_gr_is_invariant_under_axis_permutations():
-    T = tensor.loads(GR2_3X3X2)
-    grs = {
-        order: geometric.geometric_rank(tensor.Tensor3(T.field, T.entries.transpose(order))).gr
-        for order in itertools.permutations(range(3))
-    }
-    assert set(grs.values()) == {2}, grs

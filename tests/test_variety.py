@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from trirank import variety
-from trirank.errors import BadParams, PolySyntaxError, UnknownVariable, UnstableEstimate
+from trirank.errors import (
+    BadParams, BudgetExceeded, PolySyntaxError, UnknownVariable, UnstableEstimate,
+)
 from trirank.fields import make_field
 
 from jacobian_reference import jacobian_tangent, poly_partial
@@ -171,6 +173,23 @@ def test_sampled_point_counts_are_pinned(k, budget, samples, seed, count):
     S = system("x1*x2 + x3*x4", field=F5, nvars=4)
     rec = variety.count_points(S, k, budget=budget, mc_samples=samples, seed=seed)
     assert (rec.count, rec.exact, rec.samples) == (count, False, samples)
+
+
+def test_sampled_counts_past_the_float_range_are_refused():
+    # 27^220 points at k = 3: the mean per draw cannot be scaled to the space as a float
+    S = system("x1*x2 - 1", nvars=220)
+    with pytest.raises(BudgetExceeded, match="sampled over F_27 is past the float range"):
+        variety.count_points(S, 3, mc_samples=1000)
+
+
+@pytest.mark.parametrize("count,samples,total", [
+    (10 ** 400, 1, 1), (1, 1, 3 ** 700), (3, 1, 2 ** 1023),
+], ids=["mean", "space", "product"])
+def test_count_records_past_the_float_range_are_refused(count, samples, total):
+    # past the range in the mean per draw, in the space, and only in their product
+    with pytest.raises(BudgetExceeded, match="F_9 is past the float range"):
+        variety.count_record(2, 9, count, samples, total)
+    assert variety.count_record(2, 9, count).count == count  # exact counts stay integers
 
 
 @pytest.mark.parametrize("samples", [0, -5])
