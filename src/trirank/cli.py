@@ -104,18 +104,19 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report_value(path: str, section: str, key: str, kinds):
-    """report[section][key] of a JSON report, checked to be finite, >= 0 and of the given type."""
+def _report_section(path: str, section: str, key: str, kinds) -> dict:
+    """report[section] of a JSON report, checked to hold `key`: finite, >= 0 and of type `kinds`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            value = json.load(fh)[section][key]
+            part = json.load(fh)[section]
+            value = part[key]
         except (ValueError, KeyError, TypeError):
             raise BadParams(f"{path}: not a JSON report with {section}.{key}") from None
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise BadParams(f"{path}: {section}.{key} = {value!r} is not a number")
     if not 0 <= value < float("inf"):  # NaN fails every comparison
         raise BadParams(f"{path}: {section}.{key} = {value!r} is negative, infinite or NaN")
-    return value
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +159,11 @@ def _cmd_sr(args) -> int:
     T = tensor.load(args.tensor)
     ar = gr = None
     if args.ar_from:
-        ar = _report_value(args.ar_from, "ar", "value", (int, float))
+        ar = _report_section(args.ar_from, "ar", "value", (int, float))["value"]
     if args.gr_from:
-        gr = _report_value(args.gr_from, "gr", "gr", int)
+        rep = _report_section(args.gr_from, "gr", "gr", int)
+        # an unstable GR bounds nothing, as in GRReport.stable_gr; one without `stable` is read
+        gr = None if rep.get("stable") is False else rep["gr"]
     if args.bounds:
         res = slicerank.slice_rank_bounds(T, ar=ar, gr=gr)
     else:

@@ -22,7 +22,10 @@ same points.  Every point set (an orbit batch, a rank table's orbit
 representatives, a batch of draws, the slice-rank search's pruning points)
 takes one step, ``_ranks``: ``contract`` at its points, then one
 batched_rank call per slice of at most CHUNK matrices.  The budget compares
-the whole tensor's affine count q^(k n); above it, points are drawn.
+the largest summand's affine count q^(k n_s): a level is exact when every
+summand has at most `budget` points and the whole count q^(k n) fits the
+int64 histogram, so it eliminates at most (#summands) budget / (q^k - 1)
+matrices; otherwise its points are drawn.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import BadParams, BudgetExceeded
 from .fields import Field
 from .tensor import AXES, Tensor3, slices
 
-ELIM_BUDGET = 2 ** 21  # most affine points per tower level that are counted exactly
+ELIM_BUDGET = 2 ** 21  # most affine points of each summand of a tower level counted exactly
 MC_SAMPLES = 10 ** 5
 CHUNK = 1 << 13  # points or (U, V) pairs handled at once by every caller (bounds peak memory)
 
@@ -122,7 +125,8 @@ def _ranks(A: np.ndarray, F: Field, X: np.ndarray) -> np.ndarray:
 class RankProfile:
     """hist[r] counts points x with rank(sum_i x_i A_i) = r.
 
-    Exact: over all q^(k n) affine points.  Sampled: over `samples` uniform
+    Exact: over all q^(k n) affine points, counted when every direct summand
+    has at most the budget's affine points.  Sampled: over `samples` uniform
     draws, to be scaled by total / samples.
     """
 
@@ -319,8 +323,11 @@ def rank_profiles(
     Returns each tensor's profiles, one per level k of `levels`.  Each tensor
     is cut into its summand blocks once.  The summands of all tensors exact at
     a level are ranked together, one ``_affine_hists`` per (field, block
-    shape, Frobenius order).  A tensor above the budget at a level is sampled
-    on its own, with its seed (default 0).
+    shape, Frobenius order).  A tensor is exact at a level when its largest
+    summand has at most `budget` affine points over F_{q^k} and its q^(k n)
+    points fit the int64 histogram; otherwise it is sampled on its own, with
+    its seed (default 0).  A whole count within the budget that reaches 2^63
+    is refused.
     """
     seeds = [0] * len(tensors) if seeds is None else seeds
     a = AXES.index(axis)
@@ -332,13 +339,14 @@ def rank_profiles(
     for k in levels:
         for i, T in enumerate(tensors):
             Fk, n = T.field.extension(k), T.dims[a]
-            if not within_budget(Fk.q, n, budget):
+            if within_budget(Fk.q, n, budget) and Fk.q ** n >= 2 ** 63:
+                raise BudgetExceeded(f"{Fk.q}^{n} points overflow the int64 histogram")
+            largest = max((coords.size for coords, _ in blocks[i]), default=0)
+            if not (within_budget(Fk.q, largest, budget) and within_budget(Fk.q, n, 2 ** 63 - 1)):
                 if not within_budget(Fk.q, n, int(sys.float_info.max)):  # sampled counts scale
                     raise BudgetExceeded(f"{Fk.q}^{n} points are past the float range")
                 plans[i, k] = Fk, None
                 continue
-            if Fk.q ** n >= 2 ** 63:
-                raise BudgetExceeded(f"{Fk.q}^{n} points overflow the int64 histogram")
             keys = [(Fk, A.shape, Fk.k if fp else 1) for (_, A), fp in zip(blocks[i], in_fp[i])]
             for key, (_, A) in zip(keys, blocks[i]):
                 groups.setdefault(key, []).append(A)

@@ -274,20 +274,26 @@ def test_gr_of_a_huge_empty_axis_is_zero_at_once(tmp_path, header, axis):
     assert list(rep["strata"]) == ["0"]
 
 
+# every x slice has an entry at (y, z) = (0, 0): the x axis is one summand of 14
+# coordinates, above the budget at k = 1 and 2
+ONE_SUMMAND_14 = "".join(f"{i} 0 0 1\n" for i in range(14)) + "13 5 0 2\n"
+
+
 @pytest.mark.parametrize("text,argv", [
     ("tensor 3^1 700 1 1\n0 0 0 1\n", ["gr"]),  # the x levels would sample 3^700 points
     ("tensor 3^1 700 1 1\n0 0 0 1\n", ["decompose"]),
     ("tensor 3^1 1 700 1\n0 0 0 1\n", ["gr", "--axis", "y"]),
     # sampled x levels, whose kernel count scales past the float range
-    ("tensor 3^1 14 700 1\n0 0 0 1\n13 5 0 2\n", ["gr", "--kmax", "2", "--cross-check"]),
+    ("tensor 3^1 14 700 1\n" + ONE_SUMMAND_14, ["gr", "--kmax", "2", "--cross-check"]),
     # the k = 2 kernel mean fits a float, its product with the 9^14 points does not
-    ("tensor 3^1 14 320 1\n0 0 0 1\n13 5 0 2\n", ["gr", "--kmax", "2", "--cross-check"]),
+    ("tensor 3^1 14 320 1\n" + ONE_SUMMAND_14, ["gr", "--kmax", "2", "--cross-check"]),
 ], ids=["gr_700x1x1", "decompose_700x1x1", "gr_y_1x700x1", "gr_cross_check_14x700x1",
         "gr_cross_check_14x320x1"])
 def test_counts_past_the_float_range_are_a_budget_error(tmp_path, text, argv):
     proc = run_cli(tmp_path, text, argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert "past the float range" in proc.stderr
 
 
 @pytest.mark.parametrize("kmax", ["2", "3"])
@@ -383,6 +389,19 @@ def test_sr_exact_meets_the_bound_reports(tmp_path, capsys):
                     "--out", str(out)]) == 0
     assert read_json(out)["sr"] == {"lo": 3, "hi": 3, "method": "annihilator_exact",
                                     "exact": True, "three_gr_bound": 9}
+
+
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["default", "exact"])
+def test_sr_takes_no_bound_from_an_unstable_gr(levi_path, tmp_path, capsys, exact):
+    gr_path, out = tmp_path / "gr.json", tmp_path / "sr.json"
+    argv = ["sr", "--tensor", levi_path, *exact, "--gr-from", str(gr_path), "--out", str(out)]
+    gr_path.write_text(json.dumps({"gr": {"gr": 4, "stable": False}}))
+    assert cli.run(argv) == 0
+    sr = read_json(out)["sr"]
+    assert (sr["lo"], sr["hi"], sr["three_gr_bound"]) == (3, 3, None)
+    gr_path.write_text(json.dumps({"gr": {"gr": 4, "stable": True}}))  # SR 3 contradicts it
+    assert cli.run(argv) == 2
+    assert "bound 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,report", [

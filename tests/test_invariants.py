@@ -154,8 +154,7 @@ DIRECT_SUM_5X5X4 = tensor.dumps(
 @pytest.mark.parametrize("text,sr", [
     (GR3_3X3X3, (3, 3)),
     (GR2_3X3X2, (2, 2)),
-    (DIRECT_SUM_5X5X4, (3, 4)),  # AR 2.46: without a GR, SR's lower end is ceil AR
-], ids=["3x3x3", "3x3x2", "5x5x4"])
+], ids=["3x3x3", "3x3x2"])
 def test_an_unstable_gr_decides_no_check_and_bounds_no_sr(text, sr):
     rep = slicerank.verify_rank_chain(tensor.loads(text))
     assert not rep.gr.stable and rep.gr.stable_gr is None
@@ -184,11 +183,17 @@ def test_the_direct_sum_summands_have_stable_gr_2():
         assert (rep.gr, rep.stable) == (2, True)
 
 
-@pytest.mark.xfail(strict=True, reason="tower slopes: the 5x5x4 sum of two stable GR-2 "
-                   "summands reports GR 4 unstable")
 def test_gr_of_a_direct_sum_of_stable_parts_is_their_stable_sum():
     rep = geometric.geometric_rank(tensor.loads(DIRECT_SUM_5X5X4))
     assert (rep.gr, rep.stable) == (4, True)
+
+
+def test_the_direct_sums_chain_reads_its_proved_values():
+    # each part has SR 2 (GR 2 <= SR <= its side 2), and SR adds over direct sums
+    rep = slicerank.verify_rank_chain(tensor.loads(DIRECT_SUM_5X5X4))
+    assert (rep.gr.gr, rep.gr.stable) == (4, True)
+    assert (rep.sr.lo, rep.sr.hi, rep.sr.three_gr_bound) == (4, 4, 12)
+    assert rep.all_hold and all(rep.checks.values())
 
 
 @pytest.mark.xfail(strict=True, raises=FieldMismatch,

@@ -240,7 +240,7 @@ def test_eliminations_are_pinned(monkeypatch):
     eliminated = counting_eliminations(monkeypatch)
     for T, k, kwargs, exact, matrices in [
         (t2, 2, {}, True, 2 * 52),  # each summand's Frobenius orbits on the 91 points of P^2(F_9)
-        (t2, 3, {"seed": 7}, False, 2 * 261),  # each summand tabulated (27^3 <= 10^5): 757 points
+        (t2, 3, {}, True, 2 * 261),  # each summand's orbits on the 757 points of P^2(F_27)
         (identity, 3, {}, True, 4),
         (big, 1, {"budget": 0, "mc_samples": 80}, False, 80),  # 81 > 80: at the draws
     ]:
@@ -265,18 +265,47 @@ def test_sampled_levels_past_the_float_range_are_refused_before_drawing(header, 
 
 
 def test_t2_profiles_are_pinned():
-    # the heaviest stacks of the benchmark: 6x6 over F_9 (exact) and F_27 (sampled)
+    # the heaviest stacks of the benchmark: 6x6 over F_9 and F_27, exact and sampled
     T = tensor.tk_family(make_field(3), 2)
     exact = rank_profile(T, 2)
     assert exact.exact and exact.hist.tolist() == [1, 0, 1456, 0, 529984, 0, 0]
-    sampled = rank_profile(T, 3, seed=7)
+    # Levi-Civita's slices are skew-symmetric, so each of its 27^3 - 1 nonzero points
+    # has rank 2: T_2's histogram is (1 + (27^3 - 1) t^2)^2
+    exact = rank_profile(T, 3)
+    levi = [1, 0, 27 ** 3 - 1]
+    assert exact.exact and exact.hist.tolist() == [1, 0, 39364, 0, 387381124, 0, 0]
+    assert exact.hist.tolist() == np.convolve(levi, levi).tolist() + [0, 0]
+    # each summand's 27^3 points exceed a budget of 19682: the level is sampled
+    sampled = rank_profile(T, 3, budget=19682, seed=7)
     assert not sampled.exact and sampled.hist.tolist() == [0, 0, 10, 0, 99990, 0, 0]
 
 
 def test_budget_counts_affine_points():
-    T = tensor.identity_tensor(make_field(3), 2)
-    assert rank_profile(T, 2, budget=81).exact
-    assert not rank_profile(T, 2, budget=80, mc_samples=10).exact
+    # of the largest summand at k = 2, not of the whole tensor
+    F3 = make_field(3)
+    for T, points in [
+        (tensor.identity_tensor(F3, 2), 9),
+        (tensor.levi_civita(F3), 9 ** 3),
+        (tensor.tk_family(F3, 2), 9 ** 3),  # 9^6 points overall
+    ]:
+        assert rank_profile(T, 2, budget=points).exact
+        assert not rank_profile(T, 2, budget=points - 1, mc_samples=10).exact
+
+
+def test_a_direct_sum_of_summands_within_the_budget_is_exact(monkeypatch):
+    # 3x3x3 + 2x2x2 + 1x1x1 zero over F_3: 3^6 points along each axis, each
+    # summand at most 3^3, and the zero summand's coordinate is in no summand
+    F3 = make_field(3)
+    parts = [tensor.random_tensor(F3, dims, seed=s) for dims, s in [((3, 3, 3), 2), ((2, 2, 2), 3)]]
+    assert [len(S.summands) for S in parts] == [1, 1]
+    T = tensor.direct_sum(tensor.direct_sum(*parts), tensor.zero_tensor(F3, (1, 1, 1)))
+    eliminated = counting_eliminations(monkeypatch)
+    for axis in "xyz":
+        eliminated.clear()
+        prof = rank_profile(T, 1, axis, budget=3 ** 3)
+        assert sum(eliminated) == (3 ** 3 - 1) // 2 + (3 ** 2 - 1) // 2  # one per projective point
+        assert prof.exact and prof.hist.tolist() == reference_hist(T, 1, axis).tolist()
+        assert not rank_profile(T, 1, axis, budget=3 ** 3 - 1, mc_samples=10).exact
 
 
 @settings(max_examples=40, deadline=None)
@@ -495,8 +524,10 @@ def test_rank_profiles_match_each_tensor_alone(k, axis):
     assert len(profiles) == len(tensors)
     sampled = 0
     for T, seed, (prof,) in zip(tensors, seeds, profiles):
-        q, n = T.field.extension(k).q, T.dims["xyz".index(axis)]
-        assert prof.exact == (q ** n <= rankprofile.ELIM_BUDGET)
+        a = "xyz".index(axis)
+        q, n = T.field.extension(k).q, T.dims[a]
+        largest = max((sets[a].size for sets in T.summands), default=0)
+        assert prof.exact == (q ** largest <= rankprofile.ELIM_BUDGET and q ** n < 2 ** 63)
         if not prof.exact:
             sampled += 1
             ref = reference_sampled_hist(T, k, axis, 500, seed)
@@ -569,11 +600,12 @@ def test_chain_adds_no_eliminations(monkeypatch, T):
 
 
 def test_ar_counts_exactly_where_the_chains_k1_level_is_sampled():
-    # 7^8 > 2^21 points x: GR samples k = 1; 7^9 <= 10^8 pairs: AR counts them all
+    # every entry nonzero: the x axis is one summand of 7^8 > 2^21 points, so GR
+    # samples k = 1; 7^9 <= 10^8 pairs: AR counts them all
     F7 = make_field(7)
-    T = tensor.random_tensor(F7, (8, 1, 1), seed=1)
+    T = tensor.Tensor3(F7, np.array([1, 2, 3, 4, 5, 6, 1, 2], dtype=np.int32).reshape(8, 1, 1))
     rep = slicerank.verify_rank_chain(T, kmax=2)
     assert not rep.gr.strata[0].counts[0].exact
+    assert T.entries.all() and len(T.summands) == 1
     # f(x, y) = (a . x) y with a != 0: every y is a zero on the 7^7 points x with a . x = 0
-    assert T.entries.any()
     assert rep.ar.zero_count == analytic.zero_count(T) == 7 ** 7 * 7 + (7 ** 8 - 7 ** 7)
