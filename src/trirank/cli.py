@@ -1,8 +1,12 @@
 """Command-line front end: rank computations, decompositions, and corpus runs.
 
 Exit codes: 0 success, 1 an inequality under test failed, 2 usage or budget
-error.  Reports are JSON with a schema version; with a fixed seed the bytes
-are identical across runs.  No command prints timings.
+error.  Every report, on stdout, at --out or in a corpus --out-dir, is
+``json.dumps(report, sort_keys=True)`` and a newline: one line, marked
+``"schema": 2``.  Schema 1 wrote the same objects indented; the commands
+that read a report (verify --decomp, sr --ar-from, sr --gr-from) parse
+either.  With a fixed seed the bytes are identical across runs.  No command
+prints timings.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import BadParams, BudgetExceeded, TrirankError
 from .fields import parse_field
 from .rankprofile import CHUNK, point_block, within_budget
 
-SCHEMA = 1
+SCHEMA = 2
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -54,49 +58,13 @@ def _tensor_id(T: tensor.Tensor3) -> str:
     return hashlib.sha256(tensor.dumps(T).encode()).hexdigest()[:16]
 
 
-def _report_text(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``: the text of obj at the given indent.
-
-    json's indent path is its pure-Python encoder; this is the same text by a
-    shorter route.  Keys are sorted before they are stringified, strings go
-    through ``json.encoder.encode_basestring_ascii``, None, True and False are
-    json's literals, ints go through ``int.__repr__``, and floats and anything
-    else through ``json.dumps``.
-    """
-    if isinstance(obj, str):
-        return json.encoder.encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict) and obj:
-        items = []
-        for key, value in sorted(obj.items()):
-            if isinstance(key, str):
-                pass
-            elif isinstance(key, int) and not isinstance(key, bool):
-                key = int.__repr__(key)
-            elif isinstance(key, (float, bool)) or key is None:
-                key = json.dumps(key)
-            else:
-                raise TypeError(f"keys must be str, int, float, bool or None, not {key!r}")
-            key = json.encoder.encode_basestring_ascii(key)
-            items.append(key + ": " + _report_text(value, inner))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        items = [_report_text(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return json.dumps(obj)  # an empty container's text is json.dumps's too
+def _report_text(report: dict) -> str:
+    """A report's bytes: the report and its schema as one line of sorted-key JSON."""
+    return json.dumps({"schema": SCHEMA, **report}, sort_keys=True) + "\n"
 
 
 def _emit(report: dict, out: str | None) -> None:
-    report = {"schema": SCHEMA, **report}
-    text = _report_text(report) + "\n"
+    text = _report_text(report)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -365,11 +333,10 @@ def _cmd_corpus(args) -> int:
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         for row in rows:
-            text = _report_text({"schema": SCHEMA, **row})
             with open(
                 os.path.join(args.out_dir, row["name"] + ".json"), "w", encoding="utf-8"
             ) as fh:
-                fh.write(text)
+                fh.write(_report_text(row))
         with open(
             os.path.join(args.out_dir, "summary.csv"), "w", newline="", encoding="utf-8"
         ) as fh:

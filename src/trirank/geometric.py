@@ -8,7 +8,8 @@ seeded Monte Carlo otherwise; sampled strata never silently enter the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +20,10 @@ from .variety import CountRecord, DimEstimate, count_record, estimate_from_count
 
 
 def _strata_records(prof: RankProfile) -> list[CountRecord]:
-    return [count_record(prof.k, prof.q, c, prof.samples, prof.total) for c in np.cumsum(prof.hist)]
+    """|X_r| for each r, cumulative.  X_r holds the origin, so a sampled count is at least 1."""
+    counts = np.cumsum(prof.hist)
+    records = (count_record(prof.k, prof.q, c, prof.samples, prof.total) for c in counts)
+    return [rec if rec.exact else replace(rec, count=max(rec.count, 1.0)) for rec in records]
 
 
 def rank_strata_counts(
@@ -57,8 +61,8 @@ class GRReport:
         return self.gr if self.stable else None
 
     @property
-    def consistent(self) -> bool | None:  # kernel codim == GR, None unless both are settled
-        settled = self.kernel and self.kernel.status in ("stable", "empty") and self.stable
+    def consistent(self) -> bool | None:  # kernel codim == GR, None unless both are stable
+        settled = self.kernel and self.kernel.status == "stable" and self.stable
         return self.kernel.codim == self.gr if settled else None
 
     def to_dict(self):
@@ -102,7 +106,7 @@ def geometric_rank(
         profiles = rank_profiles([T], range(1, kmax + 1), axis, budget, mc_samples, [seed])[0]
     k1 = profiles[0]
     if k1.exact:
-        dim0 = round(np.log(k1.hist[0]) / np.log(k1.q))  # checked to be exact below
+        dim0 = round(math.log(k1.hist[0], k1.q))  # checked to be exact below
     else:
         dim0 = n_coeff - slice_space(T, axis).dim
     for prof in profiles:
@@ -117,9 +121,7 @@ def geometric_rank(
             strata[0] = exact_estimate(n_coeff, dim0, counts)
         else:
             strata[r] = estimate_from_counts(T.field.q, n_coeff, counts)
-    # X_0 is never empty, and min keeps the first minimal r
-    nonempty = (r for r, est in strata.items() if est.status != "empty")
-    r = min(nonempty, key=lambda r: r + strata[r].codim)
+    r = min(strata, key=lambda r: r + strata[r].codim)  # the first minimal r
     kernel = None
     if cross_check:
         kernel = kernel_codim(

@@ -23,9 +23,10 @@ representatives, a batch of draws, the slice-rank search's pruning points)
 takes one step, ``_ranks``: ``contract`` at its points, then one
 batched_rank call per slice of at most CHUNK matrices.  The budget compares
 the largest summand's affine count q^(k n_s): a level is exact when every
-summand has at most `budget` points and the whole count q^(k n) fits the
-int64 histogram, so it eliminates at most (#summands) budget / (q^k - 1)
-matrices; otherwise its points are drawn.
+summand has at most `budget` points, so it eliminates at most (#summands)
+budget / (q^k - 1) matrices; otherwise its points are drawn.  An exact
+histogram of the whole q^(k n) points is int64 below 2^63 points and Python
+ints from there on.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ class RankProfile:
     """hist[r] counts points x with rank(sum_i x_i A_i) = r.
 
     Exact: over all q^(k n) affine points, counted when every direct summand
-    has at most the budget's affine points.  Sampled: over `samples` uniform
-    draws, to be scaled by total / samples.
+    has at most the budget's affine points; int64, or Python ints from 2^63
+    points on.  Sampled: over `samples` uniform draws, to be scaled by total /
+    samples.
     """
 
     k: int
@@ -324,10 +326,11 @@ def rank_profiles(
     is cut into its summand blocks once.  The summands of all tensors exact at
     a level are ranked together, one ``_affine_hists`` per (field, block
     shape, Frobenius order).  A tensor is exact at a level when its largest
-    summand has at most `budget` affine points over F_{q^k} and its q^(k n)
-    points fit the int64 histogram; otherwise it is sampled on its own, with
-    its seed (default 0).  A whole count within the budget that reaches 2^63
-    is refused.
+    summand has at most `budget` affine points over F_{q^k}, and is sampled
+    on its own otherwise, with its seed (default 0).  An exact histogram of
+    2^63 points or more holds Python ints.  A summand within the budget that
+    has 2^63 points or more is refused (its own histogram is int64), and so
+    is every level whose q^(k n) points are past the float range.
     """
     seeds = [0] * len(tensors) if seeds is None else seeds
     a = AXES.index(axis)
@@ -339,14 +342,14 @@ def rank_profiles(
     for k in levels:
         for i, T in enumerate(tensors):
             Fk, n = T.field.extension(k), T.dims[a]
-            if within_budget(Fk.q, n, budget) and Fk.q ** n >= 2 ** 63:
-                raise BudgetExceeded(f"{Fk.q}^{n} points overflow the int64 histogram")
+            if not within_budget(Fk.q, n, int(sys.float_info.max)):  # counts are read as floats
+                raise BudgetExceeded(f"{Fk.q}^{n} points are past the float range")
             largest = max((coords.size for coords, _ in blocks[i]), default=0)
-            if not (within_budget(Fk.q, largest, budget) and within_budget(Fk.q, n, 2 ** 63 - 1)):
-                if not within_budget(Fk.q, n, int(sys.float_info.max)):  # sampled counts scale
-                    raise BudgetExceeded(f"{Fk.q}^{n} points are past the float range")
+            if not within_budget(Fk.q, largest, budget):
                 plans[i, k] = Fk, None
                 continue
+            if Fk.q ** largest >= 2 ** 63:  # a summand's own histogram is int64
+                raise BudgetExceeded(f"{Fk.q}^{largest} points of a summand overflow int64")
             keys = [(Fk, A.shape, Fk.k if fp else 1) for (_, A), fp in zip(blocks[i], in_fp[i])]
             for key, (_, A) in zip(keys, blocks[i]):
                 groups.setdefault(key, []).append(A)
@@ -357,7 +360,9 @@ def rank_profiles(
     for k in levels:
         for i, T in enumerate(tensors):
             (Fk, keys), n = plans[i, k], T.dims[a]
-            hist = np.zeros(min(T.dims[:a] + T.dims[a + 1 :]) + 1, dtype=np.int64)
+            # an exact count of 2^63 points or more is held in Python ints
+            dtype = np.int64 if keys is None or Fk.q ** n < 2 ** 63 else object
+            hist = np.zeros(min(T.dims[:a] + T.dims[a + 1 :]) + 1, dtype=dtype)
             if keys is None:
                 ranks_at = SummandRanks(Fk, blocks[i], mc_samples)
                 for X in uniform_points(Fk.q, n, mc_samples, seeds[i], k):

@@ -101,14 +101,23 @@ def test_sampled_records_scale_the_mean_draw_by_the_space():
     # sampled: 10^5 draws give hist [0, 0, 10, 0, 99990, 0, 0]
     T = tensor.tk_family(F3, 2)
     strata = geometric.rank_strata_counts(T, k=3, budget=19682, seed=7)
-    assert [c.count for c in strata] == [
-        float(c / 100000) * 27 ** 6 for c in (0, 0, 10, 10, 100000, 100000, 100000)
+    # no draw fell in X_0 or X_1, which hold the origin: their counts are floored at 1
+    assert [c.count for c in strata] == [1.0, 1.0] + [
+        float(c / 100000) * 27 ** 6 for c in (10, 10, 100000, 100000, 100000)
     ]
     kernel = geometric.kernel_codim(T, kmax=3, budget=19682, seed=7).counts[2]
     fibers = 10 * 27 ** 4 + 99990 * 27 ** 2  # sum over the draws of q^(n2 - rank)
     assert kernel.count == float(fibers / 100000) * 27 ** 6
     assert not any(c.exact for c in strata + [kernel])
     assert {c.samples for c in strata + [kernel]} == {100000}
+
+
+def test_a_sampled_stratum_holds_the_origin():
+    # T_2's k = 3 level sampled: no draw has rank 1 or less, yet X_1 holds x = 0
+    rep = geometric.geometric_rank(tensor.tk_family(F3, 2), kmax=3, budget=19682)
+    assert [c.count for c in rep.strata[1].counts] == [1, 1, 1.0]
+    assert (rep.strata[1].dim, rep.strata[1].status) == (0, "unstable")
+    assert rep.gr == 4 and min(est.dim for est in rep.strata.values()) >= 0
 
 
 def test_budget_errors():

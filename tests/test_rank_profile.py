@@ -249,10 +249,20 @@ def test_eliminations_are_pinned(monkeypatch):
         assert sum(eliminated) == matrices
 
 
-def test_exact_counts_past_int64_are_refused():
+def test_exact_counts_past_int64_are_python_ints():
     T = tensor.identity_tensor(make_field(3), 50)  # 3^50 points, each summand one
-    with pytest.raises(BudgetExceeded):
-        rank_profile(T, 1, budget=3 ** 50)
+    prof = rank_profile(T, 1, budget=3 ** 50)
+    assert prof.exact and prof.hist.tolist() == [math.comb(50, r) * 2 ** r for r in range(51)]
+    # every summand of identity_14 fits the budget at k = 3, its 27^14 points do not fit int64
+    prof = rank_profile(tensor.identity_tensor(make_field(3), 14), 3)
+    assert prof.exact and prof.hist.tolist() == [math.comb(14, r) * 26 ** r for r in range(15)]
+
+
+def test_a_summand_past_int64_is_refused():
+    # every x slice has an entry at (y, z) = (0, 0): one summand of 3^40 >= 2^63 points
+    T = tensor.loads("tensor 3^1 40 1 1\n" + "".join(f"{i} 0 0 1\n" for i in range(40)))
+    with pytest.raises(BudgetExceeded, match="overflow int64"):
+        rank_profile(T, 1, budget=3 ** 40)
 
 
 @pytest.mark.parametrize("header,axis", [

@@ -44,5 +44,5 @@ def test_report_bytes_are_pinned(tmp_path):
         "complexity_F5": "7cb18bc73e8a38ca",
         "closeness_extremal": "e7178d6fe0b84d03",
         "complexity_extremal": "d9ee0d57e3607c04",
-        "szcheck": "324d1e4e69a21112",
+        "szcheck": "d73296c9325adc44",  # with "schema": 2 (324d1e4e69a21112 at schema 1)
     }
