@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import analytic, biascx, decomp, geometric, slicerank, tensor, variety
-from .errors import BadParams, BudgetExceeded, TrirankError
+from .errors import BadParams, BudgetExceeded, TrirankError, UnstableEstimate
 from .fields import parse_field
 from .rankprofile import CHUNK, point_block, within_budget
 
@@ -184,6 +184,8 @@ def _cmd_verify(args) -> int:
 def _cmd_szcheck(args) -> int:
     budget = _budget(args)
     F = parse_field(args.field)
+    if args.kmax < 2:  # refused before the system is read and expanded
+        raise UnstableEstimate("kmax must be >= 2")
     if not within_budget(F.q, args.nvars, budget):  # sz_check needs the exact k = 1 count
         raise BudgetExceeded(f"szcheck: {F.q}^{args.nvars} points exceed budget {budget}")
     with open(args.system, encoding="utf-8") as fh:

@@ -60,7 +60,10 @@ def row_space_basis(rows, F: Field) -> np.ndarray:
 
 
 def mat_mul(A, B, F: Field) -> np.ndarray:
-    """A @ B over F by table lookup, with np.matmul shape rules.
+    """A @ B over F, with np.matmul shape rules.
+
+    Over a prime field it is one integer product reduced mod p; over an
+    extension, a table lookup per inner index.
 
     Both operands are at least 2-D; leading batch axes broadcast, and an empty
     inner axis gives zeros.
@@ -68,6 +71,8 @@ def mat_mul(A, B, F: Field) -> np.ndarray:
     A, B = np.asarray(A, dtype=np.int32), np.asarray(B, dtype=np.int32)
     if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
         raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
+    if F.k == 1:  # one integer product: a sum of t terms is at most t (p - 1)^2 < 2^63
+        return (np.matmul(A, B, dtype=np.int64) % F.p).astype(np.int32)
     shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
     acc = np.zeros(shape, dtype=np.int32)
     for t in range(A.shape[-1]):

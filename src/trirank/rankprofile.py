@@ -21,7 +21,14 @@ ranks, histograms and sampled counts are those of the whole tensor at the
 same points.  Every point set (an orbit batch, a rank table's orbit
 representatives, a batch of draws, the slice-rank search's pruning points)
 takes one step, ``_ranks``: ``contract`` at its points, then one
-batched_rank call per slice of at most CHUNK matrices.  The budget compares
+batched_rank call per slice of at most CHUNK matrices.  At an exact level a
+square s x s block (s <= linalg.DET_MAX) whose level repays it
+(``_det_route``, decided per block from its shape and field) is tested for
+full rank by det(sum_i x_i A_i) as a polynomial instead: its coefficients
+come from one ``linalg._determinants`` call on n^s matrices, it is
+evaluated on every projective point a coordinate at a time by table
+lookups, and only its zeros are contracted and eliminated.  A block whose
+polynomial is zero keeps the orbit batches.  The budget compares
 the largest summand's affine count q^(k n_s): a level is exact when every
 summand has at most `budget` points, so it eliminates at most (#summands)
 budget / (q^k - 1) matrices; otherwise its points are drawn.  An exact
@@ -31,7 +38,9 @@ ints from there on.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -55,11 +64,15 @@ def within_budget(q: int, n: int, budget: int) -> bool:
 
 def point_block(q: int, n: int, start: int, stop: int) -> np.ndarray:
     """Points of F_q^n with base-q indices in [start, stop), coordinate 0 lowest."""
-    idx = np.arange(start, stop, dtype=np.int64)
+    return points_at(q, n, np.arange(start, stop, dtype=np.int64))
+
+
+def points_at(q: int, n: int, idx: np.ndarray) -> np.ndarray:
+    """Points of F_q^n with the base-q indices idx, coordinate 0 lowest."""
     X = np.empty((idx.size, n), dtype=np.int32)
     for i in range(n):
         X[:, i] = idx % q
-        idx //= q
+        idx = idx // q
     return X
 
 
@@ -174,25 +187,17 @@ def _orbit_search(F: Field, n: int, m: int):
     points.  sigma fixes 0 and 1, so it maps each index range to itself.  The
     orbits of consecutive ranges are gathered into batches of up to CHUNK.
     """
-    q, frob = F.q, F.pow_table(F.p)[:, F.p] if m > 1 else None
-    powers = q ** np.arange(n, dtype=np.int64)
+    q = F.q
 
     def batch_of(parts):
         orbits = np.concatenate(parts)
-        return orbits[:, 0], orbits, m // (orbits == orbits[:, :1]).all(2).sum(1)
+        return orbits[:, 0], orbits, _orbit_sizes(orbits)
 
     batch, size = [], 0
     for i in range(n):
         for start in range(q ** i, 2 * q ** i, CHUNK):
-            X = image = point_block(q, n, start, min(start + CHUNK, 2 * q ** i))
-            least = idx = np.arange(start, start + len(X))
-            for _ in range(1, m):  # keep each orbit's point of least index
-                image = frob[image]
-                least = np.minimum(least, image @ powers)
-            orbit = [X[least == idx]]
-            for _ in range(1, m):
-                orbit.append(frob[orbit[-1]])
-            orbits = np.stack(orbit, axis=1)
+            idx = np.arange(start, min(start + CHUNK, 2 * q ** i))
+            orbits = _least_orbits(points_at(q, n, idx), idx, F, m)[1]
             if size + len(orbits) > CHUNK:
                 yield batch_of(batch)
                 batch, size = [], 0
@@ -200,6 +205,24 @@ def _orbit_search(F: Field, n: int, m: int):
             size += len(orbits)
     if batch:
         yield batch_of(batch)
+
+
+def _least_orbits(X: np.ndarray, idx: np.ndarray, F: Field, m: int):
+    """(keep, orbits): keep marks the points X (base-q indices idx) of least index in their
+    sigma-orbit, and orbits[:, j] holds sigma^j of each kept point, j < m."""
+    if m == 1:
+        return np.ones(len(X), dtype=bool), X[:, None]
+    images = [X]
+    for _ in range(1, m):
+        images.append(F.pow_table(F.p)[images[-1], F.p])
+    images = np.stack(images, axis=1)
+    keep = (images @ F.q ** np.arange(X.shape[1], dtype=np.int64)).min(1) == idx
+    return keep, images[keep]
+
+
+def _orbit_sizes(orbits: np.ndarray) -> np.ndarray:
+    """m / #{j < m : sigma^j x = x}: the number of points of each orbit (N, m, n)."""
+    return orbits.shape[1] // (orbits == orbits[:, :1]).all(2).sum(1)
 
 
 def _orbit_batches(F: Field, n: int, m: int):
@@ -223,20 +246,193 @@ def _orbit_batches(F: Field, n: int, m: int):
 def _affine_hists(blocks: list[np.ndarray], F: Field, m: int) -> np.ndarray:
     """Rank histogram over the q^n affine points of each block (n, m1, m2), Frobenius order m.
 
-    The blocks are ranked as one stack per orbit batch, and one bincount bins
-    the batch's ranks.
+    A square block whose level repays its determinant polynomial
+    (``_det_route``), and whose polynomial is not zero, is ranked by
+    ``_singular_hists``; the others as one stack per orbit batch, where one
+    bincount bins the batch's ranks.
     """
     A = np.stack(blocks, axis=1)  # (n, G, m1, m2)
-    hists = np.zeros((len(blocks), min(A.shape[2:]) + 1), dtype=np.int64)
-    for codes, _, sizes in _orbit_batches(F, len(A), m):
-        ranks = _ranks(A, F, codes)
+    n, G, m1, m2 = A.shape
+    hists = np.zeros((G, min(m1, m2) + 1), dtype=np.int64)
+    rest = slice(None)  # the blocks ranked by orbit batches
+    if m1 == m2 and _det_route(F.q, n, m1, m):
+        coefs = _det_coefficients(A, F)
+        by_det = coefs.any(axis=1)
+        if by_det.any():
+            hists[by_det] = _singular_hists(A[:, by_det], coefs[by_det], F, m)
+        rest = np.flatnonzero(~by_det)
+    B = A[:, rest]
+    width, others = hists.shape[1], B.shape[1]
+    for codes, _, sizes in _orbit_batches(F, n, m) if others else ():
         # bin block * width + rank, in point-major order like the weights
-        bins = ranks + hists.shape[1] * np.arange(len(blocks))
-        counts = np.bincount(bins.ravel(), np.repeat(sizes, len(blocks)), hists.size)
-        hists += counts.reshape(hists.shape).astype(np.int64)
+        bins = _ranks(B, F, codes) + width * np.arange(others)
+        counts = np.bincount(bins.ravel(), np.repeat(sizes, others), others * width)
+        hists[rest] += counts.reshape(others, width).astype(np.int64)
     hists *= F.q - 1
     hists[:, 0] += 1  # x = 0
     return hists
+
+
+DET_ORBITS = 8  # least orbits of a level per unit of a block's determinant work (_det_route)
+
+
+def _det_route(q: int, n: int, s: int, m: int) -> bool:
+    """Whether s x s blocks of n coordinates, Frobenius order m, are ranked by determinant.
+
+    A block's polynomial costs n^s determinants and (s + 1) C(n+s, s+2) plan
+    slots; the larger must be at most a DET_ORBITS-th of the level's
+    (q^n - 1) / ((q - 1) m) orbits, the measured crossover.  The table of
+    a v^d, (s + 1) q^2 entries, must fit a contraction slice (CHUNK s^2).
+    """
+    work = max(n ** s, (s + 1) * math.comb(n + s, s + 2))
+    return (
+        0 < s <= linalg.DET_MAX
+        and DET_ORBITS * work * m * (q - 1) <= q ** n - 1
+        and (s + 1) * q * q <= CHUNK * s * s
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _det_plan(n: int, s: int):
+    """(tuples, sums, ranges): how det(sum_i x_i A_i) of s x s blocks is built and read.
+
+    The determinant is multilinear in the rows, so the coefficient of the
+    degree-s monomial x_{t_1} ... x_{t_s} is the sum of det(row 1 of A_{t_1},
+    ..., row s of A_{t_s}) over the index tuples t with that multiset.
+    ``tuples`` (n^s, s) lists every t, and row j of ``sums`` the tuples of the
+    j-th monomial, padded by n^s, a zero.  ranges[i] = (monomials, steps)
+    evaluates the polynomial on the base-q indices [q^i, 2 q^i), where
+    x_i = 1 and x_j = 0 for j > i: ``monomials`` are those in x_0..x_i, and
+    each step (one per coordinate j = i - 1, ..., 0) maps the coefficients
+    of the monomials in x_0..x_j to those in x_0..x_{j-1}: slots[e, d] is the
+    row of x^e x_j^d, or the padded zero row.
+    """
+    tuples = np.indices((n,) * s).reshape(s, -1).T
+    multisets, inverse = np.unique(np.sort(tuples, axis=1), axis=0, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(len(multisets)))
+    sums = np.full((len(multisets), np.bincount(inverse).max()), len(tuples))
+    sums[inverse[order], np.arange(len(order)) - starts[inverse[order]]] = order
+    exps = (multisets[:, :, None] == np.arange(n)).sum(axis=1)  # (monomials, n)
+    ranges = []
+    for i in range(n):
+        rows = np.flatnonzero(~exps[:, i + 1 :].any(axis=1))
+        e, steps = exps[rows, :i], []
+        for j in reversed(range(i)):
+            key = e[:, :j] @ (s + 1) ** np.arange(j, dtype=np.int64)
+            _, first, group = np.unique(key, return_index=True, return_inverse=True)
+            slots = np.full((len(first), s + 1), len(e))
+            slots[group, e[:, j]] = np.arange(len(e))
+            steps.append(slots)
+            e = e[first, :j]
+        ranges.append((rows, steps))
+    for a in [tuples, sums] + [a for rows, steps in ranges for a in [rows, *steps]]:
+        a.setflags(write=False)  # shared by every caller through the cache
+    return tuples, sums, ranges
+
+
+def _det_coefficients(A: np.ndarray, F: Field) -> np.ndarray:
+    """The coefficients (G, monomials) of det(sum_i x_i A_i) for each block of A (n, G, s, s).
+
+    Each is up to the sign ``linalg._determinants`` fixes by s, which moves
+    no zero.  The G n^s (block, tuple) determinants are taken CHUNK at a time.
+    """
+    n, G, s, _ = A.shape
+    tuples, sums, _ = _det_plan(n, s)
+    T = len(tuples)
+    dets = np.zeros(G * T + 1, dtype=np.intp)  # the last is the padded zero
+    for start in range(0, G * T, CHUNK):
+        b, t = np.divmod(np.arange(start, min(start + CHUNK, G * T)), T)
+        # Ms[p, r] = row r of A_{t_r} of block b
+        dets[start : start + len(b)] = linalg._determinants(A[tuples[t], b[:, None], np.arange(s)], F)
+    index = np.where(sums == T, G * T, np.arange(G)[:, None, None] * T + sums)
+    add, acc = F.add.ravel(), dets[index[..., 0]]
+    for c in range(1, sums.shape[1]):
+        acc = add.take(acc * F.q + dets[index[..., c]])
+    return acc
+
+
+def _grid_values(V: np.ndarray, steps: list, F: Field, scaled: np.ndarray, start: int = 0):
+    """Yield (start, values): the polynomials of the coefficient columns V on every point of the grid.
+
+    Each step multiplies the coefficient of x^e x_j^d by x_j^d for every x_j
+    in F, one row of scaled[d] (a v^d at column v) per coefficient a, and
+    sums over d, so a column of V becomes q columns, the point of the last
+    coordinate the most significant.  A step that would hold more than
+    CHUNK s^2 entries (the contraction slice of CHUNK s x s matrices) is
+    taken a slice of columns at a time; values of consecutive columns follow
+    one another, from index `start`.
+    """
+    q, add, s = F.q, F.add.ravel(), len(scaled) - 1
+    for j, slots in enumerate(steps):
+        if V.shape[1] > 1 and V.shape[1] * q * slots.size > CHUNK * s * s:
+            cols, span = max(1, CHUNK * s * s // (q * slots.size)), q ** (len(steps) - j)
+            for c in range(0, V.shape[1], cols):
+                yield from _grid_values(V[:, c : c + cols], steps[j:], F, scaled, start + c * span)
+            return
+        V = np.concatenate([V, np.zeros((1, V.shape[1]), dtype=V.dtype)])  # the padded zero
+        acc = V[slots[:, 0], :, None]
+        for d in range(1, s + 1):
+            acc = add.take(acc * q + scaled[d].take(V[slots[:, d]], axis=0))
+        V = acc.reshape(len(slots), -1)
+    yield start, V[0]
+
+
+def _det_zeros(coefs: np.ndarray, F: Field, n: int, s: int):
+    """Yield (blocks, indices): the projective points where each block's polynomial vanishes.
+
+    coefs (G, monomials) are ``_det_coefficients``.  On each range
+    [q^i, 2 q^i) the polynomials are evaluated on the whole grid F^i
+    (``_grid_values``), and the zeros are read from the values.
+    """
+    scaled = F.mul[:, F.pow_table(s).T].transpose(1, 0, 2).astype(np.intp)  # [d, a, v] = a v^d
+    for i, (rows, steps) in enumerate(_det_plan(n, s)[2]):
+        for start, values in _grid_values(coefs[:, rows].T, steps, F, scaled):
+            g, idx = np.divmod(start + np.flatnonzero(values == 0), F.q ** i)
+            yield g, idx + F.q ** i
+
+
+def _singular_hists(A: np.ndarray, coefs: np.ndarray, F: Field, m: int) -> np.ndarray:
+    """Projective rank histograms (G, s + 1) of the blocks A (n, G, s, s) from their determinants.
+
+    A point where the polynomial does not vanish has rank s.  The singular
+    orbit representatives (least index; ``_det_zeros``) are contracted and
+    eliminated, CHUNK (block, point) pairs per batched_rank call, and weighted
+    by their orbit sizes.
+    """
+    n, G, s, _ = A.shape
+    hists = np.zeros((G, s + 1), dtype=np.int64)
+    hists[:, s] = (F.q ** n - 1) // (F.q - 1)
+
+    def singular():  # (blocks, points, orbit sizes) of the singular orbit representatives
+        for g, idx in _det_zeros(coefs, F, n, s):
+            keep, orbits = _least_orbits(points_at(F.q, n, idx), idx, F, m)
+            yield g[keep], orbits[:, 0], _orbit_sizes(orbits)
+
+    mul, add = F.mul.ravel(), F.add.ravel()
+    for g, X, sizes in _rebatched(singular()):
+        Ms = np.zeros((len(g), s, s), dtype=np.intp)
+        for i in range(n):  # sum_i x_i A_i, each point with its own block
+            Ms = add.take(Ms * F.q + mul.take(X[:, i, None, None] * F.q + A[i, g]))
+        ranks = linalg.batched_rank(Ms, F)
+        hists += np.bincount(g * (s + 1) + ranks, sizes, hists.size).reshape(G, -1).astype(np.int64)
+        hists[:, s] -= np.bincount(g, sizes, G).astype(np.int64)
+    return hists
+
+
+def _rebatched(parts):
+    """The rows of the array tuples `parts`, regrouped into tuples of CHUNK rows (the last fewer)."""
+    held, size = [], 0
+    for part in parts:
+        while len(part[0]):
+            take = min(CHUNK - size, len(part[0]))
+            held.append([a[:take] for a in part])
+            part, size = [a[take:] for a in part], size + take
+            if size == CHUNK:
+                yield [np.concatenate(a) for a in zip(*held)]
+                held, size = [], 0
+    if size:
+        yield [np.concatenate(a) for a in zip(*held)]
 
 
 def _rank_tables(A: np.ndarray, F: Field, m: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from .rankprofile import CHUNK, point_block, uniform_points, within_budget
 
 MC_SAMPLES = 10 ** 6
 SLOPE_MARGIN = 0.35
-POWER_BUDGET = 1 << 21  # term products the powers and products of one system may expand
+POWER_BUDGET = 700_000  # term products one system may expand: about a second of parsing
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +157,20 @@ def parse_poly_system(text: str, field: Field, nvars: int) -> PolySystem:
             return base
         i += 1
         at, e = toks[i][2], expect("INT")
-        deg = poly_degree(base) * e
+        step = poly_degree(base)
+        deg = step * e
         if max(deg, e) > MAX_Q:  # beyond every field's q: SZ is vacuous
             raise PolySyntaxError(f"power of degree above {MAX_Q}", *where(at))
-        # each of the e products below pairs len(base) terms with at most `terms`:
-        # monomials of degree <= deg, and products of e terms of the base
-        terms = min(math.comb(nvars + deg, nvars), math.comb(max(len(base), 1) + e - 1, e))
-        if spent + e * len(base) * terms > POWER_BUDGET:
-            raise PolySyntaxError(
-                f"power expands to more than {POWER_BUDGET} term products", *where(at)
-            )
+        # the j-th product below pairs len(base) terms with the terms of base^j, at
+        # most the monomials of degree <= j deg(base) and the products of j base terms
+        cost = spent
+        for j in range(e):
+            terms = min(math.comb(nvars + j * step, nvars), math.comb(max(len(base), 1) + j - 1, j))
+            cost += len(base) * terms
+            if cost > POWER_BUDGET:
+                raise PolySyntaxError(
+                    f"power expands to more than {POWER_BUDGET} term products", *where(at)
+                )
         out = {(0,) * nvars: 1}
         for _ in range(e):
             spent += len(out) * len(base)

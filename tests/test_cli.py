@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from trirank import analytic, cli, decomp, rankprofile, slicerank, tensor
+from trirank import analytic, cli, decomp, rankprofile, slicerank, tensor, variety
 from trirank.errors import BudgetExceeded, VerificationFailed
 from trirank.fields import make_field
 
@@ -179,6 +179,20 @@ def test_szcheck_subcommand(tmp_path):
     spath.write_text("x1 +* x2")
     assert cli.run(["szcheck", "--system", str(spath), "--field", "3^1",
                     "--nvars", "2"]) == 2
+
+
+def test_szcheck_refuses_kmax_below_2_before_reading_the_system(tmp_path, monkeypatch, capsys):
+    # a term at the power budget takes about a second to expand; --kmax 1 is
+    # refused first, even when the system file does not exist
+    def parse(*args):
+        raise AssertionError("the system was parsed")
+
+    monkeypatch.setattr(variety, "parse_poly_system", parse)
+    for name in ("missing.txt", "sys.txt"):
+        (tmp_path / "sys.txt").write_text("(x1+x2+x3+x4+x5)^20" + "*x1" * 200)
+        argv = ["szcheck", "--system", str(tmp_path / name), "--field", "7^1", "--nvars", "5"]
+        assert cli.run(argv + ["--kmax", "1"]) == 2
+        assert capsys.readouterr().err == "error: kmax must be >= 2\n"
 
 
 def test_extremal_and_closeness(tmp_path):

@@ -12,6 +12,8 @@ from jacobian_reference import kernel_basis, solve
 
 F2 = make_field(2)
 F3 = make_field(3)
+F5 = make_field(5)
+F7 = make_field(7)
 F4 = make_field(2, 2)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
@@ -35,7 +37,9 @@ def loop_mat_mul(A, B, F):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mat_mul_broadcasts_like_matmul(data):
-    F = data.draw(st.sampled_from([F2, F3, F8, F9]))
+    # prime fields take one integer product, extensions the table loop: both
+    # must equal the table route
+    F = data.draw(st.sampled_from([F2, F3, F5, F7, F8, F9]))
     m, k, n = (data.draw(st.integers(0, 3), label=s) for s in "mkn")  # k = 0: empty inner axis
     batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
     # the other operand's batch axes: a suffix of these, each kept or set to 1
@@ -53,6 +57,15 @@ def test_mat_mul_broadcasts_like_matmul(data):
         assert np.array_equal(out[idx], loop_mat_mul(A[idx], B[idx], F))
     if F.k == 1:
         assert np.array_equal(out, (A.astype(np.int64) @ B) % F.p)
+
+
+def test_prime_mat_mul_is_exact_on_long_inner_axes():
+    # 5,000 products of (p - 1)^2 each, p = 727: the integer sum is reduced once
+    F = make_field(727)
+    A = np.full((2, 5000), F.p - 1, dtype=np.int32)
+    B = np.random.default_rng(0).integers(0, F.q, size=(5000, 3)).astype(np.int32)
+    B[:, 0] = F.p - 1
+    assert np.array_equal(linalg.mat_mul(A, B, F), loop_mat_mul(A, B, F))
 
 
 def test_mat_mul_rejects_mismatched_inner_axes():

@@ -13,6 +13,8 @@ from trirank.errors import BudgetExceeded
 from trirank.fields import make_field, parse_field
 from trirank.rankprofile import (
     CHUNK,
+    _det_coefficients,
+    _det_zeros,
     _frobenius_order,
     _orbit_batches,
     _rank_tables,
@@ -242,11 +244,92 @@ def test_eliminations_are_pinned(monkeypatch):
         (t2, 2, {}, True, 2 * 52),  # each summand's Frobenius orbits on the 91 points of P^2(F_9)
         (t2, 3, {}, True, 2 * 261),  # each summand's orbits on the 757 points of P^2(F_27)
         (identity, 3, {}, True, 4),
+        # the tower's random 4x4x4 (seed 808): its 279 singular orbit representatives
+        (tensor.random_tensor(F3, (4, 4, 4), seed=808), 3, {}, True, 279),
         (big, 1, {"budget": 0, "mc_samples": 80}, False, 80),  # 81 > 80: at the draws
     ]:
         eliminated.clear()
         assert rank_profile(T, k, **kwargs).exact == exact
         assert sum(eliminated) == matrices
+
+
+DET_FIELDS = ["2^1", "3^1", "2^2", "5^1", "2^3", "3^2", "3^3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    field=st.sampled_from(DET_FIELDS),
+    s=st.integers(1, 4),
+    n=st.integers(1, 4),
+    blocks=st.integers(1, 3),
+    in_fp=st.booleans(),
+)
+def test_determinant_zeros_are_the_singular_projective_points(data, field, s, n, blocks, in_fp):
+    # det(sum_i x_i A_i) from n^s determinants, read on every projective point
+    F = parse_field(field)
+    assume(F.q ** n <= REF_POINTS)
+    top = F.p if in_fp else F.q
+    entries = data.draw(st.lists(st.integers(0, top - 1), min_size=n * blocks * s * s,
+                                 max_size=n * blocks * s * s))
+    A = np.array(entries, dtype=np.int32).reshape(n, blocks, s, s)
+    coefs = _det_coefficients(A, F)
+    found = np.zeros((blocks, F.q ** n), dtype=bool)
+    for g, idx in _det_zeros(coefs, F, n, s):
+        assert not found[g, idx].any()  # each point is read once
+        found[g, idx] = True
+    # the projective points: base-q indices [q^i, 2 q^i), last nonzero coordinate 1
+    X = np.concatenate([point_block(F.q, n, F.q ** i, 2 * F.q ** i) for i in range(n)])
+    for g in range(blocks):
+        dets = linalg._determinants(table_contraction(A[:, g], F, X), F)
+        assert np.array_equal(found[g, X @ F.q ** np.arange(n)], dets == 0)
+        assert found[g].sum() == (dets == 0).sum()
+        if not coefs[g].any():  # a zero polynomial vanishes everywhere
+            assert not dets.any()
+
+
+@pytest.mark.parametrize("field,n,s,blocks", [("3^3", 3, 3, 3), ("2^1", 12, 2, 2), ("5^1", 4, 4, 2)])
+def test_determinant_route_in_small_slices_reads_the_same(monkeypatch, field, n, s, blocks):
+    # with CHUNK = 5, every determinant slice and grid step is cut, and the
+    # zeros and histograms stay those of one slice
+    F = parse_field(field)
+    A = np.random.default_rng(n).integers(0, F.q, size=(n, blocks, s, s)).astype(np.int32)
+    coefs = _det_coefficients(A, F)
+
+    def zeros():
+        return sorted((g, x) for gs, idx in _det_zeros(coefs, F, n, s) for g, x in zip(gs, idx))
+
+    whole, hists = zeros(), rankprofile._singular_hists(A, coefs, F, 1)
+    assert whole
+    monkeypatch.setattr(rankprofile, "CHUNK", 5)
+    assert np.array_equal(_det_coefficients(A, F), coefs)
+    assert zeros() == whole
+    assert np.array_equal(rankprofile._singular_hists(A, coefs, F, 1), hists)
+
+
+def test_levels_mixing_both_routes_match_the_reference(monkeypatch):
+    # at k = 3 the random 3x3x3 blocks are ranked from their determinants, and
+    # Levi-Civita's skew slices (determinant zero) and T_2's summands by orbits
+    F3 = make_field(3)
+    lc, extra = tensor.levi_civita(F3), tensor.random_tensor(F3, (3, 3, 3), seed=4)
+    tensors = [lc, tensor.tk_family(F3, 2), tensor.direct_sum(lc, extra)] + [
+        tensor.random_tensor(F3, (3, 3, 3), seed=s) for s in range(3)
+    ]
+    ranked = []
+    singular_hists = rankprofile._singular_hists
+
+    def recording(A, *args):
+        ranked.append(A.shape[1])
+        return singular_hists(A, *args)
+
+    monkeypatch.setattr(rankprofile, "_singular_hists", recording)
+    profiles = rank_profiles(tensors, [3])
+    assert ranked == [4]  # the direct sum's random summand and the three random tensors
+    # 27^6 points for a direct sum: the ranks of its summands add up
+    lc_hist = reference_hist(lc, 3, "x")
+    refs = [lc_hist, np.convolve(lc_hist, lc_hist), np.convolve(lc_hist, reference_hist(extra, 3, "x"))]
+    refs += [reference_hist(T, 3, "x") for T in tensors[3:]]
+    assert [prof.hist.tolist() for (prof,) in profiles] == [ref.tolist() for ref in refs]
 
 
 def test_exact_counts_past_int64_are_python_ints():
@@ -444,9 +527,10 @@ def test_a_level_of_several_batches_is_not_cached():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_tensors_sharing_an_orbit_level_profile_in_either_order(monkeypatch, k):
-    # both random 3x3x3 F_3 tensors read the (F_{3^k}, 3, k) entry; whichever fills it
+    # both random 3x3x2 F_3 tensors read the (F_{3^k}, 3, k) entry; whichever fills it
+    # (non-square blocks are never ranked by their determinant polynomial)
     F3 = make_field(3)
-    a, b = (tensor.random_tensor(F3, (3, 3, 3), seed=s) for s in (1, 2))
+    a, b = (tensor.random_tensor(F3, (3, 3, 2), seed=s) for s in (1, 2))
     refs = {T: reference_hist(T, k, "x").tolist() for T in (a, b)}
     assert refs[a] != refs[b]
     for order in [(a, b), (b, a)]:
@@ -466,6 +550,21 @@ def test_a_level_is_one_elimination_per_batch(monkeypatch, n, calls):
     assert rank_profile(T, 1).exact
     assert len(eliminated) == calls and max(eliminated) <= CHUNK
     assert sum(eliminated) == (T.field.q ** n - 1) // (T.field.q - 1)
+
+
+def test_a_determinant_level_is_one_elimination_per_batch(monkeypatch):
+    # of the 131,071 points of P^16(F_2), only those where det(sum_i x_i A_i)
+    # vanishes are eliminated, in batches of at most CHUNK
+    T = tensor.random_tensor(make_field(2), (17, 2, 2), seed=0)
+    assert len(T.summands) == 1 and rankprofile._det_route(2, 17, 2, 1)
+    A = tensor.slices(T, "x")
+    X = np.concatenate([point_block(2, 17, 2 ** i, 2 ** (i + 1)) for i in range(17)])
+    singular = int((linalg._determinants(contract(A, T.field, X), T.field) == 0).sum())
+    eliminated = counting_eliminations(monkeypatch)
+    prof = rank_profile(T, 1)
+    assert len(eliminated) == -(-singular // CHUNK) > 1 and max(eliminated) <= CHUNK
+    assert sum(eliminated) == singular
+    assert prof.hist.tolist() == reference_hist(T, 1, "x").tolist()
 
 
 def test_f9_entries_outside_f3_eliminate_every_projective_point(monkeypatch):

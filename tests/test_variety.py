@@ -72,7 +72,7 @@ def test_parser_unknown_variable():
     ("(x1*x2)^365", PolySyntaxError, "power of degree above 729", 1, 9),
     ("2^99999999 + x1", PolySyntaxError, "power of degree above 729", 1, 3),
     # 266,815 terms possible (every monomial of degree <= 729): rejected before it is expanded
-    ("(1 + x1 + x2)^729", PolySyntaxError, "power expands to more than 2097152 term products",
+    ("(1 + x1 + x2)^729", PolySyntaxError, "power expands to more than 700000 term products",
      1, 15),
 ])
 def test_parser_errors_name_the_line_and_column(text, error, message, line, col):
@@ -99,7 +99,7 @@ def test_parser_rejects_a_power_of_many_terms_at_its_exponent():
 
 @pytest.mark.parametrize("text, message, col", [
     # two 3,150-term powers over F_7, each within its own budget: 9,922,500 term products
-    ("(x1+x2+x3+x4+x5)^20 * (x1+x2+x3+x4+x5)^20", "product of more than 2097152 term products",
+    ("(x1+x2+x3+x4+x5)^20 * (x1+x2+x3+x4+x5)^20", "product of more than 700000 term products",
      21),
     ("x1^700 * x2^30", "product of degree above 729", 8),
 ])
@@ -137,15 +137,27 @@ def test_parser_bounds_the_products_of_a_system_by_one_total(monkeypatch):
 
 
 def test_parser_charges_powers_to_the_system_total():
-    # each copy is estimated at 1,644,500 term products, within the budget alone;
-    # the expansions of the first ten spend enough that the 11th is refused at
-    # its exponent (col 238) instead of every copy parsing
+    # each copy is bounded by 5 C(26, 5) = 328,900 term products (5 base terms
+    # times at most C(j + 4, 4) terms of the j-th power), within the budget
+    # alone; the expansions of the first eight spend enough that the 9th is
+    # refused at its exponent (col 194) instead of every copy parsing
     copy = "(x1+x2+x3+x4+x5)^22"
     assert system(copy, field=F7, nvars=5).maxdeg == 22
     with pytest.raises(PolySyntaxError) as exc:
         system(" + ".join([copy] * 50), field=F7, nvars=5)
     budget = variety.POWER_BUDGET
-    assert str(exc.value) == f"power expands to more than {budget} term products (line 1, col 238)"
+    assert str(exc.value) == f"power expands to more than {budget} term products (line 1, col 194)"
+
+
+def test_a_term_at_the_power_budget_is_its_longest_parsing_chain():
+    # over F_7, (x1+...+x5)^20 keeps 3,150 terms; each `*x1` spends 3,150 more
+    # term products: 211 of them are multiplied out (about a second), and the
+    # 212th is refused at its `*`
+    head = "(x1+x2+x3+x4+x5)^20"
+    with pytest.raises(PolySyntaxError) as exc:
+        system(head + "*x1" * 212, field=F7, nvars=5)
+    col = len(head) + 3 * 211 + 1
+    assert str(exc.value) == f"product of more than 700000 term products (line 1, col {col})"
 
 
 def test_poly_partial_frobenius_kills_pth_powers():
