@@ -31,16 +31,19 @@ EXIT_USAGE = 2
 
 
 def _budget(args, fallback: int = analytic.ENUM_BUDGET) -> int:
-    """--budget if given, else TRIRANK_BUDGET if set, else `fallback`."""
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("TRIRANK_BUDGET")
-    if not env:
-        return fallback
-    try:
-        return int(env)
-    except ValueError:
-        raise BadParams(f"TRIRANK_BUDGET={env!r} is not an integer") from None
+    """--budget if given, else TRIRANK_BUDGET if set, else `fallback`; either must be >= 0."""
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("TRIRANK_BUDGET")
+        if not env:
+            return fallback
+        try:
+            budget = int(env)
+        except ValueError:
+            raise BadParams(f"TRIRANK_BUDGET={env!r} is not an integer") from None
+    if budget < 0:
+        raise BadParams(f"budget must be >= 0, not {budget}")
+    return budget
 
 
 def _nonneg_int(text: str) -> int:

@@ -2,16 +2,15 @@
 
 Matrices are 2-D numpy arrays of field codes.  ``batched_rank`` ranks a whole
 stack of matrices at once, which is what makes exhaustive rank-stratum
-counting affordable: a large stack of small square matrices is tested by
-determinant first, and the elimination swaps no rows (a rank needs no echelon
+counting affordable; its elimination swaps no rows (a rank needs no echelon
 form).
 ``batched_rref`` gives each matrix of a stack its ``rref``, row swaps and
-pivots included, in one pass over the columns.
+pivots included, in one pass over the columns.  No rank here is read from a
+determinant: ``rankprofile`` alone decides where one stands in for an
+elimination.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -84,75 +83,17 @@ def mat_mul(A, B, F: Field) -> np.ndarray:
 # batched elimination
 # ---------------------------------------------------------------------------
 
-DET_STACK = 1000  # least stack of square matrices, up to DET_MAX x DET_MAX, settled by determinant
-DET_MAX = 4
-
-
 def batched_rank(Ms, F: Field) -> np.ndarray:
     """Ranks of a stack of matrices, shape (N, m, n) -> (N,).
-
-    A stack of at least DET_STACK square matrices of side at most DET_MAX
-    takes a determinant first (``_determinants``): a matrix with a nonzero
-    one has full rank, and only the singular ones are eliminated.  Below that
-    size the determinant costs more than it saves.  The input is not written.
-    """
-    Ms = np.asarray(Ms, dtype=np.int32)
-    N, m, n = Ms.shape
-    if m != n or not 0 < n <= DET_MAX or N < DET_STACK:
-        return _eliminated_ranks(Ms, F)
-    ranks = np.full(N, n, dtype=np.int64)
-    singular = np.flatnonzero(_determinants(Ms, F) == 0)
-    ranks[singular] = _eliminated_ranks(Ms[singular], F)
-    return ranks
-
-
-def _expansions(n: int) -> list:
-    """Per row r = 1..n-1 of an n x n matrix, the Laplace expansion of its minors on rows 0..r.
-
-    Each is (cols, rest): row i of ``cols`` is a column set S of size r + 1, and
-    rest[i, t] indexes S without S_t among the column sets of row r - 1, in
-    ``itertools.combinations`` order, which row 0's singletons follow too.
-    """
-    levels, subsets = [], [(c,) for c in range(n)]
-    for r in range(1, n):
-        index = {S: i for i, S in enumerate(subsets)}
-        subsets = list(itertools.combinations(range(n), r + 1))
-        rest = [[index[S[:t] + S[t + 1 :]] for t in range(r + 1)] for S in subsets]
-        levels.append((np.array(subsets), np.array(rest)))
-    return levels
-
-
-_EXPANSION = {n: _expansions(n) for n in range(1, DET_MAX + 1)}
-
-
-def _determinants(Ms, F: Field) -> np.ndarray:
-    """Determinants of a stack (N, n, n), n <= DET_MAX, each up to a sign fixed by n.
-
-    The minors on the leading r + 1 rows, one per column set S, are
-    sum_t (-1)^t M[r, S_t] minor(S without S_t) over those on the leading r
-    rows; only the two levels in use are kept.
-    """
-    q, mul, add, neg = F.q, F.mul.ravel(), F.add.ravel(), F.neg
-    minors = Ms[:, 0]  # the 1 x 1 minors of row 0
-    for r, (cols, rest) in enumerate(_EXPANSION[Ms.shape[1]], start=1):
-        terms = mul.take(Ms[:, r, cols] * q + minors[:, rest])  # (N, column sets, r + 1)
-        terms[:, :, 1::2] = neg.take(terms[:, :, 1::2])
-        minors = terms[:, :, 0]
-        for t in range(1, r + 1):
-            minors = add.take(minors * q + terms[:, :, t])
-    return minors[:, 0]
-
-
-def _eliminated_ranks(Ms: np.ndarray, F: Field) -> np.ndarray:
-    """Ranks of an int32 stack (N, m, n) by elimination.
 
     Runs min(m, n) steps over the shorter axis.  A step takes, in each matrix,
     the first row with a nonzero entry in the first column as the pivot,
     scales it to a leading 1, adds -a_j times it to every row j (a_j being
     row j's first entry), and drops the first column; the rank is the number
     of steps that found a pivot.  No row is swapped: a rank needs no echelon
-    form.
+    form.  The input is not written.
     """
+    Ms = np.asarray(Ms, dtype=np.int32)
     if Ms.shape[1] < Ms.shape[2]:
         Ms = Ms.transpose(0, 2, 1)  # loop over the shorter axis
     N, m, n = Ms.shape

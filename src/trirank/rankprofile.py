@@ -22,13 +22,14 @@ same points.  Every point set (an orbit batch, a rank table's orbit
 representatives, a batch of draws, the slice-rank search's pruning points)
 takes one step, ``_ranks``: ``contract`` at its points, then one
 batched_rank call per slice of at most CHUNK matrices.  At an exact level a
-square s x s block (s <= linalg.DET_MAX) whose level repays it
-(``_det_route``, decided per block from its shape and field) is tested for
-full rank by det(sum_i x_i A_i) as a polynomial instead: its coefficients
-come from one ``linalg._determinants`` call on n^s matrices, it is
+square s x s block (s <= DET_MAX) whose level repays it (``_det_route``,
+decided per block from its shape and field) is tested for full rank by
+det(sum_i x_i A_i) as a polynomial instead: its coefficients come from one
+``_determinants`` call (a Laplace expansion) on n^s matrices, it is
 evaluated on every projective point a coordinate at a time by table
 lookups, and only its zeros are contracted and eliminated.  A block whose
-polynomial is zero keeps the orbit batches.  The budget compares
+polynomial is zero keeps the orbit batches.  No other module takes a
+determinant: ``linalg.batched_rank`` only eliminates.  The budget compares
 the largest summand's affine count q^(k n_s): a level is exact when every
 summand has at most `budget` points, so it eliminates at most (#summands)
 budget / (q^k - 1) matrices; otherwise its points are drawn.  An exact
@@ -185,26 +186,19 @@ def _orbit_search(F: Field, n: int, m: int):
     j < m; codes = orbits[:, 0] is the orbit's point of least index (at m = 1,
     every point), and sizes = m / #{j < m : sigma^j x = x} counts an orbit's
     points.  sigma fixes 0 and 1, so it maps each index range to itself.  The
-    orbits of consecutive ranges are gathered into batches of up to CHUNK.
+    orbits of consecutive ranges are regrouped into batches of CHUNK
+    (``_rebatched``; the last fewer).
     """
     q = F.q
 
-    def batch_of(parts):
-        orbits = np.concatenate(parts)
-        return orbits[:, 0], orbits, _orbit_sizes(orbits)
+    def ranges():
+        for i in range(n):
+            for start in range(q ** i, 2 * q ** i, CHUNK):
+                idx = np.arange(start, min(start + CHUNK, 2 * q ** i))
+                yield (_least_orbits(points_at(q, n, idx), idx, F, m)[1],)
 
-    batch, size = [], 0
-    for i in range(n):
-        for start in range(q ** i, 2 * q ** i, CHUNK):
-            idx = np.arange(start, min(start + CHUNK, 2 * q ** i))
-            orbits = _least_orbits(points_at(q, n, idx), idx, F, m)[1]
-            if size + len(orbits) > CHUNK:
-                yield batch_of(batch)
-                batch, size = [], 0
-            batch.append(orbits)
-            size += len(orbits)
-    if batch:
-        yield batch_of(batch)
+    for (orbits,) in _rebatched(ranges()):
+        yield orbits[:, 0], orbits, _orbit_sizes(orbits)
 
 
 def _least_orbits(X: np.ndarray, idx: np.ndarray, F: Field, m: int):
@@ -274,6 +268,7 @@ def _affine_hists(blocks: list[np.ndarray], F: Field, m: int) -> np.ndarray:
 
 
 DET_ORBITS = 8  # least orbits of a level per unit of a block's determinant work (_det_route)
+DET_MAX = 4  # largest side of a block ranked by determinant
 
 
 def _det_route(q: int, n: int, s: int, m: int) -> bool:
@@ -286,7 +281,7 @@ def _det_route(q: int, n: int, s: int, m: int) -> bool:
     """
     work = max(n ** s, (s + 1) * math.comb(n + s, s + 2))
     return (
-        0 < s <= linalg.DET_MAX
+        0 < s <= DET_MAX
         and DET_ORBITS * work * m * (q - 1) <= q ** n - 1
         and (s + 1) * q * q <= CHUNK * s * s
     )
@@ -331,10 +326,47 @@ def _det_plan(n: int, s: int):
     return tuples, sums, ranges
 
 
+def _expansions(n: int) -> list:
+    """Per row r = 1..n-1 of an n x n matrix, the Laplace expansion of its minors on rows 0..r.
+
+    Each is (cols, rest): row i of ``cols`` is a column set S of size r + 1, and
+    rest[i, t] indexes S without S_t among the column sets of row r - 1, in
+    ``itertools.combinations`` order, which row 0's singletons follow too.
+    """
+    levels, subsets = [], [(c,) for c in range(n)]
+    for r in range(1, n):
+        index = {S: i for i, S in enumerate(subsets)}
+        subsets = list(itertools.combinations(range(n), r + 1))
+        rest = [[index[S[:t] + S[t + 1 :]] for t in range(r + 1)] for S in subsets]
+        levels.append((np.array(subsets), np.array(rest)))
+    return levels
+
+
+_EXPANSION = {n: _expansions(n) for n in range(1, DET_MAX + 1)}
+
+
+def _determinants(Ms, F: Field) -> np.ndarray:
+    """Determinants of a stack (N, n, n), n <= DET_MAX, each up to a sign fixed by n.
+
+    The minors on the leading r + 1 rows, one per column set S, are
+    sum_t (-1)^t M[r, S_t] minor(S without S_t) over those on the leading r
+    rows; only the two levels in use are kept.
+    """
+    q, mul, add, neg = F.q, F.mul.ravel(), F.add.ravel(), F.neg
+    minors = Ms[:, 0]  # the 1 x 1 minors of row 0
+    for r, (cols, rest) in enumerate(_EXPANSION[Ms.shape[1]], start=1):
+        terms = mul.take(Ms[:, r, cols] * q + minors[:, rest])  # (N, column sets, r + 1)
+        terms[:, :, 1::2] = neg.take(terms[:, :, 1::2])
+        minors = terms[:, :, 0]
+        for t in range(1, r + 1):
+            minors = add.take(minors * q + terms[:, :, t])
+    return minors[:, 0]
+
+
 def _det_coefficients(A: np.ndarray, F: Field) -> np.ndarray:
     """The coefficients (G, monomials) of det(sum_i x_i A_i) for each block of A (n, G, s, s).
 
-    Each is up to the sign ``linalg._determinants`` fixes by s, which moves
+    Each is up to the sign ``_determinants`` fixes by s, which moves
     no zero.  The G n^s (block, tuple) determinants are taken CHUNK at a time.
     """
     n, G, s, _ = A.shape
@@ -344,7 +376,7 @@ def _det_coefficients(A: np.ndarray, F: Field) -> np.ndarray:
     for start in range(0, G * T, CHUNK):
         b, t = np.divmod(np.arange(start, min(start + CHUNK, G * T)), T)
         # Ms[p, r] = row r of A_{t_r} of block b
-        dets[start : start + len(b)] = linalg._determinants(A[tuples[t], b[:, None], np.arange(s)], F)
+        dets[start : start + len(b)] = _determinants(A[tuples[t], b[:, None], np.arange(s)], F)
     index = np.where(sums == T, G * T, np.arange(G)[:, None, None] * T + sums)
     add, acc = F.add.ravel(), dets[index[..., 0]]
     for c in range(1, sums.shape[1]):

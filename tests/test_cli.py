@@ -368,6 +368,26 @@ def test_malformed_budget_env_is_a_usage_error(levi_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["gr", "ar"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, command, source):
+    # a 2x2x2 over F_3 would otherwise sample every level, or exceed the budget
+    path = tmp_path / "t.t"
+    tensor.dump(tensor.random_tensor(F3, (2, 2, 2), seed=0), str(path))
+    argv, out = [command, "--tensor", str(path)], tmp_path / "out.json"
+    if source == "flag":
+        argv += ["--budget", "-1"]
+    else:
+        monkeypatch.setenv("TRIRANK_BUDGET", "-5")
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert "error: budget must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    # a budget of 0 is allowed: gr samples every level, ar's 3^4 pairs exceed it
+    monkeypatch.setenv("TRIRANK_BUDGET", "0")
+    want = {"gr": 0, "ar": 2}[command]
+    assert cli.run([command, "--tensor", str(path), "--out", str(out)]) == want
+
+
 def test_gr_honours_budget_env(levi_path, tmp_path, monkeypatch):
     def exact_by_level():
         out = tmp_path / "gr.json"

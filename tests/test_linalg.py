@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,34 +205,6 @@ def test_batched_rank_of_a_long_stack():
     Ms = rng.integers(0, F9.q, size=((1 << 15) + 5, 1, 1)).astype(np.int32)
     Ms[-3:] = 0
     assert np.array_equal(linalg.batched_rank(Ms, F9), (Ms[:, 0, 0] != 0).astype(np.int64))
-
-
-@pytest.mark.parametrize("F,n", [(F2, 2), (F2, 3), (F3, 2)], ids=["F2-2x2", "F2-3x3", "F3-2x2"])
-def test_determinant_is_nonzero_exactly_on_full_rank_matrices(F, n):
-    Ms = np.array(list(itertools.product(range(F.q), repeat=n * n)), dtype=np.int32)
-    Ms = Ms.reshape(-1, n, n)  # every n x n matrix over F
-    ranks = linalg._eliminated_ranks(Ms, F)
-    assert np.array_equal(linalg._determinants(Ms, F) != 0, ranks == n)
-    # repeated past DET_STACK, the same matrices take the determinant path
-    reps = -(-linalg.DET_STACK // len(Ms))
-    assert np.array_equal(linalg.batched_rank(np.tile(Ms, (reps, 1, 1)), F), np.tile(ranks, reps))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("F", [F9, F27], ids=repr)
-def test_determinant_path_matches_elimination_at_every_rank(F, n):
-    # products (n x r)(r x n) plant ranks r = 0..n in one stack past DET_STACK
-    rng = np.random.default_rng(n)
-    per = -(-linalg.DET_STACK // (n + 1))
-    Ms = np.concatenate([
-        linalg.mat_mul(rng.integers(0, F.q, (per, n, r)), rng.integers(0, F.q, (per, r, n)), F)
-        for r in range(n + 1)
-    ])
-    before = Ms.copy()
-    ranks = linalg.batched_rank(Ms, F)
-    assert np.array_equal(Ms, before)  # the input is not written
-    assert ranks.tolist() == linalg._eliminated_ranks(Ms, F).tolist()
-    assert set(ranks.tolist()) == set(range(n + 1))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """The rank-profile kernel against a table-lookup reference over all affine points."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -15,6 +16,7 @@ from trirank.rankprofile import (
     CHUNK,
     _det_coefficients,
     _det_zeros,
+    _determinants,
     _frobenius_order,
     _orbit_batches,
     _rank_tables,
@@ -253,6 +255,14 @@ def test_eliminations_are_pinned(monkeypatch):
         assert sum(eliminated) == matrices
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2)], ids=["F2-2x2", "F2-3x3", "F3-2x2"])
+def test_determinant_is_nonzero_exactly_on_full_rank_matrices(q, n):
+    F = make_field(q)
+    Ms = np.array(list(itertools.product(range(q), repeat=n * n)), dtype=np.int32)
+    Ms = Ms.reshape(-1, n, n)  # every n x n matrix over F
+    assert np.array_equal(_determinants(Ms, F) != 0, linalg.batched_rank(Ms, F) == n)
+
+
 DET_FIELDS = ["2^1", "3^1", "2^2", "5^1", "2^3", "3^2", "3^3"]
 
 
@@ -281,7 +291,7 @@ def test_determinant_zeros_are_the_singular_projective_points(data, field, s, n,
     # the projective points: base-q indices [q^i, 2 q^i), last nonzero coordinate 1
     X = np.concatenate([point_block(F.q, n, F.q ** i, 2 * F.q ** i) for i in range(n)])
     for g in range(blocks):
-        dets = linalg._determinants(table_contraction(A[:, g], F, X), F)
+        dets = _determinants(table_contraction(A[:, g], F, X), F)
         assert np.array_equal(found[g, X @ F.q ** np.arange(n)], dets == 0)
         assert found[g].sum() == (dets == 0).sum()
         if not coefs[g].any():  # a zero polynomial vanishes everywhere
@@ -559,11 +569,22 @@ def test_a_determinant_level_is_one_elimination_per_batch(monkeypatch):
     assert len(T.summands) == 1 and rankprofile._det_route(2, 17, 2, 1)
     A = tensor.slices(T, "x")
     X = np.concatenate([point_block(2, 17, 2 ** i, 2 ** (i + 1)) for i in range(17)])
-    singular = int((linalg._determinants(contract(A, T.field, X), T.field) == 0).sum())
+    singular = int((_determinants(contract(A, T.field, X), T.field) == 0).sum())
     eliminated = counting_eliminations(monkeypatch)
+    tested = []  # every stack whose determinants are taken
+
+    def recording(Ms, F):
+        tested.append(np.array(Ms))
+        return _determinants(Ms, F)
+
+    monkeypatch.setattr(rankprofile, "_determinants", recording)
     prof = rank_profile(T, 1)
     assert len(eliminated) == -(-singular // CHUNK) > 1 and max(eliminated) <= CHUNK
     assert sum(eliminated) == singular
+    # one determinant test per level: the 17^2 coefficient tuples (row r of A_{t_r}),
+    # and none on the singular stacks that are eliminated
+    tuples = np.indices((17, 17)).reshape(2, -1).T
+    assert np.array_equal(np.concatenate(tested), A[tuples, np.arange(2)])
     assert prof.hist.tolist() == reference_hist(T, 1, "x").tolist()
 
 
