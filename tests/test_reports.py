@@ -1,7 +1,7 @@
 import hashlib
 import json
 
-from trirank import biascx, cli, geometric, slicerank, tensor
+from trirank import biascx, cli, decomp, geometric, slicerank, tensor
 from trirank.fields import make_field
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
@@ -28,6 +28,14 @@ def test_report_bytes_are_pinned(tmp_path):
         "closeness_extremal": biascx.closeness_report(f, g),
         "complexity_extremal": biascx.complexity_bound(f),
     }
+    reports.update({  # decompositions: r = 0, r = 2, r = 4 alone in its group, r = 0
+        "decomp_identity_3": decomp.slice_decompose(tensor.identity_tensor(F3, 3), seed=7),
+        "decomp_levi_F3": decomp.slice_decompose(tensor.levi_civita(F3), seed=7),
+        "decomp_t2_F3": decomp.slice_decompose(tensor.tk_family(F3, 2), seed=7),
+        "decomp_random_F3": decomp.slice_decompose(
+            tensor.random_tensor(F3, (3, 3, 3), seed=5), seed=7
+        ),
+    })
     digests = {name: sha(rep.to_dict()) for name, rep in reports.items()}
     system, out = tmp_path / "sys.txt", tmp_path / "sz.json"
     system.write_text("x1*x2 - 1\n")
@@ -44,5 +52,9 @@ def test_report_bytes_are_pinned(tmp_path):
         "complexity_F5": "7cb18bc73e8a38ca",
         "closeness_extremal": "e7178d6fe0b84d03",
         "complexity_extremal": "d9ee0d57e3607c04",
+        "decomp_identity_3": "69efc6764f6b04c3",
+        "decomp_levi_F3": "8d472e7b9c4cb32d",
+        "decomp_t2_F3": "fb98fcd8f8ca6582",
+        "decomp_random_F3": "1956012039bc3e6c",
         "szcheck": "d73296c9325adc44",  # with "schema": 2 (324d1e4e69a21112 at schema 1)
     }
