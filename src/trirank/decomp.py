@@ -11,13 +11,14 @@ matrix of L is a complement term: the SR(L) <= dim L base case is the same
 construction.
 
 ``slice_decompositions`` decomposes many tensors as stacks, one per
-(working field, dims): one ``linalg.batched_rref`` gives every span L, and
-each round of attempts (an item steps down in r or retries in the next
-round) does its solves in one call, at most CHUNK matrices per call; the
-rank factorization of each drawn point is read from the ``rref`` that
-tested its rank.  Each item draws its own point from its own
-seed, so its decomposition is the one it gets alone; ``slice_decompose``
-is the one-tensor case.
+(working field, dims): one elimination gives every span L, and each round
+of attempts (an item steps down in r or retries in the next round) solves
+its r > 0 attempts in one, at most CHUNK matrices per ``batched_rref`` call
+and a lone matrix by ``rref``.  An r = 0 attempt solves nothing: its
+coefficients are read off L's RREF at the pivots.  The rank factorization
+of each drawn point is read from the ``rref`` that tested its rank.  Each
+item draws its own point from its own seed, so its decomposition is the one
+it gets alone; ``slice_decompose`` is the one-tensor case.
 """
 
 from __future__ import annotations
@@ -78,17 +79,34 @@ class SliceDecomposition:
         }
 
 
+def _codes(codes, q: int):
+    """`codes` as given, once every entry of its nested lists is an int in [0, q)."""
+    entries = [codes]
+    while entries:
+        c = entries.pop()
+        if isinstance(c, list):
+            entries.extend(c)
+        elif type(c) is not int:  # a bool, float or string is no code
+            raise TypeError(f"coefficient code {c!r} is not an integer")
+        elif not 0 <= c < q:
+            raise ValueError(f"coefficient codes outside [0, {q})")
+    return codes
+
+
 def decomposition_from_dict(d) -> SliceDecomposition:
-    """The inverse of `to_dict`; a missing or ill-typed key raises BadParams."""
+    """The inverse of `to_dict`; a missing or ill-typed key or code raises BadParams."""
     try:
         F = parse_field(d["field"])
         terms = [
-            SliceTerm(F, t["direction"], t["linear"], t["bilinear"], t.get("source", ""))
+            SliceTerm(
+                F,
+                t["direction"],
+                _codes(t["linear"], F.q),
+                _codes(t["bilinear"], F.q),
+                t.get("source", ""),
+            )
             for t in d["terms"]
         ]
-        codes = [c for t in terms for c in (t.linear, t.bilinear) if c.size]
-        if any(c.min() < 0 or c.max() >= F.q for c in codes):
-            raise ValueError(f"coefficient codes outside [0, {F.q})")
         return SliceDecomposition(
             working_field=F,
             dims=tuple(d["dims"]),
@@ -107,8 +125,19 @@ def decomposition_from_dict(d) -> SliceDecomposition:
 # ---------------------------------------------------------------------------
 
 def _rrefs(Ms, F: Field):
-    """``linalg.batched_rref`` of a nonempty stack, at most CHUNK matrices per call."""
-    parts = [linalg.batched_rref(Ms[s : s + CHUNK], F) for s in range(0, len(Ms), CHUNK)]
+    """The ``rref`` of every matrix of a nonempty stack: (R stacked, list of pivot lists).
+
+    ``linalg.batched_rref`` takes at most CHUNK matrices per call; a slice of
+    one matrix goes to ``linalg.rref``, whose result is the same and whose
+    pass costs less than a stack's.
+    """
+    parts = []
+    for s in range(0, len(Ms), CHUNK):
+        if len(Ms) - s == 1:
+            R, p = linalg.rref(Ms[s], F)
+            parts.append((R[None], [p]))
+        else:
+            parts.append(linalg.batched_rref(Ms[s : s + CHUNK], F))
     return np.concatenate([R for R, _ in parts]), [p for _, ps in parts for p in ps]
 
 
@@ -166,13 +195,16 @@ def _tangent_attempts(attempts: list) -> list[SliceDecomposition | None]:
 
     L is the span of Tw's x-slices; None where L has no rank-r point.  Each
     attempt draws its own point A, with the factors A = left^T right of the
-    ``rref`` that tested its rank.  One elimination of [S | L basis | slices]
-    per attempt, S the map (C, Cp) -> CA + ACp, splits slice l into
-    C_l A + A Cp_l (the tangent part) plus sum_m mu_lm L_m.  A basis matrix
-    L_m gets a pivot exactly when it extends T_A + span(L_0 .. L_{m-1}), so
-    the L_m with nonzero mu are the complement terms; at r = 0, S = 0 and
-    every L_m is one.  The basis block has a column per slice, zero past
-    dim L: a zero column gets no pivot, so the solution is that of L alone.
+    ``rref`` that tested its rank.  At r > 0, one elimination of
+    [S | L basis | slices] per attempt, S the map (C, Cp) -> CA + ACp, splits
+    slice l into C_l A + A Cp_l (the tangent part) plus sum_m mu_lm L_m.  A
+    basis matrix L_m gets a pivot exactly when it extends T_A +
+    span(L_0 .. L_{m-1}), so the L_m with nonzero mu are the complement terms.
+    The basis block has a column per slice, zero past dim L: a zero column
+    gets no pivot, so the solution is that of L alone.  At r = 0, S = 0 and
+    that solve would find C = Cp = 0 and slice l's coordinates in L: L's basis
+    is an RREF with pivot columns p_m, so mu_lm = X_l[p_m] is read off the
+    slices and nothing is eliminated.
     """
     points = []  # (A, left, right) per attempt, or None
     for _, L, r, seed in attempts:
@@ -186,48 +218,60 @@ def _tangent_attempts(attempts: list) -> list[SliceDecomposition | None]:
         return found
     F, (n1, n2, n3) = attempts[0][0].field, attempts[0][0].dims
     N, nC = len(live), n2 * n2 + n3 * n3
-    nv = nC + n1  # unknowns: C, Cp, then mu
-    A, left, right = (np.array([points[j][i] for j in live], dtype=np.int32) for i in range(3))
     X = np.array([attempts[j][0].entries for j in live], dtype=np.int32).reshape(N, n1, n2 * n3)
     B = np.zeros_like(X)  # each L basis, zero rows past dim L
     for row, j in enumerate(live):
         L = attempts[j][1]
         B[row, : L.dim] = L.flat_basis()
-    system = [_sylvester_matrix(A), B.transpose(0, 2, 1), X.transpose(0, 2, 1)]
-    R, pivots = _rrefs(np.concatenate(system, axis=2), F)
-    x = np.zeros((N, nv, n1), dtype=np.int32)  # column l solves slice l, free variables 0
-    for row, p in enumerate(pivots):
-        if p and p[-1] >= nv:  # a pivot in the right-hand side
-            raise VerificationFailed("a slice lies outside the span it is solved in")
-        x[row, p] = R[row, : len(p), nv:]
-    x = x.transpose(0, 2, 1)
-    Cs = x[:, :, : n2 * n2].reshape(N, n1, n2, n2)
-    Cps = x[:, :, n2 * n2 : nC].reshape(N, n1, n3, n3)
-    mu = x[:, :, nC:]  # (N, n1, n1)
-    # H[i][l] = C_l f_i and Hp[i][l] = g_i Cp_l, for every attempt and every i at once
-    H = linalg.mat_mul(Cs, left.transpose(0, 2, 1)[:, None], F).transpose(0, 3, 1, 2)
-    Hp = linalg.mat_mul(right[:, None], Cps, F).transpose(0, 2, 1, 3)
-    # the term sum, zero terms included: z terms g_i (x) H[i], y terms f_i (x) Hp[i], x terms
-    z = linalg.mat_mul(H.transpose(0, 2, 3, 1), right[:, None], F)
-    y = linalg.mat_mul(left.transpose(0, 2, 1)[:, None], Hp.transpose(0, 2, 1, 3), F)
-    xs = linalg.mat_mul(mu, B, F).reshape(z.shape)
-    if not np.array_equal(F.add[F.add[z, y], xs], X.reshape(z.shape)):
+    # mu_lm = X_l[p_m] = (X P^T)_lm, row m of P the indicator of p_m (zero past dim L)
+    nonzero = B != 0
+    P = nonzero & (np.cumsum(nonzero, axis=2) == 1)
+    mu = np.matmul(X, P.transpose(0, 2, 1).astype(np.int32))  # a sum of one term at most
+    tangent_sum = np.zeros_like(X)  # the tangent part of each slice, zero at r = 0
+    terms = [[] for _ in live]  # per attempt: its z and y terms, then its x terms
+    solved = [row for row, j in enumerate(live) if attempts[j][2] > 0]
+    if solved:
+        nv = nC + n1  # unknowns: C, Cp, then mu
+        A, left, right = (
+            np.array([points[live[row]][i] for row in solved], dtype=np.int32) for i in range(3)
+        )
+        system = [_sylvester_matrix(A), B[solved].transpose(0, 2, 1), X[solved].transpose(0, 2, 1)]
+        R, pivots = _rrefs(np.concatenate(system, axis=2), F)
+        x = np.zeros((len(solved), nv, n1), dtype=np.int32)  # column l solves slice l
+        for t, p in enumerate(pivots):
+            if p and p[-1] >= nv:  # a pivot in the right-hand side
+                raise VerificationFailed("a slice lies outside the span it is solved in")
+            x[t, p] = R[t, : len(p), nv:]  # free variables 0
+        x = x.transpose(0, 2, 1)
+        Cs = x[:, :, : n2 * n2].reshape(-1, n1, n2, n2)
+        Cps = x[:, :, n2 * n2 : nC].reshape(-1, n1, n3, n3)
+        mu[solved] = x[:, :, nC:]
+        # H[i][l] = C_l f_i and Hp[i][l] = g_i Cp_l, for every attempt and every i at once
+        H = linalg.mat_mul(Cs, left.transpose(0, 2, 1)[:, None], F).transpose(0, 3, 1, 2)
+        Hp = linalg.mat_mul(right[:, None], Cps, F).transpose(0, 2, 1, 3)
+        # zero terms included: z terms g_i (x) H[i], y terms f_i (x) Hp[i]
+        z = linalg.mat_mul(H.transpose(0, 2, 3, 1), right[:, None], F)
+        y = linalg.mat_mul(left.transpose(0, 2, 1)[:, None], Hp.transpose(0, 2, 1, 3), F)
+        tangent_sum[solved] = F.add[z, y].reshape(len(solved), n1, n2 * n3)
+        for t, row in enumerate(solved):
+            r = attempts[live[row]][2]
+            for i, (f_i, g_i) in enumerate(zip(left[t, :r], right[t])):
+                if H[t, i].any() and g_i.any():
+                    terms[row].append(SliceTerm(F, "z", g_i, H[t, i], source="tangent_z_slice"))
+                if Hp[t, i].any() and f_i.any():
+                    terms[row].append(SliceTerm(F, "y", f_i, Hp[t, i], source="tangent_y_slice"))
+    # the term sum, x terms sum_m mu_lm L_m included
+    if not np.array_equal(F.add[tangent_sum, linalg.mat_mul(mu, B, F)], X):
         raise VerificationFailed("tangent decomposition does not reconstruct the tensor")
     for row, j in enumerate(live):
         Tw, L, r, _ = attempts[j]
-        terms = []
-        for i, (f_i, g_i) in enumerate(zip(left[row, :r], right[row])):
-            if H[row, i].any() and g_i.any():
-                terms.append(SliceTerm(F, "z", g_i, H[row, i], source="tangent_z_slice"))
-            if Hp[row, i].any() and f_i.any():
-                terms.append(SliceTerm(F, "y", f_i, Hp[row, i], source="tangent_y_slice"))
         for m in range(L.dim):
             if mu[row, :, m].any():
-                terms.append(
+                terms[row].append(
                     SliceTerm(F, "x", mu[row, :, m], L.basis[m], source="complement_x_slice")
                 )
         found[j] = SliceDecomposition(
-            working_field=F, dims=Tw.dims, terms=terms, r_used=r, sampled_point=points[j][0]
+            working_field=F, dims=Tw.dims, terms=terms[row], r_used=r, sampled_point=points[j][0]
         )
     return found
 

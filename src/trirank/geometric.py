@@ -22,8 +22,10 @@ from .variety import CountRecord, DimEstimate, count_record, estimate_from_count
 def _strata_records(prof: RankProfile) -> list[CountRecord]:
     """|X_r| for each r, cumulative.  X_r holds the origin, so a sampled count is at least 1."""
     counts = np.cumsum(prof.hist)
+    if prof.exact:
+        return [CountRecord(prof.k, c) for c in counts.tolist()]
     records = (count_record(prof.k, prof.q, c, prof.samples, prof.total) for c in counts)
-    return [rec if rec.exact else replace(rec, count=max(rec.count, 1.0)) for rec in records]
+    return [replace(rec, count=max(rec.count, 1.0)) for rec in records]
 
 
 def rank_strata_counts(

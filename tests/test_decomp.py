@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trirank import cli, decomp, geometric, linalg, tensor, variety
-from trirank.errors import NoPointFound, VerificationFailed
+from trirank.errors import BadParams, NoPointFound, VerificationFailed
 from trirank.fields import make_field
 from trirank.tensor import SliceTerm, slice_space
 
@@ -402,6 +402,27 @@ def test_decomposition_json_round_trip():
     assert D2.term_count == D.term_count
 
 
+@pytest.mark.parametrize("code, error", [
+    (1.9, "not an integer"), (1.0, "not an integer"), (True, "not an integer"),
+    ("1", "not an integer"), (10 ** 20, "outside"), (1, None),
+])
+def test_decomposition_codes_are_ints(code, error):
+    # the one term of the entry 0 0 0 1; a float, bool or string code is refused
+    # before the term's int32 arrays would truncate or coerce it to 1, and a
+    # code past int32 before it would overflow
+    T = tensor.identity_tensor(F3, 1)
+    d = decomp.slice_decompose(T).to_dict()
+    assert [t["linear"] for t in d["terms"]] == [[1]]
+    d["terms"][0]["linear"] = [code]
+    if error:
+        with pytest.raises(BadParams, match=error):
+            decomp.decomposition_from_dict(d)
+    else:
+        assert decomp.verify_decomposition(T, decomp.decomposition_from_dict(d))
+    empty = dict(d, terms=[dict(d["terms"][0], linear=[], bilinear=[])])
+    assert decomp.decomposition_from_dict(empty).terms[0].linear.size == 0
+
+
 def test_tangent_space_matches_reference_rows():
     rng = np.random.default_rng(11)
     for F in (F3, make_field(3, 2)):
@@ -485,23 +506,53 @@ def test_stacked_decompositions_match_one_tensor_decompositions(data):
         assert decomp.verify_decomposition(T, D)
 
 
+def recorded_eliminations(monkeypatch):
+    """The stack size of each batched_rref call and the shape of each rref call, as made."""
+    batched_rref, rref, seen = linalg.batched_rref, linalg.rref, {"batched": [], "rref": []}
+
+    def recording_batched(Ms, F):
+        seen["batched"].append(len(Ms))
+        return batched_rref(Ms, F)
+
+    def recording_rref(M, F):
+        seen["rref"].append(np.shape(M))
+        return rref(M, F)
+
+    monkeypatch.setattr(linalg, "batched_rref", recording_batched)
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    return seen
+
+
 def test_stacked_decomposition_eliminates_at_most_chunk_matrices_per_call(monkeypatch):
     Ts = [tensor.levi_civita(F3), tensor.identity_tensor(F3, 3)]
     Ts += [tensor.random_tensor(F3, (3, 3, 3), seed=s) for s in range(5)]
     seeds = list(range(len(Ts)))
     reports = [geometric.geometric_rank(T, seed=s) for T, s in zip(Ts, seeds)]
     expected = [decomposition_bytes(D) for D in decomp.slice_decompositions(Ts, 3, seeds, reports)]
-    batched_rref, seen = linalg.batched_rref, []
-
-    def recording(Ms, F):
-        seen.append(len(Ms))
-        return batched_rref(Ms, F)
-
-    monkeypatch.setattr(linalg, "batched_rref", recording)
+    seen = recorded_eliminations(monkeypatch)
     monkeypatch.setattr(decomp, "CHUNK", 2)
     found = decomp.slice_decompositions(Ts, 3, seeds, reports)
     assert [decomposition_bytes(D) for D in found] == expected
-    assert max(seen) == 2 and sum(seen) == 2 * len(Ts)  # spans and solves
+    assert [D.r_used for D in found] == [2] + [0] * 6
+    # the 7 spans in slices of 2, the last alone, and Levi-Civita's solve, the one at r > 0;
+    # every other rref call tests the rank of a drawn 3 x 3 point
+    assert seen["batched"] == [2, 2, 2]
+    assert [shape for shape in seen["rref"] if shape != (3, 3)] == [(3, 9), (9, 24)]
+
+
+def test_r0_group_solves_nothing(monkeypatch):
+    # every attempt at r = 0 reads its coefficients off the span's RREF: one
+    # batched_rref call for the spans, no solve and no rank point drawn
+    Ts = [tensor.identity_tensor(F3, 3)]
+    Ts += [tensor.random_tensor(F3, (3, 3, 3), seed=s) for s in range(4)]
+    seeds = list(range(len(Ts)))
+    reports = [geometric.geometric_rank(T, seed=s) for T, s in zip(Ts, seeds)]
+    expected = [decomposition_bytes(D) for D in decomp.slice_decompositions(Ts, 3, seeds, reports)]
+    seen = recorded_eliminations(monkeypatch)
+    found = decomp.slice_decompositions(Ts, 3, seeds, reports)
+    assert [decomposition_bytes(D) for D in found] == expected
+    assert all(D.r_used == 0 for D in found)
+    assert seen == {"batched": [len(Ts)], "rref": []}
 
 
 def test_retry_rounds_match_the_reference():
