@@ -52,7 +52,6 @@ class SliceDecomposition:
     gr: int | None = None
     flagged: bool = False
     retries: int = 0
-    sampled_point: np.ndarray | None = None
 
     @property
     def term_count(self) -> int:
@@ -270,9 +269,7 @@ def _tangent_attempts(attempts: list) -> list[SliceDecomposition | None]:
                 terms[row].append(
                     SliceTerm(F, "x", mu[row, :, m], L.basis[m], source="complement_x_slice")
                 )
-        found[j] = SliceDecomposition(
-            working_field=F, dims=Tw.dims, terms=terms[row], r_used=r, sampled_point=points[j][0]
-        )
+        found[j] = SliceDecomposition(working_field=F, dims=Tw.dims, terms=terms[row], r_used=r)
     return found
 
 

@@ -1,13 +1,14 @@
 """Gaussian elimination and subspace operations over table-driven finite fields.
 
-Matrices are 2-D numpy arrays of field codes.  ``batched_rank`` ranks a whole
-stack of matrices at once, which is what makes exhaustive rank-stratum
-counting affordable; its elimination swaps no rows (a rank needs no echelon
-form).
-``batched_rref`` gives each matrix of a stack its ``rref``, row swaps and
-pivots included, in one pass over the columns.  No rank here is read from a
-determinant: ``rankprofile`` alone decides where one stands in for an
-elimination.
+Matrices are 2-D numpy arrays of field codes.  ``mat_mul`` is the package's
+one matrix product over F: every contraction sum_i x_i A_i, the slice-rank
+forms and the decomposition's products are its calls.  ``batched_rank``
+ranks a whole stack of matrices at once, which is what makes exhaustive
+rank-stratum counting affordable; its elimination swaps no rows (a rank
+needs no echelon form).  ``batched_rref`` gives each matrix of a stack its
+``rref``, row swaps and pivots included, in one pass over the columns.  No
+rank here is read from a determinant: ``rankprofile`` alone decides where
+one stands in for an elimination.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ def rref(M, F: Field):
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = F.mul[F.inv[R[r, c]], R[r]]
+        R[r, c:] = F.mul[F.inv[R[r, c]], R[r, c:]]
         factors = F.neg[R[:, c]]
         factors[r] = 0
-        R = F.add[R, F.mul[factors[:, None], R[r]]]
+        R[:, c:] = F.add[R[:, c:], F.mul[factors[:, None], R[r, c:]]]  # R[r, :c] = 0
         pivots.append(c)
         r += 1
     return R, pivots
@@ -59,23 +60,42 @@ def row_space_basis(rows, F: Field) -> np.ndarray:
 
 
 def mat_mul(A, B, F: Field) -> np.ndarray:
-    """A @ B over F, with np.matmul shape rules.
+    """A @ B over F, with np.matmul shape rules: the package's one product over F.
 
-    Over a prime field it is one integer product reduced mod p; over an
-    extension, a table lookup per inner index.
-
-    Both operands are at least 2-D; leading batch axes broadcast, and an empty
-    inner axis gives zeros.
+    Over a prime field, one integer product reduced mod p.  Over an extension,
+    a 2-D B is shared by every row x of A, as in a contraction sum_i x_i B_i:
+    the sums over the first j indices are tabulated for the largest j with
+    q^j <= the rows of A, and each further index adds x_i B_i by a row gather
+    from a table of the multiples of B_i and one add lookup.  A batched B
+    takes one mul and one add lookup per inner index.  Both operands are at
+    least 2-D; batch axes broadcast, and an empty inner axis gives zeros.
     """
-    A, B = np.asarray(A, dtype=np.int32), np.asarray(B, dtype=np.int32)
+    # intp, since take is several times faster on intp indices than on int32 ones
+    A, B = np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.int32)
     if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
         raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
     if F.k == 1:  # one integer product: a sum of t terms is at most t (p - 1)^2 < 2^63
         return (np.matmul(A, B, dtype=np.int64) % F.p).astype(np.int32)
-    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+    q, (n, cols), add = F.q, B.shape[-2:], F.add.ravel()
+    if B.ndim == 2:
+        X = A.reshape(int(np.prod(A.shape[:-1])), n)  # sized: numpy cannot resolve -1 at 0 rows
+        multiples = F.mul[np.arange(q)[:, None], B[:, None]].astype(np.intp)  # [i, c] = c B_i
+        j, low = 0, np.zeros((1, cols), dtype=np.int32)
+        while j < n and q ** (j + 1) <= len(X):
+            # low[x] = sum_{i <= j} x_i B_i, with index j the most significant
+            low = add.take(multiples[j][:, None] * q + low[None]).reshape(q ** (j + 1), cols)
+            j += 1
+        acc = low[X[:, :j] @ q ** np.arange(j)]
+        for i in range(j, n):
+            idx = multiples[i][X[:, i]]
+            idx += acc * q  # in place: one intp array per step bounds peak memory
+            acc = add.take(idx)
+        return acc.reshape(A.shape[:-1] + (cols,))
+    mul = F.mul.ravel()
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], cols)
     acc = np.zeros(shape, dtype=np.int32)
-    for t in range(A.shape[-1]):
-        acc = F.add[acc, F.mul[A[..., :, t, None], B[..., None, t, :]]]
+    for t in range(n):
+        acc = add.take(acc * q + mul.take(A[..., :, t, None] * q + B[..., None, t, :]))
     return acc
 
 

@@ -20,8 +20,9 @@ eliminated at the draws.  Either way the
 ranks, histograms and sampled counts are those of the whole tensor at the
 same points.  Every point set (an orbit batch, a rank table's orbit
 representatives, a batch of draws, the slice-rank search's pruning points)
-takes one step, ``_ranks``: ``contract`` at its points, then one
-batched_rank call per slice of at most CHUNK matrices.  At an exact level a
+takes one step, ``_ranks``: its contraction at the points is one
+``linalg.mat_mul``, the package's one product over F, then one batched_rank
+call per slice of at most CHUNK matrices.  At an exact level a
 square s x s block (s <= DET_MAX) whose level repays it (``_det_route``,
 decided per block from its shape and field) is tested for full rank by
 det(sum_i x_i A_i) as a polynomial instead: its coefficients come from one
@@ -95,44 +96,19 @@ def _frobenius_order(A: np.ndarray, F: Field) -> int:
     return F.k if (A < F.p).all() else 1
 
 
-def contract(A: np.ndarray, F: Field, X: np.ndarray) -> np.ndarray:
-    """sum_i x_i A_i for the points X, given as (N, n) field codes: shape (N, *A.shape[1:]).
-
-    A is one block (n, m1, m2) or a stack of blocks (n, G, m1, m2).  The sums
-    over the first j coordinates are tabulated for the largest j with
-    q^j <= N; each further coordinate adds its term c A_i by a row gather from
-    a (q, entries) table of the multiples of A_i and one add lookup.
-    """
-    n, *shape = A.shape
-    size = int(np.prod(shape))
-    # multiples[i, c] = c A_i, flattened; intp, since add.take is several
-    # times faster on intp indices than on int32 ones
-    multiples = F.mul[np.arange(F.q)[:, None], A.reshape(n, 1, size)].astype(np.intp)
-    add = F.add.ravel()
-    j, low = 0, np.zeros((1, size), dtype=np.int32)
-    while j < n and F.q ** (j + 1) <= len(X):
-        # low[x] = sum_{i <= j} x_i A_i, with coordinate j the most significant
-        low = add.take(multiples[j][:, None] * F.q + low[None]).reshape(F.q ** (j + 1), size)
-        j += 1
-    Ms = low[X[:, :j] @ F.q ** np.arange(j)]
-    for i in range(j, n):
-        idx = multiples[i][X[:, i]]
-        idx += Ms * F.q  # in place: one intp array per step bounds peak memory
-        Ms = add.take(idx)
-    return Ms.reshape(len(X), *shape)
-
-
 def _ranks(A: np.ndarray, F: Field, X: np.ndarray) -> np.ndarray:
     """Ranks (N, G) of each block of the stack A (n, G, m1, m2) at N <= CHUNK points X.
 
-    Each slice of at most CHUNK matrices is contracted and eliminated in one
-    batched_rank call.
+    Each slice of at most CHUNK matrices is contracted, sum_i x_i A_i as one
+    ``linalg.mat_mul`` of X by the slice's (n, entries) coefficients, and
+    eliminated in one batched_rank call.
     """
-    _, G, m1, m2 = A.shape
+    n, G, m1, m2 = A.shape
     step, ranks = CHUNK // len(X), []
     for s in range(0, G, step):  # a slice's matrices live only through its call
-        shape = (len(X) * min(step, G - s), m1, m2)  # numpy cannot resolve -1 when m1 m2 = 0
-        ranks.append(linalg.batched_rank(contract(A[:, s : s + step], F, X).reshape(shape), F))
+        g = min(step, G - s)  # sizes spelt out: numpy cannot resolve -1 when m1 m2 = 0
+        Ms = linalg.mat_mul(X, A[:, s : s + g].reshape(n, g * m1 * m2), F)
+        ranks.append(linalg.batched_rank(Ms.reshape(len(X) * g, m1, m2), F))
     return np.concatenate([r.reshape(len(X), -1) for r in ranks], axis=1)
 
 
@@ -441,11 +417,9 @@ def _singular_hists(A: np.ndarray, coefs: np.ndarray, F: Field, m: int) -> np.nd
             keep, orbits = _least_orbits(points_at(F.q, n, idx), idx, F, m)
             yield g[keep], orbits[:, 0], _orbit_sizes(orbits)
 
-    mul, add = F.mul.ravel(), F.add.ravel()
-    for g, X, sizes in _rebatched(singular()):
-        Ms = np.zeros((len(g), s, s), dtype=np.intp)
-        for i in range(n):  # sum_i x_i A_i, each point with its own block
-            Ms = add.take(Ms * F.q + mul.take(X[:, i, None, None] * F.q + A[i, g]))
+    coefficients = A.transpose(1, 0, 2, 3).reshape(G, n, s * s)  # a copy: rows gather fast
+    for g, X, sizes in _rebatched(singular()):  # sum_i x_i A_i, each point with its own block
+        Ms = linalg.mat_mul(X[:, None], coefficients[g], F).reshape(len(g), s, s)
         ranks = linalg.batched_rank(Ms, F)
         hists += np.bincount(g * (s + 1) + ranks, sizes, hists.size).reshape(G, -1).astype(np.int64)
         hists[:, s] -= np.bincount(g, sizes, G).astype(np.int64)

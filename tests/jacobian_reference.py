@@ -1,7 +1,8 @@
-"""Reference linear algebra for the tests: kernels, solves and Jacobian tangent spaces.
+"""Reference linear algebra for the tests: kernels, solves, contractions and tangent spaces.
 
-``kernel_basis`` and ``solve`` are the scalar references the stacked routes
-of ``trirank`` are checked against; the package itself needs neither.
+``kernel_basis``, ``solve`` and ``table_contraction`` are the scalar
+references the stacked routes of ``trirank`` are checked against; the
+package itself needs none of them.
 The tests check ``decomp._sylvester_matrix``, the tangent map the
 decomposition uses, against the Jacobian of the minors that cut out each
 determinantal variety.  Polynomials are ``variety``'s sparse dicts
@@ -24,6 +25,14 @@ def kernel_basis(M, F) -> np.ndarray:
         for i, pc in enumerate(pivots):
             basis[row, pc] = F.neg[R[i, f]]
     return basis
+
+
+def table_contraction(A, F, X):
+    """sum_i x_i A_i by field-table lookups, one coordinate at a time."""
+    Ms = np.zeros((X.shape[0],) + A.shape[1:], dtype=np.int32)
+    for i in range(A.shape[0]):
+        Ms = F.add[Ms, F.mul[X[:, i][:, None, None], A[i][None, :, :]]]
+    return Ms
 
 
 def solve(M, b, F):

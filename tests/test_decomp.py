@@ -187,9 +187,7 @@ def reference_tangent_decomposition(Tw, L, r, seed):
                     F, "x", mu[:, m], D_m.reshape(n2, n3), source="complement_x_slice"
                 )
             )
-    D = decomp.SliceDecomposition(
-        working_field=F, dims=Tw.dims, terms=terms, r_used=r, sampled_point=A
-    )
+    D = decomp.SliceDecomposition(working_field=F, dims=Tw.dims, terms=terms, r_used=r)
     if not decomp.verify_decomposition(Tw, D):
         raise VerificationFailed("tangent decomposition does not reconstruct the tensor")
     return D
@@ -207,8 +205,7 @@ def reference_slice_decompose(T, **kwargs):
 
 
 def decomposition_bytes(D):
-    point = b"" if D.sampled_point is None else D.sampled_point.astype(np.int32).tobytes()
-    return repr(D.to_dict()).encode(), point
+    return repr(D.to_dict()).encode()
 
 E11 = np.array([[1, 0], [0, 0]], dtype=np.int32)
 E12 = np.array([[0, 1], [0, 0]], dtype=np.int32)
@@ -384,7 +381,7 @@ def test_r0_attempt_is_the_base_case():
         Ds = decomp._tangent_attempts([(Tw, slice_space(Tw, "x"), 0, 0) for Tw in group])
         for Tw, D in zip(group, Ds):
             assert D.to_dict() == reference_base_decomposition(Tw).to_dict(), Tw
-            assert D.r_used == 0 and not D.sampled_point.any()
+            assert D.r_used == 0
 
 
 def test_verify_rejects_wrong_tensor_or_dims():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trirank import linalg
-from trirank.fields import make_field
+from trirank.fields import make_field, parse_field
+from trirank.rankprofile import CHUNK
 
-from jacobian_reference import kernel_basis, solve
+from jacobian_reference import kernel_basis, solve, table_contraction
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -35,8 +36,9 @@ def loop_mat_mul(A, B, F):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mat_mul_broadcasts_like_matmul(data):
-    # prime fields take one integer product, extensions the table loop: both
-    # must equal the table route
+    # prime fields take one integer product; extensions a multiples table when
+    # B is 2-D and a lookup per inner index when B is batched: each must equal
+    # the loop reference
     F = data.draw(st.sampled_from([F2, F3, F5, F7, F8, F9]))
     m, k, n = (data.draw(st.integers(0, 3), label=s) for s in "mkn")  # k = 0: empty inner axis
     batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
@@ -64,6 +66,55 @@ def test_prime_mat_mul_is_exact_on_long_inner_axes():
     B = np.random.default_rng(0).integers(0, F.q, size=(5000, 3)).astype(np.int32)
     B[:, 0] = F.p - 1
     assert np.array_equal(linalg.mat_mul(A, B, F), loop_mat_mul(A, B, F))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from(["2^1", "3^1", "7^1", "2^3", "3^2", "5^2"]),
+    n=st.integers(0, 4),
+    blocks=st.integers(1, 3),
+    shape=st.sampled_from([(2, 3), (0, 3), (2, 0)]),
+    j=st.integers(0, 13),
+    offset=st.integers(-1, 1),
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+# a 2-D B tabulates the largest j with q^j <= the rows of A: N < q gives j = 0,
+# and q^n > N adds the indices past the tabulated ones one at a time
+@example(field="3^3", n=4, blocks=1, shape=(2, 3), j=2, offset=0, seed=1)
+@example(field="3^3", n=4, blocks=2, shape=(2, 3), j=2, offset=-1, seed=1)
+@example(field="3^6", n=2, blocks=1, shape=(2, 3), j=1, offset=1, seed=2)
+@example(field="7^1", n=3, blocks=3, shape=(2, 3), j=1, offset=-1, seed=4)
+@example(field="2^1", n=14, blocks=2, shape=(2, 3), j=13, offset=0, seed=3)
+@example(field="3^2", n=0, blocks=2, shape=(2, 3), j=1, offset=0, seed=5)
+def test_mat_mul_contracts_at_points_like_table_lookups(field, n, blocks, shape, j, offset, seed):
+    # sum_i x_i A_i at the points X as X @ (n, entries): the contraction of a stack of blocks
+    F = parse_field(field)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, F.q, size=(n, blocks) + shape).astype(np.int32)
+    points = max(1, min(F.q ** j + offset, CHUNK))  # around the threshold q^j
+    X = rng.integers(0, F.q, size=(points, n)).astype(np.int32)
+    Ms = linalg.mat_mul(X, A.reshape(n, blocks * shape[0] * shape[1]), F)
+    assert Ms.shape == (points, blocks * shape[0] * shape[1]) and Ms.dtype == np.int32
+    Ms = Ms.reshape((points, blocks) + shape)
+    for g in range(blocks):
+        assert np.array_equal(Ms[:, g], table_contraction(A[:, g], F, X))
+
+
+@pytest.mark.parametrize("F", [F3, F7, F9, F27])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_mat_mul_contracts_each_point_with_its_own_block(F, n):
+    # the batched per-pair form: point t with block g[t], as X[:, None] @ B[g]
+    rng = np.random.default_rng(F.q + n)
+    blocks, s, points = 5, 3, 40
+    A = rng.integers(0, F.q, size=(n, blocks, s, s)).astype(np.int32)
+    X = rng.integers(0, F.q, size=(points, n)).astype(np.int32)
+    g = rng.integers(0, blocks, size=points)
+    B = A.reshape(n, blocks, s * s).transpose(1, 0, 2)  # (blocks, n, s^2)
+    Ms = linalg.mat_mul(X[:, None], B[g], F)
+    assert Ms.shape == (points, 1, s * s) and Ms.dtype == np.int32
+    Ms = Ms.reshape(points, s, s)
+    for t in range(points):
+        assert np.array_equal(Ms[t], table_contraction(A[:, g[t]], F, X[t : t + 1])[0])
 
 
 def test_mat_mul_rejects_mismatched_inner_axes():

@@ -20,21 +20,14 @@ from trirank.rankprofile import (
     _frobenius_order,
     _orbit_batches,
     _rank_tables,
-    contract,
     point_block,
     rank_profile,
     rank_profiles,
 )
 
+from jacobian_reference import table_contraction
+
 REF_POINTS = 20000  # largest affine point set the reference enumerates
-
-
-def table_contraction(A, F, X):
-    """sum_i x_i A_i by field-table lookups, one coordinate at a time."""
-    Ms = np.zeros((X.shape[0],) + A.shape[1:], dtype=np.int32)
-    for i in range(A.shape[0]):
-        Ms = F.add[Ms, F.mul[X[:, i][:, None, None], A[i][None, :, :]]]
-    return Ms
 
 
 def reference_hist(T, k, axis, X=None):
@@ -411,35 +404,6 @@ def test_a_direct_sum_of_summands_within_the_budget_is_exact(monkeypatch):
         assert not rank_profile(T, 1, axis, budget=3 ** 3 - 1, mc_samples=10).exact
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    field=st.sampled_from(["2^1", "3^1", "7^1", "2^3", "3^2", "5^2"]),
-    n=st.integers(0, 4),
-    blocks=st.integers(1, 3),
-    shape=st.sampled_from([(2, 3), (0, 3), (2, 0)]),
-    j=st.integers(0, 13),
-    offset=st.integers(-1, 1),
-    seed=st.integers(0, 2 ** 31 - 1),
-)
-# each call tabulates the largest j with q^j <= its points: N < q gives j = 0,
-# and q^n > N adds the coordinates past the tabulated ones one at a time
-@example(field="3^3", n=4, blocks=1, shape=(2, 3), j=2, offset=0, seed=1)
-@example(field="3^3", n=4, blocks=2, shape=(2, 3), j=2, offset=-1, seed=1)
-@example(field="3^6", n=2, blocks=1, shape=(2, 3), j=1, offset=1, seed=2)
-@example(field="7^1", n=3, blocks=3, shape=(2, 3), j=1, offset=-1, seed=4)
-@example(field="2^1", n=14, blocks=2, shape=(2, 3), j=13, offset=0, seed=3)
-def test_contraction_matches_table_lookups(field, n, blocks, shape, j, offset, seed):
-    F = parse_field(field)
-    rng = np.random.default_rng(seed)
-    A = rng.integers(0, F.q, size=(n, blocks) + shape).astype(np.int32)
-    points = max(1, min(F.q ** j + offset, CHUNK))  # around the threshold q^j
-    X = rng.integers(0, F.q, size=(points, n)).astype(np.int32)
-    Ms = contract(A, F, X)
-    assert Ms.shape == (points, blocks) + shape
-    for g in range(blocks):
-        assert np.array_equal(Ms[:, g], table_contraction(A[:, g], F, X))
-
-
 @pytest.mark.parametrize("field,n", [("2^1", 3), ("3^1", 3), ("3^2", 2), ("311^1", 1), ("3^3", 3)])
 def test_rank_table_matches_every_affine_point(field, n):
     # each projective point's rank is written at its q - 1 nonzero multiples
@@ -501,7 +465,8 @@ def test_frobenius_orbits_partition_the_projective_points(p, k, n):
     powers = q ** np.arange(n)
     seen, reps = [], 0
     for codes, orbits, sizes in _orbit_batches(Fk, n, _frobenius_order(A, Fk)):
-        assert linalg.batched_rank(contract(A, Fk, codes), Fk).tolist() == [1] * len(orbits)
+        Ms = linalg.mat_mul(codes, A.reshape(n, n), Fk)[:, None]  # the 1 x n matrices x
+        assert linalg.batched_rank(Ms, Fk).tolist() == [1] * len(orbits)
         assert np.array_equal(codes, orbits[:, 0])
         reps += len(orbits)
         for orbit, size in zip(orbits @ powers, sizes):
@@ -569,7 +534,8 @@ def test_a_determinant_level_is_one_elimination_per_batch(monkeypatch):
     assert len(T.summands) == 1 and rankprofile._det_route(2, 17, 2, 1)
     A = tensor.slices(T, "x")
     X = np.concatenate([point_block(2, 17, 2 ** i, 2 ** (i + 1)) for i in range(17)])
-    singular = int((_determinants(contract(A, T.field, X), T.field) == 0).sum())
+    Ms = linalg.mat_mul(X, A.reshape(17, 4), T.field).reshape(len(X), 2, 2)
+    singular = int((_determinants(Ms, T.field) == 0).sum())
     eliminated = counting_eliminations(monkeypatch)
     tested = []  # every stack whose determinants are taken
 

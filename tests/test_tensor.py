@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trirank import decomp, linalg, rankprofile, slicerank, tensor
+from trirank import decomp, linalg, slicerank, tensor
 from trirank.errors import DimensionMismatch, FieldMismatch, TensorFormatError
 from trirank.fields import make_field
 
@@ -39,8 +39,10 @@ def test_levi_civita_signs_and_eval():
 
 
 def contract(T, axis, x):
-    """sum_i x_i A_i over the slices along an axis, through the one contraction."""
-    return rankprofile.contract(tensor.slices(T, axis), T.field, np.array([x], dtype=np.int32))[0]
+    """sum_i x_i A_i over the slices along an axis, through the one product over F."""
+    A = tensor.slices(T, axis)
+    n, m1, m2 = A.shape
+    return linalg.mat_mul(np.array([x]), A.reshape(n, m1 * m2), T.field).reshape(m1, m2)
 
 
 def test_contract_matches_slice_sum():
