@@ -13,12 +13,12 @@ construction.
 ``slice_decompositions`` decomposes many tensors as stacks, one per
 (working field, dims): one elimination gives every span L, and each round
 of attempts (an item steps down in r or retries in the next round) solves
-its r > 0 attempts in one, at most CHUNK matrices per ``batched_rref`` call
-and a lone matrix by ``rref``.  An r = 0 attempt solves nothing: its
-coefficients are read off L's RREF at the pivots.  The rank factorization
-of each drawn point is read from the ``rref`` that tested its rank.  Each
-item draws its own point from its own seed, so its decomposition is the one
-it gets alone; ``slice_decompose`` is the one-tensor case.
+its r > 0 attempts in one, at most CHUNK matrices per ``batched_rref`` call,
+a lone matrix included.  An r = 0 attempt solves nothing: its coefficients
+are read off L's RREF at the pivots.  The rank factorization of each drawn
+point is read from the ``rref`` that tested its rank.  Each item draws its
+own point from its own seed, so its decomposition is the one it gets alone;
+``slice_decompose`` is the one-tensor case.
 """
 
 from __future__ import annotations
@@ -126,17 +126,9 @@ def decomposition_from_dict(d) -> SliceDecomposition:
 def _rrefs(Ms, F: Field):
     """The ``rref`` of every matrix of a nonempty stack: (R stacked, list of pivot lists).
 
-    ``linalg.batched_rref`` takes at most CHUNK matrices per call; a slice of
-    one matrix goes to ``linalg.rref``, whose result is the same and whose
-    pass costs less than a stack's.
+    ``linalg.batched_rref`` takes at most CHUNK matrices per call.
     """
-    parts = []
-    for s in range(0, len(Ms), CHUNK):
-        if len(Ms) - s == 1:
-            R, p = linalg.rref(Ms[s], F)
-            parts.append((R[None], [p]))
-        else:
-            parts.append(linalg.batched_rref(Ms[s : s + CHUNK], F))
+    parts = [linalg.batched_rref(Ms[s : s + CHUNK], F) for s in range(0, len(Ms), CHUNK)]
     return np.concatenate([R for R, _ in parts]), [p for _, ps in parts for p in ps]
 
 

@@ -319,23 +319,17 @@ def estimate_from_counts(q: int, nvars: int, counts) -> DimEstimate:
             slopes.append(None)
     if not slopes or slopes[-1] is None:
         return DimEstimate(nvars, -1, nvars, counts, "unstable", method)
-    dim = min(max(round(slopes[-1]), 0), nvars)
-    status = "unstable"
-    good = [s for s in slopes[-2:] if s is not None]
-    if len(good) == 2:
-        r0, r1 = round(good[0]), round(good[1])
-        if r0 == r1 and all(abs(s - r1) <= SLOPE_MARGIN for s in good):
-            status = "stable"
-    # exact-integer slopes (linear systems, full space) are stable on their own
-    if all(s is not None and abs(s - round(s)) < 1e-9 for s in slopes) and len(
-        {round(s) for s in slopes}
-    ) == 1:
-        status = "stable"
-    if status == "stable" and method == "monte_carlo":
-        # sampled counts only support codim <= 2 (relative error control)
-        if nvars - dim > 2:
-            status = "unstable"
-    return DimEstimate(nvars, dim, nvars - dim, counts, status, method)
+    last = round(slopes[-1])
+    dim = min(max(last, 0), nvars)
+    if len(slopes) == 1:  # an exact-integer slope (linear systems, full space) stands alone
+        stable = abs(slopes[0] - last) < 1e-9
+    else:
+        stable = slopes[-2] is not None and all(
+            round(s) == last and abs(s - last) <= SLOPE_MARGIN for s in slopes[-2:]
+        )
+    # sampled counts only support codim <= 2 (relative error control)
+    stable = stable and (method == "exact_enumeration" or nvars - dim <= 2)
+    return DimEstimate(nvars, dim, nvars - dim, counts, "stable" if stable else "unstable", method)
 
 
 def estimate_dim(

@@ -504,7 +504,11 @@ def test_stacked_decompositions_match_one_tensor_decompositions(data):
 
 
 def recorded_eliminations(monkeypatch):
-    """The stack size of each batched_rref call and the shape of each rref call, as made."""
+    """The stack size of each batched_rref call and the shape of each rref call, as made.
+
+    A decomposition sends every span stack and every solve, a lone matrix
+    included, to batched_rref; rref tests the rank of each drawn point.
+    """
     batched_rref, rref, seen = linalg.batched_rref, linalg.rref, {"batched": [], "rref": []}
 
     def recording_batched(Ms, F):
@@ -532,9 +536,9 @@ def test_stacked_decomposition_eliminates_at_most_chunk_matrices_per_call(monkey
     assert [decomposition_bytes(D) for D in found] == expected
     assert [D.r_used for D in found] == [2] + [0] * 6
     # the 7 spans in slices of 2, the last alone, and Levi-Civita's solve, the one at r > 0;
-    # every other rref call tests the rank of a drawn 3 x 3 point
-    assert seen["batched"] == [2, 2, 2]
-    assert [shape for shape in seen["rref"] if shape != (3, 3)] == [(3, 9), (9, 24)]
+    # every rref call tests the rank of a drawn 3 x 3 point
+    assert seen["batched"] == [2, 2, 2, 1, 1]
+    assert set(seen["rref"]) == {(3, 3)}
 
 
 def test_r0_group_solves_nothing(monkeypatch):

@@ -258,36 +258,48 @@ def test_batched_rank_of_a_long_stack():
     assert np.array_equal(linalg.batched_rank(Ms, F9), (Ms[:, 0, 0] != 0).astype(np.int64))
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_batched_rref_matches_rref(data):
-    F = data.draw(st.sampled_from([F2, F3, F9, F27]), label="F")
-    N = data.draw(st.integers(0, 6), label="N")
-    m, n = data.draw(st.integers(0, 6), label="m"), data.draw(st.integers(0, 9), label="n")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+@st.composite
+def rref_stacks(draw):
+    """(F, stack): zero, full-rank (random) and low-rank (product) matrices of one shape."""
+    F = draw(st.sampled_from([F2, F3, F9, F27]))
+    N, m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     Ms = []
-    for _ in range(N):  # zero, full-rank (random) and low-rank (product) matrices
-        kind = data.draw(st.sampled_from(["zero", "random", "product"]))
+    for _ in range(N):
+        kind = draw(st.sampled_from(["zero", "random", "product"]))
         if kind == "zero":
             Ms.append(np.zeros((m, n), np.int32))
         elif kind == "random":
             Ms.append(rng.integers(0, F.q, size=(m, n)).astype(np.int32))
         else:
-            r = data.draw(st.integers(0, min(m, n)))
+            r = draw(st.integers(0, min(m, n)))
             A, B = rng.integers(0, F.q, size=(m, r)), rng.integers(0, F.q, size=(r, n))
             Ms.append(linalg.mat_mul(A, B, F))
     if 0 < m <= n:  # [I | *] has a pivot in every row at column m - 1; a zero matrix never does
         Ms.append(np.hstack([np.eye(m, dtype=np.int32), rng.integers(0, F.q, size=(m, n - m))]))
-        Ms += [np.zeros((m, n), np.int32)] * data.draw(st.integers(0, 1), label="unfinished")
+        Ms += [np.zeros((m, n), np.int32)] * draw(st.integers(0, 1))  # a matrix left unfinished
         N = len(Ms)
-    Ms = np.array(Ms, dtype=np.int32).reshape(N, m, n)
+    return F, np.array(Ms, dtype=np.int32).reshape(N, m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rref_stacks())
+@example(case=(F9, [[[3, 0, 5, 1, 8], [0, 2, 7, 4, 1], [6, 0, 2, 2, 0]]]))  # a stack of one
+# step 0 places its pivot in column 0, 1 and 2 of the three matrices
+@example(case=(F3, [[[1, 2, 0], [0, 0, 1]], [[0, 1, 2], [0, 0, 0]], [[0, 0, 2], [0, 0, 1]]]))
+@example(case=(F27, [[[5, 9], [0, 0], [13, 4], [2, 26], [1, 1]]]))  # tall: m > n
+# a zero first column above the pivot in row 2, and a zero first column
+@example(case=(F3, [[[0, 1, 2], [0, 0, 1], [2, 1, 0]], [[0, 2, 1], [0, 1, 1], [0, 0, 0]]]))
+def test_batched_rref_matches_rref(case):
+    F, Ms = case[0], np.array(case[1], dtype=np.int32)
     before = Ms.copy()
     R, pivots = linalg.batched_rref(Ms, F)
     assert np.array_equal(Ms, before)  # the input is not written
-    assert R.dtype == np.int32 and R.shape == Ms.shape and len(pivots) == N
+    assert R.dtype == np.int32 and R.shape == Ms.shape and len(pivots) == len(Ms)
     for M, R_M, p in zip(Ms, R, pivots):
         R_ref, p_ref = linalg.rref(M, F)
         assert np.array_equal(R_M, R_ref) and p == p_ref
+        assert all(type(c) is int for c in p)
 
 
 def test_batched_rref_of_identity_and_swapped_rows():

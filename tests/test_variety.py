@@ -245,6 +245,21 @@ def test_estimate_dim_requires_tower():
         variety.estimate_dim(system("x1*x2"), kmax=1)
 
 
+@pytest.mark.parametrize("counts, samples, status, dim", [
+    ([0, 0], None, "empty", -1),
+    ([9, 0], None, "unstable", -1),  # the last slope is None
+    ([27, 729], None, "stable", 3),  # one integer slope
+    ([27, 500], None, "unstable", 3),  # one slope, 2.66
+    ([30, 700, 20000], None, "stable", 3),  # 2.87 and 3.05 agree within SLOPE_MARGIN
+    ([27, 243, 19683], None, "unstable", 4),  # 2 and 4 round apart
+    ([3.0, 9.0], 100, "unstable", 1),  # a sampled integer slope, codim 3 > 2
+], ids=["empty", "none", "integer", "fraction", "margin", "apart", "sampled"])
+def test_estimate_from_counts_has_one_rule_per_case(counts, samples, status, dim):
+    records = [variety.CountRecord(k, c, samples) for k, c in enumerate(counts, 1)]
+    est = variety.estimate_from_counts(3, 4, records)
+    assert (est.status, est.dim) == (status, dim)
+
+
 def test_sz_check_hyperbola():
     S = system("x1*x2")
     est = variety.estimate_dim(S, kmax=3)
